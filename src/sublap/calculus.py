@@ -247,15 +247,17 @@ def lie_differential(F: PolyMap, source: SubRiemannianGroup, target: SubRiemanni
 
 
 def second_lie_differential(F: PolyMap, source: SubRiemannianGroup,
-                            target: SubRiemannianGroup) -> tuple:
+                            target: SubRiemannianGroup, *, df=None) -> tuple:
     """D2F as a bilinear array: entry [i][j] is the target vector (tuple of
     Polynomial over source coordinates) obtained by differentiating
     p -> DF(p)[e_i] along the left-invariant field of e_j.
 
     Not symmetric in (i, j) in general; the cometric contraction used for
-    trace terms only sees the symmetric part.
+    trace terms only sees the symmetric part.  A caller that already holds
+    DF = lie_differential(F, source, target) passes it as df.
     """
-    df = lie_differential(F, source, target)
+    if df is None:
+        df = lie_differential(F, source, target)
     lam = left_translation_jacobian(source)
     n, m = source.dim, target.dim
     partials = tuple(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from typing import Optional
@@ -38,8 +39,9 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ValueError("unknown command %r" % (self.command,))
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        # nan <= 0 is False, so finiteness needs its own test
+        if not math.isfinite(self.tolerance) or self.tolerance <= 0:
+            raise ValueError("tolerance must be finite and positive")
         if self.probe_degree < 2:
             raise ValueError("probe degree must be at least 2")
         if self.format not in ("text", "json"):
@@ -299,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=1e-9,
                        help="numeric tolerance (default 1e-9)")
         p.add_argument("--probe-degree", type=int, default=4,
-                       help="max degree of probe monomials (default 4)")
+                       help="max degree of the probe monomials a failing verify "
+                            "lists as witnesses (default 4)")
         p.add_argument("--format", choices=("text", "json"), default="text",
                        help="output format")
         p.add_argument("--out", default=None, help="write the report to a file")

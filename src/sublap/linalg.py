@@ -25,10 +25,6 @@ def vec(entries) -> Vector:
     return tuple(rat(x) for x in entries)
 
 
-def zeros(nrows: int, ncols: int) -> Matrix:
-    return tuple(tuple(Rat(0) for _ in range(ncols)) for _ in range(nrows))
-
-
 def identity(n: int) -> Matrix:
     return tuple(tuple(Rat(1) if i == j else Rat(0) for j in range(n)) for i in range(n))
 
@@ -149,11 +145,6 @@ def left_nullspace(a: Matrix):
 def pivot_rows(a: Matrix):
     """Indices of a maximal independent set of rows, greedy in input order."""
     return rref(transpose(a))[1]
-
-
-def span_contains(basis, v: Vector) -> bool:
-    stacked = tuple(basis)
-    return rank(stacked + (tuple(v),)) == rank(stacked) if stacked else all(x == 0 for x in v)
 
 
 def span_equal(basis_a, basis_b) -> bool:

@@ -16,8 +16,8 @@ from . import linalg
 from .algebra import SubRiemannianGroup
 from .calculus import left_translation_jacobian, lie_differential, require_step, \
     second_lie_differential
-from .polynomial import Polynomial, PolyMap, const_poly_matrix, poly_mat_mul, \
-    sum_of_products
+from .polynomial import Polynomial, PolyMap, PolyVectorField, const_poly_matrix, \
+    poly_mat_mul, sum_of_products
 from .rational import Rat, rat
 
 
@@ -36,6 +36,7 @@ class Cometric:
         return linalg.rank(self.matrix)
 
 
+@lru_cache(maxsize=None)
 def cometric(group: SubRiemannianGroup) -> Cometric:
     b = group.polarization.matrix()
     ginv = linalg.inverse(group.metric.gram)
@@ -84,13 +85,18 @@ class DifferentialOperator:
                      if (coeff := self.second_order[c][d]))
 
 
-def _lambda_b(group: SubRiemannianGroup) -> tuple:
-    """Columns of dL_p restricted to the polarization: n x r Polynomial."""
+@lru_cache(maxsize=None)
+def _horizontal_frame(group: SubRiemannianGroup) -> tuple:
+    """(G^{-1}, dL_p B): the inverse Gram matrix and the columns of dL_p
+    restricted to the polarization (n x r Polynomial), built once per group
+    for the sub-Laplacian and every gradient."""
     lam = left_translation_jacobian(group)
     b = group.polarization.matrix()
-    return poly_mat_mul(lam, const_poly_matrix(b, group.dim))
+    return (linalg.inverse(group.metric.gram),
+            poly_mat_mul(lam, const_poly_matrix(b, group.dim)))
 
 
+@lru_cache(maxsize=None)
 def drift_vector(group: SubRiemannianGroup) -> tuple:
     """Constant algebra vector beta = Q t with t_b the trace of ad(e_b);
     identically zero on nilpotent groups but kept explicit."""
@@ -105,8 +111,7 @@ def sublaplacian(group: SubRiemannianGroup) -> DifferentialOperator:
     require_step(group)
     n = group.dim
     r = group.rank
-    ginv = linalg.inverse(group.metric.gram)
-    lam_b = _lambda_b(group)
+    ginv, lam_b = _horizontal_frame(group)
     second = poly_mat_mul(poly_mat_mul(lam_b, const_poly_matrix(ginv, n)),
                           tuple(zip(*lam_b)))
     first = []
@@ -138,7 +143,7 @@ def gradient(u: Polynomial, group: SubRiemannianGroup) -> tuple:
     require_step(group)
     if u.nvars != group.dim:
         raise ValueError("argument has %d variables, expected %d" % (u.nvars, group.dim))
-    lam_b = _lambda_b(group)
+    ginv, lam_b = _horizontal_frame(group)
     r = group.rank
     derivs = []
     for j in range(r):
@@ -149,7 +154,6 @@ def gradient(u: Polynomial, group: SubRiemannianGroup) -> tuple:
                 if part:
                     acc = acc + lam_b[c][j] * part
         derivs.append(acc)
-    ginv = linalg.inverse(group.metric.gram)
     out = []
     for j in range(r):
         acc = Polynomial.zero(group.dim)
@@ -232,7 +236,7 @@ class PullbackOperator:
     """Decomposition of u -> Delta_G(u o F) into frame derivatives on the
     target: second[c][d] multiplies (e_d~ e_c~ u) o F, first[c] multiplies
     (e_c~ u) o F, zero multiplies u o F.  Coefficients are Polynomial over
-    the source coordinates."""
+    the source coordinates; second is symmetric."""
 
     map: PolyMap
     source: SubRiemannianGroup
@@ -241,54 +245,61 @@ class PullbackOperator:
     first: tuple
     zero: Polynomial
 
+    def __post_init__(self):
+        m = len(self.second)
+        for c in range(m):
+            for d in range(c + 1, m):
+                if self.second[c][d] != self.second[d][c]:
+                    raise ValueError("second-order table must be symmetric")
+
     def apply(self, u: Polynomial) -> Polynomial:
         if u.nvars != self.target.dim:
             raise ValueError("argument has %d variables, expected %d"
                              % (u.nvars, self.target.dim))
-        m = self.target.dim
-        lam_h = left_translation_jacobian(self.target)
-        first_h = []
-        for c in range(m):
-            acc = Polynomial.zero(m)
-            for a in range(m):
-                if lam_h[a][c]:
-                    part = u.diff(a)
-                    if part:
-                        acc = acc + lam_h[a][c] * part
-            first_h.append(acc)
+        fields = self._target_fields
+        first_h = [field.apply(u) for field in fields]
+        terms = list(zip(self.first, first_h))
+        for c, d, coeff in self._upper_second:
+            second_h = fields[d].apply(first_h[c])
+            if c != d:
+                second_h = second_h + fields[c].apply(first_h[d])
+            terms.append((coeff, second_h))
+        terms.append((self.zero, u))
         comps = self.map.components
-        out = Polynomial.zero(self.source.dim)
-        for c in range(m):
-            if self.first[c] and first_h[c]:
-                out = out + self.first[c] * first_h[c].subs(comps)
-            for d in range(m):
-                if not self.second[c][d] or not first_h[c]:
-                    continue
-                acc = Polynomial.zero(m)
-                for a in range(m):
-                    if lam_h[a][d]:
-                        part = first_h[c].diff(a)
-                        if part:
-                            acc = acc + lam_h[a][d] * part
-                if acc:
-                    out = out + self.second[c][d] * acc.subs(comps)
-        if self.zero:
-            out = out + self.zero * u.subs(comps)
-        return out
+        return sum_of_products(self.source.dim, ((coeff, v.subs(comps))
+                                                 for coeff, v in terms if coeff and v))
+
+    @cached_property
+    def _target_fields(self) -> tuple:
+        """The left-invariant fields e_c~ of the target, as coordinate fields."""
+        lam = left_translation_jacobian(self.target)
+        return tuple(PolyVectorField(tuple(row[c] for row in lam))
+                     for c in range(self.target.dim))
+
+    @cached_property
+    def _upper_second(self) -> tuple:
+        """(c, d, second[c][d]) for the nonzero entries with c <= d: by symmetry
+        the pair (c, d), (d, c) contributes second[c][d] (e_d~ e_c~ + e_c~ e_d~) u."""
+        m = self.target.dim
+        return tuple((c, d, coeff) for c in range(m) for d in range(c, m)
+                     if (coeff := self.second[c][d]))
 
 
 def pullback_operator(F: PolyMap, source: SubRiemannianGroup,
-                      target: SubRiemannianGroup) -> PullbackOperator:
+                      target: SubRiemannianGroup, *, df=None) -> PullbackOperator:
     """Push Delta_G through a polynomial map F: G -> H.
 
     second = DF Q_G DF^T (frame-indexed on the target), first collects the
     cometric trace of D2F plus the drift image DF[beta_G], zero vanishes.
+    A caller that already holds DF = lie_differential(F, source, target)
+    passes it as df.
     """
-    df = lie_differential(F, source, target)
+    if df is None:
+        df = lie_differential(F, source, target)
     n, m = source.dim, target.dim
     qg = cometric(source).matrix
     second = poly_mat_mul(poly_mat_mul(df, const_poly_matrix(qg, n)), tuple(zip(*df)))
-    d2 = second_lie_differential(F, source, target)
+    d2 = second_lie_differential(F, source, target, df=df)
     first = []
     for c in range(m):
         acc = Polynomial.zero(n)

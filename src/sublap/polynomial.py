@@ -581,10 +581,6 @@ class PolyVectorField:
 # -- matrices with polynomial entries -----------------------------------------
 
 
-def poly_matrix(rows) -> tuple:
-    return tuple(tuple(row) for row in rows)
-
-
 def const_poly_matrix(matrix, nvars: int) -> tuple:
     return tuple(tuple(Polynomial.constant(c, nvars) for c in row) for row in matrix)
 

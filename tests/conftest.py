@@ -5,6 +5,7 @@ import pytest
 from sublap.algebra import LieAlgebra, subriemannian_group
 from sublap.catalog import abelian_group, engel_group
 from sublap.heisenberg import heisenberg_group
+from sublap.polynomial import PolyMap
 from sublap.rational import BACKEND, Rat
 
 
@@ -16,6 +17,39 @@ def random_rational(rng, max_num=9, max_den=9):
 
 def random_vector(rng, dim, max_num=9, max_den=9):
     return tuple(random_rational(rng, max_num, max_den) for _ in range(dim))
+
+
+def analyzer_rejections():
+    """The twenty (map, source, target) triples that acceptance criterion 11
+    requires the commutation analyzer to refuse."""
+    h1 = heisenberg_group(1, (1,))
+    h2 = heisenberg_group(2, (1, 1))
+    engel = engel_group()
+    r2, r3 = abelian_group(2), abelian_group(3)
+    cases = [
+        (["x1", "x2", "x3 + x1"], 3, h1, h1),
+        (["x1", "x2", "2*x3"], 3, h1, h1),
+        (["x2", "2*x1", "-2*x3"], 3, h1, h1),
+        (["2*x1", "x2", "2*x3"], 3, h1, h1),
+        (["x1", "x2", "x3 + x1^2"], 3, h1, h1),
+        (["x1 + x2^2", "x2", "x3"], 3, h1, h1),
+        (["x1", "x2^3", "x3"], 3, h1, r3),
+        (["x1", "x2 + x3"], 3, h1, r2),
+        (["x1", "x3"], 3, h1, r2),
+        (["x1", "2*x2"], 2, r2, r2),
+        (["x1 + x2^2", "x2"], 2, r2, r2),
+        (["x1^2", "x2^2"], 2, r2, r2),
+        (["x1*x2", "x1 + x2"], 2, r2, r2),
+        (["x1", "0"], 2, r2, r2),
+        (["x1^3", "x2"], 2, r2, r2),
+        (["x1", "x3", "x5"], 5, h2, h1),
+        (["2*x1", "x2", "2*x3", "x4", "2*x5"], 5, h2, h2),
+        (["x1", "x2", "x3", "x4 + x1"], 4, engel, engel),
+        (["2*x1", "x2", "2*x3", "2*x4"], 4, engel, engel),
+        (["x1", "2*x2", "x3"], 3, h1, h1),
+    ]
+    return [(PolyMap.parse(comps, nvars), source, target)
+            for comps, nvars, source, target in cases]
 
 
 @pytest.fixture(scope="session")

@@ -1,13 +1,18 @@
 """Independent cross-checking machinery for the tests.
 
-Nothing in here uses the package's BCH or differential code paths: group
-products are computed through faithful matrix representations with exact
-exp/log on nilpotent matrices, and derivatives are taken by exact Lagrange
-differentiation of polynomial curves through rational sample points.
+Group products are computed through faithful matrix representations with
+exact exp/log on nilpotent matrices, and derivatives are taken by exact
+Lagrange differentiation of polynomial curves through rational sample points;
+neither uses the package's BCH or differential code paths.  The commutation
+probe oracle substitutes each probe into the map and applies the two
+sub-Laplacians and the gradient directly, never going through the Lie
+differential or the pullback tables that the package decides with.
 """
 
 from fractions import Fraction
 
+from sublap.operators import frame_components, gradient, sublaplacian
+from sublap.polynomial import Polynomial, monomials_up_to
 from sublap.rational import Rat, rat
 
 
@@ -186,3 +191,35 @@ def curve_derivative(curve, degree_bound):
         lagrange_derivative_at_zero(list(zip(nodes, (s[i] for s in samples))))
         for i in range(dim)
     )
+
+
+# ---------------------------------------------------------------------------
+# the commutation identity, tested on monomial probes
+
+
+def probe_residuals(F, lambda_sq, b, source, target, probe_degree):
+    """((u, residual), ...) over the monomials u of degree <= probe_degree
+    whose residual Delta_G(u o F) - lambda_sq (Delta_H u) o F
+    - <b, (grad u) o F> is nonzero, each term computed as written."""
+    n = source.dim
+    if not isinstance(lambda_sq, Polynomial):
+        lambda_sq = Polynomial.constant(rat(lambda_sq), n)
+    op_g = sublaplacian(source)
+    op_h = sublaplacian(target)
+    beta = frame_components(b, target)  # raises if b is not horizontal
+    gram = target.metric.gram
+    comps = F.components
+    bad = []
+    for u in monomials_up_to(target.dim, probe_degree):
+        lhs = op_g.apply(u.subs(comps))
+        mid = lambda_sq * op_h.apply(u).subs(comps)
+        gamma = gradient(u, target)
+        inner = Polynomial.zero(n)
+        for j in range(target.rank):
+            for k in range(target.rank):
+                if gram[j][k] and beta[j] and gamma[k]:
+                    inner = inner + beta[j] * gamma[k].subs(comps) * gram[j][k]
+        residual = lhs - mid - inner
+        if residual:
+            bad.append((u, residual))
+    return tuple(bad)

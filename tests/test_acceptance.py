@@ -321,39 +321,14 @@ def test_criterion_10_isometry_constructor():
 def test_criterion_11_analyzer_rejections():
     """Twenty broken maps are all refused with a nonzero residual."""
     with criterion(11, "20 non-contact / non-conformal maps rejected", 3.0):
-        h1 = heisenberg_group(1, (1,))
-        h2 = heisenberg_group(2, (1, 1))
-        engel = engel_group()
-        r1, r2, r3 = abelian_group(1), abelian_group(2), abelian_group(3)
-        cases = [
-            (["x1", "x2", "x3 + x1"], 3, h1, h1),
-            (["x1", "x2", "2*x3"], 3, h1, h1),
-            (["x2", "2*x1", "-2*x3"], 3, h1, h1),
-            (["2*x1", "x2", "2*x3"], 3, h1, h1),
-            (["x1", "x2", "x3 + x1^2"], 3, h1, h1),
-            (["x1 + x2^2", "x2", "x3"], 3, h1, h1),
-            (["x1", "x2^3", "x3"], 3, h1, r3),
-            (["x1", "x2 + x3"], 3, h1, r2),
-            (["x1", "x3"], 3, h1, r2),
-            (["x1", "2*x2"], 2, r2, r2),
-            (["x1 + x2^2", "x2"], 2, r2, r2),
-            (["x1^2", "x2^2"], 2, r2, r2),
-            (["x1*x2", "x1 + x2"], 2, r2, r2),
-            (["x1", "0"], 2, r2, r2),
-            (["x1^3", "x2"], 2, r2, r2),
-            (["x1", "x3", "x5"], 5, h2, h1),
-            (["2*x1", "x2", "2*x3", "x4", "2*x5"], 5, h2, h2),
-            (["x1", "x2", "x3", "x4 + x1"], 4, engel, engel),
-            (["2*x1", "x2", "2*x3", "2*x4"], 4, engel, engel),
-            (["x1", "2*x2", "x3"], 3, h1, h1),
-        ]
+        cases = conftest.analyzer_rejections()
         assert len(cases) == 20
-        for comps, nvars, source, target in cases:
-            report = analyze_commutation(PolyMap.parse(comps, nvars), source, target)
-            assert not report.conformal, comps
-            assert report.residuals, comps
-            assert any(not res.is_zero for res in report.residuals), comps
-            assert report.reason, comps
+        for mapping, source, target in cases:
+            report = analyze_commutation(mapping, source, target)
+            assert not report.conformal, mapping
+            assert report.residuals, mapping
+            assert any(not res.is_zero for res in report.residuals), mapping
+            assert report.reason, mapping
 
 
 def _plane_rotation(n, plane, c, s):

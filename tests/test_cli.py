@@ -249,6 +249,27 @@ def test_heis_isometry_negative(tmp_path, capsys):
     assert doc["verdict"] == "no-isometry"
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+def test_heis_isometry_rejects_nonfinite_tolerance(tmp_path, capsys, tol):
+    from sublap.heisenberg import heisenberg_pair
+    from sublap.rational import rat_str
+
+    def pair_doc(rbar):
+        omega, gram = heisenberg_pair(2, rbar)
+        return {"omega": [[rat_str(v) for v in row] for row in omega.matrix],
+                "gram": [[rat_str(v) for v in row] for row in gram.gram]}
+
+    q1 = write(tmp_path, "q1.json", pair_doc((1, 1)))
+    q2 = write(tmp_path, "q2.json", pair_doc((1, 2)))
+    assert main(["heis-isometry", q1, q2, "--tol", "1e-9"]) == 1
+    capsys.readouterr()
+    # the = form, since argparse would read a bare "-inf" as an option
+    assert main(["heis-isometry", q1, q2, "--tol=" + tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "tolerance must be finite and positive" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # analyze-map / verify
 

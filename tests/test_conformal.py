@@ -1,8 +1,11 @@
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
-from conftest import random_rational
+from conftest import analyzer_rejections, random_rational
+from oracles import probe_residuals
 from sublap import linalg
 from sublap.calculus import NotNilpotent, dilation, left_translation
 from sublap.catalog import abelian_group, sl2_algebra
@@ -12,7 +15,7 @@ from sublap.conformal import (CommutationReport, FrameDecision, NotConformal,
                               commutation_residuals, frames_equivalent,
                               homothetic_characterizations,
                               is_homothetic_projection)
-from sublap.operators import pullback_operator
+from sublap.operators import cometric, drift_vector, pullback_operator
 from sublap.polynomial import Polynomial, PolyMap
 from sublap.rational import Rat
 
@@ -314,6 +317,94 @@ def test_residuals_reject_nonhorizontal_drift(h1):
         commutation_residuals(f, 1, vertical, h1, h1, 3)
     with pytest.raises(ValueError, match="probe_degree"):
         commutation_residuals(f, 1, (Polynomial.zero(3),) * 3, h1, h1, 1)
+
+
+# ---------------------------------------------------------------------------
+# the table decision against the direct probe oracle
+
+
+def _gallery():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "commutation_gallery.py"
+    spec = importlib.util.spec_from_file_location("commutation_gallery", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [(mapping, source, target) for _, mapping, source, target in module.gallery()]
+
+
+def _forced_identity(F, source, target):
+    """The only (lambda_sq, b) the commutation identity can hold with: the
+    second-order table forces lambda_sq = second / Q_H at any nonzero entry of
+    Q_H, and the first-order table forces b = first - lambda_sq beta_H."""
+    pulled = pullback_operator(F, source, target)
+    qh = cometric(target).matrix
+    c, d = next((c, d) for c, row in enumerate(qh) for d, q in enumerate(row) if q)
+    lam_sq = pulled.second[c][d] * (1 / qh[c][d])
+    b = tuple(f - lam_sq * beta for f, beta in zip(pulled.first, drift_vector(target)))
+    return lam_sq, b
+
+
+def test_analysis_agrees_with_degree_4_probes():
+    cases = _gallery() + analyzer_rejections()
+    assert len(cases) == 32
+    verdicts = []
+    for F, source, target in cases:
+        report = analyze_commutation(F, source, target)
+        lam_sq, b = _forced_identity(F, source, target)
+        try:
+            commutes = not probe_residuals(F, lam_sq, b, source, target, 4)
+        except ValueError:  # the forced drift leaves the polarization
+            commutes = False
+        assert report.conformal == commutes, F
+        if report.conformal:
+            assert (report.lambda_sq, report.b) == (lam_sq, b)
+        verdicts.append(report.conformal)
+    assert verdicts.count(True) == 8
+
+
+def test_residuals_match_probe_oracle(h1, h2, engel):
+    r1, r2, r4 = abelian_group(1), abelian_group(2), abelian_group(4)
+    x1, x2 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+
+    def const(value, n):
+        return Polynomial.constant(Rat(value), n)
+
+    def zero_b(n, m):
+        return (Polynomial.zero(n),) * m
+
+    radial = PolyMap.parse(["x1^2 + x2^2"], 2)
+    radial_lam = (x1 * x1 + x2 * x2) * 4
+    square = PolyMap.parse(["x1^2 - x2^2", "2*x1*x2"], 3)
+    square_lam = Polynomial.parse("4*x1^2 + 4*x2^2", 3)
+    # (map, source, target, lambda_sq, b, holds, probe degree)
+    cases = [
+        (dilation(h1, 2), h1, h1, const(4, 3), zero_b(3, 3), True, 4),
+        (dilation(h1, 2), h1, h1, const(Rat(29, 7), 3), zero_b(3, 3), False, 4),
+        (dilation(h1, 2), h1, h1, const(4, 3) + Polynomial.variable(0, 3),
+         zero_b(3, 3), False, 4),
+        (dilation(h1, 2), h1, h1, const(4, 3),
+         (const(1, 3), Polynomial.zero(3), Polynomial.zero(3)), False, 4),
+        (left_translation(h1, (1, -2, Rat(1, 3))), h1, h1, const(1, 3), zero_b(3, 3),
+         True, 4),
+        (left_translation(h1, (1, -2, Rat(1, 3))), h1, h1, const(Rat(6, 5), 3),
+         zero_b(3, 3), False, 4),
+        (dilation(engel, Rat(3, 2)), engel, engel, const(Rat(9, 4), 4), zero_b(4, 4),
+         True, 3),
+        (dilation(engel, Rat(3, 2)), engel, engel, const(Rat(5, 2), 4), zero_b(4, 4),
+         False, 3),
+        (PolyMap.parse(["x1", "x2", "x3", "x4"], 5), h2, r4, const(1, 5), zero_b(5, 4),
+         True, 3),
+        (PolyMap.parse(["x1", "x2", "x3", "x4"], 5), h2, r4, const(1, 5),
+         (Polynomial.variable(0, 5),) + zero_b(5, 3), False, 3),
+        (square, h1, r2, square_lam, zero_b(3, 2), True, 4),
+        (square, h1, r2, square_lam * Rat(1, 2), zero_b(3, 2), False, 4),
+        (radial, r2, r1, radial_lam, (const(4, 2),), True, 4),
+        (radial, r2, r1, radial_lam, (const(Rat(21, 5), 2),), False, 4),
+        (radial, r2, r1, radial_lam + x1, (const(4, 2),), False, 4),
+    ]
+    for F, source, target, lam_sq, b, holds, degree in cases:
+        expected = probe_residuals(F, lam_sq, b, source, target, degree)
+        assert (not expected) == holds, (F, lam_sq, b)
+        assert commutation_residuals(F, lam_sq, b, source, target, degree) == expected
 
 
 def _similarity_automorphism():

@@ -107,13 +107,16 @@ class LieAlgebra:
         return tuple(out)
 
     def ad_matrix(self, x) -> tuple:
-        """Matrix of ad_x = [x, .]; column j is bracket(x, e_j)."""
+        """Matrix of ad_x = [x, .]; column j is bracket(x, e_j).  Entries of
+        x may be Rat or Polynomial, as in bracket."""
         if len(x) != self.dim:
             raise ValueError("vector must have length %d" % self.dim)
-        m = [[Rat(0)] * self.dim for _ in range(self.dim)]
+        nvars = next((v.nvars for v in x if isinstance(v, Polynomial)), None)
+        zero = Rat(0) if nvars is None else Polynomial.zero(nvars)
+        m = [[zero] * self.dim for _ in range(self.dim)]
         for i, j, k, c in _full_constants(self):
             if x[i]:
-                m[k][j] = m[k][j] + c * x[i]
+                m[k][j] = m[k][j] + x[i] * c
         return tuple(tuple(row) for row in m)
 
     def modular_trace(self, x) -> Rat:

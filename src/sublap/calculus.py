@@ -14,7 +14,7 @@ from math import factorial
 
 from . import linalg
 from .algebra import LieAlgebra, NotStratifiable, SubRiemannianGroup, nilpotency_step
-from .polynomial import Polynomial, PolyMap, PolyVectorField
+from .polynomial import Polynomial, PolyMap, PolyVectorField, poly_mat_mul
 from .rational import Rat, rat
 
 
@@ -228,22 +228,27 @@ def _check_map(F: PolyMap, source: SubRiemannianGroup, target: SubRiemannianGrou
 
 def lie_differential(F: PolyMap, source: SubRiemannianGroup, target: SubRiemannianGroup) -> tuple:
     """DF as a target_dim x source_dim matrix of Polynomial in the source
-    coordinates: column j is the t-derivative at 0 of
-    (-F(p)) * F(p * (t e_j)), computed symbolically."""
+    coordinates: column j is the t-derivative at 0 of (-F(p)) * F(p * (t e_j)).
+
+    Taken in closed form, DF(p) = Lambda_H(F(p))^{-1} JF(p) Lambda_G(p), with
+    JF the coordinate Jacobian of F and Lambda_G = left_translation_jacobian
+    of the source.  In exponential coordinates d/dt log(e^q e^{tX}) at t = 0
+    is ad_q / (1 - e^{-ad_q}) X, so Lambda_H(q)^{-1} is the series
+    sum_k (-ad_q)^k / (k+1)!, which stops after k = s_H - 1 (s_H the target's
+    step) because ad_q is nilpotent; ad_{F(p)} is linear in the components
+    of F.
+    """
     _check_map(F, source, target)
-    n, m = source.dim, target.dim
-    nv = n + 1  # p coordinates plus the curve parameter in the last slot
-    tvar = Polynomial.variable(n, nv)
-    pvars = [Polynomial.variable(i, nv) for i in range(n)]
-    neg_fp = [-(c.pad(nv)) for c in F.components]
-    cols = []
-    for j in range(n):
-        tv = [tvar if i == j else Polynomial.zero(nv) for i in range(n)]
-        moved = bch_product(pvars, tv, source.algebra, step=source.step)
-        f_moved = [comp.subs(moved) for comp in F.components]
-        w = bch_product(neg_fp, f_moved, target.algebra, step=target.step)
-        cols.append([wc.coeff_of(n, 1).truncate(n) for wc in w])
-    return tuple(tuple(cols[j][c] for j in range(n)) for c in range(m))
+    term = poly_mat_mul(F.jacobian(), left_translation_jacobian(source))
+    neg_ad = target.algebra.ad_matrix(tuple(-c for c in F.components))
+    out = term
+    for k in range(2, target.step + 1):
+        # term = (-ad_F)^(k-1) JF Lambda_G / k!
+        term = poly_mat_mul(neg_ad, tuple(tuple(e * Rat(1, k) for e in row) for row in term))
+        if not any(any(row) for row in term):
+            break
+        out = tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(out, term))
+    return out
 
 
 def second_lie_differential(F: PolyMap, source: SubRiemannianGroup,

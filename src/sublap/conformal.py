@@ -21,7 +21,7 @@ from typing import Optional
 
 from . import linalg
 from .algebra import SubRiemannianGroup
-from .calculus import lie_differential, require_step, second_lie_differential
+from .calculus import lie_differential, require_step
 from .operators import cometric, drift_vector, frame_components, pullback_operator
 from .polynomial import Polynomial, PolyMap, const_poly_matrix, monomials_up_to, \
     poly_mat_mul
@@ -415,25 +415,4 @@ def b_vector(F: PolyMap, lambda_sq, source: SubRiemannianGroup,
             want = lambda_sq * qh[i][j] if qh[i][j] else Polynomial.zero(n)
             if c[i][j] != want:
                 raise NotConformal("cometric image is not lambda_sq times the target cometric")
-    # trace of the second differential against the source cometric, plus the
-    # modular corrections (identically zero in the nilpotent scope but kept
-    # so the formula is stated in full)
-    qg = cometric(source).matrix
-    d2 = second_lie_differential(F, source, target, df=df)
-    out = []
-    for cc in range(target.dim):
-        acc = Polynomial.zero(n)
-        for a in range(n):
-            for bb in range(n):
-                if qg[a][bb] and d2[a][bb][cc]:
-                    acc = acc + d2[a][bb][cc] * qg[a][bb]
-        out.append(acc)
-    beta_g = drift_vector(source)
-    beta_h = drift_vector(target)
-    for cc in range(target.dim):
-        for a in range(n):
-            if beta_g[a] and df[cc][a]:
-                out[cc] = out[cc] + df[cc][a] * beta_g[a]
-        if beta_h[cc]:
-            out[cc] = out[cc] - lambda_sq * beta_h[cc]
-    return tuple(out)
+    return _drift(pullback_operator(F, source, target, df=df).first, lambda_sq, target)

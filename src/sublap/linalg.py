@@ -7,6 +7,8 @@ Rat; every routine returns exact results or raises.
 
 from __future__ import annotations
 
+from math import lcm
+
 from .rational import Rat, rat
 
 Matrix = tuple
@@ -50,21 +52,34 @@ def mat_scale(c, a: Matrix) -> Matrix:
     return tuple(tuple(c * x for x in row) for row in a)
 
 
+def dot(u: Vector, v: Vector):
+    """sum u_i v_i, with every product scaled to one common denominator: the
+    integer numerators are summed and one Rat is built at the end."""
+    num, den = 0, 1
+    for x, y in zip(u, v):
+        if x and y:
+            n = int(x.numerator) * int(y.numerator)
+            d = int(x.denominator) * int(y.denominator)
+            if d == den:
+                num += n
+            else:
+                common = lcm(den, d)
+                num = num * (common // den) + n * (common // d)
+                den = common
+    return Rat(num, den)
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     n, k = shape(a)
     k2, m = shape(b)
     if k != k2:
         raise ValueError("shape mismatch %sx%s @ %sx%s" % (n, k, k2, m))
     bt = transpose(b)
-    return tuple(tuple(sum((x * y for x, y in zip(row, col)), Rat(0)) for col in bt) for row in a)
+    return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
-    return tuple(sum((x * y for x, y in zip(row, v)), Rat(0)) for row in a)
-
-
-def dot(u: Vector, v: Vector):
-    return sum((x * y for x, y in zip(u, v)), Rat(0))
+    return tuple(dot(row, v) for row in a)
 
 
 def is_symmetric(a: Matrix) -> bool:

@@ -52,7 +52,8 @@ def _get(doc, key, kind, field, filename, optional=False, default=None):
         raise SpecFileError("missing required key '%s'" % key,
                             filename=filename, field=field)
     value = doc[key]
-    if kind is not None and not isinstance(value, kind):
+    # JSON true/false load as bool, a subclass of int: never a count or index
+    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
         names = kind.__name__ if not isinstance(kind, tuple) else \
             "/".join(k.__name__ for k in kind)
         raise SpecFileError("expected %s, got %s" % (names, type(value).__name__),
@@ -61,6 +62,8 @@ def _get(doc, key, kind, field, filename, optional=False, default=None):
 
 
 def _parse_rat(value, field, filename):
+    if isinstance(value, bool):
+        raise SpecFileError("bad rational %r" % (value,), filename=filename, field=field)
     try:
         return rat(value)
     except (ValueError, TypeError, ZeroDivisionError):

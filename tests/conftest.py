@@ -1,4 +1,6 @@
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
@@ -50,6 +52,16 @@ def analyzer_rejections():
     ]
     return [(PolyMap.parse(comps, nvars), source, target)
             for comps, nvars, source, target in cases]
+
+
+def gallery_maps():
+    """The twelve (map, source, target) triples of
+    scripts/commutation_gallery.py."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "commutation_gallery.py"
+    spec = importlib.util.spec_from_file_location("commutation_gallery", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [(mapping, source, target) for _, mapping, source, target in module.gallery()]
 
 
 @pytest.fixture(scope="session")

@@ -3,15 +3,21 @@
 Group products are computed through faithful matrix representations with
 exact exp/log on nilpotent matrices, and derivatives are taken by exact
 Lagrange differentiation of polynomial curves through rational sample points;
-neither uses the package's BCH or differential code paths.  The commutation
-probe oracle substitutes each probe into the map and applies the two
-sub-Laplacians and the gradient directly, never going through the Lie
-differential or the pullback tables that the package decides with.
+neither uses the package's BCH or differential code paths.  The Lie
+differential oracle differentiates the symbolic curve (-F(p)) * F(p * t e_j)
+through the BCH group law, where the package uses a closed form.  The drift
+oracle assembles b from the cometric trace of the second differential,
+separately from the pullback tables.  The commutation probe oracle
+substitutes each probe into the map and applies the two sub-Laplacians and
+the gradient directly, never going through the Lie differential or the
+pullback tables that the package decides with.
 """
 
 from fractions import Fraction
 
-from sublap.operators import frame_components, gradient, sublaplacian
+from sublap.calculus import bch_product, second_lie_differential
+from sublap.operators import cometric, drift_vector, frame_components, gradient, \
+    sublaplacian
 from sublap.polynomial import Polynomial, monomials_up_to
 from sublap.rational import Rat, rat
 
@@ -191,6 +197,59 @@ def curve_derivative(curve, degree_bound):
         lagrange_derivative_at_zero(list(zip(nodes, (s[i] for s in samples))))
         for i in range(dim)
     )
+
+
+# ---------------------------------------------------------------------------
+# differentials of polynomial group maps
+
+
+def bch_lie_differential(F, source, target):
+    """DF as a target_dim x source_dim matrix of Polynomial: column j is the
+    t-derivative at 0 of (-F(p)) * F(p * (t e_j)), the curve built
+    symbolically in the source coordinates plus t through two BCH products."""
+    n, m = source.dim, target.dim
+    nv = n + 1  # p coordinates plus the curve parameter in the last slot
+    tvar = Polynomial.variable(n, nv)
+    pvars = [Polynomial.variable(i, nv) for i in range(n)]
+    neg_fp = [-(c.pad(nv)) for c in F.components]
+    cols = []
+    for j in range(n):
+        tv = [tvar if i == j else Polynomial.zero(nv) for i in range(n)]
+        moved = bch_product(pvars, tv, source.algebra, step=source.step)
+        f_moved = [comp.subs(moved) for comp in F.components]
+        w = bch_product(neg_fp, f_moved, target.algebra, step=target.step)
+        cols.append([wc.coeff_of(n, 1).truncate(n) for wc in w])
+    return tuple(tuple(cols[j][c] for j in range(n)) for c in range(m))
+
+
+def trace_drift(F, lambda_sq, source, target):
+    """The drift b of a conformally commuting map F: the trace of D2F against
+    the source cometric, plus DF applied to the source drift beta_G, minus
+    lambda_sq beta_H (both beta vanish on nilpotent groups but the formula is
+    stated in full).  DF comes from bch_lie_differential."""
+    n, m = source.dim, target.dim
+    df = bch_lie_differential(F, source, target)
+    if not isinstance(lambda_sq, Polynomial):
+        lambda_sq = Polynomial.constant(rat(lambda_sq), n)
+    qg = cometric(source).matrix
+    d2 = second_lie_differential(F, source, target, df=df)
+    out = []
+    for c in range(m):
+        acc = Polynomial.zero(n)
+        for a in range(n):
+            for b in range(n):
+                if qg[a][b] and d2[a][b][c]:
+                    acc = acc + d2[a][b][c] * qg[a][b]
+        out.append(acc)
+    beta_g = drift_vector(source)
+    beta_h = drift_vector(target)
+    for c in range(m):
+        for a in range(n):
+            if beta_g[a] and df[c][a]:
+                out[c] = out[c] + df[c][a] * beta_g[a]
+        if beta_h[c]:
+            out[c] = out[c] - lambda_sq * beta_h[c]
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

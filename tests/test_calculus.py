@@ -8,9 +8,10 @@ import random
 
 import pytest
 
-from oracles import (curve_derivative, heisenberg_rep, engel_rep, mmul,
-                     mscale, madd, nilpotent_exp, nilpotent_log, rep_product)
-from conftest import random_rational, random_vector
+from oracles import (bch_lie_differential, curve_derivative, heisenberg_rep,
+                     engel_rep, mmul, mscale, madd, nilpotent_exp, nilpotent_log,
+                     rep_product)
+from conftest import gallery_maps, random_rational, random_vector
 from sublap.algebra import LieAlgebra, NotStratifiable, subriemannian_group
 from sublap.calculus import (NotNilpotent, bch_product, dilation, dynkin_terms,
                              group_product_map, left_invariant_field,
@@ -18,7 +19,8 @@ from sublap.calculus import (NotNilpotent, bch_product, dilation, dynkin_terms,
                              lie_derivative, lie_differential, require_step,
                              right_translation, second_lie_differential)
 from sublap.catalog import engel_group, abelian_group, sl2_algebra
-from sublap.polynomial import Polynomial, PolyMap, poly_mat_eval
+from sublap.heisenberg import heisenberg_group
+from sublap.polynomial import Polynomial, PolyMap, monomials_up_to, poly_mat_eval
 from sublap.rational import Rat
 
 
@@ -385,6 +387,38 @@ def test_differential_chain_rule(h1):
         for c in range(3)
     )
     assert dgf == product
+
+
+def _filiform(n):
+    """[e1, e_k] = e_{k+1}, polarized by (e1, e2); step n - 1."""
+    alg = LieAlgebra.from_brackets(n, {(0, k): {k + 1: 1} for k in range(1, n - 1)})
+    return subriemannian_group(alg, alg.basis()[:2], ((1, 0), (0, 1)))
+
+
+def _random_map(rng, source_dim, target_dim):
+    """Each component a sum of four random monomials of degree <= 2."""
+    monomials = monomials_up_to(source_dim, 2)
+    comps = []
+    for _ in range(target_dim):
+        comp = Polynomial.zero(source_dim)
+        for u in rng.sample(monomials, 4):
+            comp = comp + u * random_rational(rng, 5, 4)
+        comps.append(comp)
+    return PolyMap(source_dim, tuple(comps))
+
+
+def test_differential_matches_bch_oracle(h1, h2, engel, r2):
+    # the closed form Lambda_H(F)^-1 JF Lambda_G against the derivative of the
+    # BCH curve (-F(p)) * F(p * t e_j), symbolically, across group pairs
+    groups = (h1, h2, engel, _filiform(5), r2, abelian_group(3))
+    rng = random.Random(3030)
+    cases = [(_random_map(rng, s.dim, t.dim), s, t)
+             for s in groups for t in groups for _ in range(2)]
+    cases += gallery_maps()
+    assert len(cases) == 84
+    for f, source, target in cases:
+        assert lie_differential(f, source, target) == \
+            bch_lie_differential(f, source, target), (f, source.dim, target.dim)
 
 
 def test_differential_rejects_shape_mismatch(h1, engel):

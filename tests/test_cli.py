@@ -310,6 +310,19 @@ def test_analyze_map_shape_mismatch(tmp_path, capsys):
     assert "shape" in out
 
 
+def test_json_booleans_are_not_dimensions(tmp_path, capsys):
+    frames = write(tmp_path, "frames.json",
+                   {"dim": True, "frame_x": [[1]], "frame_y": [[1]]})
+    code, out = run_main(capsys, ["equiv-frames", frames])
+    assert code == 2
+    assert "field dim: expected int, got bool" in out
+    src = write(tmp_path, "r2.json", R2_DOC)
+    fmap = write(tmp_path, "map.json", {"source_dim": True, "components": ["x1"]})
+    code, out = run_main(capsys, ["analyze-map", src, src, fmap])
+    assert code == 2
+    assert "field source_dim: expected int, got bool" in out
+
+
 def test_verify_holds_and_fails(tmp_path, capsys):
     src = write(tmp_path, "h1.json", H1_DOC)
     tgt = write(tmp_path, "r2.json", R2_DOC)

@@ -1,11 +1,9 @@
-import importlib.util
 import random
-from pathlib import Path
 
 import pytest
 
-from conftest import analyzer_rejections, random_rational
-from oracles import probe_residuals
+from conftest import analyzer_rejections, gallery_maps, random_rational
+from oracles import probe_residuals, trace_drift
 from sublap import linalg
 from sublap.calculus import NotNilpotent, dilation, left_translation
 from sublap.catalog import abelian_group, sl2_algebra
@@ -323,14 +321,6 @@ def test_residuals_reject_nonhorizontal_drift(h1):
 # the table decision against the direct probe oracle
 
 
-def _gallery():
-    path = Path(__file__).resolve().parents[1] / "scripts" / "commutation_gallery.py"
-    spec = importlib.util.spec_from_file_location("commutation_gallery", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return [(mapping, source, target) for _, mapping, source, target in module.gallery()]
-
-
 def _forced_identity(F, source, target):
     """The only (lambda_sq, b) the commutation identity can hold with: the
     second-order table forces lambda_sq = second / Q_H at any nonzero entry of
@@ -344,7 +334,7 @@ def _forced_identity(F, source, target):
 
 
 def test_analysis_agrees_with_degree_4_probes():
-    cases = _gallery() + analyzer_rejections()
+    cases = gallery_maps() + analyzer_rejections()
     assert len(cases) == 32
     verdicts = []
     for F, source, target in cases:
@@ -439,7 +429,7 @@ def test_b_vector_matches_pullback_trace(h1, r2):
     ]
     for f, lam_sq, source, target in cases:
         b = b_vector(f, lam_sq, source, target)
-        assert b == pullback_operator(f, source, target).first
+        assert b == trace_drift(f, lam_sq, source, target)
         report = analyze_commutation(f, source, target)
         assert report.b == b
 

@@ -1,12 +1,19 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sublap import linalg
-from sublap.rational import Rat
+from sublap.rational import Rat, is_rat
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6).map(
     lambda f: Rat(f.numerator, f.denominator))
+# zeros weighted up, signs and denominators up to 40 mixed in one matrix
+sparse_rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-30, max_value=30, max_denominator=40),
+).map(lambda f: Rat(f.numerator, f.denominator))
 
 
 def square(n):
@@ -39,6 +46,26 @@ def test_inverse_round_trip(a):
             linalg.inverse(a)
     else:
         assert linalg.mat_mul(a, linalg.inverse(a)) == linalg.identity(3)
+
+
+def matrices(nrows, ncols):
+    return st.lists(st.lists(sparse_rationals, min_size=ncols, max_size=ncols),
+                    min_size=nrows, max_size=nrows).map(lambda r: tuple(map(tuple, r)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.data())
+def test_mat_mul_equals_naive_fraction_sum(n, k, m, data):
+    a = data.draw(matrices(n, k))
+    b = data.draw(matrices(k, m))
+    product = linalg.mat_mul(a, b)
+    naive = tuple(
+        tuple(sum((Fraction(a[i][t]) * Fraction(b[t][j]) for t in range(k)), Fraction(0))
+              for j in range(m))
+        for i in range(n))
+    assert all(is_rat(x) for row in product for x in row)
+    assert tuple(tuple(Fraction(x) for x in row) for row in product) == naive
+    assert linalg.mat_vec(a, linalg.transpose(b)[0]) == tuple(row[0] for row in product)
 
 
 @settings(max_examples=60, deadline=None)

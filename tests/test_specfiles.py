@@ -120,6 +120,22 @@ def test_dim_must_be_positive():
         group_from_dict(dict(H1_DOC, dim="three"))
 
 
+def test_json_booleans_are_not_integers():
+    # bool is an int subclass, so an unguarded isinstance check reads true as 1
+    with pytest.raises(SpecFileError, match="field dim: expected int, got bool"):
+        group_from_dict(dict(H1_DOC, dim=True))
+    with pytest.raises(SpecFileError, match=r"brackets\[1\]\.i: expected int"):
+        group_from_dict(dict(H1_DOC, brackets=[{"i": True, "j": 2, "coeffs": {"3": 1}}]))
+    with pytest.raises(SpecFileError, match=r"metric\[2\]\[2\]"):
+        group_from_dict(dict(H1_DOC, metric=[[1, 0], [0, True]]))
+    with pytest.raises(SpecFileError, match="field source_dim: expected int"):
+        polymap_from_dict({"source_dim": True, "components": ["x1"]})
+    with pytest.raises(SpecFileError, match="field dim: expected int"):
+        frames_from_dict({"dim": True, "frame_x": [[1]], "frame_y": [[1]]})
+    with pytest.raises(SpecFileError, match="field lambda_sq: expected str/int"):
+        identity_from_dict({"lambda_sq": True, "b": ["0"]}, 2, 1)
+
+
 # ---------------------------------------------------------------------------
 # maps, frames, pairs, identities
 

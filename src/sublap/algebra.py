@@ -183,16 +183,22 @@ def validate(algebra: LieAlgebra) -> ValidationReport:
                 anti.add((i, j, k))
         elif (j, i, k) in table and table[(j, i, k)] != -c:
             anti.add((min(i, j), max(i, j), k))
+    # [e_i, e_j] as {k: c}, read from the same expansion bracket() uses
+    brackets = {}
+    for i, j, k, c in _full_constants(algebra):
+        brackets.setdefault((i, j), {})[k] = c
     jacobi = []
     n = algebra.dim
-    basis = algebra.basis()
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                first = algebra.bracket(basis[i], algebra.bracket(basis[j], basis[k]))
-                second = algebra.bracket(basis[j], algebra.bracket(basis[k], basis[i]))
-                third = algebra.bracket(basis[k], algebra.bracket(basis[i], basis[j]))
-                if any(a + b + c != 0 for a, b, c in zip(first, second, third)):
+                # [e_a, [e_b, e_c]] summed over the three cyclic orders
+                total = {}
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    for m, x in brackets.get((b, c), {}).items():
+                        for l, y in brackets.get((a, m), {}).items():
+                            total[l] = total.get(l, 0) + x * y
+                if any(total.values()):
                     jacobi.append((i, j, k))
     anti_sorted = tuple(sorted(anti))
     return ValidationReport(not anti_sorted and not jacobi, anti_sorted, tuple(jacobi))
@@ -201,20 +207,16 @@ def validate(algebra: LieAlgebra) -> ValidationReport:
 # -- subspace growth ----------------------------------------------------------
 
 
-def _grow_independent(basis_list, candidates):
-    """Append candidates that enlarge the span, greedy in order.  Returns the
-    list of newly added vectors."""
+def _grow_independent(span, basis_list, candidates):
+    """Append to basis_list the candidates that enlarge the span, greedy in
+    order; span is the linalg.EchelonBasis of basis_list.  Returns the list
+    of newly added vectors."""
     added = []
-    current_rank = linalg.rank(tuple(basis_list)) if basis_list else 0
     for v in candidates:
-        if all(x == 0 for x in v):
-            continue
-        trial = tuple(basis_list) + (tuple(v),)
-        r = linalg.rank(trial)
-        if r > current_rank:
-            basis_list.append(tuple(v))
-            added.append(tuple(v))
-            current_rank = r
+        if span.insert(v):
+            v = tuple(v)
+            basis_list.append(v)
+            added.append(v)
     return added
 
 
@@ -226,15 +228,16 @@ def bracket_generating(algebra: LieAlgebra, vectors) -> tuple:
     until stabilization.
     """
     seed = [tuple(rat(x) for x in v) for v in vectors]
+    span = linalg.EchelonBasis()
     basis_list = []
-    _grow_independent(basis_list, seed)
+    _grow_independent(span, basis_list, seed)
     if not basis_list:
         return (algebra.dim == 0, (0,))
     dims = [len(basis_list)]
     frontier = list(basis_list)
     while True:
         brackets = [algebra.bracket(v, w) for v in seed for w in frontier]
-        frontier = _grow_independent(basis_list, brackets)
+        frontier = _grow_independent(span, basis_list, brackets)
         if not frontier:
             break
         dims.append(len(basis_list))
@@ -253,7 +256,7 @@ def nilpotency_step(algebra: LieAlgebra):
         step += 1
         brackets = [algebra.bracket(e, w) for e in basis for w in layer]
         span = []
-        _grow_independent(span, brackets)
+        _grow_independent(linalg.EchelonBasis(), span, brackets)
         if span and len(span) == linalg.rank(tuple(layer)) and linalg.span_equal(span, layer):
             return None  # series stalled at a nonzero ideal
         layer = span
@@ -274,9 +277,10 @@ def stratify(algebra: LieAlgebra, v1_basis) -> tuple:
         raise NotStratifiable("polarization basis is linearly dependent")
     layers = [list(v1)]
     filtration = list(v1)
+    span = linalg.EchelonBasis(v1)
     while True:
         brackets = [algebra.bracket(v, w) for v in v1 for w in layers[-1]]
-        new_layer = _grow_independent(filtration, brackets)
+        new_layer = _grow_independent(span, filtration, brackets)
         bracket_rank = linalg.rank(tuple(brackets)) if brackets else 0
         if not new_layer:
             if bracket_rank:

@@ -209,11 +209,12 @@ def _orthogonal_witness(fx, fy) -> tuple:
         v = tuple(fi - hi for fi, hi in zip(f, h))
         vv = linalg.dot(v, v)
         scale = rat(2) / vv
-        refl = tuple(
-            tuple((1 if i == k else 0) - scale * v[i] * v[k] for k in range(n))
-            for i in range(n)
+        # the reflection 1 - scale v v^T, applied as a rank-one update
+        w = linalg.mat_vec(linalg.transpose(a), v)
+        a = tuple(
+            tuple(x - scale * vi * wk for x, wk in zip(row, w)) if vi else row
+            for row, vi in zip(a, v)
         )
-        a = linalg.mat_mul(refl, a)
     assert linalg.mat_mul(a, fx) == fy
     assert linalg.mat_mul(linalg.transpose(a), a) == linalg.identity(n)
     return a

@@ -6,15 +6,15 @@ A = G^{-1} omega has purely imaginary spectrum {+-i mu_1, ..., +-i mu_n}; the
 invariants r_i = sqrt(mu_i), listed in increasing order, classify the pair up
 to linear symplectic-conformal isometry.  The computation reduces A to an
 orthonormal gauge (exact LDL^T of G), where the problem becomes a symmetric
-eigenvalue problem solved in floating point.
+eigenvalue problem solved in floating point.  numpy is imported inside the
+float functions only, so importing this module (and every exact command of
+the CLI) does not load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import linalg
 from .algebra import LieAlgebra, Metric, SubRiemannianGroup, subriemannian_group
@@ -95,6 +95,8 @@ class SymplecticSpectrum:
 
 def _orthonormal_skew(omega, gram):
     """Float matrix of omega in a G-orthonormal basis, via exact LDL^T."""
+    import numpy as np
+
     l, d = linalg.ldl_pd(gram.gram)
     linv = linalg.inverse(l)
     mid = linalg.mat_mul(linalg.mat_mul(linv, omega.matrix), linalg.transpose(linv))
@@ -120,6 +122,8 @@ def symplectic_spectrum(omega, gram, tolerance: float = 1e-9) -> SymplecticSpect
     skew matrix fail to split into n near-equal positive pairs within the
     tolerance (which signals inconsistent input data).
     """
+    import numpy as np
+
     omega, gram = _coerce_pair(omega, gram)
     s, _ = _orthonormal_skew(omega, gram)
     w = np.linalg.eigvalsh(s.T @ s)
@@ -157,6 +161,8 @@ def isometry_decision(omega1, gram1, omega2, gram2, tolerance: float = 1e-9):
 def _normal_form_basis(omega, gram, tolerance):
     """Basis U with U^T G U = 1 and U^T omega U = [[0, D], [-D, 0]],
     D = diag(r_i^2) increasing.  Returns (U, r) as floats."""
+    import numpy as np
+
     s, q = _orthonormal_skew(omega, gram)
     size = omega.dim
     t = s.T @ s
@@ -206,6 +212,8 @@ def build_isometry(omega1, gram1, omega2, gram2, tolerance: float = 1e-9):
     Psi^T omega1 Psi = rho^2 omega2 (up to the tolerance), mapping the
     second structure to the first.  Raises NoIsometry when the normalized
     spectra differ."""
+    import numpy as np
+
     omega1, gram1 = _coerce_pair(omega1, gram1)
     omega2, gram2 = _coerce_pair(omega2, gram2)
     rho = isometry_decision(omega1, gram1, omega2, gram2, tolerance)

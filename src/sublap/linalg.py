@@ -3,13 +3,24 @@
 Small dense matrices only (dimensions here are Lie-algebra dimensions, so
 single digits).  Matrices are tuples of tuples of Rat, vectors are tuples of
 Rat; every routine returns exact results or raises.
+
+Elimination is fraction-free: each row (or the whole matrix) is scaled by
+the lcm of its denominators once, the elimination runs on Python ints, and
+each Rat is built once at the end.  Gauss-Jordan (``rref``, ``solve_matrix``)
+divides every updated row by the gcd of its entries; ``ldl_pd`` is Bareiss's
+elimination, whose exact division by the previous pivot keeps the entries
+minors of the scaled matrix; ``EchelonBasis`` keeps primitive integer rows
+keyed by pivot column, so ``rank`` and ``pivot_rows`` are one forward pass.
+The backend is touched only through ``.numerator``, ``.denominator`` and
+``Rat(n, d)``.
 """
 
 from __future__ import annotations
 
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 
-from .rational import Rat, rat
+from .rational import ONE, ZERO, Rat, rat
 
 Matrix = tuple
 Vector = tuple
@@ -52,6 +63,20 @@ def mat_scale(c, a: Matrix) -> Matrix:
     return tuple(tuple(c * x for x in row) for row in a)
 
 
+def _scaled(v) -> tuple:
+    """(nums, den): the integer list nums and the lcm den of the entries'
+    denominators, with v == nums / den entrywise."""
+    dens = [int(x.denominator) for x in v]
+    den = lcm(*dens)
+    if den == 1:
+        return [int(x.numerator) for x in v], 1
+    return [int(x.numerator) * (den // d) for x, d in zip(v, dens)], den
+
+
+def _ratio(num: int, den: int):
+    return Rat(num, den) if num else ZERO
+
+
 def dot(u: Vector, v: Vector):
     """sum u_i v_i, with every product scaled to one common denominator: the
     integer numerators are summed and one Rat is built at the end."""
@@ -70,16 +95,28 @@ def dot(u: Vector, v: Vector):
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """a @ b from one integer row of a and one integer column of b per lcm:
+    each entry is an integer dot product over the product of the two
+    denominators."""
     n, k = shape(a)
     k2, m = shape(b)
     if k != k2:
         raise ValueError("shape mismatch %sx%s @ %sx%s" % (n, k, k2, m))
-    bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
+    cols = [_scaled(col) for col in transpose(b)]
+    out = []
+    for row in a:
+        ra, da = _scaled(row)
+        out.append(tuple(_ratio(sum(map(mul, ra, cb)), da * db) for cb, db in cols))
+    return tuple(out)
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
-    return tuple(dot(row, v) for row in a)
+    cv, dv = _scaled(v)
+    out = []
+    for row in a:
+        ra, da = _scaled(row)
+        out.append(_ratio(sum(map(mul, ra, cv)), da * dv))
+    return tuple(out)
 
 
 def is_symmetric(a: Matrix) -> bool:
@@ -87,33 +124,90 @@ def is_symmetric(a: Matrix) -> bool:
     return n == m and all(a[i][j] == a[j][i] for i in range(n) for j in range(i))
 
 
-def rref(a: Matrix):
-    """Reduced row echelon form.  Returns (rref_matrix, pivot_column_indices)."""
-    rows = [list(row) for row in a]
+def _primitive(row: list) -> list:
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _gauss_jordan(a: Matrix):
+    """Fraction-free Gauss-Jordan on the integer rows of a: returns the rows
+    (pivot rows first, each zero in every other pivot column, then zero rows)
+    and the pivot columns."""
+    rows = [_primitive(_scaled(row)[0]) for row in a]
     nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
+    ncols = len(a[0]) if a else 0
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        prow = rows[r]
+        p = prow[c]
         for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if f and i != r:
+                rows[i] = _primitive([p * x - f * y for x, y in zip(rows[i], prow)])
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return tuple(tuple(row) for row in rows), tuple(pivots)
+    return rows, pivots
+
+
+def _divided(row: list, c: int, start: int = 0) -> tuple:
+    """row[start:] / row[c] as Rats (row[c] is the pivot)."""
+    p = row[c]
+    return tuple(ONE if j == c else _ratio(row[j], p) for j in range(start, len(row)))
+
+
+def rref(a: Matrix):
+    """Reduced row echelon form.  Returns (rref_matrix, pivot_column_indices)."""
+    rows, pivots = _gauss_jordan(a)
+    ncols = len(a[0]) if a else 0
+    red = [_divided(rows[r], c) for r, c in enumerate(pivots)]
+    red += [(ZERO,) * ncols] * (len(rows) - len(pivots))
+    return tuple(red), tuple(pivots)
+
+
+class EchelonBasis:
+    """A growing list of vectors in echelon form: primitive integer rows
+    keyed by pivot column (the first nonzero entry of each row, a column no
+    other row has as its pivot).  insert() reduces a vector against the rows
+    and keeps the remainder when it is nonzero; len() is the rank of
+    everything inserted so far."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, vectors=()):
+        self._rows = {}
+        for v in vectors:
+            self.insert(v)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def insert(self, v) -> bool:
+        """Add v; True when it is independent of the vectors already in."""
+        rows = self._rows
+        row = _scaled(v)[0]
+        for c in range(len(row)):
+            x = row[c]
+            if not x:
+                continue
+            prow = rows.get(c)
+            if prow is None:
+                rows[c] = _primitive(row)
+                return True
+            # prow vanishes left of c, so columns before c stay zero
+            p = prow[c]
+            row = _primitive([p * y - x * z for y, z in zip(row, prow)])
+        return False
 
 
 def rank(a: Matrix) -> int:
-    return len(rref(a)[1])
+    return len(EchelonBasis(a))
 
 
 def solve(a: Matrix, b: Vector) -> Vector:
@@ -126,11 +220,11 @@ def solve_matrix(a: Matrix, b: Matrix) -> Matrix:
     n, m = shape(a)
     if n != m or len(b) != n:
         raise ValueError("solve needs a square system")
-    red, pivots = rref(tuple(tuple(ra) + tuple(rb) for ra, rb in zip(a, b)))
+    rows, pivots = _gauss_jordan(tuple(tuple(ra) + tuple(rb) for ra, rb in zip(a, b)))
     # a is nonsingular exactly when its own columns hold all n pivots
-    if pivots[:n] != tuple(range(n)):
+    if pivots[:n] != list(range(n)):
         raise ValueError("singular matrix")
-    return tuple(row[n:] for row in red)
+    return tuple(_divided(rows[r], r, n) for r in range(n))
 
 
 def inverse(a: Matrix) -> Matrix:
@@ -159,7 +253,8 @@ def left_nullspace(a: Matrix):
 
 def pivot_rows(a: Matrix):
     """Indices of a maximal independent set of rows, greedy in input order."""
-    return rref(transpose(a))[1]
+    basis = EchelonBasis()
+    return tuple(i for i, row in enumerate(a) if basis.insert(row))
 
 
 def span_equal(basis_a, basis_b) -> bool:
@@ -173,25 +268,36 @@ def ldl_pd(a: Matrix):
 
     Returns (L unit lower triangular, d tuple of positive pivots) with
     a == L @ diag(d) @ L^T exactly.  Raises ValueError if a is not symmetric
-    positive definite (a nonpositive pivot is exactly the PD failure:
-    positive leading principal minors are equivalent to PD).
+    positive definite.
+
+    Bareiss elimination on the integer matrix M = s a (s the lcm of the
+    denominators; indices from 1, p_0 = 1): step k divides exactly by the
+    previous pivot, so the k-th pivot p_k is the k-th leading principal
+    minor of M, and a nonpositive pivot is exactly the PD failure.  Then
+    d_k = p_k / (p_{k-1} s) and L_ik = M_ik / p_k, with M_ik read at step k.
     """
     if not is_symmetric(a):
         raise ValueError("matrix is not symmetric")
     n = len(a)
-    work = [list(row) for row in a]
-    lower = [[Rat(1) if i == j else Rat(0) for j in range(n)] for i in range(n)]
+    s = lcm(*(int(x.denominator) for row in a for x in row))
+    # the lower triangle is all that is read or written
+    work = [[int(x.numerator) * (s // int(x.denominator)) for x in row[:i + 1]]
+            for i, row in enumerate(a)]
+    lower = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
     d = []
+    prev = 1
     for k in range(n):
         piv = work[k][k]
         if piv <= 0:
             raise ValueError("matrix is not positive definite")
-        d.append(piv)
+        d.append(Rat(piv, prev * s))
         for i in range(k + 1, n):
-            f = work[i][k] / piv
-            lower[i][k] = f
-            for j in range(k, n):
-                work[i][j] -= f * work[k][j]
+            wi = work[i]
+            f = wi[k]
+            lower[i][k] = _ratio(f, piv)
+            for j in range(k + 1, i + 1):
+                wi[j] = (piv * wi[j] - f * work[j][k]) // prev
+        prev = piv
     return tuple(tuple(row) for row in lower), tuple(d)
 
 

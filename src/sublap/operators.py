@@ -164,18 +164,6 @@ def gradient(u: Polynomial, group: SubRiemannianGroup) -> tuple:
     return tuple(out)
 
 
-def horizontal_inner(alpha, beta, group: SubRiemannianGroup) -> Polynomial:
-    """Metric pairing of two horizontal vectors given in frame components."""
-    gram = group.metric.gram
-    r = group.rank
-    acc = Polynomial.zero(group.dim)
-    for j in range(r):
-        for k in range(r):
-            if gram[j][k] and alpha[j] and beta[k]:
-                acc = acc + alpha[j] * beta[k] * gram[j][k]
-    return acc
-
-
 def frame_components(vector, group: SubRiemannianGroup) -> tuple:
     """Solve B gamma = vector for a vector with values in the polarization.
 

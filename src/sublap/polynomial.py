@@ -289,33 +289,6 @@ class Polynomial:
             _mul_into(out, acc, factors[-1]._num)
         return _reduced(m, _nonzero(out), self._den * common)
 
-    # -- variable bookkeeping ------------------------------------------------
-
-    def pad(self, nvars: int) -> "Polynomial":
-        """Reinterpret in a larger variable set (new trailing variables)."""
-        if nvars < self.nvars:
-            raise ValueError("pad cannot shrink")
-        extra = (0,) * (nvars - self.nvars)
-        return _raw(nvars, {e + extra: c for e, c in self._num.items()}, self._den)
-
-    def truncate(self, nvars: int) -> "Polynomial":
-        """Drop trailing variables, which must not occur in any term."""
-        out = {}
-        for exps, c in self._num.items():
-            if any(exps[nvars:]):
-                raise ValueError("variable beyond %d occurs in %s" % (nvars, self))
-            out[exps[:nvars]] = c
-        return _raw(nvars, out, self._den)
-
-    def coeff_of(self, index: int, power: int) -> "Polynomial":
-        """The coefficient of (variable index)**power, a polynomial with that
-        variable absent (exponent slot kept, set to zero)."""
-        out = {}
-        for exps, c in self._num.items():
-            if exps[index] == power:
-                out[exps[:index] + (0,) + exps[index + 1:]] = c
-        return _reduced(self.nvars, out, self._den)
-
     # -- printing / parsing ---------------------------------------------------
 
     def __str__(self) -> str:

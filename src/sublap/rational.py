@@ -30,6 +30,8 @@ def rat(value, den=None) -> Rat:
     """
     if den is not None:
         return Rat(value) / Rat(den)
+    if type(value) is Rat:
+        return value  # immutable, so no copy is needed
     if isinstance(value, float):
         raise TypeError("refusing to coerce float %r to an exact rational" % value)
     if isinstance(value, str):

@@ -1,13 +1,15 @@
 """JSON descriptions of groups, maps, frames and symplectic pairs.
 
 All indices in files are 1-based (basis vectors e1..en, variables x1..xn);
-rationals are JSON integers or strings like "3/4".  Loaders raise
+rationals are JSON integers or strings "p" or "p/q" (digits with an optional
+sign on p; no spaces, decimals or exponents).  Loaders raise
 SpecFileError with the file name and the offending field path.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from typing import Optional
 
 from . import linalg
@@ -61,14 +63,20 @@ def _get(doc, key, kind, field, filename, optional=False, default=None):
     return value
 
 
+# the rational grammar of string entries: an integer or p/q, no spaces
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def _parse_rat(value, field, filename):
-    if isinstance(value, bool):
-        raise SpecFileError("bad rational %r" % (value,), filename=filename, field=field)
-    try:
-        return rat(value)
-    except (ValueError, TypeError, ZeroDivisionError):
-        raise SpecFileError("bad rational %r" % (value,),
-                            filename=filename, field=field)
+    """A JSON int (not a boolean) or a string matching _RATIONAL; anything
+    else, exponent and decimal notation included, is a bad rational."""
+    if (isinstance(value, int) and not isinstance(value, bool)) or \
+            (isinstance(value, str) and _RATIONAL.fullmatch(value)):
+        try:
+            return rat(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise SpecFileError("bad rational %r" % (value,), filename=filename, field=field)
 
 
 def _parse_matrix(rows, field, filename, nrows=None, ncols=None):

@@ -10,7 +10,10 @@ oracle assembles b from the cometric trace of the second differential,
 separately from the pullback tables.  The commutation probe oracle
 substitutes each probe into the map and applies the two sub-Laplacians and
 the gradient directly, never going through the Lie differential or the
-pullback tables that the package decides with.
+pullback tables that the package decides with.  The linear-algebra oracles
+are plain Gauss-Jordan and LDL^T elimination on Fractions, apart from the
+package's fraction-free integer code, and the Jacobi oracle calls the
+algebra's bracket on every basis triple instead of reading the table.
 """
 
 from fractions import Fraction
@@ -200,6 +203,35 @@ def curve_derivative(curve, degree_bound):
 
 
 # ---------------------------------------------------------------------------
+# variable bookkeeping on polynomials
+
+
+def pad(p, nvars):
+    """p reinterpreted in a larger variable set (new trailing variables)."""
+    if nvars < p.nvars:
+        raise ValueError("pad cannot shrink")
+    extra = (0,) * (nvars - p.nvars)
+    return Polynomial(nvars, {e + extra: c for e, c in p.terms.items()})
+
+
+def truncate(p, nvars):
+    """p with its trailing variables dropped; they must not occur."""
+    out = {}
+    for exps, c in p.terms.items():
+        if any(exps[nvars:]):
+            raise ValueError("variable beyond %d occurs in %s" % (nvars, p))
+        out[exps[:nvars]] = c
+    return Polynomial(nvars, out)
+
+
+def coeff_of(p, index, power):
+    """The coefficient of (variable index)**power in p, a polynomial with
+    that variable absent (exponent slot kept, set to zero)."""
+    return Polynomial(p.nvars, {e[:index] + (0,) + e[index + 1:]: c
+                                for e, c in p.terms.items() if e[index] == power})
+
+
+# ---------------------------------------------------------------------------
 # differentials of polynomial group maps
 
 
@@ -211,14 +243,14 @@ def bch_lie_differential(F, source, target):
     nv = n + 1  # p coordinates plus the curve parameter in the last slot
     tvar = Polynomial.variable(n, nv)
     pvars = [Polynomial.variable(i, nv) for i in range(n)]
-    neg_fp = [-(c.pad(nv)) for c in F.components]
+    neg_fp = [-pad(c, nv) for c in F.components]
     cols = []
     for j in range(n):
         tv = [tvar if i == j else Polynomial.zero(nv) for i in range(n)]
         moved = bch_product(pvars, tv, source.algebra, step=source.step)
         f_moved = [comp.subs(moved) for comp in F.components]
         w = bch_product(neg_fp, f_moved, target.algebra, step=target.step)
-        cols.append([wc.coeff_of(n, 1).truncate(n) for wc in w])
+        cols.append([truncate(coeff_of(wc, n, 1), n) for wc in w])
     return tuple(tuple(cols[j][c] for j in range(n)) for c in range(m))
 
 
@@ -281,4 +313,88 @@ def probe_residuals(F, lambda_sq, b, source, target, probe_degree):
         residual = lhs - mid - inner
         if residual:
             bad.append((u, residual))
+    return tuple(bad)
+
+
+def horizontal_inner(alpha, beta, group):
+    """Metric pairing of two horizontal vectors given in frame components."""
+    gram = group.metric.gram
+    r = group.rank
+    acc = Polynomial.zero(group.dim)
+    for j in range(r):
+        for k in range(r):
+            if gram[j][k] and alpha[j] and beta[k]:
+                acc = acc + alpha[j] * beta[k] * gram[j][k]
+    return acc
+
+
+# ---------------------------------------------------------------------------
+# exact linear algebra and the Jacobi identity, on Fraction arithmetic
+
+
+def fraction_rref(a):
+    """Reduced row echelon form by Gauss-Jordan on Fractions: returns
+    (rref_matrix, pivot_column_indices)."""
+    rows = [[Fraction(x) for x in row] for row in a]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return tuple(tuple(row) for row in rows), tuple(pivots)
+
+
+def fraction_ldl(a):
+    """LDL^T of a symmetric positive definite matrix by plain elimination on
+    Fractions: (L unit lower triangular, d).  Raises ValueError with the
+    package's messages when a is not symmetric or not positive definite."""
+    n = len(a)
+    if any(len(row) != n for row in a) or \
+            any(a[i][j] != a[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("matrix is not symmetric")
+    work = [[Fraction(x) for x in row] for row in a]
+    lower = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    d = []
+    for k in range(n):
+        piv = work[k][k]
+        if piv <= 0:
+            raise ValueError("matrix is not positive definite")
+        d.append(piv)
+        for i in range(k + 1, n):
+            f = work[i][k] / piv
+            lower[i][k] = f
+            for j in range(k, n):
+                work[i][j] -= f * work[k][j]
+    return tuple(tuple(row) for row in lower), tuple(d)
+
+
+def bracket_jacobi(algebra):
+    """Basis triples (i, j, k), i < j < k, on which
+    [e_i, [e_j, e_k]] + [e_j, [e_k, e_i]] + [e_k, [e_i, e_j]] != 0, each
+    term computed with the algebra's bracket."""
+    n = algebra.dim
+    basis = algebra.basis()
+    bad = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                first = algebra.bracket(basis[i], algebra.bracket(basis[j], basis[k]))
+                second = algebra.bracket(basis[j], algebra.bracket(basis[k], basis[i]))
+                third = algebra.bracket(basis[k], algebra.bracket(basis[i], basis[j]))
+                if any(a + b + c != 0 for a, b, c in zip(first, second, third)):
+                    bad.append((i, j, k))
     return tuple(bad)

@@ -1,4 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import bracket_jacobi
 
 from sublap.algebra import (LieAlgebra, Metric, NotStratifiable, Polarization,
                             bracket_generating, nilpotency_step, stratify,
@@ -270,3 +274,29 @@ def test_sl2_group_has_no_step_or_strata():
     group = subriemannian_group(sl2, (sl2.basis_vector(0), sl2.basis_vector(1)), eye2)
     assert group.step is None
     assert group.strata is None
+
+
+# -- validate's table-driven Jacobi check against the bracket oracle -------------
+
+MUTATION_BASES = (heisenberg_algebra(1), heisenberg_algebra(2), engel_algebra(),
+                  sl2_algebra(), abelian_group(4).algebra)
+small_rationals = st.builds(Rat, st.integers(-5, 5), st.integers(1, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(MUTATION_BASES), st.booleans(), st.data())
+def test_validate_jacobi_matches_bracket_oracle(alg, expanded, data):
+    # criterion-1 style: overwrite or add a few entries, either of the fully
+    # expanded table (antisymmetry may break) or of the one-orientation
+    # bracket table (antisymmetric by storage, so Jacobi is what can fail)
+    n = alg.dim
+    table = alg.full_table() if expanded else alg.raw_table()
+    for _ in range(data.draw(st.integers(1, 3))):
+        i, j, k = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+        if not expanded and i >= j:
+            continue
+        table[(i, j, k)] = data.draw(small_rationals)
+    mutated = LieAlgebra.from_table(n, table)
+    report = validate(mutated)
+    assert report.jacobi_violations == bracket_jacobi(mutated)
+    assert report.valid == (not report.jacobi_violations and not report.antisymmetry_violations)

@@ -323,6 +323,30 @@ def test_json_booleans_are_not_dimensions(tmp_path, capsys):
     assert "field source_dim: expected int, got bool" in out
 
 
+def test_exponent_rationals_are_malformed(tmp_path, capsys):
+    pair = write(tmp_path, "pair.json",
+                 {"omega": [[0, "1e400"], ["-1e400", 0]], "gram": [[1, 0], [0, 1]]})
+    code, out = run_main(capsys, ["heis-spectrum", pair])
+    assert code == 2
+    assert "field omega[1][2]: bad rational '1e400'" in out
+    group = write(tmp_path, "h1.json", dict(H1_DOC, metric=[["1e3", 0], [0, 1]]))
+    code, out = run_main(capsys, ["validate", group])
+    assert code == 2
+    assert "field metric[1][1]: bad rational '1e3'" in out
+
+
+def test_validate_does_not_load_numpy(tmp_path):
+    # numpy serves only the float spectra, so the exact commands never load it
+    import subprocess
+    import sys
+    group = write(tmp_path, "h1.json", H1_DOC)
+    script = ("import sys; import sublap.cli; code = sublap.cli.main(['validate', %r]); "
+              "print(code, 'numpy' in sys.modules)" % group)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.splitlines()[-1] == "0 False"
+
+
 def test_verify_holds_and_fails(tmp_path, capsys):
     src = write(tmp_path, "h1.json", H1_DOC)
     tgt = write(tmp_path, "r2.json", R2_DOC)

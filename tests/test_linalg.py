@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import fraction_ldl, fraction_rref
 from sublap import linalg
 from sublap.rational import Rat, is_rat
 
@@ -124,3 +125,125 @@ def test_left_nullspace(a, b):
     for y in linalg.left_nullspace(a):
         out = tuple(sum((y[i] * a[i][j] for i in range(3)), Rat(0)) for j in range(3))
         assert out == (Rat(0),) * 3
+
+
+# -- the fraction-free integer code against plain Fraction elimination ---------
+
+# the same spread as sparse_rationals, drawn as numerator and denominator,
+# which hypothesis generates several times faster than st.fractions
+int_ratios = st.one_of(st.just(Rat(0)), st.builds(Rat, st.integers(-30, 30), st.integers(1, 40)))
+
+
+def int_matrices(nrows, ncols):
+    return st.lists(st.lists(int_ratios, min_size=ncols, max_size=ncols),
+                    min_size=nrows, max_size=nrows).map(lambda r: tuple(map(tuple, r)))
+
+
+@st.composite
+def eliminable(draw, square=False):
+    """Matrices up to 4 x 4: full random ones, or products C B with B of k
+    rows (rank at most k, k = 0 gives the zero matrix), so rank-deficient
+    matrices, zero rows and negative pivots all occur."""
+    nrows = draw(st.integers(1, 4))
+    ncols = nrows if square else draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        return draw(int_matrices(nrows, ncols))
+    k = draw(st.integers(0, min(nrows, ncols)))
+    base = draw(int_matrices(k, ncols))
+    comb = draw(int_matrices(nrows, k))
+    return tuple(tuple(sum((comb[i][t] * base[t][j] for t in range(k)), Rat(0))
+                       for j in range(ncols)) for i in range(nrows))
+
+
+def oracle_nullspace(a):
+    red, pivots = fraction_rref(a)
+    ncols = len(a[0])
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -red[r][f]
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
+def outcome(fn, *args):
+    try:
+        return ("value", fn(*args))
+    except ValueError as exc:
+        return ("error", str(exc))
+
+
+@settings(max_examples=100, deadline=None)
+@given(eliminable())
+def test_rref_rank_nullspace_match_fraction_oracle(a):
+    red, pivots = linalg.rref(a)
+    assert (red, pivots) == fraction_rref(a)
+    assert all(is_rat(x) for row in red for x in row)
+    assert linalg.rank(a) == len(pivots)
+    assert linalg.pivot_rows(a) == fraction_rref(linalg.transpose(a))[1]
+    assert linalg.nullspace(a) == oracle_nullspace(a)
+
+
+@settings(max_examples=80, deadline=None)
+@given(eliminable(square=True), st.integers(1, 3), st.data())
+def test_solve_matrix_matches_fraction_oracle(a, m, data):
+    n = len(a)
+    b = data.draw(int_matrices(n, m))
+    red, pivots = fraction_rref(tuple(ra + rb for ra, rb in zip(a, b)))
+    if pivots[:n] == tuple(range(n)):
+        expected = ("value", tuple(row[n:] for row in red))
+    else:
+        expected = ("error", "singular matrix")
+    assert outcome(linalg.solve_matrix, a, b) == expected
+
+
+@st.composite
+def symmetric(draw):
+    """B^T D B with D positive diagonal, in three kinds: plus D itself
+    (positive definite), or with one entry of D set to zero (semidefinite)
+    or to -1 (indefinite when B is nonsingular); now and then the result
+    is made non-symmetric."""
+    n = draw(st.integers(1, 4))
+    b = draw(int_matrices(n, n))
+    diag = draw(st.lists(st.builds(Rat, st.integers(1, 9), st.integers(1, 9)),
+                         min_size=n, max_size=n))
+    kind = draw(st.sampled_from((None, Rat(0), Rat(-1))))
+    if kind is not None:
+        diag[draw(st.integers(0, n - 1))] = kind
+    s = [[sum((b[t][i] * diag[t] * b[t][j] for t in range(n)), Rat(0)) for j in range(n)]
+         for i in range(n)]
+    if kind is None:
+        for i in range(n):
+            s[i][i] += diag[i]
+    if n > 1 and draw(st.integers(0, 9)) == 0:
+        s[0][1] += 1
+    return tuple(map(tuple, s))
+
+
+@settings(max_examples=120, deadline=None)
+@given(symmetric())
+def test_ldl_matches_fraction_oracle(a):
+    got = outcome(linalg.ldl_pd, a)
+    assert got == outcome(fraction_ldl, a)
+    assert linalg.is_positive_definite(a) == (got[0] == "value")
+    if got[0] == "value":
+        assert all(is_rat(x) for row in got[1][0] for x in row)
+        assert all(is_rat(x) for x in got[1][1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(eliminable())
+def test_echelon_basis_rank_follows_rank(a):
+    # the rows, with each one's negative and a zero row appended, inserted
+    # one by one: the basis grows exactly when the rank of the prefix does
+    rows = a + tuple(tuple(-x for x in row) for row in a) + ((Rat(0),) * len(a[0]),)
+    basis = linalg.EchelonBasis()
+    before = 0
+    for t, row in enumerate(rows, start=1):
+        grew = basis.insert(row)
+        after = len(fraction_rref(rows[:t])[1])
+        assert grew == (after > before)
+        assert len(basis) == after
+        before = after

@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import random_rational, random_vector
+from oracles import horizontal_inner
 from sublap.algebra import LieAlgebra, subriemannian_group
 from sublap.calculus import (NotNilpotent, dilation, left_invariant_field,
                              left_translation, lie_derivative)
@@ -8,7 +9,7 @@ from sublap.catalog import sl2_algebra
 from sublap.heisenberg import heisenberg_group
 from sublap.operators import (Cometric, DifferentialOperator, cometric,
                               divergence, drift_vector, frame_components,
-                              gradient, horizontal_inner, pullback_operator,
+                              gradient, pullback_operator,
                               sublaplacian)
 from sublap.polynomial import (Polynomial, PolyMap, monomials_up_to,
                                poly_mat_eval)

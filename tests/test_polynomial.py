@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import coeff_of, pad, truncate
 from sublap.polynomial import (Polynomial, PolyMap, PolyVectorField,
                                monomials_up_to)
 from sublap.rational import Rat, is_rat
@@ -122,16 +123,17 @@ def test_subs_composition():
 
 def test_coeff_of_and_truncate():
     p = Polynomial.parse("x1*x3 + 2*x3^2 + x2", 3)
-    c1 = p.coeff_of(2, 1)
-    assert c1.truncate(2) == Polynomial.parse("x1", 2)
-    c0 = p.coeff_of(2, 0)
-    assert c0.truncate(2) == Polynomial.parse("x2", 2)
+    c1 = coeff_of(p, 2, 1)
+    assert truncate(c1, 2) == Polynomial.parse("x1", 2)
+    c0 = coeff_of(p, 2, 0)
+    assert truncate(c0, 2) == Polynomial.parse("x2", 2)
+    assert truncate(pad(c0, 4), 3) == c0
 
 
 def test_truncate_guards_against_living_variables():
     p = Polynomial.parse("x3", 3)
     with pytest.raises(ValueError):
-        p.truncate(2)
+        truncate(p, 2)
 
 
 def test_degree():

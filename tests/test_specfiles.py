@@ -71,6 +71,21 @@ def test_bad_rational_reports_path():
         group_from_dict(doc)
 
 
+def test_rationals_follow_the_documented_grammar():
+    # a JSON int, or a string "p" / "p/q" of ASCII digits with a sign on p
+    for entry, value in ((3, Rat(3)), (-3, Rat(-3)), ("3", Rat(3)), ("+3", Rat(3)),
+                         ("-6/8", Rat(-3, 4)), ("0/5", Rat(0))):
+        group = group_from_dict(dict(H1_DOC, metric=[[1, entry], [entry, 25]]))
+        assert group.metric.gram[0][1] == value
+    for entry in ("1e3", "1e400", "-1E-2", "1.5", "inf", "nan", " 1/2", "1/2 ",
+                  "1/-2", "1_000", "", "+", "3/", "\u0663", 1.5, 1e400, None, [1]):
+        doc = dict(H1_DOC, metric=[[1, entry], [0, 1]])
+        with pytest.raises(SpecFileError, match=r"field metric\[1\]\[2\]: bad rational"):
+            group_from_dict(doc)
+    with pytest.raises(SpecFileError, match=r"field omega\[1\]\[2\]: bad rational '1e400'"):
+        pair_from_dict({"omega": [[0, "1e400"], ["-1e400", 0]], "gram": [[1, 0], [0, 1]]})
+
+
 def test_ragged_rows_rejected():
     doc = dict(H1_DOC, polarization=[[1, 0, 0], [0, 1]])
     with pytest.raises(SpecFileError, match="ragged"):

@@ -259,7 +259,10 @@ def second_lie_differential(F: PolyMap, source: SubRiemannianGroup,
 
     Not symmetric in (i, j) in general; the cometric contraction used for
     trace terms only sees the symmetric part.  A caller that already holds
-    DF = lie_differential(F, source, target) passes it as df.
+    DF = lie_differential(F, source, target) passes it as df.  The operators
+    take that trace from the derivatives of DF directly
+    (operators.pushforward_first); this full array is the independent
+    reference they are checked against.
     """
     if df is None:
         df = lie_differential(F, source, target)

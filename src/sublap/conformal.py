@@ -22,7 +22,8 @@ from typing import Optional
 from . import linalg
 from .algebra import SubRiemannianGroup
 from .calculus import lie_differential, require_step
-from .operators import cometric, drift_vector, frame_components, pullback_operator
+from .operators import cometric, frame_components, pullback_operator, pushforward_first, \
+    pushforward_second
 from .polynomial import Polynomial, PolyMap, const_poly_matrix, monomials_up_to, \
     poly_mat_mul
 from .rational import Rat, rat
@@ -269,12 +270,6 @@ def _conformal_factor(c, qh):
     return lam_sq, tuple(mismatches)
 
 
-def _cometric_image(df, source: SubRiemannianGroup) -> tuple:
-    """DF Q_G DF^T, the image of the source cometric under DF."""
-    qg = const_poly_matrix(cometric(source).matrix, source.dim)
-    return poly_mat_mul(poly_mat_mul(df, qg), tuple(zip(*df)))
-
-
 def _contact_residuals(df, source, target) -> tuple:
     """Components of DF B_G outside the target polarization (empty when DF is
     contact)."""
@@ -294,13 +289,6 @@ def _contact_residuals(df, source, target) -> tuple:
     return tuple(bad)
 
 
-def _drift(first, lambda_sq, target: SubRiemannianGroup) -> tuple:
-    """b = first - lambda_sq beta_H: what remains of the pullback's first-order
-    table once lambda_sq (Delta_H u) o F is taken out."""
-    beta_h = drift_vector(target)
-    return tuple(f - lambda_sq * beta if beta else f for f, beta in zip(first, beta_h))
-
-
 def commutation_residuals(F: PolyMap, lambda_sq, b, source: SubRiemannianGroup,
                           target: SubRiemannianGroup, probe_degree: int) -> tuple:
     """Residuals of Delta_G(u o F) - lambda_sq (Delta_H u) o F - <b, (grad u) o F>
@@ -312,10 +300,10 @@ def commutation_residuals(F: PolyMap, lambda_sq, b, source: SubRiemannianGroup,
     the probes with nonzero residual.
 
     The residual is sum S[c][d] (e_d~ e_c~ u) o F + sum R[c] (e_c~ u) o F with
-    S = second - lambda_sq Q_H and R = first - lambda_sq beta_H - b, read off
-    the pullback of Delta_G.  S is symmetric and the 2-jet of u at a point is
-    arbitrary, so the identity holds for every u exactly when both tables are
-    zero; the answer is then () whatever the probe degree.  Otherwise a probe
+    S = second - lambda_sq Q_H and R = first - b, read off the pullback of
+    Delta_G.  S is symmetric and the 2-jet of u at a point is arbitrary, so
+    the identity holds for every u exactly when both tables are zero; the
+    answer is then () whatever the probe degree.  Otherwise a probe
     of degree <= 2 already fails, and the probes are run only to list the
     witnesses.
     """
@@ -333,7 +321,7 @@ def commutation_residuals(F: PolyMap, lambda_sq, b, source: SubRiemannianGroup,
     qh = cometric(target).matrix
     second = tuple(tuple(pulled.second[c][d] - lambda_sq * qh[c][d] for d in range(m))
                    for c in range(m))
-    first = tuple(f - bc for f, bc in zip(_drift(pulled.first, lambda_sq, target), b))
+    first = tuple(f - bc for f, bc in zip(pulled.first, b))
     if not any(first) and not any(any(row) for row in second):
         return ()
     residual = replace(pulled, second=second, first=first)
@@ -351,11 +339,13 @@ def analyze_commutation(F: PolyMap, source: SubRiemannianGroup,
     """Decide whether F intertwines the two sub-Laplacians conformally.
 
     Stages: (1) contact compatibility of DF, (2) exact factorization
-    DF Q_G DF^T = lambda_sq Q_H, (3) drift extraction b = first - lambda_sq
-    beta_H from the pullback of Delta_G and its horizontality.  Stage (2)
-    makes the second-order table of the commutation residual zero and stage
-    (3) its first-order table, so a map passing all three commutes on every
-    test function (see commutation_residuals): the verdict is exact.
+    DF Q_G DF^T = lambda_sq Q_H, (3) the drift b, the first-order table of
+    the pullback of Delta_G, and its horizontality.  Both tables come from
+    the pushforward assembly at DF; the first-order one is built only once
+    stage (2) has passed.  Stage (2) makes the second-order table of the
+    commutation residual zero and stage (3) its first-order table, so a map
+    passing all three commutes on every test function (see
+    commutation_residuals): the verdict is exact.
     probe_degree is validated and echoed in the report; no probe is run.
     """
     if probe_degree < 2:
@@ -371,7 +361,7 @@ def analyze_commutation(F: PolyMap, source: SubRiemannianGroup,
         return CommutationReport(False, False, None, None, probe_degree,
                                  contact_bad, "differential leaves the polarization")
 
-    c = _cometric_image(df, source)
+    c = pushforward_second(df, source)
     qh = cometric(target).matrix
     lam_sq, mismatches = _conformal_factor(c, qh)
     if mismatches:
@@ -381,8 +371,7 @@ def analyze_commutation(F: PolyMap, source: SubRiemannianGroup,
         return CommutationReport(True, False, None, None, probe_degree,
                                  (lam_sq,), "conformal factor is not positive")
 
-    pulled = pullback_operator(F, source, target, df=df)
-    b = _drift(pulled.first, lam_sq, target)
+    b = pushforward_first(df, source)
     try:
         frame_components(b, target)
     except ValueError:
@@ -409,11 +398,11 @@ def b_vector(F: PolyMap, lambda_sq, source: SubRiemannianGroup,
     contact_bad = _contact_residuals(df, source, target)
     if contact_bad:
         raise NotConformal("differential does not preserve the polarization")
-    c = _cometric_image(df, source)
+    c = pushforward_second(df, source)
     qh = cometric(target).matrix
     for i in range(target.dim):
         for j in range(target.dim):
             want = lambda_sq * qh[i][j] if qh[i][j] else Polynomial.zero(n)
             if c[i][j] != want:
                 raise NotConformal("cometric image is not lambda_sq times the target cometric")
-    return _drift(pullback_operator(F, source, target, df=df).first, lambda_sq, target)
+    return pushforward_first(df, source)

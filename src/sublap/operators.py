@@ -1,10 +1,17 @@
 """Horizontal differential operators with exact polynomial coefficients.
 
-The sub-Laplacian here is the divergence-form operator sum_j X_j(g^{jk} X_k u)
+The sub-Laplacian is the divergence-form operator sum_jk X_j(g^{jk} X_k u)
 built from the left-invariant frame of the polarization, with respect to
-Lebesgue measure (= Haar in exponential coordinates).  On a nilpotent group
-the modular corrections vanish, but the drift assembly keeps them explicit so
-the formulas state the general shape.
+Lebesgue measure (= Haar in exponential coordinates).  Through the cometric
+Q = B G^{-1} B^T it reads sum_ab Q_ab e_a~ e_b~, and one assembly
+(pushforward_second, pushforward_first) pushes that operator through a field
+matrix: the left-translation Jacobian gives the sub-Laplacian itself, the
+Lie differential of a map gives its pullback along the map.
+
+There is no drift term.  The coordinate calculus requires a nilpotent group
+(require_step), and a nilpotent group is unimodular (tr ad_x = 0): Haar
+measure is bi-invariant, every left-invariant field is divergence free, and
+the divergence-form operator is exactly sum_ab Q_ab e_a~ e_b~.
 """
 
 from __future__ import annotations
@@ -14,8 +21,8 @@ from functools import cached_property, lru_cache
 
 from . import linalg
 from .algebra import SubRiemannianGroup
-from .calculus import left_translation_jacobian, lie_differential, require_step, \
-    second_lie_differential
+from .calculus import left_invariant_field, left_translation_jacobian, lie_differential, \
+    require_step
 from .polynomial import Polynomial, PolyMap, PolyVectorField, const_poly_matrix, \
     poly_mat_mul, sum_of_products
 from .rational import Rat, rat
@@ -85,56 +92,35 @@ class DifferentialOperator:
                      if (coeff := self.second_order[c][d]))
 
 
-@lru_cache(maxsize=None)
-def _horizontal_frame(group: SubRiemannianGroup) -> tuple:
-    """(G^{-1}, dL_p B): the inverse Gram matrix and the columns of dL_p
-    restricted to the polarization (n x r Polynomial), built once per group
-    for the sub-Laplacian and every gradient."""
-    lam = left_translation_jacobian(group)
-    b = group.polarization.matrix()
-    return (linalg.inverse(group.metric.gram),
-            poly_mat_mul(lam, const_poly_matrix(b, group.dim)))
+def pushforward_second(df, group: SubRiemannianGroup) -> tuple:
+    """DF Q DF^T: the second-order table of Delta_G pushed through the field
+    matrix DF (rows Polynomial over the group's coordinates, one column per
+    algebra direction of the group), with Q the group's cometric."""
+    q = const_poly_matrix(cometric(group).matrix, group.dim)
+    return poly_mat_mul(poly_mat_mul(df, q), tuple(zip(*df)))
 
 
-@lru_cache(maxsize=None)
-def drift_vector(group: SubRiemannianGroup) -> tuple:
-    """Constant algebra vector beta = Q t with t_b the trace of ad(e_b);
-    identically zero on nilpotent groups but kept explicit."""
-    alg = group.algebra
-    t = tuple(alg.modular_trace(alg.basis_vector(b)) for b in range(alg.dim))
-    return linalg.mat_vec(cometric(group).matrix, t)
+def pushforward_first(df, group: SubRiemannianGroup) -> tuple:
+    """The first-order table of Delta_G pushed through DF: entry c is
+    sum_ab Q_ab e_b~(DF[c][a]).  sum_b Q_ab e_b~ is the left-invariant field
+    of row a of Q, so only the rows of Q that are nonzero contribute."""
+    n = group.dim
+    fields = tuple((a, left_invariant_field(row, group).components)
+                   for a, row in enumerate(cometric(group).matrix) if any(row))
+    return tuple(sum_of_products(n, ((comp, entries[a].diff(k))
+                                     for a, comps in fields if entries[a]
+                                     for k, comp in enumerate(comps) if comp))
+                 for entries in df)
 
 
 @lru_cache(maxsize=None)
 def sublaplacian(group: SubRiemannianGroup) -> DifferentialOperator:
-    """The horizontal Laplacian sum_{jk} g^{jk} v_j~ v_k~ in coordinates."""
+    """The horizontal Laplacian sum_{jk} g^{jk} v_j~ v_k~ in coordinates: the
+    pushforward tables at DF = dL_p, since e_a~ = sum_k dL_p[k][a] d_k."""
     require_step(group)
-    n = group.dim
-    r = group.rank
-    ginv, lam_b = _horizontal_frame(group)
-    second = poly_mat_mul(poly_mat_mul(lam_b, const_poly_matrix(ginv, n)),
-                          tuple(zip(*lam_b)))
-    first = []
-    for d in range(n):
-        acc = Polynomial.zero(n)
-        for j in range(r):
-            for k in range(r):
-                g = ginv[j][k]
-                if not g:
-                    continue
-                for c in range(n):
-                    if lam_b[c][j]:
-                        part = lam_b[d][k].diff(c)
-                        if part:
-                            acc = acc + lam_b[c][j] * part * g
-        first.append(acc)
     lam = left_translation_jacobian(group)
-    beta = drift_vector(group)
-    for d in range(n):
-        for a in range(n):
-            if beta[a] and lam[d][a]:
-                first[d] = first[d] + lam[d][a] * beta[a]
-    return DifferentialOperator(n, second, tuple(first), Polynomial.zero(n))
+    return DifferentialOperator(group.dim, pushforward_second(lam, group),
+                                pushforward_first(lam, group), Polynomial.zero(group.dim))
 
 
 def gradient(u: Polynomial, group: SubRiemannianGroup) -> tuple:
@@ -143,25 +129,9 @@ def gradient(u: Polynomial, group: SubRiemannianGroup) -> tuple:
     require_step(group)
     if u.nvars != group.dim:
         raise ValueError("argument has %d variables, expected %d" % (u.nvars, group.dim))
-    ginv, lam_b = _horizontal_frame(group)
-    r = group.rank
-    derivs = []
-    for j in range(r):
-        acc = Polynomial.zero(group.dim)
-        for c in range(group.dim):
-            if lam_b[c][j]:
-                part = u.diff(c)
-                if part:
-                    acc = acc + lam_b[c][j] * part
-        derivs.append(acc)
-    out = []
-    for j in range(r):
-        acc = Polynomial.zero(group.dim)
-        for k in range(r):
-            if ginv[j][k] and derivs[k]:
-                acc = acc + derivs[k] * ginv[j][k]
-        out.append(acc)
-    return tuple(out)
+    derivs = [left_invariant_field(v, group).apply(u) for v in group.polarization.basis]
+    return tuple(sum((d * g for g, d in zip(row, derivs) if g and d), Polynomial.zero(group.dim))
+                 for row in linalg.inverse(group.metric.gram))
 
 
 def frame_components(vector, group: SubRiemannianGroup) -> tuple:
@@ -274,32 +244,11 @@ class PullbackOperator:
 
 
 def pullback_operator(F: PolyMap, source: SubRiemannianGroup,
-                      target: SubRiemannianGroup, *, df=None) -> PullbackOperator:
-    """Push Delta_G through a polynomial map F: G -> H.
-
-    second = DF Q_G DF^T (frame-indexed on the target), first collects the
-    cometric trace of D2F plus the drift image DF[beta_G], zero vanishes.
-    A caller that already holds DF = lie_differential(F, source, target)
-    passes it as df.
-    """
-    if df is None:
-        df = lie_differential(F, source, target)
-    n, m = source.dim, target.dim
-    qg = cometric(source).matrix
-    second = poly_mat_mul(poly_mat_mul(df, const_poly_matrix(qg, n)), tuple(zip(*df)))
-    d2 = second_lie_differential(F, source, target, df=df)
-    first = []
-    for c in range(m):
-        acc = Polynomial.zero(n)
-        for a in range(n):
-            for b in range(n):
-                if qg[a][b] and d2[a][b][c]:
-                    acc = acc + d2[a][b][c] * qg[a][b]
-        first.append(acc)
-    beta = drift_vector(source)
-    for c in range(m):
-        for a in range(n):
-            if beta[a] and df[c][a]:
-                first[c] = first[c] + df[c][a] * beta[a]
-    return PullbackOperator(F, source, target, second, tuple(first),
-                            Polynomial.zero(n))
+                      target: SubRiemannianGroup) -> PullbackOperator:
+    """Push Delta_G through a polynomial map F: G -> H: the pushforward
+    tables at DF = lie_differential(F, source, target), frame-indexed on the
+    target.  second = DF Q_G DF^T, first is the cometric trace of the
+    derivatives of DF, zero vanishes."""
+    df = lie_differential(F, source, target)
+    return PullbackOperator(F, source, target, pushforward_second(df, source),
+                            pushforward_first(df, source), Polynomial.zero(source.dim))

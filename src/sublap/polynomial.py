@@ -564,18 +564,6 @@ def poly_mat_mul(a, b) -> tuple:
                  for row in a)
 
 
-def poly_mat_vec(a, v) -> tuple:
-    out = []
-    for row in a:
-        acc = Polynomial.zero(row[0].nvars)
-        for x, y in zip(row, v):
-            term = x * y
-            if term:
-                acc = acc + term
-        out.append(acc)
-    return tuple(out)
-
-
 def poly_mat_eval(a, point) -> tuple:
     return tuple(tuple(entry.evaluate(point) for entry in row) for row in a)
 

@@ -38,13 +38,21 @@ class SpecFileError(ValueError):
 
 def _load_json(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise SpecFileError(str(exc), filename=path)
     except json.JSONDecodeError as exc:
         raise SpecFileError("invalid JSON at line %d column %d: %s"
                             % (exc.lineno, exc.colno, exc.msg), filename=path)
+    except UnicodeDecodeError as exc:
+        raise SpecFileError("file is not valid UTF-8: %s" % exc.reason, filename=path)
+    except ValueError:
+        # json.load raises a plain ValueError only for an integer literal
+        # past the interpreter's int-string digit limit
+        raise SpecFileError("invalid JSON: integer literal too long", filename=path)
+    except RecursionError:
+        raise SpecFileError("invalid JSON: nested too deeply", filename=path)
 
 
 def _get(doc, key, kind, field, filename, optional=False, default=None):

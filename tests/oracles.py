@@ -10,7 +10,9 @@ oracle assembles b from the cometric trace of the second differential,
 separately from the pullback tables.  The commutation probe oracle
 substitutes each probe into the map and applies the two sub-Laplacians and
 the gradient directly, never going through the Lie differential or the
-pullback tables that the package decides with.  The linear-algebra oracles
+pullback tables that the package decides with (the sub-Laplacians share the
+package's pushforward assembly, which the operator tests check against
+frame derivatives taken one field at a time).  The linear-algebra oracles
 are plain Gauss-Jordan and LDL^T elimination on Fractions, apart from the
 package's fraction-free integer code, and the Jacobi oracle calls the
 algebra's bracket on every basis triple instead of reading the table.
@@ -19,8 +21,7 @@ algebra's bracket on every basis triple instead of reading the table.
 from fractions import Fraction
 
 from sublap.calculus import bch_product, second_lie_differential
-from sublap.operators import cometric, drift_vector, frame_components, gradient, \
-    sublaplacian
+from sublap.operators import cometric, frame_components, gradient, sublaplacian
 from sublap.polynomial import Polynomial, monomials_up_to
 from sublap.rational import Rat, rat
 
@@ -254,15 +255,12 @@ def bch_lie_differential(F, source, target):
     return tuple(tuple(cols[j][c] for j in range(n)) for c in range(m))
 
 
-def trace_drift(F, lambda_sq, source, target):
-    """The drift b of a conformally commuting map F: the trace of D2F against
-    the source cometric, plus DF applied to the source drift beta_G, minus
-    lambda_sq beta_H (both beta vanish on nilpotent groups but the formula is
-    stated in full).  DF comes from bch_lie_differential."""
+def trace_drift(F, source, target):
+    """The first-order table of Delta_G pushed through F, which is the drift b
+    of a conformally commuting map: the trace of D2F against the source
+    cometric, with DF from bch_lie_differential."""
     n, m = source.dim, target.dim
     df = bch_lie_differential(F, source, target)
-    if not isinstance(lambda_sq, Polynomial):
-        lambda_sq = Polynomial.constant(rat(lambda_sq), n)
     qg = cometric(source).matrix
     d2 = second_lie_differential(F, source, target, df=df)
     out = []
@@ -273,14 +271,6 @@ def trace_drift(F, lambda_sq, source, target):
                 if qg[a][b] and d2[a][b][c]:
                     acc = acc + d2[a][b][c] * qg[a][b]
         out.append(acc)
-    beta_g = drift_vector(source)
-    beta_h = drift_vector(target)
-    for c in range(m):
-        for a in range(n):
-            if beta_g[a] and df[c][a]:
-                out[c] = out[c] + df[c][a] * beta_g[a]
-        if beta_h[c]:
-            out[c] = out[c] - lambda_sq * beta_h[c]
     return tuple(out)
 
 

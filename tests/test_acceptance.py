@@ -375,7 +375,7 @@ def test_criterion_12_drift_consistency():
             cases.append((composed, s ** 2, group, group))
         for mapping, lam_sq, source, target in cases:
             b = b_vector(mapping, lam_sq, source, target)
-            assert tuple(b) == trace_drift(mapping, lam_sq, source, target)
+            assert tuple(b) == trace_drift(mapping, source, target)
             assert all(p.is_zero for p in b)  # every case above is affine
 
         # non-affine control: the drift is nonzero but the equality still holds
@@ -384,5 +384,5 @@ def test_criterion_12_drift_consistency():
         report = analyze_commutation(radial, r2, r1)
         assert report.conformal
         b = b_vector(radial, report.lambda_sq, r2, r1)
-        assert tuple(b) == trace_drift(radial, report.lambda_sq, r2, r1)
+        assert tuple(b) == trace_drift(radial, r2, r1)
         assert not b[0].is_zero

@@ -109,6 +109,22 @@ def test_validate_malformed_file(tmp_path, capsys):
     assert "polarization" in out
 
 
+@pytest.mark.parametrize("content, message", [
+    # a metric entry of 5000 digits, past Python's int-string limit
+    (json.dumps(H1_DOC).replace('"metric": [[1', '"metric": [[1' + "0" * 4999).encode(),
+     "integer literal too long"),
+    (b'{"dim": 3, "brackets": [\xff]}', "not valid UTF-8"),
+    (b"[" * 200000, "nested too deeply"),
+], ids=["huge-int", "invalid-utf8", "deep-nesting"])
+def test_validate_unreadable_json_is_input_error(tmp_path, capsys, content, message):
+    path = tmp_path / "group.json"
+    path.write_bytes(content)
+    code, out = run_main(capsys, ["validate", str(path)])
+    assert code == 2
+    assert "verdict: error" in out
+    assert "%s: " % path in out and message in out
+
+
 # ---------------------------------------------------------------------------
 # stratify / sublaplacian
 

@@ -13,7 +13,7 @@ from sublap.conformal import (CommutationReport, FrameDecision, NotConformal,
                               commutation_residuals, frames_equivalent,
                               homothetic_characterizations,
                               is_homothetic_projection)
-from sublap.operators import cometric, drift_vector, pullback_operator
+from sublap.operators import cometric, pullback_operator
 from sublap.polynomial import Polynomial, PolyMap
 from sublap.rational import Rat
 
@@ -324,13 +324,12 @@ def test_residuals_reject_nonhorizontal_drift(h1):
 def _forced_identity(F, source, target):
     """The only (lambda_sq, b) the commutation identity can hold with: the
     second-order table forces lambda_sq = second / Q_H at any nonzero entry of
-    Q_H, and the first-order table forces b = first - lambda_sq beta_H."""
+    Q_H, and the first-order table forces b = first."""
     pulled = pullback_operator(F, source, target)
     qh = cometric(target).matrix
     c, d = next((c, d) for c, row in enumerate(qh) for d, q in enumerate(row) if q)
     lam_sq = pulled.second[c][d] * (1 / qh[c][d])
-    b = tuple(f - lam_sq * beta for f, beta in zip(pulled.first, drift_vector(target)))
-    return lam_sq, b
+    return lam_sq, pulled.first
 
 
 def test_analysis_agrees_with_degree_4_probes():
@@ -349,6 +348,13 @@ def test_analysis_agrees_with_degree_4_probes():
             assert (report.lambda_sq, report.b) == (lam_sq, b)
         verdicts.append(report.conformal)
     assert verdicts.count(True) == 8
+
+
+def test_pullback_first_order_matches_trace_oracle():
+    # conformal or not, the first-order table is the cometric trace of D2F
+    for F, source, target in gallery_maps() + analyzer_rejections():
+        assert pullback_operator(F, source, target).first == \
+            trace_drift(F, source, target), F
 
 
 def test_residuals_match_probe_oracle(h1, h2, engel):
@@ -429,7 +435,7 @@ def test_b_vector_matches_pullback_trace(h1, r2):
     ]
     for f, lam_sq, source, target in cases:
         b = b_vector(f, lam_sq, source, target)
-        assert b == trace_drift(f, lam_sq, source, target)
+        assert b == trace_drift(f, source, target)
         report = analyze_commutation(f, source, target)
         assert report.b == b
 

@@ -1,14 +1,19 @@
+import importlib
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from conftest import random_rational, random_vector
 from oracles import horizontal_inner
+from sublap import linalg
 from sublap.algebra import LieAlgebra, subriemannian_group
 from sublap.calculus import (NotNilpotent, dilation, left_invariant_field,
                              left_translation, lie_derivative)
-from sublap.catalog import sl2_algebra
+from sublap.catalog import engel_algebra, sl2_algebra
 from sublap.heisenberg import heisenberg_group
 from sublap.operators import (Cometric, DifferentialOperator, cometric,
-                              divergence, drift_vector, frame_components,
+                              divergence, frame_components,
                               gradient, pullback_operator,
                               sublaplacian)
 from sublap.polynomial import (Polynomial, PolyMap, monomials_up_to,
@@ -84,17 +89,30 @@ def test_sublaplacian_heisenberg_values(h1):
     assert op.apply(p3("7")).is_zero
 
 
-def test_sublaplacian_is_sum_of_frame_squares(h2, engel, rng):
-    # identity gram: the polarization basis itself is orthonormal
-    for group, r in ((h2, 4), (engel, 2)):
+def test_sublaplacian_is_sum_of_frame_squares(h2, engel):
+    # Delta u = sum_jk g^{jk} v_j~(v_k~ u), one left-invariant field at a
+    # time, apart from the pushforward assembly; the last two groups have
+    # step >= 3, a non-orthonormal polarization basis and a non-diagonal gram
+    filiform5 = LieAlgebra.from_brackets(5, {(0, k): {k + 1: 1} for k in range(1, 4)})
+    groups = (
+        h2, engel,
+        subriemannian_group(engel_algebra(), ((1, 1, 0, 0), (0, 1, 0, 0)),
+                            ((2, 1), (1, 1))),
+        subriemannian_group(filiform5, ((1, 0, 0, 0, 0), (1, 1, 0, 0, 0)),
+                            ((3, 1), (1, 2))),
+    )
+    for group in groups:
         op = sublaplacian(group)
-        for u in monomials_up_to(group.dim, 2):
+        ginv = linalg.inverse(group.metric.gram)
+        basis = group.polarization.basis
+        for u in monomials_up_to(group.dim, 3):
             expect = Polynomial.zero(group.dim)
-            for j in range(r):
-                basis_vec = group.polarization.basis[j]
-                expect = expect + lie_derivative(
-                    lie_derivative(u, basis_vec, group), basis_vec, group)
-            assert op.apply(u) == expect
+            for j, vj in enumerate(basis):
+                for k, vk in enumerate(basis):
+                    if ginv[j][k]:
+                        expect = expect + lie_derivative(
+                            lie_derivative(u, vk, group), vj, group) * ginv[j][k]
+            assert op.apply(u) == expect, (group, u)
 
 
 def test_sublaplacian_scaled_metric_orthonormal_frame():
@@ -134,18 +152,20 @@ def test_sublaplacian_requires_nilpotency():
 
 
 # ---------------------------------------------------------------------------
-# drift
+# the caches the benchmark tracer reads
 
 
-def test_drift_vanishes_on_nilpotent(h2, engel):
-    assert all(x == 0 for x in drift_vector(h2))
-    assert all(x == 0 for x in drift_vector(engel))
-
-
-def test_drift_on_solvable_group():
-    alg = LieAlgebra.from_brackets(2, {(0, 1): {1: 1}})
-    group = subriemannian_group(alg, alg.basis(), EYE2)
-    assert drift_vector(group) == (Rat(1), Rat(0))
+def test_bench_tracer_caches_resolve():
+    # bench/tracer.py reads cache_info() of these lru_caches by name, so a
+    # cache renamed or removed here breaks the traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.LRU_CACHES
+    for module, name in tracer.LRU_CACHES:
+        fn = getattr(importlib.import_module("sublap." + module), name)
+        assert callable(fn) and callable(fn.cache_info), (module, name)
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,9 @@ from .calculus import (NotNilpotent, bch_product, dilation, dynkin_terms,
                        second_lie_differential)
 from .catalog import abelian_group, engel_algebra, engel_group, sl2_algebra
 from .conformal import (CommutationReport, FrameDecision, NotConformal,
-                        analyze_commutation, b_vector, commutation_residuals,
-                        frames_equivalent, homothetic_characterizations,
-                        is_homothetic_projection)
+                        ProbeBudgetExceeded, analyze_commutation, b_vector,
+                        commutation_residuals, frames_equivalent,
+                        homothetic_characterizations, is_homothetic_projection)
 from .heisenberg import (NoIsometry, SymplecticForm, SymplecticSpectrum,
                          build_isometry, coordinate_sublaplacian,
                          heisenberg_algebra, heisenberg_group, heisenberg_pair,
@@ -42,7 +42,7 @@ __all__ = [
     "left_translation_jacobian", "lie_derivative", "lie_differential",
     "right_translation", "second_lie_differential",
     "abelian_group", "engel_algebra", "engel_group", "sl2_algebra",
-    "CommutationReport", "FrameDecision", "NotConformal",
+    "CommutationReport", "FrameDecision", "NotConformal", "ProbeBudgetExceeded",
     "analyze_commutation", "b_vector", "commutation_residuals",
     "frames_equivalent", "homothetic_characterizations",
     "is_homothetic_projection",

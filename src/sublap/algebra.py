@@ -11,7 +11,7 @@ violations for the validator to report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import linalg
 from .polynomial import Polynomial
@@ -357,6 +357,13 @@ class SubRiemannianGroup:
     @property
     def rank(self) -> int:
         return self.polarization.rank
+
+    @cached_property
+    def tables(self):
+        """The group's constant polynomial tables (operators.GroupTables),
+        built on first use and kept with the group."""
+        from .operators import GroupTables
+        return GroupTables(self)
 
 
 def subriemannian_group(algebra: LieAlgebra, polarization_basis, gram) -> SubRiemannianGroup:

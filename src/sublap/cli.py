@@ -17,7 +17,8 @@ from typing import Optional
 from . import linalg, specfiles
 from .algebra import NotStratifiable, stratify, validate
 from .calculus import NotNilpotent
-from .conformal import commutation_residuals, frames_equivalent, analyze_commutation
+from .conformal import ProbeBudgetExceeded, analyze_commutation, commutation_residuals, \
+    frames_equivalent
 from .heisenberg import NoIsometry, build_isometry, isometry_decision, \
     symplectic_spectrum
 from .operators import sublaplacian
@@ -229,6 +230,10 @@ def _run_verify(config):
         bad = commutation_residuals(f, lam, b, source, target, config.probe_degree)
     except NotNilpotent as exc:
         raise specfiles.SpecFileError(str(exc))
+    except ProbeBudgetExceeded as exc:
+        raise specfiles.SpecFileError(
+            "--probe-degree %d needs %d probe monomials to list the witnesses, "
+            "over the budget of %d" % (exc.probe_degree, exc.probes, exc.budget))
     except ValueError as exc:
         raise specfiles.SpecFileError(str(exc), filename=config.paths[3])
     holds = not bad

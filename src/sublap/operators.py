@@ -23,7 +23,7 @@ from . import linalg
 from .algebra import SubRiemannianGroup
 from .calculus import left_invariant_field, left_translation_jacobian, lie_differential, \
     require_step
-from .polynomial import Polynomial, PolyMap, PolyVectorField, const_poly_matrix, \
+from .polynomial import MapPowers, Polynomial, PolyMap, PolyVectorField, const_poly_matrix, \
     poly_mat_mul, sum_of_products
 from .rational import Rat, rat
 
@@ -48,6 +48,48 @@ def cometric(group: SubRiemannianGroup) -> Cometric:
     b = group.polarization.matrix()
     ginv = linalg.inverse(group.metric.gram)
     return Cometric(linalg.mat_mul(linalg.mat_mul(b, ginv), linalg.transpose(b)))
+
+
+class GroupTables:
+    """The constant polynomial tables of one group, each built on first use.
+    SubRiemannianGroup.tables keeps the instance, so they are built once per
+    group and live as long as the group does."""
+
+    def __init__(self, group: SubRiemannianGroup):
+        self.group = group
+
+    @cached_property
+    def polarization(self) -> tuple:
+        """B, the polarization's column matrix, as constant Polynomials."""
+        return const_poly_matrix(self.group.polarization.matrix(), self.group.dim)
+
+    @cached_property
+    def cometric(self) -> tuple:
+        """Q = B G^{-1} B^T as constant Polynomials."""
+        return const_poly_matrix(cometric(self.group).matrix, self.group.dim)
+
+    @cached_property
+    def cometric_fields(self) -> tuple:
+        """(a, components of sum_b Q_ab e_b~) for the nonzero rows a of Q:
+        sum_b Q_ab e_b~ is the left-invariant field of row a."""
+        return tuple((a, left_invariant_field(row, self.group).components)
+                     for a, row in enumerate(cometric(self.group).matrix) if any(row))
+
+    @cached_property
+    def frame_derivatives(self) -> tuple:
+        """(d, k, c, e_d~ Lam_kc) for the nonzero derivatives of the entries
+        of Lam = left_translation_jacobian along the frame e_d~ = sum_l
+        Lam_ld d_l."""
+        lam = left_translation_jacobian(self.group)
+        n = self.group.dim
+        out = []
+        for d in range(n):
+            field = PolyVectorField(tuple(row[d] for row in lam))
+            for k in range(n):
+                for c in range(n):
+                    if (entry := field.apply(lam[k][c])):
+                        out.append((d, k, c, entry))
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -96,8 +138,7 @@ def pushforward_second(df, group: SubRiemannianGroup) -> tuple:
     """DF Q DF^T: the second-order table of Delta_G pushed through the field
     matrix DF (rows Polynomial over the group's coordinates, one column per
     algebra direction of the group), with Q the group's cometric."""
-    q = const_poly_matrix(cometric(group).matrix, group.dim)
-    return poly_mat_mul(poly_mat_mul(df, q), tuple(zip(*df)))
+    return poly_mat_mul(poly_mat_mul(df, group.tables.cometric), tuple(zip(*df)))
 
 
 def pushforward_first(df, group: SubRiemannianGroup) -> tuple:
@@ -105,8 +146,7 @@ def pushforward_first(df, group: SubRiemannianGroup) -> tuple:
     sum_ab Q_ab e_b~(DF[c][a]).  sum_b Q_ab e_b~ is the left-invariant field
     of row a of Q, so only the rows of Q that are nonzero contribute."""
     n = group.dim
-    fields = tuple((a, left_invariant_field(row, group).components)
-                   for a, row in enumerate(cometric(group).matrix) if any(row))
+    fields = group.tables.cometric_fields
     return tuple(sum_of_products(n, ((comp, entries[a].diff(k))
                                      for a, comps in fields if entries[a]
                                      for k, comp in enumerate(comps) if comp))
@@ -194,7 +234,21 @@ class PullbackOperator:
     """Decomposition of u -> Delta_G(u o F) into frame derivatives on the
     target: second[c][d] multiplies (e_d~ e_c~ u) o F, first[c] multiplies
     (e_c~ u) o F, zero multiplies u o F.  Coefficients are Polynomial over
-    the source coordinates; second is symmetric."""
+    the source coordinates; second is symmetric.
+
+    apply() evaluates in coordinate jets.  With e_c~ = sum_k Lam_kc d_k
+    (Lam = left_translation_jacobian(target)), the first apply() turns the
+    frame tables into coordinate tables, once:
+        second~ = Lam(F) second Lam(F)^T,
+        first~_k = sum_c first_c Lam_kc(F) + sum_cd second_cd (e_d~ Lam_kc) o F,
+    where e_d~ Lam_kc is a constant table of the target (GroupTables).  Then
+        apply(u) = sum_kl second~_kl (d_k d_l u) o F + sum_k first~_k (d_k u) o F
+                   + zero (u o F),
+    each pair k < l visited once with factor 2.  For a term y^alpha of u,
+    (d^gamma y^alpha) o F is an integer multiple of F^(alpha - gamma), and
+    the powers F^beta come from one MapPowers kept on the operator, so a
+    run of probes builds each power of F once.
+    """
 
     map: PolyMap
     source: SubRiemannianGroup
@@ -211,36 +265,33 @@ class PullbackOperator:
                     raise ValueError("second-order table must be symmetric")
 
     def apply(self, u: Polynomial) -> Polynomial:
-        if u.nvars != self.target.dim:
-            raise ValueError("argument has %d variables, expected %d"
-                             % (u.nvars, self.target.dim))
-        fields = self._target_fields
-        first_h = [field.apply(u) for field in fields]
-        terms = list(zip(self.first, first_h))
-        for c, d, coeff in self._upper_second:
-            second_h = fields[d].apply(first_h[c])
-            if c != d:
-                second_h = second_h + fields[c].apply(first_h[d])
-            terms.append((coeff, second_h))
-        terms.append((self.zero, u))
-        comps = self.map.components
-        return sum_of_products(self.source.dim, ((coeff, v.subs(comps))
-                                                 for coeff, v in terms if coeff and v))
+        return self._powers.compose_derivatives(u, self._coordinate_table)
 
     @cached_property
-    def _target_fields(self) -> tuple:
-        """The left-invariant fields e_c~ of the target, as coordinate fields."""
-        lam = left_translation_jacobian(self.target)
-        return tuple(PolyVectorField(tuple(row[c] for row in lam))
-                     for c in range(self.target.dim))
+    def _powers(self) -> MapPowers:
+        return MapPowers(self.map)
 
     @cached_property
-    def _upper_second(self) -> tuple:
-        """(c, d, second[c][d]) for the nonzero entries with c <= d: by symmetry
-        the pair (c, d), (d, c) contributes second[c][d] (e_d~ e_c~ + e_c~ e_d~) u."""
-        m = self.target.dim
-        return tuple((c, d, coeff) for c in range(m) for d in range(c, m)
-                     if (coeff := self.second[c][d]))
+    def _coordinate_table(self) -> tuple:
+        """The operator in target coordinates, as MapPowers.compose_derivatives
+        reads it: ((k, l), second~_kl, doubled when k < l), ((k,), first~_k)
+        and ((), zero), nonzero entries only."""
+        m, n = self.target.dim, self.source.dim
+        compose = self._powers.compose
+        lam = tuple(tuple(compose(e) for e in row)
+                    for row in left_translation_jacobian(self.target))
+        second = poly_mat_mul(poly_mat_mul(lam, self.second), tuple(zip(*lam)))
+        first = [[(f, lam[k][c]) for c, f in enumerate(self.first)] for k in range(m)]
+        for d, k, c, entry in self.target.tables.frame_derivatives:
+            if self.second[c][d]:
+                first[k].append((self.second[c][d], compose(entry)))
+        table = [((k, l), s if k == l else s * 2)
+                 for k in range(m) for l in range(k, m) if (s := second[k][l])]
+        table += [((k,), r) for k, pairs in enumerate(first)
+                  if (r := sum_of_products(n, pairs))]
+        if self.zero:
+            table.append(((), self.zero))
+        return tuple(table)
 
 
 def pullback_operator(F: PolyMap, source: SubRiemannianGroup,

@@ -438,17 +438,23 @@ def sum_of_products(nvars: int, pairs) -> Polynomial:
     for a, b in pairs:
         if a.nvars != nvars or b.nvars != nvars:
             raise ValueError("expected polynomials in %d variables" % nvars)
-    common = lcm(*(a._den * b._den for a, b in pairs))
+    return _weighted_sum(nvars, [(1, a, b) for a, b in pairs])
+
+
+def _weighted_sum(nvars: int, triples, den: int = 1) -> Polynomial:
+    """The sum of w * a * b / den over (w, a, b) triples, with w a nonzero
+    int and a, b nonzero Polynomials in nvars variables."""
+    common = lcm(*(a._den * b._den for _, a, b in triples))
     out = {}
-    for a, b in pairs:
+    for w, a, b in triples:
         x, y = a._num, b._num
         if len(x) > len(y):
             x, y = y, x
-        k = common // (a._den * b._den)
+        k = w * (common // (a._den * b._den))
         if k != 1:
             x = {e: c * k for e, c in x.items()}
         _mul_into(out, x, y)
-    return _reduced(nvars, _nonzero(out), common)
+    return _reduced(nvars, _nonzero(out), common * den)
 
 
 # -- polynomial maps ----------------------------------------------------------
@@ -551,6 +557,60 @@ class PolyVectorField:
         return PolyVectorField(tuple(comps))
 
 
+class MapPowers:
+    """The powers F^beta of the components of a PolyMap F, each built once,
+    as F^(beta - e_i) * F_i, and kept for the life of the instance."""
+
+    def __init__(self, pmap: PolyMap):
+        self.map = pmap
+        self._cache = {(0,) * pmap.target_dim: Polynomial.constant(1, pmap.source_dim)}
+
+    def __getitem__(self, beta: tuple) -> Polynomial:
+        cache = self._cache
+        got = cache.get(beta)
+        if got is None:
+            if len(beta) != self.map.target_dim or min(beta) < 0:
+                raise ValueError("%r is not an exponent tuple of the map's components"
+                                 % (beta,))
+            # walk down to a cached power, then multiply back up
+            chain = []
+            while got is None:
+                i = next(i for i, e in enumerate(beta) if e)
+                chain.append((beta, i))
+                beta = beta[:i] + (beta[i] - 1,) + beta[i + 1:]
+                got = cache.get(beta)
+            comps = self.map.components
+            for beta, i in reversed(chain):
+                got = got * comps[i]
+                cache[beta] = got
+        return got
+
+    def compose(self, u: Polynomial) -> Polynomial:
+        """u o F, from the cached powers."""
+        return self.compose_derivatives(u, (((), Polynomial.constant(1, self.map.source_dim)),))
+
+    def compose_derivatives(self, u: Polynomial, table) -> Polynomial:
+        """sum C * (d_i1 ... d_ir u) o F over the ((i1, ..., ir), C) pairs of
+        table: u is a Polynomial over the target of F, each C a nonzero
+        Polynomial over its source.  For a term x^alpha of u the derivative
+        is the integer alpha_i1 (alpha_i1 - 1 if i2 == i1) ... times
+        x^(alpha - e_i1 - ... - e_ir), so each term costs one cached power
+        per entry of table."""
+        if u.nvars != self.map.target_dim:
+            raise ValueError("argument has %d variables, expected %d"
+                             % (u.nvars, self.map.target_dim))
+        triples = []
+        for alpha, c in u._num.items():
+            for indices, coeff in table:
+                w, beta = c, list(alpha)
+                for i in indices:
+                    w *= beta[i]
+                    beta[i] -= 1
+                if w:
+                    triples.append((w, coeff, self[tuple(beta)]))
+        return _weighted_sum(self.map.source_dim, triples, u._den)
+
+
 # -- matrices with polynomial entries -----------------------------------------
 
 
@@ -576,5 +636,5 @@ def monomials_up_to(nvars: int, degree: int):
             exps = [0] * nvars
             for i in combo:
                 exps[i] += 1
-            out.append(Polynomial.monomial(exps))
+            out.append(_raw(nvars, {tuple(exps): 1}, 1))
     return out

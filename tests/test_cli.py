@@ -397,6 +397,29 @@ def test_verify_vertical_projection_identity(tmp_path, capsys):
     assert doc["probe_degree"] == 5
 
 
+def test_verify_probe_budget(tmp_path, capsys):
+    # h1 has C(3 + 60, 3) = 39711 probe monomials of degree <= 60, and the
+    # witnesses of a left translation grow with every power of the map
+    from sublap.conformal import PROBE_BUDGET
+    src = write(tmp_path, "h1.json", H1_DOC)
+    fmap = write(tmp_path, "translation.json",
+                 {"source_dim": 3,
+                  "components": ["x1 + 1", "x2 - 2", "x1 + 1/2*x2 + x3 + 1/3"]})
+    good = write(tmp_path, "good.json", {"lambda_sq": 1, "b": ["0", "0", "0"]})
+    bad = write(tmp_path, "bad.json", {"lambda_sq": "6/5", "b": ["0", "0", "0"]})
+    code, doc = run_json(capsys, ["verify", src, src, fmap, bad, "--probe-degree", "60"])
+    assert code == 2
+    assert doc["verdict"] == "error"
+    assert "--probe-degree 60" in doc["error"]
+    assert "39711" in doc["error"] and str(PROBE_BUDGET) in doc["error"]
+    # the verdict itself is exact, so a holding identity and analyze-map
+    # run at any degree
+    code, doc = run_json(capsys, ["verify", src, src, fmap, good, "--probe-degree", "60"])
+    assert (code, doc["verdict"]) == (0, "holds")
+    code, doc = run_json(capsys, ["analyze-map", src, src, fmap, "--probe-degree", "60"])
+    assert (code, doc["verdict"]) == (0, "conformal")
+
+
 def test_verify_rejects_bad_identity_file(tmp_path, capsys):
     src = write(tmp_path, "h1.json", H1_DOC)
     tgt = write(tmp_path, "r2.json", R2_DOC)

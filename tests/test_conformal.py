@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 
@@ -8,13 +9,15 @@ from sublap import linalg
 from sublap.calculus import NotNilpotent, dilation, left_translation
 from sublap.catalog import abelian_group, sl2_algebra
 from sublap.algebra import subriemannian_group
-from sublap.conformal import (CommutationReport, FrameDecision, NotConformal,
+import sublap.conformal
+from sublap.conformal import (PROBE_BUDGET, CommutationReport, FrameDecision,
+                              NotConformal, ProbeBudgetExceeded,
                               analyze_commutation, b_vector,
                               commutation_residuals, frames_equivalent,
                               homothetic_characterizations,
                               is_homothetic_projection)
 from sublap.operators import cometric, pullback_operator
-from sublap.polynomial import Polynomial, PolyMap
+from sublap.polynomial import Polynomial, PolyMap, monomials_up_to
 from sublap.rational import Rat
 
 EYE = linalg.identity
@@ -315,6 +318,44 @@ def test_residuals_reject_nonhorizontal_drift(h1):
         commutation_residuals(f, 1, vertical, h1, h1, 3)
     with pytest.raises(ValueError, match="probe_degree"):
         commutation_residuals(f, 1, (Polynomial.zero(3),) * 3, h1, h1, 1)
+
+
+def test_probe_budget(h1, r2):
+    f = horizontal_projection()
+    zero2, zero3 = (Polynomial.zero(3),) * 2, (Polynomial.zero(3),) * 3
+    # a holding identity runs no probe, so no degree is over the budget
+    assert commutation_residuals(f, 1, zero2, h1, r2, 500) == ()
+    assert commutation_residuals(dilation(h1, 2), 4, zero3, h1, h1, 60) == ()
+    degree = next(k for k in range(2, 200) if comb(3 + k, k) > PROBE_BUDGET)
+    with pytest.raises(ProbeBudgetExceeded) as info:
+        commutation_residuals(dilation(h1, 2), 5, zero3, h1, h1, degree)
+    assert (info.value.probe_degree, info.value.probes, info.value.budget) == \
+        (degree, comb(3 + degree, degree), PROBE_BUDGET)
+    assert isinstance(info.value, ValueError)
+
+
+def test_probe_counter_binding(h1, r2, engel, monkeypatch):
+    # bench/tracer.py counts the conformal.probes metric by wrapping the
+    # sublap.conformal.monomials_up_to binding; witness listing must draw its
+    # probes through that binding, or the metric silently reads 0
+    drawn = []
+
+    def counting(nvars, degree):
+        probes = monomials_up_to(nvars, degree)
+        drawn.append(len(probes))
+        return probes
+
+    monkeypatch.setattr(sublap.conformal, "monomials_up_to", counting)
+    f = horizontal_projection()
+    zero2 = (Polynomial.zero(3),) * 2
+    assert commutation_residuals(f, 1, zero2, h1, r2, 4) == ()
+    assert drawn == []
+    assert commutation_residuals(f, 2, zero2, h1, r2, 4)
+    assert drawn == [comb(2 + 4, 4)]
+    zero4 = (Polynomial.zero(4),) * 4
+    assert commutation_residuals(dilation(engel, 2), 4, zero4, engel, engel, 3) == ()
+    assert commutation_residuals(dilation(engel, 2), 5, zero4, engel, engel, 3)
+    assert drawn == [comb(2 + 4, 4), comb(4 + 3, 3)]
 
 
 # ---------------------------------------------------------------------------

@@ -89,17 +89,25 @@ def test_sublaplacian_heisenberg_values(h1):
     assert op.apply(p3("7")).is_zero
 
 
+def _skewed_engel():
+    """Engel with polarization basis (e1 + e2, e2) and a non-diagonal gram."""
+    return subriemannian_group(engel_algebra(), ((1, 1, 0, 0), (0, 1, 0, 0)),
+                               ((2, 1), (1, 1)))
+
+
+def _filiform5(basis=((1, 0, 0, 0, 0), (0, 1, 0, 0, 0)), gram=EYE2):
+    """The step-4 filiform algebra [e1, e_k] = e_{k+1}, k = 2, 3, 4."""
+    algebra = LieAlgebra.from_brackets(5, {(0, k): {k + 1: 1} for k in range(1, 4)})
+    return subriemannian_group(algebra, basis, gram)
+
+
 def test_sublaplacian_is_sum_of_frame_squares(h2, engel):
     # Delta u = sum_jk g^{jk} v_j~(v_k~ u), one left-invariant field at a
     # time, apart from the pushforward assembly; the last two groups have
     # step >= 3, a non-orthonormal polarization basis and a non-diagonal gram
-    filiform5 = LieAlgebra.from_brackets(5, {(0, k): {k + 1: 1} for k in range(1, 4)})
     groups = (
-        h2, engel,
-        subriemannian_group(engel_algebra(), ((1, 1, 0, 0), (0, 1, 0, 0)),
-                            ((2, 1), (1, 1))),
-        subriemannian_group(filiform5, ((1, 0, 0, 0, 0), (1, 1, 0, 0, 0)),
-                            ((3, 1), (1, 2))),
+        h2, engel, _skewed_engel(),
+        _filiform5(((1, 0, 0, 0, 0), (1, 1, 0, 0, 0)), ((3, 1), (1, 2))),
     )
     for group in groups:
         op = sublaplacian(group)
@@ -301,17 +309,35 @@ def test_pullback_of_constant_map(h1):
     assert pull.apply(p3("x1^2 + x3")).is_zero
 
 
-def test_pullback_matches_direct_composition(h1, h2):
-    # Delta_G(u o F) for maps that are not group maps at all
+def test_pullback_matches_direct_composition(h1, h2, engel):
+    # Delta_G(u o F) for maps that are not group maps at all, and for left
+    # translations of step >= 3 targets, whose frame Lambda is nonlinear so
+    # that apply() needs the derivatives e_d~ Lambda_kc of the frame
+    skewed, filiform5 = _skewed_engel(), _filiform5()
     cases = [
         (PolyMap.parse(["x1", "x2", "x3 + x1^2"], 3), h1, h1),
         (PolyMap.parse(["x1 + x2^2", "x2", "x3", "x1*x2", "x3 - x1"], 3), h1, h2),
+        (left_translation(engel, (1, Rat(-2, 3), Rat(1, 2), 3)), engel, engel),
+        (left_translation(skewed, (Rat(3, 4), 2, -1, Rat(1, 5))), skewed, skewed),
+        (left_translation(filiform5, (Rat(1, 2), -1, 2, Rat(-3, 4), 1)),
+         filiform5, filiform5),
+        (PolyMap.parse(["x1 + x2^2", "x2 - x1*x3", "1/2*x3", "x1^3 + x2"], 3), h1, engel),
+        (PolyMap.parse(["x1*x2", "x2 + x3", "x4 - 2/3*x1^2", "x5"], 5), filiform5, skewed),
     ]
+    several = {
+        3: ["1/2*x1^2*x3 - 3/5*x2*x3 + 2*x2^3 - x1 + 7/3"],
+        4: ["1/2*x1^2*x2 - 3/5*x3*x4 + 2*x2^3 - x4 + 7/3",
+            "x1*x2*x3 + 4/7*x4^2 - 1/3*x1^3 + 5/2*x2*x4"],
+        5: ["2/3*x1*x5 - x3^2*x4 + 1/2*x2^3 + 5 - 3/7*x1*x2*x4",
+            "x4*x5 - 5/3*x1^2*x3 + 1/4*x2^2"],
+    }
     for f, source, target in cases:
         pull = pullback_operator(f, source, target)
         op = sublaplacian(source)
-        for u in monomials_up_to(target.dim, 2):
-            assert pull.apply(u) == op.apply(u.subs(f.components))
+        probes = list(monomials_up_to(target.dim, 2))
+        probes += [Polynomial.parse(s, target.dim) for s in several[target.dim]]
+        for u in probes:
+            assert pull.apply(u) == op.apply(u.subs(f.components)), (f, u)
 
 
 def test_pullback_apply_checks_variables(h1):

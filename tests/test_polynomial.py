@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import coeff_of, pad, truncate
-from sublap.polynomial import (Polynomial, PolyMap, PolyVectorField,
+from sublap.polynomial import (MapPowers, Polynomial, PolyMap, PolyVectorField,
                                monomials_up_to)
 from sublap.rational import Rat, is_rat
 
@@ -162,6 +162,27 @@ def test_polymap_compose():
     h = f.compose(g)
     pt = (Rat(3), Rat(2))
     assert h(pt) == f(g(pt))
+
+
+def test_map_powers():
+    # the cached powers and the jet sums against subs and diff
+    f = PolyMap.parse(["x1 + 1/2*x2", "x1*x2 - 3", "x2^2"], 2)
+    powers = MapPowers(f)
+    comps = f.components
+    assert powers[(2, 0, 1)] == comps[0] ** 2 * comps[2]
+    assert powers[(0, 3, 0)] == comps[1] ** 3
+    u = Polynomial.parse("2/3*x1^3*x2 - x2*x3^2 + 5*x1*x3 - 7", 3)
+    assert powers.compose(u) == u.subs(comps)
+    c1, c2 = Polynomial.parse("x1 - x2", 2), Polynomial.parse("1/4*x2^2", 2)
+    table = (((0, 2), c1), ((1, 1), c2), ((2,), c2), ((), c1))
+    expect = (c1 * u.diff(0).diff(2).subs(comps) + c2 * u.diff(1).diff(1).subs(comps)
+              + c2 * u.diff(2).subs(comps) + c1 * u.subs(comps))
+    assert powers.compose_derivatives(u, table) == expect
+    for beta in ((1, -1, 0), (1, 0)):
+        with pytest.raises(ValueError, match="exponent tuple"):
+            powers[beta]
+    with pytest.raises(ValueError, match="variables"):
+        powers.compose(Polynomial.parse("x1", 2))
 
 
 def test_polymap_jacobian():

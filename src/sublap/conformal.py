@@ -23,8 +23,8 @@ from typing import Optional
 from . import linalg
 from .algebra import SubRiemannianGroup
 from .calculus import lie_differential, require_step
-from .operators import cometric, frame_components, pullback_operator, pushforward_first, \
-    pushforward_second
+from .operators import cometric, frame_components, polarization_residuals, pullback_operator, \
+    pushforward_first, pushforward_second
 from .polynomial import Polynomial, PolyMap, monomials_up_to, poly_mat_mul
 from .rational import Rat, rat
 
@@ -268,43 +268,20 @@ class CommutationReport:
 
 
 def _conformal_factor(c, qh):
-    """Split C = lambda_sq * Q_H: returns (lambda_sq, mismatches)."""
-    m = len(qh)
-    n = c[0][0].nvars
-    lam_sq = None
-    for i in range(m):
-        for j in range(m):
-            if qh[i][j]:
-                lam_sq = c[i][j] / qh[i][j]
-                break
-        if lam_sq is not None:
-            break
-    mismatches = []
-    for i in range(m):
-        for j in range(m):
-            want = lam_sq * qh[i][j] if qh[i][j] else Polynomial.zero(n)
-            diff = c[i][j] - want
-            if diff:
-                mismatches.append(diff)
-    return lam_sq, tuple(mismatches)
+    """Split C = lambda_sq * Q_H: returns (lambda_sq, mismatches), the factor
+    read off the first nonzero entry of Q_H and the nonzero entries of
+    C - lambda_sq Q_H, row by row."""
+    i, j = next((i, j) for i, row in enumerate(qh) for j, q in enumerate(row) if q)
+    lam_sq = c[i][j] / qh[i][j]
+    return lam_sq, tuple(d for c_row, q_row in zip(c, qh) for entry, q in zip(c_row, q_row)
+                         if (d := entry - lam_sq * q if q else entry))
 
 
 def _contact_residuals(df, source, target) -> tuple:
     """Components of DF B_G outside the target polarization (empty when DF is
-    contact)."""
-    bh = target.polarization.matrix()
-    annihilators = linalg.left_nullspace(bh)
-    df_bg = poly_mat_mul(df, source.tables.polarization)
-    bad = []
-    for y in annihilators:
-        for j in range(source.rank):
-            acc = Polynomial.zero(source.dim)
-            for c in range(target.dim):
-                if y[c] and df_bg[c][j]:
-                    acc = acc + df_bg[c][j] * y[c]
-            if acc:
-                bad.append(acc)
-    return tuple(bad)
+    contact), annihilator by annihilator and column by column."""
+    return polarization_residuals(zip(*poly_mat_mul(df, source.tables.polarization_poly)),
+                                  target)
 
 
 def commutation_residuals(F: PolyMap, lambda_sq, b, source: SubRiemannianGroup,
@@ -377,10 +354,6 @@ def analyze_commutation(F: PolyMap, source: SubRiemannianGroup,
     """
     if probe_degree < 2:
         raise ValueError("probe_degree must be at least 2")
-    require_step(source)
-    require_step(target)
-    if F.source_dim != source.dim or F.target_dim != target.dim:
-        raise ValueError("map shape does not match the groups")
     df = lie_differential(F, source, target)
 
     contact_bad = _contact_residuals(df, source, target)
@@ -399,9 +372,7 @@ def analyze_commutation(F: PolyMap, source: SubRiemannianGroup,
                                  (lam_sq,), "conformal factor is not positive")
 
     b = pushforward_first(df, source)
-    try:
-        frame_components(b, target)
-    except ValueError:
+    if polarization_residuals((b,), target):
         return CommutationReport(True, False, None, None, probe_degree,
                                  tuple(p for p in b if p),
                                  "drift vector is not horizontal")
@@ -416,20 +387,12 @@ def b_vector(F: PolyMap, lambda_sq, source: SubRiemannianGroup,
     Raises NotConformal unless DF satisfies the contact condition and
     DF Q_G DF^T = lambda_sq Q_H exactly.
     """
-    require_step(source)
-    require_step(target)
-    n = source.dim
-    if not isinstance(lambda_sq, Polynomial):
-        lambda_sq = Polynomial.constant(rat(lambda_sq), n)
     df = lie_differential(F, source, target)
-    contact_bad = _contact_residuals(df, source, target)
-    if contact_bad:
+    if _contact_residuals(df, source, target):
         raise NotConformal("differential does not preserve the polarization")
-    c = pushforward_second(df, source)
-    qh = cometric(target).matrix
-    for i in range(target.dim):
-        for j in range(target.dim):
-            want = lambda_sq * qh[i][j] if qh[i][j] else Polynomial.zero(n)
-            if c[i][j] != want:
-                raise NotConformal("cometric image is not lambda_sq times the target cometric")
+    if not isinstance(lambda_sq, Polynomial):
+        lambda_sq = Polynomial.constant(rat(lambda_sq), source.dim)
+    factor, mismatches = _conformal_factor(pushforward_second(df, source), cometric(target).matrix)
+    if mismatches or factor != lambda_sq:
+        raise NotConformal("cometric image is not lambda_sq times the target cometric")
     return pushforward_first(df, source)

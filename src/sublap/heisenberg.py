@@ -93,26 +93,59 @@ class SymplecticSpectrum:
         return len(self.r)
 
 
+# Exact data whose largest magnitude lies within 2^+-_FLOAT_RANGE is converted
+# to floats as it is: the skew matrix then stays within 2^+-400 and its
+# square within the float range.  Larger or smaller data is first divided by
+# a power of four, so no float() overflows or underflows.
+_FLOAT_RANGE = 200
+
+
+def _power_of_four(values) -> int:
+    """a with the largest magnitude of the nonzero Rats values, divided by
+    4^a, in (1/2, 4); 0 when that magnitude is already within range."""
+    e = max(int(x.numerator).bit_length() - int(x.denominator).bit_length()
+            for x in values if x)
+    return 0 if abs(e) <= _FLOAT_RANGE else e // 2
+
+
+def _float_over(x, a: int) -> float:
+    """float(x / 4^a), the division exact."""
+    return float(x / Rat(4) ** a) if a else float(x)
+
+
 def _orthonormal_skew(omega, gram):
-    """Float matrix of omega in a G-orthonormal basis, via exact LDL^T."""
+    """Float matrix of omega in a G-orthonormal basis, via exact LDL^T, and
+    the exact change of basis q, with the shift that scales the skew
+    matrix's invariants r_i back to the pair's.
+
+    The floats come from copies rescaled exactly by powers of four: each
+    pivot d_i = 4^b_i d'_i, so s_ij = part_ij / sqrt(d'_i d'_j) with
+    part_ij = mid_ij 2^-(b_i + b_j) and mid = L^{-1} omega L^{-T}; the skew
+    matrix returned is s / 4^a, whose invariants are the pair's divided by
+    2^a, so shift = a.  Data within range is not divided at all.
+    """
     import numpy as np
 
     l, d = linalg.ldl_pd(gram.gram)
     linv = linalg.inverse(l)
     mid = linalg.mat_mul(linalg.mat_mul(linv, omega.matrix), linalg.transpose(linv))
     size = omega.dim
-    scale = [1.0 / math.sqrt(float(d[i])) for i in range(size)]
+    b = [_power_of_four((x,)) for x in d]
+    scale = [1.0 / math.sqrt(_float_over(x, bi)) for x, bi in zip(d, b)]
+    part = mid if not any(b) else [[x / Rat(2) ** (b[i] + b[j]) for j, x in enumerate(row)]
+                                   for i, row in enumerate(mid)]
+    a = _power_of_four(x for row in part for x in row)
     s = np.empty((size, size))
     for i in range(size):
         for j in range(size):
-            s[i, j] = float(mid[i][j]) * scale[i] * scale[j]
+            s[i, j] = _float_over(part[i][j], a) * scale[i] * scale[j]
     # the exact change of basis, for reuse by the isometry constructor
     q = np.empty((size, size))
     linv_t = linalg.transpose(linv)
     for i in range(size):
         for j in range(size):
-            q[i, j] = float(linv_t[i][j]) * scale[j]
-    return s, q
+            q[i, j] = float(linv_t[i][j]) * math.ldexp(scale[j], -b[j])
+    return s, q, a
 
 
 def symplectic_spectrum(omega, gram, tolerance: float = 1e-9) -> SymplecticSpectrum:
@@ -125,7 +158,7 @@ def symplectic_spectrum(omega, gram, tolerance: float = 1e-9) -> SymplecticSpect
     import numpy as np
 
     omega, gram = _coerce_pair(omega, gram)
-    s, _ = _orthonormal_skew(omega, gram)
+    s, _, shift = _orthonormal_skew(omega, gram)
     w = np.linalg.eigvalsh(s.T @ s)
     size = omega.dim
     guard = tolerance * max(1.0, float(w[-1]))
@@ -139,7 +172,13 @@ def symplectic_spectrum(omega, gram, tolerance: float = 1e-9) -> SymplecticSpect
         mu_sq = (a + b) / 2.0
         if mu_sq <= guard:
             raise ValueError("vanishing eigenvalue; degenerate symplectic form")
-        r.append(mu_sq**0.25)
+        try:
+            value = math.ldexp(mu_sq**0.25, shift)
+        except OverflowError:
+            value = math.inf
+        if not 0 < value < math.inf:
+            raise ValueError("spectrum lies outside the float range")
+        r.append(value)
     return SymplecticSpectrum(tuple(r), tolerance)
 
 
@@ -160,10 +199,10 @@ def isometry_decision(omega1, gram1, omega2, gram2, tolerance: float = 1e-9):
 
 def _normal_form_basis(omega, gram, tolerance):
     """Basis U with U^T G U = 1 and U^T omega U = [[0, D], [-D, 0]],
-    D = diag(r_i^2) increasing.  Returns (U, r) as floats."""
+    D = diag(r_i^2) increasing, as floats."""
     import numpy as np
 
-    s, q = _orthonormal_skew(omega, gram)
+    s, q, _ = _orthonormal_skew(omega, gram)
     size = omega.dim
     t = s.T @ s
     w, v = np.linalg.eigh(t)
@@ -202,9 +241,7 @@ def _normal_form_basis(omega, gram, tolerance):
             cols = [c for c in cols if np.linalg.norm(c) > 1e-6]
     order = np.argsort(mus, kind="stable")
     wmat = np.column_stack([xs[i] for i in order] + [ys[i] for i in order])
-    u = q @ wmat
-    r = tuple(math.sqrt(mus[i]) for i in order)
-    return u, r
+    return q @ wmat
 
 
 def build_isometry(omega1, gram1, omega2, gram2, tolerance: float = 1e-9):
@@ -219,9 +256,8 @@ def build_isometry(omega1, gram1, omega2, gram2, tolerance: float = 1e-9):
     rho = isometry_decision(omega1, gram1, omega2, gram2, tolerance)
     if rho is None:
         raise NoIsometry("normalized symplectic spectra differ")
-    u1, _ = _normal_form_basis(omega1, gram1, tolerance)
-    u2, _ = _normal_form_basis(omega2, gram2, tolerance)
-    psi = u1 @ np.linalg.inv(u2)
+    psi = _normal_form_basis(omega1, gram1, tolerance) @ np.linalg.inv(
+        _normal_form_basis(omega2, gram2, tolerance))
     return psi, rho
 
 

@@ -34,10 +34,6 @@ def mat(rows) -> Matrix:
     return out
 
 
-def vec(entries) -> Vector:
-    return tuple(rat(x) for x in entries)
-
-
 def identity(n: int) -> Matrix:
     return tuple(tuple(Rat(1) if i == j else Rat(0) for j in range(n)) for i in range(n))
 

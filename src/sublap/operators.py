@@ -25,7 +25,7 @@ from .calculus import left_invariant_field, left_translation_jacobian, lie_diffe
     require_step
 from .polynomial import MapPowers, Polynomial, PolyMap, PolyVectorField, const_poly_matrix, \
     poly_mat_mul, sum_of_products
-from .rational import Rat, rat
+from .rational import ZERO, rat
 
 
 @dataclass(frozen=True)
@@ -43,37 +43,65 @@ class Cometric:
         return linalg.rank(self.matrix)
 
 
-@lru_cache(maxsize=None)
 def cometric(group: SubRiemannianGroup) -> Cometric:
-    b = group.polarization.matrix()
-    ginv = linalg.inverse(group.metric.gram)
-    return Cometric(linalg.mat_mul(linalg.mat_mul(b, ginv), linalg.transpose(b)))
+    return group.tables.cometric
 
 
 class GroupTables:
-    """The constant polynomial tables of one group, each built on first use.
-    SubRiemannianGroup.tables keeps the instance, so they are built once per
-    group and live as long as the group does."""
+    """The constants of one group, each built on first use.
+    SubRiemannianGroup.tables keeps the instance, so each is built once per
+    group and lives as long as the group does.
+
+    With B the polarization's column matrix and G the Gram matrix, the
+    rational constants are G^{-1}, the cometric Q = B G^{-1} B^T, the
+    annihilators y of B (y B = 0) and a left inverse L of B (L B = 1); the
+    others are constant Polynomial tables built from them.
+    """
 
     def __init__(self, group: SubRiemannianGroup):
         self.group = group
 
     @cached_property
-    def polarization(self) -> tuple:
-        """B, the polarization's column matrix, as constant Polynomials."""
+    def gram_inverse(self) -> tuple:
+        return linalg.inverse(self.group.metric.gram)
+
+    @cached_property
+    def cometric(self) -> Cometric:
+        b = self.group.polarization.matrix()
+        return Cometric(linalg.mat_mul(linalg.mat_mul(b, self.gram_inverse), linalg.transpose(b)))
+
+    @cached_property
+    def annihilators(self) -> tuple:
+        """A basis of the row vectors y with y B = 0: a vector lies in the
+        polarization exactly when every y pairs with it to zero."""
+        return linalg.left_nullspace(self.group.polarization.matrix())
+
+    @cached_property
+    def left_inverse(self) -> tuple:
+        """L with L B = 1: the inverse of B's square block on its first
+        independent rows, with zero columns for the other rows."""
+        b = self.group.polarization.matrix()
+        rows = linalg.pivot_rows(b)
+        columns = dict(zip(rows, zip(*linalg.inverse(tuple(b[i] for i in rows)))))
+        zero = (ZERO,) * self.group.rank
+        return tuple(zip(*(columns.get(i, zero) for i in range(self.group.dim))))
+
+    @cached_property
+    def polarization_poly(self) -> tuple:
+        """B as constant Polynomials."""
         return const_poly_matrix(self.group.polarization.matrix(), self.group.dim)
 
     @cached_property
-    def cometric(self) -> tuple:
-        """Q = B G^{-1} B^T as constant Polynomials."""
-        return const_poly_matrix(cometric(self.group).matrix, self.group.dim)
+    def cometric_poly(self) -> tuple:
+        """Q as constant Polynomials."""
+        return const_poly_matrix(self.cometric.matrix, self.group.dim)
 
     @cached_property
     def cometric_fields(self) -> tuple:
         """(a, components of sum_b Q_ab e_b~) for the nonzero rows a of Q:
         sum_b Q_ab e_b~ is the left-invariant field of row a."""
         return tuple((a, left_invariant_field(row, self.group).components)
-                     for a, row in enumerate(cometric(self.group).matrix) if any(row))
+                     for a, row in enumerate(self.cometric.matrix) if any(row))
 
     @cached_property
     def frame_derivatives(self) -> tuple:
@@ -138,7 +166,7 @@ def pushforward_second(df, group: SubRiemannianGroup) -> tuple:
     """DF Q DF^T: the second-order table of Delta_G pushed through the field
     matrix DF (rows Polynomial over the group's coordinates, one column per
     algebra direction of the group), with Q the group's cometric."""
-    return poly_mat_mul(poly_mat_mul(df, group.tables.cometric), tuple(zip(*df)))
+    return poly_mat_mul(poly_mat_mul(df, group.tables.cometric_poly), tuple(zip(*df)))
 
 
 def pushforward_first(df, group: SubRiemannianGroup) -> tuple:
@@ -170,8 +198,27 @@ def gradient(u: Polynomial, group: SubRiemannianGroup) -> tuple:
     if u.nvars != group.dim:
         raise ValueError("argument has %d variables, expected %d" % (u.nvars, group.dim))
     derivs = [left_invariant_field(v, group).apply(u) for v in group.polarization.basis]
-    return tuple(sum((d * g for g, d in zip(row, derivs) if g and d), Polynomial.zero(group.dim))
-                 for row in linalg.inverse(group.metric.gram))
+    return tuple(_combination(row, derivs) for row in group.tables.gram_inverse)
+
+
+def _combination(coeffs, polys) -> Polynomial:
+    """sum_i coeffs[i] polys[i], for rationals coeffs and Polynomials polys
+    in one number of variables."""
+    acc = Polynomial.zero(polys[0].nvars)
+    for x, p in zip(coeffs, polys):
+        if x and p:
+            acc = acc + p * x
+    return acc
+
+
+def polarization_residuals(vectors, group: SubRiemannianGroup) -> tuple:
+    """The nonzero pairings y . v of the group's annihilators y with the
+    vectors v (each dim Polynomials in one number of variables), annihilator
+    by annihilator and, within each, in the order of the vectors.  Empty
+    exactly when every vector takes values in the polarization."""
+    vectors = tuple(vectors)
+    return tuple(r for y in group.tables.annihilators for v in vectors
+                 if (r := _combination(y, v)))
 
 
 def frame_components(vector, group: SubRiemannianGroup) -> tuple:
@@ -181,37 +228,17 @@ def frame_components(vector, group: SubRiemannianGroup) -> tuple:
     polynomial entries may be in any number of variables (for instance the
     coordinates of another group when the vector is a drift field along a
     map).  Raises ValueError if the vector does not lie in the span of the
-    polarization.
+    polarization; otherwise gamma = L vector with L the left inverse of B.
     """
     if len(vector) != group.dim:
         raise ValueError("vector has %d components, expected %d"
                          % (len(vector), group.dim))
-    nv = group.dim
-    for v in vector:
-        if isinstance(v, Polynomial):
-            nv = v.nvars
-            break
-    bmat = group.polarization.matrix()
-    rows = linalg.pivot_rows(bmat)
-    sub = tuple(tuple(bmat[i][j] for j in range(group.rank)) for i in rows)
-    subinv = linalg.inverse(sub)
+    nv = next((v.nvars for v in vector if isinstance(v, Polynomial)), group.dim)
     vec = tuple(v if isinstance(v, Polynomial) else Polynomial.constant(rat(v), nv)
                 for v in vector)
-    gamma = []
-    for j in range(group.rank):
-        acc = Polynomial.zero(nv)
-        for t, i in enumerate(rows):
-            if subinv[j][t] and vec[i]:
-                acc = acc + vec[i] * subinv[j][t]
-        gamma.append(acc)
-    for i in range(group.dim):
-        acc = Polynomial.zero(nv)
-        for j in range(group.rank):
-            if bmat[i][j] and gamma[j]:
-                acc = acc + gamma[j] * bmat[i][j]
-        if acc != vec[i]:
-            raise ValueError("vector does not take values in the polarization")
-    return tuple(gamma)
+    if polarization_residuals((vec,), group):
+        raise ValueError("vector does not take values in the polarization")
+    return tuple(_combination(row, vec) for row in group.tables.left_inverse)
 
 
 def divergence(X, group: SubRiemannianGroup) -> Polynomial:

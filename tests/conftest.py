@@ -54,14 +54,19 @@ def analyzer_rejections():
             for comps, nvars, source, target in cases]
 
 
-def gallery_maps():
-    """The twelve (map, source, target) triples of
+def gallery():
+    """The twelve (name, map, source, target) rows of
     scripts/commutation_gallery.py."""
     path = Path(__file__).resolve().parents[1] / "scripts" / "commutation_gallery.py"
     spec = importlib.util.spec_from_file_location("commutation_gallery", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return [(mapping, source, target) for _, mapping, source, target in module.gallery()]
+    return module.gallery()
+
+
+def gallery_maps():
+    """The gallery's (map, source, target) triples."""
+    return [(mapping, source, target) for _, mapping, source, target in gallery()]
 
 
 @pytest.fixture(scope="session")

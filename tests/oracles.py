@@ -12,14 +12,18 @@ substitutes each probe into the map and applies the two sub-Laplacians and
 the gradient directly, never going through the Lie differential or the
 pullback tables that the package decides with (the sub-Laplacians share the
 package's pushforward assembly, which the operator tests check against
-frame derivatives taken one field at a time).  The linear-algebra oracles
-are plain Gauss-Jordan and LDL^T elimination on Fractions, apart from the
-package's fraction-free integer code, and the Jacobi oracle calls the
-algebra's bracket on every basis triple instead of reading the table.
+frame derivatives taken one field at a time).  The frame-components oracle
+solves on the pivot rows of the polarization and multiplies back, where the
+package pairs the vector with annihilators and applies a left inverse.  The
+linear-algebra oracles are plain Gauss-Jordan and LDL^T elimination on
+Fractions, apart from the package's fraction-free integer code, and the
+Jacobi oracle calls the algebra's bracket on every basis triple instead of
+reading the table.
 """
 
 from fractions import Fraction
 
+from sublap import linalg
 from sublap.calculus import bch_product, second_lie_differential
 from sublap.operators import cometric, frame_components, gradient, sublaplacian
 from sublap.polynomial import Polynomial, monomials_up_to
@@ -316,6 +320,34 @@ def horizontal_inner(alpha, beta, group):
             if gram[j][k] and alpha[j] and beta[k]:
                 acc = acc + alpha[j] * beta[k] * gram[j][k]
     return acc
+
+
+def pivot_row_frame_components(vector, group):
+    """Solve B gamma = vector (entries Polynomial in any one number of
+    variables, or rationals) on the first independent rows of B, then
+    multiply back and compare every row; raises ValueError when the vector
+    leaves the polarization."""
+    nv = next((v.nvars for v in vector if isinstance(v, Polynomial)), group.dim)
+    vec = tuple(v if isinstance(v, Polynomial) else Polynomial.constant(rat(v), nv)
+                for v in vector)
+    bmat = group.polarization.matrix()
+    rows = linalg.pivot_rows(bmat)
+    subinv = linalg.inverse(tuple(bmat[i] for i in rows))
+    gamma = []
+    for j in range(group.rank):
+        acc = Polynomial.zero(nv)
+        for t, i in enumerate(rows):
+            if subinv[j][t] and vec[i]:
+                acc = acc + vec[i] * subinv[j][t]
+        gamma.append(acc)
+    for i in range(group.dim):
+        acc = Polynomial.zero(nv)
+        for j in range(group.rank):
+            if bmat[i][j] and gamma[j]:
+                acc = acc + gamma[j] * bmat[i][j]
+        if acc != vec[i]:
+            raise ValueError("vector does not take values in the polarization")
+    return tuple(gamma)
 
 
 # ---------------------------------------------------------------------------

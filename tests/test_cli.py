@@ -1,9 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from conftest import gallery
 from sublap.cli import RunConfig, main, run
-from sublap.specfiles import group_to_dict
+from sublap.polynomial import TERM_BUDGET
+from sublap.specfiles import group_to_dict, polymap_to_dict
 from sublap.heisenberg import heisenberg_group
 from sublap.catalog import engel_group
 
@@ -225,6 +228,33 @@ def test_heis_spectrum(tmp_path, capsys):
     assert doc["tolerance"] == 1e-9
 
 
+@pytest.mark.parametrize("omega, gram, spectrum", [
+    ([[0, 10 ** 400], [-10 ** 400, 0]], [[1, 0], [0, 1]], "1e+200"),
+    ([[0, 1], [-1, 0]], [[10 ** 400, 0], [0, 10 ** 400]], "1e-200"),
+    ([[0, 10 ** 400], [-10 ** 400, 0]], [[10 ** 400, 0], [0, 10 ** 400]], "1"),
+])
+def test_heis_commands_on_pairs_beyond_the_float_range(tmp_path, capsys, omega, gram, spectrum):
+    # the floats come from copies rescaled exactly by powers of four, so no
+    # float() overflows
+    doc = {"omega": [[str(x) for x in row] for row in omega],
+           "gram": [[str(x) for x in row] for row in gram]}
+    path = write(tmp_path, "pair.json", doc)
+    code, out = run_json(capsys, ["heis-spectrum", path])
+    assert (code, out["spectrum"]) == (0, [spectrum])
+    code, out = run_json(capsys, ["heis-isometry", path, path])
+    assert (code, out["verdict"], out["ratio"]) == (0, "isometric", "1")
+    assert out["matrix"] == [["1", "0"], ["0", "1"]]
+
+
+def test_heis_spectrum_outside_the_float_range_is_input_error(tmp_path, capsys):
+    big = str(10 ** 400)
+    path = write(tmp_path, "pair.json", {"omega": [[0, big], ["-" + big, 0]],
+                                         "gram": [["1/" + big, 0], [0, "1/" + big]]})
+    code, out = run_main(capsys, ["heis-spectrum", path])
+    assert code == 2
+    assert "outside the float range" in out
+
+
 def test_heis_isometry_positive(tmp_path, capsys):
     def pair_doc(n, rbar):
         omega, gram = __import__("sublap.heisenberg", fromlist=["heisenberg_pair"]) \
@@ -324,6 +354,31 @@ def test_analyze_map_shape_mismatch(tmp_path, capsys):
     code, out = run_main(capsys, ["analyze-map", src, tgt, fmap])
     assert code == 2
     assert "shape" in out
+
+
+def test_analyze_map_gallery_reports(tmp_path, capsys):
+    # the JSON reports of the twelve maps of scripts/commutation_gallery.py,
+    # byte for byte
+    out = []
+    for name, mapping, source, target in gallery():
+        paths = [write(tmp_path, "%s.json" % tag, doc)
+                 for tag, doc in (("source", group_to_dict(source)),
+                                  ("target", group_to_dict(target)),
+                                  ("map", polymap_to_dict(mapping)))]
+        code, text = run_main(capsys, ["analyze-map"] + paths + ["--format", "json"])
+        out.append("## %s (exit %d)\n%s" % (name, code, text))
+    golden = Path(__file__).resolve().parent / "golden" / "gallery_analyze_map.txt"
+    assert "".join(out) == golden.read_text()
+
+
+def test_analyze_map_term_budget(tmp_path, capsys):
+    src = write(tmp_path, "h1.json", H1_DOC)
+    fmap = write(tmp_path, "dense.json",
+                 {"source_dim": 3, "components": ["x1", "(x1+x2+x3)^200", "x3"]})
+    code, out = run_main(capsys, ["analyze-map", src, src, fmap])
+    assert code == 2
+    assert "field components[2]" in out
+    assert "term budget of %d" % TERM_BUDGET in out
 
 
 def test_json_booleans_are_not_dimensions(tmp_path, capsys):

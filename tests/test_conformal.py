@@ -7,8 +7,9 @@ from conftest import analyzer_rejections, gallery_maps, random_rational
 from oracles import probe_residuals, trace_drift
 from sublap import linalg
 from sublap.calculus import NotNilpotent, dilation, left_translation
-from sublap.catalog import abelian_group, sl2_algebra
+from sublap.catalog import abelian_group, engel_group, sl2_algebra
 from sublap.algebra import subriemannian_group
+from sublap.heisenberg import heisenberg_group
 import sublap.conformal
 from sublap.conformal import (PROBE_BUDGET, CommutationReport, FrameDecision,
                               NotConformal, ProbeBudgetExceeded,
@@ -492,3 +493,48 @@ def test_b_vector_rejects_broken_contact(h1):
     f = PolyMap.parse(["x1", "x2", "x3 + x1"], 3)
     with pytest.raises(NotConformal, match="polarization"):
         b_vector(f, 1, h1, h1)
+
+
+@pytest.mark.parametrize("components, residuals", [
+    (["x1", "x2 + x1*x2", "x3 + x2^2", "x4 + x1^2"],
+     ["-1/2*x1^2 + 2*x2", "1/2*x2^2 + 2*x1", "1/6*x1^3 - x1*x2"]),
+    (["x1", "x2", "x3 + x1^2", "x4 + x2^2"], ["2*x1", "-1/2*x1^2", "2*x2"]),
+])
+def test_contact_residual_order(engel, components, residuals):
+    # Engel has two annihilators of its polarization; the witnesses are
+    # listed annihilator by annihilator, and within each column by column of
+    # DF B_G
+    report = analyze_commutation(PolyMap.parse(components, 4), engel, engel)
+    assert not report.contact
+    assert [str(r) for r in report.residuals] == residuals
+
+
+def test_second_analysis_derives_no_metric_constants(monkeypatch):
+    # the annihilators, left inverse, G^{-1} and Q of a group are built once,
+    # in its GroupTables; a second analysis on the same groups reuses them
+    h1, engel = heisenberg_group(1, (1,)), engel_group()
+    dil = dilation(h1, Rat(2))
+    shear = PolyMap.parse(["x1", "x2", "x3 + x1"], 3)
+    bend = PolyMap.parse(["x1", "x2", "x3 + x1^2", "x4 + x2^2"], 4)
+    zero = (0, 0, 0)
+
+    def analyses():
+        analyze_commutation(dil, h1, h1)
+        analyze_commutation(shear, h1, h1)
+        analyze_commutation(bend, engel, engel)
+        commutation_residuals(dil, 4, zero, h1, h1, 3)
+        commutation_residuals(dil, 5, zero, h1, h1, 3)
+
+    calls = []
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+        return wrapper
+
+    analyses()
+    for name in ("left_nullspace", "pivot_rows", "inverse"):
+        monkeypatch.setattr(linalg, name, counted(name, getattr(linalg, name)))
+    analyses()
+    assert calls == []

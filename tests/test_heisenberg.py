@@ -269,3 +269,21 @@ def test_coordinate_sublaplacian_scaling():
     for row_b, row_d in zip(base.second_order, doubled.second_order):
         for b, d in zip(row_b, row_d):
             assert d == b * Rat(4)
+
+
+def test_spectrum_beyond_the_float_range_is_rescaled_exactly():
+    # omega and G scaled by 4^300 are brought back by powers of four before
+    # any float is taken, so r moves by exactly 2^300 and 2^-300
+    omega, gram = heisenberg_pair(2, (1, 3))
+    r = symplectic_spectrum(omega, gram).r
+    big = Rat(4) ** 300
+
+    def scaled(m):
+        return tuple(tuple(x * big for x in row) for row in m)
+
+    assert symplectic_spectrum(scaled(omega.matrix), gram).r == \
+        tuple(math.ldexp(v, 300) for v in r)
+    assert symplectic_spectrum(omega, Metric(scaled(gram.gram))).r == \
+        tuple(math.ldexp(v, -300) for v in r)
+    with pytest.raises(ValueError, match="float range"):
+        symplectic_spectrum(scaled(scaled(scaled(scaled(omega.matrix)))), gram)

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from conftest import random_rational, random_vector
-from oracles import horizontal_inner
+from oracles import horizontal_inner, pivot_row_frame_components
 from sublap import linalg
 from sublap.algebra import LieAlgebra, subriemannian_group
 from sublap.calculus import (NotNilpotent, dilation, left_invariant_field,
@@ -223,6 +223,40 @@ def test_frame_components_foreign_variables(h2):
     vec = (two_var, Polynomial.zero(2), Polynomial.zero(2), Polynomial.zero(2),
            Polynomial.zero(2))
     assert frame_components(vec, h2)[0] == two_var
+
+
+def _random_poly(rng, nvars):
+    return Polynomial(nvars, {tuple(rng.randint(0, 2) for _ in range(nvars)):
+                              random_rational(rng) for _ in range(rng.randint(0, 3))})
+
+
+@pytest.mark.parametrize("name", ["h1", "h2", "engel", "skewed engel", "filiform5", "r2"])
+def test_frame_components_matches_pivot_row_solve(name, request, rng):
+    # vectors in the span are solved as the pivot-row solve does, in the
+    # group's own variables, in fewer and in more; vectors moved off the span
+    # are refused by both
+    group = {"skewed engel": _skewed_engel, "filiform5": _filiform5}.get(
+        name, lambda: request.getfixturevalue(name))()
+    bmat = group.polarization.matrix()
+    for nvars in (group.dim, 1, group.dim + 2):
+        for _ in range(10):
+            gamma = tuple(_random_poly(rng, nvars) for _ in range(group.rank))
+            vec = tuple(sum((g * b for g, b in zip(gamma, row) if b), Polynomial.zero(nvars))
+                        for row in bmat)
+            assert frame_components(vec, group) == pivot_row_frame_components(vec, group) \
+                == gamma
+            off = random_vector(rng, group.dim)
+            if linalg.rank(group.polarization.basis + (off,)) == group.rank:
+                continue  # off lies in the span
+            shift = _random_poly(rng, nvars) or Polynomial.constant(1, nvars)
+            moved = tuple(v + shift * x for v, x in zip(vec, off))
+            for solve in (frame_components, pivot_row_frame_components):
+                with pytest.raises(ValueError, match="polarization"):
+                    solve(moved, group)
+    coeffs = random_vector(rng, group.rank)
+    constant = linalg.mat_vec(bmat, coeffs)
+    assert frame_components(constant, group) == pivot_row_frame_components(constant, group) \
+        == tuple(Polynomial.constant(c, group.dim) for c in coeffs)
 
 
 def test_divergence(engel, rng):

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import coeff_of, pad, truncate
-from sublap.polynomial import (MapPowers, Polynomial, PolyMap, PolyVectorField,
+from sublap.polynomial import (TERM_BUDGET, MapPowers, Polynomial, PolyMap, PolyVectorField,
                                monomials_up_to)
 from sublap.rational import Rat, is_rat
 
@@ -33,6 +33,27 @@ def test_parse_parentheses_and_unary_minus():
 def test_parse_rejects_unknown_variable():
     with pytest.raises(ValueError):
         Polynomial.parse("x3 + 1", 2)
+
+
+def test_parse_term_budget():
+    # a t-term base to the k may have C(t + k - 1, k) terms: (x1+x2+x3)^50
+    # has 1326, under the budget, and the 100th and 200th powers are refused
+    # before they are computed
+    assert len(Polynomial.parse("(x1+x2+x3)^50", 3).terms) == 1326 <= TERM_BUDGET
+    for power in (100, 200):
+        with pytest.raises(ValueError, match="term budget of %d" % TERM_BUDGET):
+            Polynomial.parse("(x1+x2+x3)^%d" % power, 3)
+    # a one-term base stays one term, whatever the power
+    assert Polynomial.parse("x1^99999999", 1).degree() == 99999999
+    assert Polynomial.parse("(2*x1)^3 * (x1 + 1)^0", 1) == Polynomial.parse("8*x1^3", 1)
+    # a product of a t_a-term and a t_b-term factor takes t_a * t_b term products
+    def sum_of_powers(var, count):
+        return "(%s)" % " + ".join("%s^%d" % (var, i) for i in range(count))
+
+    right = sum_of_powers("x2", 50)
+    with pytest.raises(ValueError, match="2000 term products"):
+        Polynomial.parse(sum_of_powers("x1", 40) + "*" + right, 2)
+    assert len(Polynomial.parse(sum_of_powers("x1", 30) + "*" + right, 2).terms) == 1500
 
 
 def test_parse_rejects_garbage():

@@ -268,13 +268,25 @@ class CommutationReport:
 
 
 def _conformal_factor(c, qh):
-    """Split C = lambda_sq * Q_H: returns (lambda_sq, mismatches), the factor
-    read off the first nonzero entry of Q_H and the nonzero entries of
-    C - lambda_sq Q_H, row by row."""
-    i, j = next((i, j) for i, row in enumerate(qh) for j, q in enumerate(row) if q)
-    lam_sq = c[i][j] / qh[i][j]
-    return lam_sq, tuple(d for c_row, q_row in zip(c, qh) for entry, q in zip(c_row, q_row)
-                         if (d := entry - lam_sq * q if q else entry))
+    """Split C = lambda_sq * Q_H: returns (lambda_sq, mismatches)."""
+    m = len(qh)
+    n = c[0][0].nvars
+    lam_sq = None
+    for i in range(m):
+        for j in range(m):
+            if qh[i][j]:
+                lam_sq = c[i][j] / qh[i][j]
+                break
+        if lam_sq is not None:
+            break
+    mismatches = []
+    for i in range(m):
+        for j in range(m):
+            want = lam_sq * qh[i][j] if qh[i][j] else Polynomial.zero(n)
+            diff = c[i][j] - want
+            if diff:
+                mismatches.append(diff)
+    return lam_sq, tuple(mismatches)
 
 
 def _contact_residuals(df, source, target) -> tuple:

@@ -14,6 +14,7 @@ the CLI) does not load it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from . import linalg
@@ -114,15 +115,17 @@ def _float_over(x, a: int) -> float:
 
 
 def _orthonormal_skew(omega, gram):
-    """Float matrix of omega in a G-orthonormal basis, via exact LDL^T, and
-    the exact change of basis q, with the shift that scales the skew
-    matrix's invariants r_i back to the pair's.
+    """Float matrix of omega in a G-orthonormal basis, via exact LDL^T, with
+    the shift that scales the skew matrix's invariants r_i back to the
+    pair's and the factors (L^{-1}, b, scale) of the change of basis.
 
     The floats come from copies rescaled exactly by powers of four: each
     pivot d_i = 4^b_i d'_i, so s_ij = part_ij / sqrt(d'_i d'_j) with
     part_ij = mid_ij 2^-(b_i + b_j) and mid = L^{-1} omega L^{-T}; the skew
     matrix returned is s / 4^a, whose invariants are the pair's divided by
-    2^a, so shift = a.  Data within range is not divided at all.
+    2^a, so shift = a.  Data within range is not divided at all.  Column j
+    of the change of basis L^{-T} D^{-1/2} is column j of L^{-T} times
+    2^-b_j scale_j, with scale_j = 1/sqrt(d'_j).
     """
     import numpy as np
 
@@ -139,13 +142,7 @@ def _orthonormal_skew(omega, gram):
     for i in range(size):
         for j in range(size):
             s[i, j] = _float_over(part[i][j], a) * scale[i] * scale[j]
-    # the exact change of basis, for reuse by the isometry constructor
-    q = np.empty((size, size))
-    linv_t = linalg.transpose(linv)
-    for i in range(size):
-        for j in range(size):
-            q[i, j] = float(linv_t[i][j]) * math.ldexp(scale[j], -b[j])
-    return s, q, a
+    return s, a, (linv, b, scale)
 
 
 def symplectic_spectrum(omega, gram, tolerance: float = 1e-9) -> SymplecticSpectrum:
@@ -153,15 +150,17 @@ def symplectic_spectrum(omega, gram, tolerance: float = 1e-9) -> SymplecticSpect
 
     Raises ValueError if the squared eigenvalues of the orthonormal-gauge
     skew matrix fail to split into n near-equal positive pairs within the
-    tolerance (which signals inconsistent input data).
+    tolerance (which signals inconsistent input data).  The tolerance is
+    relative to the largest squared eigenvalue, so the verdict is the same
+    for the pair and for every positive multiple of it.
     """
     import numpy as np
 
     omega, gram = _coerce_pair(omega, gram)
-    s, _, shift = _orthonormal_skew(omega, gram)
+    s, shift, _ = _orthonormal_skew(omega, gram)
     w = np.linalg.eigvalsh(s.T @ s)
     size = omega.dim
-    guard = tolerance * max(1.0, float(w[-1]))
+    guard = tolerance * float(w[-1])
     if w[0] < -guard:
         raise ValueError("negative squared eigenvalue; inconsistent input")
     r = []
@@ -184,17 +183,31 @@ def symplectic_spectrum(omega, gram, tolerance: float = 1e-9) -> SymplecticSpect
 
 def isometry_decision(omega1, gram1, omega2, gram2, tolerance: float = 1e-9):
     """Conformal ratio rho with r1 = rho * r2 (componentwise within the
-    tolerance), or None when the normalized spectra differ."""
+    tolerance, relative to the largest r1), or None when the normalized
+    spectra differ.  Raises ValueError when rho leaves the float range."""
     s1 = symplectic_spectrum(omega1, gram1, tolerance)
     s2 = symplectic_spectrum(omega2, gram2, tolerance)
     if s1.n != s2.n:
         return None
     rho = s1.r[0] / s2.r[0]
-    guard = tolerance * max(1.0, max(s1.r))
+    if not 0 < rho < math.inf:
+        raise ValueError("conformal ratio lies outside the float range")
+    guard = tolerance * max(s1.r)
     for a, b in zip(s1.r, s2.r):
         if abs(a - rho * b) > guard:
             return None
     return rho
+
+
+def _basis_entry(x) -> float:
+    """float(x), or ValueError when a nonzero x has no normal float."""
+    try:
+        value = float(x)
+    except OverflowError:
+        value = math.inf
+    if x and not sys.float_info.min <= abs(value) < math.inf:
+        raise ValueError("normal-form basis lies outside the float range")
+    return value
 
 
 def _normal_form_basis(omega, gram, tolerance):
@@ -202,11 +215,15 @@ def _normal_form_basis(omega, gram, tolerance):
     D = diag(r_i^2) increasing, as floats."""
     import numpy as np
 
-    s, q, _ = _orthonormal_skew(omega, gram)
+    s, _, (linv, b, scale) = _orthonormal_skew(omega, gram)
     size = omega.dim
+    q = np.empty((size, size))
+    for i, row in enumerate(linalg.transpose(linv)):
+        for j, x in enumerate(row):
+            q[i, j] = _basis_entry(x / Rat(2) ** b[j] if b[j] else x) * scale[j]
     t = s.T @ s
     w, v = np.linalg.eigh(t)
-    guard = tolerance * max(1.0, float(w[-1]))
+    guard = tolerance * float(w[-1])
     if w[0] < guard:
         raise ValueError("vanishing eigenvalue; degenerate symplectic form")
     # cluster equal eigenvalues so multiplicity is handled uniformly

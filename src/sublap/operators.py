@@ -25,7 +25,7 @@ from .calculus import left_invariant_field, left_translation_jacobian, lie_diffe
     require_step
 from .polynomial import MapPowers, Polynomial, PolyMap, PolyVectorField, const_poly_matrix, \
     poly_mat_mul, sum_of_products
-from .rational import ZERO, rat
+from .rational import rat
 
 
 @dataclass(frozen=True)
@@ -78,13 +78,9 @@ class GroupTables:
 
     @cached_property
     def left_inverse(self) -> tuple:
-        """L with L B = 1: the inverse of B's square block on its first
-        independent rows, with zero columns for the other rows."""
-        b = self.group.polarization.matrix()
-        rows = linalg.pivot_rows(b)
-        columns = dict(zip(rows, zip(*linalg.inverse(tuple(b[i] for i in rows)))))
-        zero = (ZERO,) * self.group.rank
-        return tuple(zip(*(columns.get(i, zero) for i in range(self.group.dim))))
+        """L = (B^T B)^{-1} B^T, so L B = 1 (B has independent columns)."""
+        bt = linalg.transpose(self.group.polarization.matrix())
+        return linalg.mat_mul(linalg.inverse(linalg.mat_mul(bt, linalg.transpose(bt))), bt)
 
     @cached_property
     def polarization_poly(self) -> tuple:
@@ -233,7 +229,11 @@ def frame_components(vector, group: SubRiemannianGroup) -> tuple:
     if len(vector) != group.dim:
         raise ValueError("vector has %d components, expected %d"
                          % (len(vector), group.dim))
-    nv = next((v.nvars for v in vector if isinstance(v, Polynomial)), group.dim)
+    nv = group.dim
+    for v in vector:
+        if isinstance(v, Polynomial):
+            nv = v.nvars
+            break
     vec = tuple(v if isinstance(v, Polynomial) else Polynomial.constant(rat(v), nv)
                 for v in vector)
     if polarization_residuals((vec,), group):

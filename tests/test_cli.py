@@ -255,6 +255,58 @@ def test_heis_spectrum_outside_the_float_range_is_input_error(tmp_path, capsys):
     assert "outside the float range" in out
 
 
+def _pair_doc(rbar, gram_scale=1):
+    from sublap.heisenberg import heisenberg_pair
+    omega, gram = heisenberg_pair(len(rbar), rbar)
+    return {"omega": [[str(x) for x in row] for row in omega.matrix],
+            "gram": [[str(x * gram_scale) for x in row] for row in gram.gram]}
+
+
+@pytest.mark.parametrize("k", [50, 101])
+def test_heis_isometry_verdict_does_not_depend_on_the_scale(tmp_path, capsys, k):
+    # gram times 4^k divides every r_i by 2^k; the tolerances are relative,
+    # so within the float window (k = 50) and beyond it (k = 101) the
+    # verdicts are those of the unscaled pairs
+    p13 = write(tmp_path, "p13.json", _pair_doc((1, 3), 4 ** k))
+    p15 = write(tmp_path, "p15.json", _pair_doc((1, 5), 4 ** k))
+    p26 = write(tmp_path, "p26.json", _pair_doc((2, 6)))
+    code, out = run_json(capsys, ["heis-isometry", p13, p15])
+    assert (code, out["verdict"]) == (1, "no-isometry")
+    code, out = run_json(capsys, ["heis-isometry", p13, p26])
+    assert (code, out["verdict"]) == (0, "isometric")
+    assert float(out["ratio"]) == pytest.approx(2.0 ** -(k + 1), rel=1e-9)
+
+
+@pytest.mark.parametrize("omega, gram, spectrum", [
+    ([[0, 1], [-1, 0]], [[2 ** 100, 0], [0, 2 ** 100]], "8.881784197e-16"),
+    ([[0, 1], [-1, 0]], [[10 ** 400, 0], [0, 10 ** 400]], "1e-200"),
+    ([[0, "1/10"], ["-1/10", 0]], [[1, 0], [0, 1]], "0.316227766017"),
+    ([[0, "1/" + str(10 ** 12)], ["-1/" + str(10 ** 12), 0]], [[1, 0], [0, 1]], "1e-06"),
+])
+def test_heis_spectrum_of_small_spectra_within_and_beyond_the_float_window(
+        tmp_path, capsys, omega, gram, spectrum):
+    # a small spectrum is a spectrum, not a degenerate form, whether or not
+    # the pair was rescaled before the floats were taken
+    doc = {"omega": [[str(x) for x in row] for row in omega],
+           "gram": [[str(x) for x in row] for row in gram]}
+    path = write(tmp_path, "pair.json", doc)
+    code, out = run_json(capsys, ["heis-spectrum", path])
+    assert (code, out["spectrum"]) == (0, [spectrum])
+
+
+def test_heis_isometry_basis_outside_the_float_range_is_input_error(tmp_path, capsys):
+    # G = [[1/N, 1], [1, N + 1]] has L^{-1} = [[1, 0], [-N, 1]]: the spectrum
+    # (N^(1/4)) is a float, the normal-form basis has the entry -N
+    n = 10 ** 400
+    path = write(tmp_path, "pair.json", {"omega": [[0, 1], [-1, 0]],
+                                         "gram": [["1/%d" % n, 1], [1, str(n + 1)]]})
+    code, out = run_json(capsys, ["heis-spectrum", path])
+    assert (code, out["spectrum"]) == (0, ["1e+100"])
+    code, out = run_main(capsys, ["heis-isometry", path, path])
+    assert code == 2
+    assert "normal-form basis lies outside the float range" in out
+
+
 def test_heis_isometry_positive(tmp_path, capsys):
     def pair_doc(n, rbar):
         omega, gram = __import__("sublap.heisenberg", fromlist=["heisenberg_pair"]) \

@@ -287,3 +287,33 @@ def test_spectrum_beyond_the_float_range_is_rescaled_exactly():
         tuple(math.ldexp(v, -300) for v in r)
     with pytest.raises(ValueError, match="float range"):
         symplectic_spectrum(scaled(scaled(scaled(scaled(omega.matrix)))), gram)
+
+
+@pytest.mark.parametrize("k", [50, 101])
+def test_isometry_of_rescaled_pairs_satisfies_its_identities(k):
+    # within the float window (k = 50) and beyond it (k = 101), Psi maps the
+    # second structure to the first up to the tolerance, relative to the data
+    omega1, gram = heisenberg_pair(2, (1, 3))
+    gram1 = Metric(tuple(tuple(x * Rat(4) ** k for x in row) for row in gram.gram))
+    omega2, gram2 = heisenberg_pair(2, (2, 6))
+    psi, rho = build_isometry(omega1, gram1, omega2, gram2)
+    assert rho == pytest.approx(2.0 ** -(k + 1), rel=1e-9)
+
+    def floats(m):
+        return np.array([[float(x) for x in row] for row in m])
+
+    assert np.abs(psi.T @ floats(gram1.gram) @ psi - floats(gram2.gram)).max() < 1e-8
+    assert np.abs(psi.T @ floats(omega1.matrix) @ psi / rho ** 2
+                  - floats(omega2.matrix)).max() < 1e-8
+    omega3, gram3 = heisenberg_pair(2, (1, 5))
+    gram3 = Metric(tuple(tuple(x * Rat(4) ** k for x in row) for row in gram3.gram))
+    with pytest.raises(NoIsometry):
+        build_isometry(omega1, gram1, omega3, gram3)
+
+
+def test_isometry_ratio_outside_the_float_range_is_an_error():
+    omega, gram = heisenberg_pair(1, (1,))
+    big = Rat(10) ** 400
+    with pytest.raises(ValueError, match="ratio lies outside the float range"):
+        isometry_decision(tuple(tuple(x * big for x in row) for row in omega.matrix), gram,
+                          tuple(tuple(x / big for x in row) for row in omega.matrix), gram)

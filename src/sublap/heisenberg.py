@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 
 from . import linalg
@@ -145,32 +146,39 @@ def _orthonormal_skew(omega, gram):
     return s, a, (linv, b, scale)
 
 
-def symplectic_spectrum(omega, gram, tolerance: float = 1e-9) -> SymplecticSpectrum:
-    """The increasing invariants r_i of the pair (omega, G).
+_NormalForm = namedtuple("_NormalForm", "r s w v guard factors")
 
-    Raises ValueError if the squared eigenvalues of the orthonormal-gauge
-    skew matrix fail to split into n near-equal positive pairs within the
-    tolerance (which signals inconsistent input data).  The tolerance is
-    relative to the largest squared eigenvalue, so the verdict is the same
-    for the pair and for every positive multiple of it.
+
+def _normal_form(omega, gram, tolerance) -> _NormalForm:
+    """Reduce the pair once: the invariants r, the orthonormal-gauge skew
+    matrix s with the factors (L^{-1}, b, scale) of its change of basis, the
+    increasing eigenvalues w and orthonormal eigenvectors v of s^T s, and the
+    guard tolerance * w_max they were checked with.
+
+    SymplecticForm and Metric have decided nondegeneracy and positive
+    definiteness exactly; these are the only guards on the float
+    eigenvalues.  Relative to w_max, they give a pair and its multiples the
+    same kind of verdict, and refuse w_0 < -guard, a pair (w_2k, w_2k+1)
+    further apart than the guard, a smallest mu^2 = r^4 below it (so
+    r_max / r_min over tolerance^(-1/4)) and an r outside the float range.
     """
     import numpy as np
 
     omega, gram = _coerce_pair(omega, gram)
-    s, shift, _ = _orthonormal_skew(omega, gram)
-    w = np.linalg.eigvalsh(s.T @ s)
-    size = omega.dim
+    s, shift, factors = _orthonormal_skew(omega, gram)
+    w, v = np.linalg.eigh(s.T @ s)
     guard = tolerance * float(w[-1])
     if w[0] < -guard:
         raise ValueError("negative squared eigenvalue; inconsistent input")
     r = []
-    for k in range(size // 2):
+    for k in range(omega.dim // 2):
         a, b = w[2 * k], w[2 * k + 1]
         if abs(a - b) > guard:
             raise ValueError("eigenvalues do not pair within tolerance")
         mu_sq = (a + b) / 2.0
         if mu_sq <= guard:
-            raise ValueError("vanishing eigenvalue; degenerate symplectic form")
+            raise ValueError("smallest squared eigenvalue is below the tolerance "
+                             "relative to the largest")
         try:
             value = math.ldexp(mu_sq**0.25, shift)
         except OverflowError:
@@ -178,25 +186,34 @@ def symplectic_spectrum(omega, gram, tolerance: float = 1e-9) -> SymplecticSpect
         if not 0 < value < math.inf:
             raise ValueError("spectrum lies outside the float range")
         r.append(value)
-    return SymplecticSpectrum(tuple(r), tolerance)
+    return _NormalForm(tuple(r), s, w, v, guard, factors)
+
+
+def symplectic_spectrum(omega, gram, tolerance: float = 1e-9) -> SymplecticSpectrum:
+    """The increasing invariants r_i of the pair (omega, G).  Raises
+    ValueError when the float eigenvalues fail the guards of _normal_form."""
+    return SymplecticSpectrum(_normal_form(omega, gram, tolerance).r, tolerance)
+
+
+def _ratio(r1, r2, tolerance):
+    """The comparison of isometry_decision on the invariants r1 and r2."""
+    if len(r1) != len(r2):
+        return None
+    rho = r1[0] / r2[0]
+    if not 0 < rho < math.inf:
+        raise ValueError("conformal ratio lies outside the float range")
+    guard = tolerance * max(r1)
+    if any(abs(a - rho * b) > guard for a, b in zip(r1, r2)):
+        return None
+    return rho
 
 
 def isometry_decision(omega1, gram1, omega2, gram2, tolerance: float = 1e-9):
     """Conformal ratio rho with r1 = rho * r2 (componentwise within the
     tolerance, relative to the largest r1), or None when the normalized
     spectra differ.  Raises ValueError when rho leaves the float range."""
-    s1 = symplectic_spectrum(omega1, gram1, tolerance)
-    s2 = symplectic_spectrum(omega2, gram2, tolerance)
-    if s1.n != s2.n:
-        return None
-    rho = s1.r[0] / s2.r[0]
-    if not 0 < rho < math.inf:
-        raise ValueError("conformal ratio lies outside the float range")
-    guard = tolerance * max(s1.r)
-    for a, b in zip(s1.r, s2.r):
-        if abs(a - rho * b) > guard:
-            return None
-    return rho
+    return _ratio(_normal_form(omega1, gram1, tolerance).r,
+                  _normal_form(omega2, gram2, tolerance).r, tolerance)
 
 
 def _basis_entry(x) -> float:
@@ -210,45 +227,27 @@ def _basis_entry(x) -> float:
     return value
 
 
-def _normal_form_basis(omega, gram, tolerance):
+def _normal_form_basis(form: _NormalForm):
     """Basis U with U^T G U = 1 and U^T omega U = [[0, D], [-D, 0]],
-    D = diag(r_i^2) increasing, as floats."""
+    D = diag(r_i^2) increasing, as floats, from the pair's reduction.  Its
+    guards leave each (w_2k, w_2k+1) within the guard, so a cluster of equal
+    eigenvalues starts only at an even index; every column left to split
+    into planes has norm above 1e-6."""
     import numpy as np
 
-    s, _, (linv, b, scale) = _orthonormal_skew(omega, gram)
-    size = omega.dim
+    _, s, w, v, guard, (linv, b, scale) = form
+    size = len(w)
     q = np.empty((size, size))
     for i, row in enumerate(linalg.transpose(linv)):
         for j, x in enumerate(row):
             q[i, j] = _basis_entry(x / Rat(2) ** b[j] if b[j] else x) * scale[j]
-    t = s.T @ s
-    w, v = np.linalg.eigh(t)
-    guard = tolerance * float(w[-1])
-    if w[0] < guard:
-        raise ValueError("vanishing eigenvalue; degenerate symplectic form")
-    # cluster equal eigenvalues so multiplicity is handled uniformly
-    clusters = []
-    start = 0
-    for i in range(1, size):
-        if w[i] - w[i - 1] > guard:
-            clusters.append((start, i))
-            start = i
-    clusters.append((start, size))
+    bounds = [0] + [i for i in range(2, size, 2) if w[i] - w[i - 1] > guard] + [size]
     xs, ys, mus = [], [], []
-    for lo, hi in clusters:
-        if (hi - lo) % 2 != 0:
-            raise ValueError("eigenvalues do not pair within tolerance")
+    for lo, hi in zip(bounds, bounds[1:]):
         mu = math.sqrt(float(np.mean(w[lo:hi])))
         cols = [v[:, i].copy() for i in range(lo, hi)]
         while cols:
-            x = None
-            for cand in cols:
-                norm = np.linalg.norm(cand)
-                if norm > 1e-6:
-                    x = cand / norm
-                    break
-            if x is None:
-                raise ValueError("eigenvector cluster collapsed; inconsistent input")
+            x = cols[0] / np.linalg.norm(cols[0])
             y = (s @ x) / mu
             # invariant plane found: omega(y, x) = mu in the orthonormal gauge
             xs.append(y)
@@ -268,13 +267,12 @@ def build_isometry(omega1, gram1, omega2, gram2, tolerance: float = 1e-9):
     spectra differ."""
     import numpy as np
 
-    omega1, gram1 = _coerce_pair(omega1, gram1)
-    omega2, gram2 = _coerce_pair(omega2, gram2)
-    rho = isometry_decision(omega1, gram1, omega2, gram2, tolerance)
+    form1 = _normal_form(omega1, gram1, tolerance)
+    form2 = _normal_form(omega2, gram2, tolerance)
+    rho = _ratio(form1.r, form2.r, tolerance)
     if rho is None:
         raise NoIsometry("normalized symplectic spectra differ")
-    psi = _normal_form_basis(omega1, gram1, tolerance) @ np.linalg.inv(
-        _normal_form_basis(omega2, gram2, tolerance))
+    psi = _normal_form_basis(form1) @ np.linalg.inv(_normal_form_basis(form2))
     return psi, rho
 
 

@@ -332,6 +332,24 @@ class Polynomial:
 # (x1 + x2 + x3)^50 (1326 terms) in 0.1 s.
 TERM_BUDGET = 1500
 
+# The most coefficient bits Polynomial.parse lets one power or product make.
+# A polynomial with absolute numerators summing to s over the denominator d
+# has coefficients of at most ceil(log2(s d)) bits (numerator and denominator
+# together); its k-th power has at most k times that, and a product at most
+# the sum of its factors' bounds.  A power or product whose bound is over the
+# budget is refused before it is computed.  ceil(log2 1) = 0, so x1^99999999
+# is never refused.  Under both budgets (x1 + 1)^1499 (1499 bits) still
+# parses in 1.3 s and (x1 + 3)^1024 (2048 bits) in 0.8 s, while
+# (x1 + 10^100)^300 and (3*x1)^9999999, which took 7.9 s and 5.9 s, are
+# refused at once.
+COEFF_BIT_BUDGET = 2048
+
+
+def _coeff_bits(p: Polynomial) -> int:
+    """ceil(log2(s d)), s the sum of p's absolute numerators and d its
+    denominator: a bound on the bits of each coefficient of p."""
+    return (max(sum(map(abs, p._num.values())) * p._den, 1) - 1).bit_length()
+
 
 _TOKEN = re.compile(r"\s*(?:(\d+(?:/\d+)?)|(x\d+)|([+\-*^()]))")
 
@@ -402,6 +420,10 @@ def _parse_polynomial(text: str, nvars: int) -> Polynomial:
                 raise ValueError("product of %d-term and %d-term factors takes %d term "
                                  "products, over the term budget of %d"
                                  % (len(out._num), len(factor._num), pairs, TERM_BUDGET))
+            bits = _coeff_bits(out) + _coeff_bits(factor)
+            if bits > COEFF_BIT_BUDGET:
+                raise ValueError("product may have coefficients of %d bits, over the "
+                                 "coefficient budget of %d bits" % (bits, COEFF_BIT_BUDGET))
             out = out * factor
         return out
 
@@ -419,6 +441,10 @@ def _parse_polynomial(text: str, nvars: int) -> Polynomial:
                                     or comb(t + k - 1, k) > TERM_BUDGET):
                 raise ValueError("power %d of a %d-term polynomial may have more terms "
                                  "than the term budget of %d" % (k, t, TERM_BUDGET))
+            bits = k * _coeff_bits(base)
+            if bits > COEFF_BIT_BUDGET:
+                raise ValueError("power %d may have coefficients of %d bits, over the "
+                                 "coefficient budget of %d bits" % (k, bits, COEFF_BIT_BUDGET))
             base = base ** k
         return base
 

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import gallery
 from sublap.cli import RunConfig, main, run
-from sublap.polynomial import TERM_BUDGET
+from sublap.polynomial import COEFF_BIT_BUDGET, TERM_BUDGET
 from sublap.specfiles import group_to_dict, polymap_to_dict
 from sublap.heisenberg import heisenberg_group
 from sublap.catalog import engel_group
@@ -347,6 +347,90 @@ def test_heis_isometry_negative(tmp_path, capsys):
     assert doc["verdict"] == "no-isometry"
 
 
+def _golden_pairs():
+    """Named (omega, gram) documents: diagonal, congruent, rescaled by 4^101,
+    with 10^400 entries and 10^-12 J."""
+    from fractions import Fraction
+    from sublap.heisenberg import heisenberg_pair
+
+    def doc(omega, gram):
+        return {"omega": [[str(x) for x in row] for row in omega],
+                "gram": [[str(x) for x in row] for row in gram]}
+
+    def diagonal(rbar, gram_scale=1):
+        omega, gram = heisenberg_pair(len(rbar), rbar)
+        return omega.matrix, [[x * gram_scale for x in row] for row in gram.gram]
+
+    def congruent(p, m):
+        return [[sum(p[k][i] * m[k][l] * p[l][j] for k in range(4) for l in range(4))
+                 for j in range(4)] for i in range(4)]
+
+    big, tiny = 10 ** 400, Fraction(1, 10 ** 12)
+    omega13, gram13 = diagonal((1, 3))
+    p = [[1, 2, 0, 1], [0, 1, 0, 0], [1, 0, 1, 0], [0, 0, 3, 1]]
+    return {
+        "diagonal": doc(omega13, gram13),
+        "congruent": doc(congruent(p, omega13), congruent(p, [[4 * x for x in row]
+                                                               for row in gram13])),
+        "rescaled": doc(*diagonal((1, 3), 4 ** 101)),
+        "double": doc(*diagonal((2, 2))),
+        "other": doc(*diagonal((1, 5))),
+        "plane": doc(*diagonal((3,))),
+        "huge": doc([[0, big], [-big, 0]], [[big, 0], [0, big]]),
+        "huge_omega": doc([[0, big], [-big, 0]], [[1, 0], [0, 1]]),
+        "huge_gram": doc([[0, 1], [-1, 0]], [[big, 0], [0, big]]),
+        "tiny": doc([[0, tiny], [-tiny, 0]], [[1, 0], [0, 1]]),
+    }
+
+
+def _psi_residuals(lines, doc1, doc2):
+    """Exact residuals of Psi^T G1 Psi = G2 and Psi^T omega1 Psi = rho^2 omega2
+    for the printed Psi and rho, each relative to its right-hand side."""
+    from fractions import Fraction
+
+    psi = [[Fraction(x) for x in line[len("psi row: ("):-1].split(", ")]
+           for line in lines if line.startswith("psi row: ")]
+    rho = Fraction(next(line for line in lines if line.startswith("ratio: "))[7:])
+    size = len(psi)
+
+    def residual(lhs, rhs, factor):
+        lhs = [[Fraction(x) for x in row] for row in lhs]
+        rhs = [[factor * Fraction(x) for x in row] for row in rhs]
+        worst = max(abs(sum(psi[k][i] * lhs[k][l] * psi[l][j]
+                            for k in range(size) for l in range(size)) - rhs[i][j])
+                    for i in range(size) for j in range(size))
+        return worst / max(abs(x) for row in rhs for x in row)
+
+    return (residual(doc1["gram"], doc2["gram"], 1),
+            residual(doc1["omega"], doc2["omega"], rho * rho))
+
+
+def test_heis_text_reports_match_the_golden_file(tmp_path, capsys):
+    # the verdict, spectrum and ratio lines of heis-spectrum and of
+    # heis-isometry on every ordered couple of the pairs, byte for byte; Psi
+    # is checked through its two identities, not its digits
+    docs = _golden_pairs()
+    paths = {name: write(tmp_path, "%s.json" % name, doc) for name, doc in docs.items()}
+    out = []
+
+    def report(command, names, keep):
+        code, text = run_main(capsys, [command] + [paths[name] for name in names])
+        lines = text.replace(str(tmp_path), "DIR").splitlines()
+        out.append("## %s (exit %d)\n" % (" ".join([command] + names), code))
+        out.extend(line + "\n" for line in lines if line.startswith(keep + ("error:",)))
+        return code, lines
+
+    for name in docs:
+        report("heis-spectrum", [name], ("verdict:", "spectrum:"))
+    for first in docs:
+        for second in docs:
+            code, lines = report("heis-isometry", [first, second], ("verdict:", "ratio:"))
+            if code == 0:
+                assert max(_psi_residuals(lines, docs[first], docs[second])) < 1e-9
+    golden = Path(__file__).resolve().parent / "golden" / "heisenberg_cli.txt"
+    assert "".join(out) == golden.read_text()
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
 def test_heis_isometry_rejects_nonfinite_tolerance(tmp_path, capsys, tol):
     from sublap.heisenberg import heisenberg_pair
@@ -431,6 +515,21 @@ def test_analyze_map_term_budget(tmp_path, capsys):
     assert code == 2
     assert "field components[2]" in out
     assert "term budget of %d" % TERM_BUDGET in out
+
+
+@pytest.mark.parametrize("component", ["(x1+10^100)^300", "(3*x1)^9999999"])
+def test_analyze_map_coefficient_budget(tmp_path, capsys, component):
+    # both powers are within the term budget; their coefficient bounds
+    # (99900 and 19999998 bits) are refused before either power is computed
+    import time
+    src = write(tmp_path, "h1.json", H1_DOC)
+    fmap = write(tmp_path, "wide.json", {"source_dim": 3, "components": ["x1", component, "x3"]})
+    start = time.perf_counter()
+    code, out = run_main(capsys, ["analyze-map", src, src, fmap])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "field components[2]" in out
+    assert "coefficient budget of %d bits" % COEFF_BIT_BUDGET in out
 
 
 def test_json_booleans_are_not_dimensions(tmp_path, capsys):

@@ -17,7 +17,7 @@ from sublap.conformal import (PROBE_BUDGET, CommutationReport, FrameDecision,
                               commutation_residuals, frames_equivalent,
                               homothetic_characterizations,
                               is_homothetic_projection)
-from sublap.operators import cometric, pullback_operator
+from sublap.operators import cometric, polarization_residuals, pullback_operator
 from sublap.polynomial import Polynomial, PolyMap, monomials_up_to
 from sublap.rational import Rat
 
@@ -390,6 +390,19 @@ def test_analysis_agrees_with_degree_4_probes():
             assert (report.lambda_sq, report.b) == (lam_sq, b)
         verdicts.append(report.conformal)
     assert verdicts.count(True) == 8
+
+
+def test_drift_is_horizontal_once_contact_holds():
+    # b_c = sum_jk g^{jk} v_k~((DF B_G)_cj): contact puts DF B_G, and so every
+    # derivative of it, in span B_H, which is why analyze_commutation checks
+    # no horizontality of b
+    for F, source, target in gallery_maps() + analyzer_rejections():
+        report = analyze_commutation(F, source, target)
+        if report.conformal:
+            assert polarization_residuals((report.b,), target) == (), F
+        if report.contact:
+            drift = pullback_operator(F, source, target).first
+            assert polarization_residuals((drift,), target) == (), F
 
 
 def test_pullback_first_order_matches_trace_oracle():

@@ -317,3 +317,27 @@ def test_isometry_ratio_outside_the_float_range_is_an_error():
     with pytest.raises(ValueError, match="ratio lies outside the float range"):
         isometry_decision(tuple(tuple(x * big for x in row) for row in omega.matrix), gram,
                           tuple(tuple(x / big for x in row) for row in omega.matrix), gram)
+
+
+def test_each_pair_is_reduced_once(monkeypatch):
+    # one exact LDL^T and one eigendecomposition per pair, shared by the
+    # spectrum, the ratio and the normal-form basis
+    o1, g1 = heisenberg_pair(2, (1, 2))
+    o2, g2 = heisenberg_pair(2, (2, 4))
+    calls = []
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(linalg, "ldl_pd", counted("ldl_pd", linalg.ldl_pd))
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted("eig", getattr(np.linalg, name)))
+    for call, pairs in ((lambda: symplectic_spectrum(o1, g1), 1),
+                        (lambda: isometry_decision(o1, g1, o2, g2), 2),
+                        (lambda: build_isometry(o1, g1, o2, g2), 2)):
+        calls.clear()
+        call()
+        assert sorted(calls) == ["eig"] * pairs + ["ldl_pd"] * pairs

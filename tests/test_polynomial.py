@@ -3,8 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import coeff_of, pad, truncate
-from sublap.polynomial import (TERM_BUDGET, MapPowers, Polynomial, PolyMap, PolyVectorField,
-                               monomials_up_to)
+from sublap.polynomial import (COEFF_BIT_BUDGET, TERM_BUDGET, MapPowers, Polynomial, PolyMap,
+                               PolyVectorField, monomials_up_to)
 from sublap.rational import Rat, is_rat
 
 coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=5).map(
@@ -54,6 +54,24 @@ def test_parse_term_budget():
     with pytest.raises(ValueError, match="2000 term products"):
         Polynomial.parse(sum_of_powers("x1", 40) + "*" + right, 2)
     assert len(Polynomial.parse(sum_of_powers("x1", 30) + "*" + right, 2).terms) == 1500
+
+
+def test_parse_coefficient_budget():
+    # the k-th power of p may have coefficients of k * ceil(log2(s d)) bits
+    # (s the sum of p's absolute numerators, d its denominator), a product
+    # the sum of its factors' bounds; for 2*x1 and its powers the bounds are
+    # exact
+    assert Polynomial.parse("(2*x1)^2048", 1) == Polynomial.parse("%d*x1^2048" % 2 ** 2048, 1)
+    assert Polynomial.parse("(2*x1)^1024 * (2*x1)^1024", 1) == \
+        Polynomial.parse("(2*x1)^2048", 1)
+    for text, bits in (("(2*x1)^2049", 2049), ("(2*x1)^1024 * (2*x1)^1025", 2049),
+                       ("(x1+10^100)^300", 99900), ("(3*x1)^9999999", 19999998)):
+        with pytest.raises(ValueError, match="coefficients of %d bits, over the coefficient "
+                                             "budget of %d bits" % (bits, COEFF_BIT_BUDGET)):
+            Polynomial.parse(text, 1)
+    # ceil(log2 1) = 0: a one-term power with a unit coefficient is never refused
+    assert Polynomial.parse("x1^99999999", 1).degree() == 99999999
+    assert len(Polynomial.parse("(x1+1)^1499", 1).terms) == 1500
 
 
 def test_parse_rejects_garbage():

@@ -12,8 +12,9 @@ from .algebra import (LieAlgebra, Metric, NotStratifiable, Polarization,
                       nilpotency_step, stratify, subriemannian_group, validate)
 from .calculus import (NotNilpotent, bch_product, dilation, dynkin_terms,
                        group_product_map, left_invariant_field,
-                       left_translation, left_translation_jacobian,
-                       lie_derivative, lie_differential, right_translation,
+                       horizontal_differential, left_translation,
+                       left_translation_jacobian, lie_derivative,
+                       lie_differential, right_translation,
                        second_lie_differential)
 from .catalog import abelian_group, engel_algebra, engel_group, sl2_algebra
 from .conformal import (CommutationReport, FrameDecision, NotConformal,
@@ -38,7 +39,8 @@ __all__ = [
     "SubRiemannianGroup", "ValidationReport", "bracket_generating",
     "nilpotency_step", "stratify", "subriemannian_group", "validate",
     "NotNilpotent", "bch_product", "dilation", "dynkin_terms",
-    "group_product_map", "left_invariant_field", "left_translation",
+    "group_product_map", "horizontal_differential", "left_invariant_field",
+    "left_translation",
     "left_translation_jacobian", "lie_derivative", "lie_differential",
     "right_translation", "second_lie_differential",
     "abelian_group", "engel_algebra", "engel_group", "sl2_algebra",

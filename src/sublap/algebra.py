@@ -43,6 +43,15 @@ class LieAlgebra:
         normal = tuple(sorted((k, v) for k, v in seen.items() if v != 0))
         object.__setattr__(self, "structure_constants", normal)
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.dim, self.structure_constants))
+
+    def __hash__(self) -> int:
+        # the per-algebra caches look the algebra up on every call; hash the
+        # fields that __eq__ compares once per instance, not on each lookup
+        return self._hash
+
     @staticmethod
     def from_table(dim: int, table) -> "LieAlgebra":
         """Build from a raw {(i, j, k): c} mapping (kept verbatim)."""
@@ -213,7 +222,7 @@ def _grow_independent(span, basis_list, candidates):
     of newly added vectors."""
     added = []
     for v in candidates:
-        if span.insert(v):
+        if any(v) and span.insert(v):
             v = tuple(v)
             basis_list.append(v)
             added.append(v)
@@ -349,6 +358,14 @@ class SubRiemannianGroup:
     metric: Metric
     step: object  # int | None
     strata: object  # tuple of layers | None
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.algebra, self.polarization, self.metric, self.step, self.strata))
+
+    def __hash__(self) -> int:
+        # as LieAlgebra: the fields __eq__ compares, hashed once per instance
+        return self._hash
 
     @property
     def dim(self) -> int:

@@ -239,15 +239,33 @@ def lie_differential(F: PolyMap, source: SubRiemannianGroup, target: SubRiemanni
     of F.
     """
     _check_map(F, source, target)
-    term = poly_mat_mul(F.jacobian(), left_translation_jacobian(source))
+    return _differential(F, target, left_translation_jacobian(source))
+
+
+def horizontal_differential(F: PolyMap, source: SubRiemannianGroup,
+                            target: SubRiemannianGroup) -> tuple:
+    """DF B_G, the target_dim x rank matrix of Polynomial in the source
+    coordinates whose column j is DF applied to the j-th polarization basis
+    vector of the source.  Taken as Lambda_H(F)^{-1} JF (Lambda_G B_G), the
+    closed form of lie_differential on the source's horizontal frame
+    (GroupTables.horizontal_frame), without building the full DF."""
+    _check_map(F, source, target)
+    return _differential(F, target, source.tables.horizontal_frame)
+
+
+def _differential(F: PolyMap, target: SubRiemannianGroup, columns) -> tuple:
+    """Lambda_H(F)^{-1} JF columns, for a matrix columns of Polynomial in the
+    source coordinates with one row per source coordinate."""
+    term = poly_mat_mul(F.jacobian(), columns)
     neg_ad = target.algebra.ad_matrix(tuple(-c for c in F.components))
     out = term
     for k in range(2, target.step + 1):
-        # term = (-ad_F)^(k-1) JF Lambda_G / k!
-        term = poly_mat_mul(neg_ad, tuple(tuple(e * Rat(1, k) for e in row) for row in term))
+        # term = (-ad_F)^(k-1) JF columns / k!
+        term = poly_mat_mul(neg_ad, term, k)
         if not any(any(row) for row in term):
             break
-        out = tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(out, term))
+        out = tuple(tuple(a + b if b else a for a, b in zip(ra, rb))
+                    for ra, rb in zip(out, term))
     return out
 
 
@@ -260,7 +278,7 @@ def second_lie_differential(F: PolyMap, source: SubRiemannianGroup,
     Not symmetric in (i, j) in general; the cometric contraction used for
     trace terms only sees the symmetric part.  A caller that already holds
     DF = lie_differential(F, source, target) passes it as df.  The operators
-    take that trace from the derivatives of DF directly
+    take that trace from the derivatives of DF B_G directly
     (operators.pushforward_first); this full array is the independent
     reference they are checked against.
     """

@@ -22,10 +22,10 @@ from typing import Optional
 
 from . import linalg
 from .algebra import SubRiemannianGroup
-from .calculus import lie_differential, require_step
+from .calculus import horizontal_differential, require_step
 from .operators import cometric, frame_components, polarization_residuals, pullback_operator, \
     pushforward_first, pushforward_second
-from .polynomial import Polynomial, PolyMap, monomials_up_to, poly_mat_mul
+from .polynomial import Polynomial, PolyMap, monomials_up_to
 from .rational import Rat, rat
 
 
@@ -283,17 +283,15 @@ def _conformal_factor(c, qh):
     for i in range(m):
         for j in range(m):
             want = lam_sq * qh[i][j] if qh[i][j] else Polynomial.zero(n)
-            diff = c[i][j] - want
-            if diff:
-                mismatches.append(diff)
+            if c[i][j] != want:
+                mismatches.append(c[i][j] - want)
     return lam_sq, tuple(mismatches)
 
 
-def _contact_residuals(df, source, target) -> tuple:
-    """Components of DF B_G outside the target polarization (empty when DF is
-    contact), annihilator by annihilator and column by column."""
-    return polarization_residuals(zip(*poly_mat_mul(df, source.tables.polarization_poly)),
-                                  target)
+def _contact_residuals(db, target) -> tuple:
+    """Components of DB = DF B_G outside the target polarization (empty when
+    DF is contact), annihilator by annihilator and column by column."""
+    return polarization_residuals(zip(*db), target)
 
 
 def commutation_residuals(F: PolyMap, lambda_sq, b, source: SubRiemannianGroup,
@@ -356,25 +354,29 @@ def analyze_commutation(F: PolyMap, source: SubRiemannianGroup,
 
     Stages: (1) contact compatibility of DF, (2) exact factorization
     DF Q_G DF^T = lambda_sq Q_H, (3) the drift b, the first-order table of
-    the pullback of Delta_G.  Both tables come from the pushforward assembly
-    at DF; the first-order one is built only once stage (2) has passed.
+    the pullback of Delta_G.  All three read only the horizontal
+    differential DB = DF B_G (horizontal_differential): DF is contact when
+    DB takes values in the target polarization, DF Q_G DF^T = DB G^{-1} DB^T,
+    and both tables come from the pushforward assembly at DB; the
+    first-order one is built only once stage (2) has passed.
     Stage (2) makes the second-order table of the commutation residual zero
     and b is its first-order table, so the verdict is exact (see
     commutation_residuals).  b needs no horizontality check:
-    b_c = sum_jk g^{jk} v_k~((DF B_G)_cj), and after (1) DF B_G, hence every
-    derivative of it, takes values in the fixed subspace span B_H.
+    b_c = sum_j w_j(DB_cj) with w_j = sum_k g^{jk} v_k~, and after (1) DB,
+    hence every derivative of it, takes values in the fixed subspace span B_H.
     probe_degree is validated and echoed in the report; no probe is run.
     """
     if probe_degree < 2:
         raise ValueError("probe_degree must be at least 2")
-    df = lie_differential(F, source, target)
+    db = horizontal_differential(F, source, target)
 
-    contact_bad = _contact_residuals(df, source, target)
+    contact_bad = _contact_residuals(db, target)
     if contact_bad:
         return CommutationReport(False, False, None, None, probe_degree,
                                  contact_bad, "differential leaves the polarization")
 
-    c = pushforward_second(df, source)
+    tables = source.tables
+    c = pushforward_second(db, tables.gram_inverse)
     qh = cometric(target).matrix
     lam_sq, mismatches = _conformal_factor(c, qh)
     if mismatches:
@@ -384,7 +386,7 @@ def analyze_commutation(F: PolyMap, source: SubRiemannianGroup,
         return CommutationReport(True, False, None, None, probe_degree,
                                  (lam_sq,), "conformal factor is not positive")
 
-    return CommutationReport(True, True, lam_sq, pushforward_first(df, source),
+    return CommutationReport(True, True, lam_sq, pushforward_first(db, tables.gradient_fields),
                              probe_degree, (), "")
 
 
@@ -396,12 +398,14 @@ def b_vector(F: PolyMap, lambda_sq, source: SubRiemannianGroup,
     Raises NotConformal unless DF satisfies the contact condition and
     DF Q_G DF^T = lambda_sq Q_H exactly.
     """
-    df = lie_differential(F, source, target)
-    if _contact_residuals(df, source, target):
+    db = horizontal_differential(F, source, target)
+    if _contact_residuals(db, target):
         raise NotConformal("differential does not preserve the polarization")
     if not isinstance(lambda_sq, Polynomial):
         lambda_sq = Polynomial.constant(rat(lambda_sq), source.dim)
-    factor, mismatches = _conformal_factor(pushforward_second(df, source), cometric(target).matrix)
+    tables = source.tables
+    factor, mismatches = _conformal_factor(pushforward_second(db, tables.gram_inverse),
+                                           cometric(target).matrix)
     if mismatches or factor != lambda_sq:
         raise NotConformal("cometric image is not lambda_sq times the target cometric")
-    return pushforward_first(df, source)
+    return pushforward_first(db, tables.gradient_fields)

@@ -1,17 +1,22 @@
 """Horizontal differential operators with exact polynomial coefficients.
 
 The sub-Laplacian is the divergence-form operator sum_jk X_j(g^{jk} X_k u)
-built from the left-invariant frame of the polarization, with respect to
-Lebesgue measure (= Haar in exponential coordinates).  Through the cometric
-Q = B G^{-1} B^T it reads sum_ab Q_ab e_a~ e_b~, and one assembly
-(pushforward_second, pushforward_first) pushes that operator through a field
-matrix: the left-translation Jacobian gives the sub-Laplacian itself, the
-Lie differential of a map gives its pullback along the map.
+built from the left-invariant frame v_1~, ..., v_r~ of the polarization,
+with respect to Lebesgue measure (= Haar in exponential coordinates).  With
+w_j = sum_k g^{jk} v_k~ it reads sum_j v_j~ w_j.  One assembly
+(pushforward_second, pushforward_first) pushes that operator through a
+horizontal differential DB, the field matrix on the polarization basis only
+(one column per basis vector v_j): the second-order table is
+DB G^{-1} DB^T, which is DF Q DF^T for the cometric Q = B G^{-1} B^T and
+DB = DF B, and the first-order table is first_c = sum_j w_j(DB_cj).  At the
+horizontal frame DB = Lambda_G B (GroupTables.horizontal_frame) it gives the
+sub-Laplacian itself, at DB = horizontal_differential(F) its pullback along
+the map F.  The full differential DF is never built.
 
 There is no drift term.  The coordinate calculus requires a nilpotent group
 (require_step), and a nilpotent group is unimodular (tr ad_x = 0): Haar
 measure is bi-invariant, every left-invariant field is divergence free, and
-the divergence-form operator is exactly sum_ab Q_ab e_a~ e_b~.
+the divergence-form operator is exactly sum_jk g^{jk} v_j~ v_k~.
 """
 
 from __future__ import annotations
@@ -21,10 +26,9 @@ from functools import cached_property, lru_cache
 
 from . import linalg
 from .algebra import SubRiemannianGroup
-from .calculus import left_invariant_field, left_translation_jacobian, lie_differential, \
-    require_step
-from .polynomial import MapPowers, Polynomial, PolyMap, PolyVectorField, const_poly_matrix, \
-    poly_mat_mul, sum_of_products
+from .calculus import horizontal_differential, left_translation_jacobian, require_step
+from .polynomial import MapPowers, Polynomial, PolyMap, PolyVectorField, linear_combination, \
+    poly_mat_mul, poly_rat_mat_mul, sum_of_products
 from .rational import rat
 
 
@@ -55,7 +59,8 @@ class GroupTables:
     With B the polarization's column matrix and G the Gram matrix, the
     rational constants are G^{-1}, the cometric Q = B G^{-1} B^T, the
     annihilators y of B (y B = 0) and a left inverse L of B (L B = 1); the
-    others are constant Polynomial tables built from them.
+    others are Polynomial tables built from them and the left-translation
+    Jacobian Lambda.
     """
 
     def __init__(self, group: SubRiemannianGroup):
@@ -83,21 +88,18 @@ class GroupTables:
         return linalg.mat_mul(linalg.inverse(linalg.mat_mul(bt, linalg.transpose(bt))), bt)
 
     @cached_property
-    def polarization_poly(self) -> tuple:
-        """B as constant Polynomials."""
-        return const_poly_matrix(self.group.polarization.matrix(), self.group.dim)
+    def horizontal_frame(self) -> tuple:
+        """Lambda B, dim x rank: column j holds the coordinate components of
+        the left-invariant field v_j~ of the j-th polarization basis vector."""
+        return poly_rat_mat_mul(left_translation_jacobian(self.group),
+                                self.group.polarization.matrix())
 
     @cached_property
-    def cometric_poly(self) -> tuple:
-        """Q as constant Polynomials."""
-        return const_poly_matrix(self.cometric.matrix, self.group.dim)
-
-    @cached_property
-    def cometric_fields(self) -> tuple:
-        """(a, components of sum_b Q_ab e_b~) for the nonzero rows a of Q:
-        sum_b Q_ab e_b~ is the left-invariant field of row a."""
-        return tuple((a, left_invariant_field(row, self.group).components)
-                     for a, row in enumerate(self.cometric.matrix) if any(row))
+    def gradient_fields(self) -> tuple:
+        """Row j holds the coordinate components of w_j = sum_k g^{jk} v_k~,
+        the columns of Lambda B G^{-1}.  w_j u is the j-th frame component
+        of the horizontal gradient of u."""
+        return tuple(zip(*poly_rat_mat_mul(self.horizontal_frame, self.gram_inverse)))
 
     @cached_property
     def frame_derivatives(self) -> tuple:
@@ -158,53 +160,48 @@ class DifferentialOperator:
                      if (coeff := self.second_order[c][d]))
 
 
-def pushforward_second(df, group: SubRiemannianGroup) -> tuple:
-    """DF Q DF^T: the second-order table of Delta_G pushed through the field
-    matrix DF (rows Polynomial over the group's coordinates, one column per
-    algebra direction of the group), with Q the group's cometric."""
-    return poly_mat_mul(poly_mat_mul(df, group.tables.cometric_poly), tuple(zip(*df)))
+def pushforward_second(db, gram_inverse) -> tuple:
+    """DB G^{-1} DB^T: the second-order table of Delta_G pushed through the
+    horizontal differential DB (rows Polynomial over the group's
+    coordinates, one column per polarization basis vector), with G^{-1} the
+    inverse Gram matrix of the group."""
+    return poly_mat_mul(poly_rat_mat_mul(db, gram_inverse), tuple(zip(*db)))
 
 
-def pushforward_first(df, group: SubRiemannianGroup) -> tuple:
-    """The first-order table of Delta_G pushed through DF: entry c is
-    sum_ab Q_ab e_b~(DF[c][a]).  sum_b Q_ab e_b~ is the left-invariant field
-    of row a of Q, so only the rows of Q that are nonzero contribute."""
-    n = group.dim
-    fields = group.tables.cometric_fields
-    return tuple(sum_of_products(n, ((comp, entries[a].diff(k))
-                                     for a, comps in fields if entries[a]
+def pushforward_first(db, fields) -> tuple:
+    """The first-order table of Delta_G pushed through DB: entry c is
+    sum_j w_j(DB[c][j]), with fields[j] the coordinate components of
+    w_j = sum_k g^{jk} v_k~ (GroupTables.gradient_fields)."""
+    n = len(fields[0])
+    return tuple(sum_of_products(n, ((comp, entries[j].diff(k))
+                                     for j, comps in enumerate(fields) if entries[j]
                                      for k, comp in enumerate(comps) if comp))
-                 for entries in df)
+                 for entries in db)
 
 
 @lru_cache(maxsize=None)
 def sublaplacian(group: SubRiemannianGroup) -> DifferentialOperator:
     """The horizontal Laplacian sum_{jk} g^{jk} v_j~ v_k~ in coordinates: the
-    pushforward tables at DF = dL_p, since e_a~ = sum_k dL_p[k][a] d_k."""
+    pushforward tables at the horizontal frame DB = Lambda B, since
+    v_j~ = sum_k (Lambda B)[k][j] d_k."""
     require_step(group)
-    lam = left_translation_jacobian(group)
-    return DifferentialOperator(group.dim, pushforward_second(lam, group),
-                                pushforward_first(lam, group), Polynomial.zero(group.dim))
+    tables = group.tables
+    frame = tables.horizontal_frame
+    return DifferentialOperator(group.dim, pushforward_second(frame, tables.gram_inverse),
+                                pushforward_first(frame, tables.gradient_fields),
+                                Polynomial.zero(group.dim))
 
 
 def gradient(u: Polynomial, group: SubRiemannianGroup) -> tuple:
     """Horizontal gradient in frame components: the tuple gamma with
-    grad u = sum_j gamma_j v_j, gamma = G^{-1} (v_1~ u, ..., v_r~ u)."""
+    grad u = sum_j gamma_j v_j, gamma = G^{-1} (v_1~ u, ..., v_r~ u), that
+    is gamma_j = w_j u."""
     require_step(group)
     if u.nvars != group.dim:
         raise ValueError("argument has %d variables, expected %d" % (u.nvars, group.dim))
-    derivs = [left_invariant_field(v, group).apply(u) for v in group.polarization.basis]
-    return tuple(_combination(row, derivs) for row in group.tables.gram_inverse)
-
-
-def _combination(coeffs, polys) -> Polynomial:
-    """sum_i coeffs[i] polys[i], for rationals coeffs and Polynomials polys
-    in one number of variables."""
-    acc = Polynomial.zero(polys[0].nvars)
-    for x, p in zip(coeffs, polys):
-        if x and p:
-            acc = acc + p * x
-    return acc
+    du = [u.diff(k) for k in range(group.dim)]
+    return tuple(sum_of_products(group.dim, zip(comps, du))
+                 for comps in group.tables.gradient_fields)
 
 
 def polarization_residuals(vectors, group: SubRiemannianGroup) -> tuple:
@@ -214,7 +211,7 @@ def polarization_residuals(vectors, group: SubRiemannianGroup) -> tuple:
     exactly when every vector takes values in the polarization."""
     vectors = tuple(vectors)
     return tuple(r for y in group.tables.annihilators for v in vectors
-                 if (r := _combination(y, v)))
+                 if (r := linear_combination(v[0].nvars, zip(y, v))))
 
 
 def frame_components(vector, group: SubRiemannianGroup) -> tuple:
@@ -238,7 +235,7 @@ def frame_components(vector, group: SubRiemannianGroup) -> tuple:
                 for v in vector)
     if polarization_residuals((vec,), group):
         raise ValueError("vector does not take values in the polarization")
-    return tuple(_combination(row, vec) for row in group.tables.left_inverse)
+    return tuple(linear_combination(nv, zip(row, vec)) for row in group.tables.left_inverse)
 
 
 def divergence(X, group: SubRiemannianGroup) -> Polynomial:
@@ -324,9 +321,11 @@ class PullbackOperator:
 def pullback_operator(F: PolyMap, source: SubRiemannianGroup,
                       target: SubRiemannianGroup) -> PullbackOperator:
     """Push Delta_G through a polynomial map F: G -> H: the pushforward
-    tables at DF = lie_differential(F, source, target), frame-indexed on the
-    target.  second = DF Q_G DF^T, first is the cometric trace of the
-    derivatives of DF, zero vanishes."""
-    df = lie_differential(F, source, target)
-    return PullbackOperator(F, source, target, pushforward_second(df, source),
-                            pushforward_first(df, source), Polynomial.zero(source.dim))
+    tables at DB = horizontal_differential(F, source, target), frame-indexed
+    on the target.  second = DB G^{-1} DB^T, first_c = sum_j w_j(DB_cj),
+    zero vanishes."""
+    db = horizontal_differential(F, source, target)
+    tables = source.tables
+    return PullbackOperator(F, source, target, pushforward_second(db, tables.gram_inverse),
+                            pushforward_first(db, tables.gradient_fields),
+                            Polynomial.zero(source.dim))

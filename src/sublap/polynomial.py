@@ -486,9 +486,32 @@ def sum_of_products(nvars: int, pairs) -> Polynomial:
     return _weighted_sum(nvars, [(1, a, b) for a, b in pairs])
 
 
+def linear_combination(nvars: int, pairs) -> Polynomial:
+    """The sum of w * p over (w, p) pairs, with w rational and p a Polynomial
+    in nvars variables.  Every term is scaled to one common denominator and
+    accumulated on integer numerators."""
+    scaled = []
+    for w, p in pairs:
+        if p.nvars != nvars:
+            raise ValueError("expected polynomials in %d variables" % nvars)
+        w = rat(w)
+        if w and p:
+            scaled.append((int(w.numerator), int(w.denominator) * p._den, p._num))
+    common = lcm(*(den for _, den, _ in scaled))
+    out = {}
+    get = out.get
+    for k, den, num in scaled:
+        k *= common // den
+        for e, c in num.items():
+            out[e] = get(e, 0) + c * k
+    return _reduced(nvars, _nonzero(out), common)
+
+
 def _weighted_sum(nvars: int, triples, den: int = 1) -> Polynomial:
     """The sum of w * a * b / den over (w, a, b) triples, with w a nonzero
     int and a, b nonzero Polynomials in nvars variables."""
+    if not triples:
+        return _raw(nvars, {}, 1)
     common = lcm(*(a._den * b._den for _, a, b in triples))
     out = {}
     for w, a, b in triples:
@@ -659,14 +682,26 @@ class MapPowers:
 # -- matrices with polynomial entries -----------------------------------------
 
 
-def const_poly_matrix(matrix, nvars: int) -> tuple:
-    return tuple(tuple(Polynomial.constant(c, nvars) for c in row) for row in matrix)
+def poly_mat_mul(a, b, den: int = 1) -> tuple:
+    """The matrix product a b / den, for matrices of Polynomials in one number
+    of variables and a positive int den.  Each entry is one _weighted_sum over
+    the pairs whose factors are both nonzero."""
+    if not a or not b:
+        return tuple(() for _ in a)
+    nvars = a[0][0].nvars
+    rows = [[(i, x) for i, x in enumerate(row) if x] for row in a]
+    cols = [{i: y for i, y in enumerate(col) if y} for col in zip(*b)]
+    return tuple(tuple(_weighted_sum(nvars, [(1, x, col[i]) for i, x in row if i in col], den)
+                       for col in cols)
+                 for row in rows)
 
 
-def poly_mat_mul(a, b) -> tuple:
-    bt = tuple(zip(*b))
-    return tuple(tuple(sum_of_products(row[0].nvars, zip(row, col)) for col in bt)
-                 for row in a)
+def poly_rat_mat_mul(a, m) -> tuple:
+    """The matrix product a m, for a matrix a of Polynomials in nvars
+    variables and a matrix m of rationals."""
+    nvars = a[0][0].nvars
+    cols = tuple(zip(*m))
+    return tuple(tuple(linear_combination(nvars, zip(col, row)) for col in cols) for row in a)
 
 
 def poly_mat_eval(a, point) -> tuple:

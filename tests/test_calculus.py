@@ -14,13 +14,14 @@ from oracles import (bch_lie_differential, curve_derivative, heisenberg_rep,
 from conftest import gallery_maps, random_rational, random_vector
 from sublap.algebra import LieAlgebra, NotStratifiable, subriemannian_group
 from sublap.calculus import (NotNilpotent, bch_product, dilation, dynkin_terms,
-                             group_product_map, left_invariant_field,
-                             left_translation, left_translation_jacobian,
+                             group_product_map, horizontal_differential,
+                             left_invariant_field, left_translation,
+                             left_translation_jacobian,
                              lie_derivative, lie_differential, require_step,
                              right_translation, second_lie_differential)
 from sublap.catalog import engel_group, abelian_group, sl2_algebra
 from sublap.heisenberg import heisenberg_group
-from sublap.polynomial import Polynomial, PolyMap, monomials_up_to, poly_mat_eval
+from sublap.polynomial import Polynomial, PolyMap, monomials_up_to, poly_mat_eval, poly_mat_mul
 from sublap.rational import Rat
 
 
@@ -421,9 +422,26 @@ def test_differential_matches_bch_oracle(h1, h2, engel, r2):
             bch_lie_differential(f, source, target), (f, source.dim, target.dim)
 
 
+def test_horizontal_differential_is_differential_on_polarization(h1, h2, engel, r2):
+    # DF B_G built without DF, on the 84 cases of the BCH-oracle test above
+    groups = (h1, h2, engel, _filiform(5), r2, abelian_group(3))
+    rng = random.Random(3030)
+    cases = [(_random_map(rng, s.dim, t.dim), s, t)
+             for s in groups for t in groups for _ in range(2)]
+    cases += gallery_maps()
+    assert len(cases) == 84
+    for f, source, target in cases:
+        b = tuple(tuple(Polynomial.constant(x, source.dim) for x in row)
+                  for row in source.polarization.matrix())
+        assert horizontal_differential(f, source, target) == \
+            poly_mat_mul(lie_differential(f, source, target), b), (f, source.dim, target.dim)
+
+
 def test_differential_rejects_shape_mismatch(h1, engel):
     with pytest.raises(ValueError):
         lie_differential(PolyMap.identity(3), h1, engel)
+    with pytest.raises(ValueError):
+        horizontal_differential(PolyMap.identity(3), h1, engel)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ from oracles import horizontal_inner, pivot_row_frame_components
 from sublap import linalg
 from sublap.algebra import LieAlgebra, subriemannian_group
 from sublap.calculus import (NotNilpotent, dilation, left_invariant_field,
-                             left_translation, lie_derivative)
+                             left_translation, left_translation_jacobian, lie_derivative)
 from sublap.catalog import engel_algebra, sl2_algebra
+from sublap.conformal import analyze_commutation
 from sublap.heisenberg import heisenberg_group
 from sublap.operators import (Cometric, DifferentialOperator, cometric,
                               divergence, frame_components,
@@ -123,6 +124,73 @@ def test_sublaplacian_is_sum_of_frame_squares(h2, engel):
             assert op.apply(u) == expect, (group, u)
 
 
+def _full_differential_tables(group):
+    """The sub-Laplacian's tables assembled on the full field matrix
+    Lambda = left_translation_jacobian and the cometric Q = B G^-1 B^T, both
+    built here: second = Lambda Q Lambda^T and first_c = sum_ab Q_ab
+    e_b~(Lambda_ca), with e_b~ = sum_k Lambda_kb d_k."""
+    b = group.polarization.matrix()
+    q = linalg.mat_mul(linalg.mat_mul(b, linalg.inverse(group.metric.gram)), linalg.transpose(b))
+    lam = left_translation_jacobian(group)
+    n = group.dim
+    second = [[Polynomial.zero(n)] * n for _ in range(n)]
+    first = [Polynomial.zero(n)] * n
+    for a in range(n):
+        for e in range(n):
+            if not q[a][e]:
+                continue
+            for c in range(n):
+                for d in range(n):
+                    second[c][d] = second[c][d] + lam[c][a] * lam[d][e] * q[a][e]
+                for k in range(n):
+                    first[c] = first[c] + lam[k][e] * lam[c][a].diff(k) * q[a][e]
+    return tuple(map(tuple, second)), tuple(first)
+
+
+def test_sublaplacian_matches_full_differential_assembly(h1, h2, engel):
+    # the assembly on the horizontal frame Lambda B against the one on the
+    # full Lambda it replaced
+    groups = (
+        h1, h2, heisenberg_group(3, (1, Rat(3, 2), 2)), engel, _filiform5(),
+        _filiform5(((1, 0, 0, 0, 0), (1, 1, 0, 0, 0)), ((3, 1), (1, 2))),
+    )
+    for group in groups:
+        op = sublaplacian(group)
+        assert (op.second_order, op.first_order) == _full_differential_tables(group), group
+
+
+def _rebased(group, p):
+    """The group with polarization basis B P and Gram matrix P^T G P: the
+    same V_1 and the same metric on it, in another basis."""
+    basis = linalg.transpose(linalg.mat_mul(group.polarization.matrix(), p))
+    gram = linalg.mat_mul(linalg.mat_mul(linalg.transpose(p), group.metric.gram), p)
+    return subriemannian_group(group.algebra, basis, gram)
+
+
+def test_sublaplacian_is_independent_of_the_polarization_basis(engel):
+    # the sub-Laplacian, hence the commutation verdict, depends on the
+    # metric on V_1 only: the identity between two descriptions of one
+    # metric is conformal with lambda_sq = 1 and b = 0
+    p2 = linalg.mat(((2, 1), (Rat(-1, 3), 1)))
+    p4 = linalg.mat(((1, 2, 0, -1), (0, Rat(1, 2), 1, 0), (0, 0, 3, Rat(2, 3)),
+                     (0, 0, 0, -1)))
+    cases = ((heisenberg_group(2, (1, 2)), p4), (engel, p2),
+             (_filiform5(gram=((2, 1), (1, 1))), p2))
+    for group, p in cases:
+        other = _rebased(group, p)
+        assert other.polarization != group.polarization
+        assert other.metric != group.metric
+        op, rebased = sublaplacian(group), sublaplacian(other)
+        assert rebased.second_order == op.second_order
+        assert rebased.first_order == op.first_order
+        n = group.dim
+        for source, target in ((group, other), (other, group)):
+            report = analyze_commutation(PolyMap.identity(n), source, target)
+            assert report.conformal, report.reason
+            assert report.lambda_sq == Polynomial.constant(1, n)
+            assert all(v.is_zero for v in report.b)
+
+
 def test_sublaplacian_scaled_metric_orthonormal_frame():
     # gram = diag(1/4, 1/4): the orthonormal frame is (2X, 2Y)
     group = heisenberg_group(1, (2,))
@@ -174,6 +242,22 @@ def test_bench_tracer_caches_resolve():
     for module, name in tracer.LRU_CACHES:
         fn = getattr(importlib.import_module("sublap." + module), name)
         assert callable(fn) and callable(fn.cache_info), (module, name)
+
+
+def test_equal_groups_share_cache_entries():
+    # groups built separately but equal hash equal, so the per-group caches
+    # keep one entry for both
+    a, b = heisenberg_group(2, (Rat(2, 3), 5)), heisenberg_group(2, (Rat(2, 3), 5))
+    assert a is not b and a == b
+    assert a.algebra is not b.algebra and hash(a.algebra) == hash(b.algebra)
+    assert hash(a) == hash(b)
+    op = sublaplacian(a)
+    before = sublaplacian.cache_info()
+    assert sublaplacian(b) is op
+    after = sublaplacian.cache_info()
+    assert (after.hits, after.misses, after.currsize) == \
+        (before.hits + 1, before.misses, before.currsize)
+    assert heisenberg_group(2, (Rat(2, 3), 6)) != a
 
 
 # ---------------------------------------------------------------------------

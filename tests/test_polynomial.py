@@ -1,10 +1,13 @@
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import coeff_of, pad, truncate
 from sublap.polynomial import (COEFF_BIT_BUDGET, TERM_BUDGET, MapPowers, Polynomial, PolyMap,
-                               PolyVectorField, monomials_up_to)
+                               PolyVectorField, linear_combination, monomials_up_to,
+                               poly_mat_mul, poly_rat_mat_mul)
 from sublap.rational import Rat, is_rat
 
 coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=5).map(
@@ -245,3 +248,71 @@ def test_vector_field_apply_is_derivation():
     u = Polynomial.parse("x1*x2", 2)
     v = Polynomial.parse("x1 + x2^2", 2)
     assert x.apply(u * v) == x.apply(u) * v + u * x.apply(v)
+
+
+# ---------------------------------------------------------------------------
+# the integer kernels: linear combinations and matrix products
+
+
+def in_normal_form(p):
+    """No zero numerator is stored, and the numerators share no factor with
+    the denominator."""
+    return all(p._num.values()) and gcd(p._den, *p._num.values()) == 1
+
+
+def matrices(rows, cols):
+    return st.lists(st.lists(polys(max_degree=2, max_terms=3), min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+def naive_sum(terms):
+    total = Polynomial.zero(2)
+    for t in terms:
+        total = total + t
+    return total
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(st.one_of(st.just(Rat(0)), coeffs), polys()), max_size=5))
+def test_linear_combination_matches_naive_sum(pairs):
+    got = linear_combination(2, pairs)
+    assert got == naive_sum(p * w for w, p in pairs)
+    assert in_normal_form(got)
+
+
+def test_linear_combination_empty_and_cancelling():
+    x = Polynomial.variable(0, 2)
+    assert linear_combination(2, ()) == Polynomial.zero(2)
+    cancelled = linear_combination(2, [(Rat(1, 3), x), (Rat(-2, 6), x), (Rat(5), Polynomial.zero(2))])
+    assert cancelled.is_zero and cancelled._den == 1
+    with pytest.raises(ValueError):
+        linear_combination(2, [(1, Polynomial.variable(0, 3))])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(1, 12),
+       st.data())
+def test_poly_mat_mul_matches_naive_product(m, k, n, den, data):
+    a = data.draw(matrices(m, k))
+    b = data.draw(matrices(k, n))
+    got = poly_mat_mul(a, b, den)
+    assert len(got) == m and all(len(row) == n for row in got)
+    for i in range(m):
+        for j in range(n):
+            expect = naive_sum(a[i][l] * b[l][j] for l in range(k)) * Rat(1, den)
+            assert got[i][j] == expect
+            assert in_normal_form(got[i][j])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.data())
+def test_poly_rat_mat_mul_matches_naive_product(m, k, n, data):
+    a = data.draw(matrices(m, k))
+    r = data.draw(st.lists(st.lists(st.one_of(st.just(Rat(0)), coeffs), min_size=n, max_size=n),
+                           min_size=k, max_size=k))
+    got = poly_rat_mat_mul(a, r)
+    for i in range(m):
+        for j in range(n):
+            expect = naive_sum(a[i][l] * r[l][j] for l in range(k))
+            assert got[i][j] == expect
+            assert in_normal_form(got[i][j])

@@ -14,18 +14,16 @@ from .calculus import (NotNilpotent, bch_product, dilation, dynkin_terms,
                        group_product_map, left_invariant_field,
                        horizontal_differential, left_translation,
                        left_translation_jacobian, lie_derivative,
-                       lie_differential, right_translation,
-                       second_lie_differential)
+                       lie_differential, right_translation)
 from .catalog import abelian_group, engel_algebra, engel_group, sl2_algebra
 from .conformal import (CommutationReport, FrameDecision, NotConformal,
                         ProbeBudgetExceeded, analyze_commutation, b_vector,
                         commutation_residuals, frames_equivalent,
                         homothetic_characterizations, is_homothetic_projection)
 from .heisenberg import (NoIsometry, SymplecticForm, SymplecticSpectrum,
-                         build_isometry, coordinate_sublaplacian,
-                         heisenberg_algebra, heisenberg_group, heisenberg_pair,
-                         isometry_decision, operator_a, standard_symplectic,
-                         symplectic_spectrum)
+                         build_isometry, heisenberg_algebra, heisenberg_group,
+                         heisenberg_pair, isometry_decision, operator_a,
+                         standard_symplectic, symplectic_spectrum)
 from .operators import (Cometric, DifferentialOperator, PullbackOperator,
                         cometric, divergence, frame_components, gradient,
                         pullback_operator, sublaplacian)
@@ -42,14 +40,14 @@ __all__ = [
     "group_product_map", "horizontal_differential", "left_invariant_field",
     "left_translation",
     "left_translation_jacobian", "lie_derivative", "lie_differential",
-    "right_translation", "second_lie_differential",
+    "right_translation",
     "abelian_group", "engel_algebra", "engel_group", "sl2_algebra",
     "CommutationReport", "FrameDecision", "NotConformal", "ProbeBudgetExceeded",
     "analyze_commutation", "b_vector", "commutation_residuals",
     "frames_equivalent", "homothetic_characterizations",
     "is_homothetic_projection",
     "NoIsometry", "SymplecticForm", "SymplecticSpectrum", "build_isometry",
-    "coordinate_sublaplacian", "heisenberg_algebra", "heisenberg_group",
+    "heisenberg_algebra", "heisenberg_group",
     "heisenberg_pair", "isometry_decision", "operator_a",
     "standard_symplectic", "symplectic_spectrum",
     "Cometric", "DifferentialOperator", "PullbackOperator", "cometric",

@@ -5,12 +5,19 @@ the group is its logarithm's coordinate vector, exp and log are the identity
 on coordinates, the group product is the truncated BCH series, and Lebesgue
 measure is the Haar measure.  All operations are exact (rational
 coefficients); floating point never enters.
+
+The BCH series serves only products: bch_product, group_product_map and the
+two translations.  Everything built on the differential of exp comes from
+finite series in a nilpotent ad matrix (_ad_series): the left-invariant
+fields from the Bernoulli series Lambda_G(p) = ad_p / (1 - e^{-ad_p}), and
+the differential of a map from its inverse series Lambda_H(q)^{-1} =
+(1 - e^{-ad_q}) / ad_q.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 from . import linalg
 from .algebra import LieAlgebra, NotStratifiable, SubRiemannianGroup, nilpotency_step
@@ -137,23 +144,51 @@ def group_product_map(group: SubRiemannianGroup) -> PolyMap:
     return PolyMap(2 * n, bch_product(pvars, qvars, group.algebra, step=step))
 
 
+def bernoulli_numbers(count: int) -> tuple:
+    """B_0, ..., B_{count-1} with B_1 = +1/2: the coefficients of
+    x / (1 - e^{-x}) = sum_k B_k x^k / k!."""
+    out = []
+    for m in range(count):
+        out.append(Rat(1) - sum((comb(m, j) * b / (m - j + 1) for j, b in enumerate(out)),
+                                Rat(0)))
+    return tuple(out)
+
+
 @lru_cache(maxsize=None)
 def left_translation_jacobian(group: SubRiemannianGroup) -> tuple:
     """The matrix of dL_p: column j holds the coordinate components of the
     left-invariant field of e_j at p.  Entries are Polynomial in p; the value
-    at p = 0 is the identity matrix."""
+    at p = 0 is the identity matrix.
+
+    In exponential coordinates d/dt log(e^p e^{tX}) at t = 0 is
+    Lambda_G(p) X with Lambda_G(p) = ad_p / (1 - e^{-ad_p})
+    = sum_k B_k ad_p^k / k!, which stops after k = s - 1 (s the step)
+    because ad_p is nilpotent; ad_p is linear in the coordinates of p.
+    """
+    step = require_step(group)
     n = group.dim
-    prod = group_product_map(group)
-    rows = []
-    for c in range(n):
-        comp = prod.components[c]
-        row = []
-        for j in range(n):
-            d = comp.diff(n + j)
-            kept = {e[:n]: coeff for e, coeff in d.terms.items() if not any(e[n:])}
-            row.append(Polynomial(n, kept))
-        rows.append(tuple(row))
-    return tuple(rows)
+    ad = group.algebra.ad_matrix(tuple(Polynomial.variable(i, n) for i in range(n)))
+    one, zero = Polynomial.constant(1, n), Polynomial.zero(n)
+    identity = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+    return _ad_series(ad, identity, bernoulli_numbers(step), 0)
+
+
+def _ad_series(ad, term, weights, shift: int) -> tuple:
+    """sum_k weights[k] ad^k term / ((k + shift)! / shift!) over k < len(weights),
+    for a nilpotent matrix ad and a matrix term of Polynomials in one number
+    of variables; weights[0] is 1.  Each power is one poly_mat_mul with the
+    next factor of the factorial as its denominator, and the sum stops at the
+    first power that vanishes."""
+    out = term
+    for k in range(1, len(weights)):
+        term = poly_mat_mul(ad, term, k + shift)
+        if not any(any(row) for row in term):
+            break
+        w = weights[k]
+        if w:
+            out = tuple(tuple(a + (b if w == 1 else b * w) if b else a for a, b in zip(ra, rb))
+                        for ra, rb in zip(out, term))
+    return out
 
 
 def left_invariant_field(x, group: SubRiemannianGroup) -> PolyVectorField:
@@ -256,50 +291,5 @@ def horizontal_differential(F: PolyMap, source: SubRiemannianGroup,
 def _differential(F: PolyMap, target: SubRiemannianGroup, columns) -> tuple:
     """Lambda_H(F)^{-1} JF columns, for a matrix columns of Polynomial in the
     source coordinates with one row per source coordinate."""
-    term = poly_mat_mul(F.jacobian(), columns)
     neg_ad = target.algebra.ad_matrix(tuple(-c for c in F.components))
-    out = term
-    for k in range(2, target.step + 1):
-        # term = (-ad_F)^(k-1) JF columns / k!
-        term = poly_mat_mul(neg_ad, term, k)
-        if not any(any(row) for row in term):
-            break
-        out = tuple(tuple(a + b if b else a for a, b in zip(ra, rb))
-                    for ra, rb in zip(out, term))
-    return out
-
-
-def second_lie_differential(F: PolyMap, source: SubRiemannianGroup,
-                            target: SubRiemannianGroup, *, df=None) -> tuple:
-    """D2F as a bilinear array: entry [i][j] is the target vector (tuple of
-    Polynomial over source coordinates) obtained by differentiating
-    p -> DF(p)[e_i] along the left-invariant field of e_j.
-
-    Not symmetric in (i, j) in general; the cometric contraction used for
-    trace terms only sees the symmetric part.  A caller that already holds
-    DF = lie_differential(F, source, target) passes it as df.  The operators
-    take that trace from the derivatives of DF B_G directly
-    (operators.pushforward_first); this full array is the independent
-    reference they are checked against.
-    """
-    if df is None:
-        df = lie_differential(F, source, target)
-    lam = left_translation_jacobian(source)
-    n, m = source.dim, target.dim
-    partials = tuple(
-        tuple(tuple(df[c][i].diff(a) for a in range(n)) for i in range(n)) for c in range(m)
-    )
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            vec = []
-            for c in range(m):
-                acc = Polynomial.zero(n)
-                for a in range(n):
-                    if lam[a][j] and partials[c][i][a]:
-                        acc = acc + lam[a][j] * partials[c][i][a]
-                vec.append(acc)
-            row.append(tuple(vec))
-        out.append(tuple(row))
-    return tuple(out)
+    return _ad_series(neg_ad, poly_mat_mul(F.jacobian(), columns), (1,) * target.step, 1)

@@ -11,16 +11,15 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from . import linalg, specfiles
+from . import specfiles
 from .algebra import NotStratifiable, stratify, validate
 from .calculus import NotNilpotent
 from .conformal import ProbeBudgetExceeded, analyze_commutation, commutation_residuals, \
     frames_equivalent
-from .heisenberg import NoIsometry, build_isometry, isometry_decision, \
-    symplectic_spectrum
+from .heisenberg import NoIsometry, build_isometry, symplectic_spectrum
 from .operators import sublaplacian
 from .rational import rat_str
 
@@ -189,7 +188,9 @@ def _run_heis_isometry(config):
     return 0, doc, lines
 
 
-def _run_analyze_map(config):
+def _load_map(config):
+    """The source group, target group and map of analyze-map and verify,
+    with the map's shape checked against the two groups."""
     source = specfiles.load_group(config.paths[0])
     target = specfiles.load_group(config.paths[1])
     f = specfiles.load_polymap(config.paths[2])
@@ -198,6 +199,11 @@ def _run_analyze_map(config):
             "map shape %d->%d does not match groups %d->%d"
             % (f.source_dim, f.target_dim, source.dim, target.dim),
             filename=config.paths[2])
+    return source, target, f
+
+
+def _run_analyze_map(config):
+    source, target, f = _load_map(config)
     try:
         report = analyze_commutation(f, source, target, config.probe_degree)
     except NotNilpotent as exc:
@@ -217,15 +223,8 @@ def _run_analyze_map(config):
 
 
 def _run_verify(config):
-    source = specfiles.load_group(config.paths[0])
-    target = specfiles.load_group(config.paths[1])
-    f = specfiles.load_polymap(config.paths[2])
+    source, target, f = _load_map(config)
     lam, b = specfiles.load_identity(config.paths[3], source.dim, target.dim)
-    if f.source_dim != source.dim or f.target_dim != target.dim:
-        raise specfiles.SpecFileError(
-            "map shape %d->%d does not match groups %d->%d"
-            % (f.source_dim, f.target_dim, source.dim, target.dim),
-            filename=config.paths[2])
     try:
         bad = commutation_residuals(f, lam, b, source, target, config.probe_degree)
     except NotNilpotent as exc:

@@ -395,17 +395,14 @@ def b_vector(F: PolyMap, lambda_sq, source: SubRiemannianGroup,
     """The drift vector of a conformally commuting map, in target-algebra
     coordinates (entries Polynomial over the source).
 
-    Raises NotConformal unless DF satisfies the contact condition and
-    DF Q_G DF^T = lambda_sq Q_H exactly.
+    Read from analyze_commutation: raises NotConformal, with the report's
+    reason, unless the map is conformal with factor exactly lambda_sq.
     """
-    db = horizontal_differential(F, source, target)
-    if _contact_residuals(db, target):
-        raise NotConformal("differential does not preserve the polarization")
+    report = analyze_commutation(F, source, target)
+    if not report.conformal:
+        raise NotConformal(report.reason)
     if not isinstance(lambda_sq, Polynomial):
         lambda_sq = Polynomial.constant(rat(lambda_sq), source.dim)
-    tables = source.tables
-    factor, mismatches = _conformal_factor(pushforward_second(db, tables.gram_inverse),
-                                           cometric(target).matrix)
-    if mismatches or factor != lambda_sq:
+    if report.lambda_sq != lambda_sq:
         raise NotConformal("cometric image is not lambda_sq times the target cometric")
-    return pushforward_first(db, tables.gradient_fields)
+    return report.b

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 from . import linalg
 from .algebra import LieAlgebra, Metric, SubRiemannianGroup, subriemannian_group
-from .operators import DifferentialOperator
-from .polynomial import Polynomial
 from .rational import Rat, rat
 
 
@@ -318,33 +316,3 @@ def heisenberg_pair(n: int, rbar):
     space: standard omega and the diagonal metric."""
     group = heisenberg_group(n, rbar)
     return standard_symplectic(n), Metric(group.metric.gram)
-
-
-def coordinate_sublaplacian(n: int, rbar) -> DifferentialOperator:
-    """The Heisenberg sub-Laplacian written directly in coordinates:
-
-    sum_i r_i^2 [ (d_{x_i} - y_i/2 d_z)^2 + (d_{y_i} + x_i/2 d_z)^2 ].
-
-    Independent of the frame machinery; used to cross-check it.
-    """
-    rbar = tuple(rat(v) for v in rbar)
-    if len(rbar) != n or n < 1:
-        raise ValueError("rbar must have length n >= 1")
-    dim = 2 * n + 1
-    zero = Polynomial.zero(dim)
-    second = [[zero for _ in range(dim)] for _ in range(dim)]
-    z_diag = zero
-    for i in range(n):
-        rsq = rbar[i] ** 2
-        xi = Polynomial.variable(i, dim)
-        yi = Polynomial.variable(n + i, dim)
-        second[i][i] = Polynomial.constant(rsq, dim)
-        second[n + i][n + i] = Polynomial.constant(rsq, dim)
-        second[i][2 * n] = yi * (-rsq / 2)
-        second[2 * n][i] = second[i][2 * n]
-        second[n + i][2 * n] = xi * (rsq / 2)
-        second[2 * n][n + i] = second[n + i][2 * n]
-        z_diag = z_diag + (xi * xi + yi * yi) * (rsq / 4)
-    second[2 * n][2 * n] = z_diag
-    return DifferentialOperator(
-        dim, tuple(tuple(row) for row in second), (zero,) * dim, zero)

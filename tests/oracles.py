@@ -5,7 +5,10 @@ exact exp/log on nilpotent matrices, and derivatives are taken by exact
 Lagrange differentiation of polynomial curves through rational sample points;
 neither uses the package's BCH or differential code paths.  The Lie
 differential oracle differentiates the symbolic curve (-F(p)) * F(p * t e_j)
-through the BCH group law, where the package uses a closed form.  The drift
+through the BCH group law, and the left-translation oracle differentiates the
+symbolic BCH product p * q in q at q = 0, where the package uses closed-form
+ad-series for both.  The Heisenberg sub-Laplacian oracle is the operator
+written out in coordinates, apart from the frame machinery.  The drift
 oracle assembles b from the cometric trace of the second differential,
 separately from the pullback tables.  The commutation probe oracle
 substitutes each probe into the map and applies the two sub-Laplacians and
@@ -24,8 +27,9 @@ reading the table.
 from fractions import Fraction
 
 from sublap import linalg
-from sublap.calculus import bch_product, second_lie_differential
-from sublap.operators import cometric, frame_components, gradient, sublaplacian
+from sublap.calculus import bch_product, group_product_map
+from sublap.operators import DifferentialOperator, cometric, frame_components, gradient, \
+    sublaplacian
 from sublap.polynomial import Polynomial, monomials_up_to
 from sublap.rational import Rat, rat
 
@@ -240,6 +244,23 @@ def coeff_of(p, index, power):
 # differentials of polynomial group maps
 
 
+def bch_left_translation_jacobian(group):
+    """The matrix of dL_p read off the symbolic BCH product: column j is the
+    derivative of p * q in q_j at q = 0, from group_product_map in 2n
+    variables, where the package sums the Bernoulli series of ad_p."""
+    n = group.dim
+    prod = group_product_map(group)
+    rows = []
+    for comp in prod.components:
+        row = []
+        for j in range(n):
+            d = comp.diff(n + j)
+            kept = {e[:n]: coeff for e, coeff in d.terms.items() if not any(e[n:])}
+            row.append(Polynomial(n, kept))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 def bch_lie_differential(F, source, target):
     """DF as a target_dim x source_dim matrix of Polynomial: column j is the
     t-derivative at 0 of (-F(p)) * F(p * (t e_j)), the curve built
@@ -259,14 +280,47 @@ def bch_lie_differential(F, source, target):
     return tuple(tuple(cols[j][c] for j in range(n)) for c in range(m))
 
 
+def second_lie_differential(F, source, target):
+    """D2F as a bilinear array: entry [i][j] is the target vector (tuple of
+    Polynomial over source coordinates) obtained by differentiating
+    p -> DF(p)[e_i] along the left-invariant field of e_j.
+
+    Not symmetric in (i, j) in general; the cometric contraction used for
+    trace terms only sees the symmetric part.  DF is bch_lie_differential
+    and the fields come from bch_left_translation_jacobian.  The package
+    takes that trace from the derivatives of DF B_G directly
+    (operators.pushforward_first); this full array is the independent
+    reference it is checked against.
+    """
+    df = bch_lie_differential(F, source, target)
+    lam = bch_left_translation_jacobian(source)
+    n, m = source.dim, target.dim
+    partials = tuple(
+        tuple(tuple(df[c][i].diff(a) for a in range(n)) for i in range(n)) for c in range(m)
+    )
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            vec = []
+            for c in range(m):
+                acc = Polynomial.zero(n)
+                for a in range(n):
+                    if lam[a][j] and partials[c][i][a]:
+                        acc = acc + lam[a][j] * partials[c][i][a]
+                vec.append(acc)
+            row.append(tuple(vec))
+        out.append(tuple(row))
+    return tuple(out)
+
+
 def trace_drift(F, source, target):
     """The first-order table of Delta_G pushed through F, which is the drift b
     of a conformally commuting map: the trace of D2F against the source
     cometric, with DF from bch_lie_differential."""
     n, m = source.dim, target.dim
-    df = bch_lie_differential(F, source, target)
     qg = cometric(source).matrix
-    d2 = second_lie_differential(F, source, target, df=df)
+    d2 = second_lie_differential(F, source, target)
     out = []
     for c in range(m):
         acc = Polynomial.zero(n)
@@ -276,6 +330,40 @@ def trace_drift(F, source, target):
                     acc = acc + d2[a][b][c] * qg[a][b]
         out.append(acc)
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# the Heisenberg sub-Laplacian in coordinates
+
+
+def coordinate_sublaplacian(n, rbar):
+    """The Heisenberg sub-Laplacian written directly in coordinates:
+
+    sum_i r_i^2 [ (d_{x_i} - y_i/2 d_z)^2 + (d_{y_i} + x_i/2 d_z)^2 ].
+
+    Independent of the frame machinery; used to cross-check it.
+    """
+    rbar = tuple(rat(v) for v in rbar)
+    if len(rbar) != n or n < 1:
+        raise ValueError("rbar must have length n >= 1")
+    dim = 2 * n + 1
+    zero = Polynomial.zero(dim)
+    second = [[zero for _ in range(dim)] for _ in range(dim)]
+    z_diag = zero
+    for i in range(n):
+        rsq = rbar[i] ** 2
+        xi = Polynomial.variable(i, dim)
+        yi = Polynomial.variable(n + i, dim)
+        second[i][i] = Polynomial.constant(rsq, dim)
+        second[n + i][n + i] = Polynomial.constant(rsq, dim)
+        second[i][2 * n] = yi * (-rsq / 2)
+        second[2 * n][i] = second[i][2 * n]
+        second[n + i][2 * n] = xi * (rsq / 2)
+        second[2 * n][n + i] = second[n + i][2 * n]
+        z_diag = z_diag + (xi * xi + yi * yi) * (rsq / 4)
+    second[2 * n][2 * n] = z_diag
+    return DifferentialOperator(
+        dim, tuple(tuple(row) for row in second), (zero,) * dim, zero)
 
 
 # ---------------------------------------------------------------------------

@@ -8,17 +8,17 @@ import random
 
 import pytest
 
-from oracles import (bch_lie_differential, curve_derivative, heisenberg_rep,
-                     engel_rep, mmul, mscale, madd, nilpotent_exp, nilpotent_log,
-                     rep_product)
+from oracles import (bch_left_translation_jacobian, bch_lie_differential, curve_derivative,
+                     heisenberg_rep, engel_rep, mmul, mscale, madd, nilpotent_exp,
+                     nilpotent_log, rep_product, second_lie_differential)
 from conftest import gallery_maps, random_rational, random_vector
 from sublap.algebra import LieAlgebra, NotStratifiable, subriemannian_group
-from sublap.calculus import (NotNilpotent, bch_product, dilation, dynkin_terms,
-                             group_product_map, horizontal_differential,
+from sublap.calculus import (NotNilpotent, bch_product, bernoulli_numbers, dilation,
+                             dynkin_terms, group_product_map, horizontal_differential,
                              left_invariant_field, left_translation,
                              left_translation_jacobian,
                              lie_derivative, lie_differential, require_step,
-                             right_translation, second_lie_differential)
+                             right_translation)
 from sublap.catalog import engel_group, abelian_group, sl2_algebra
 from sublap.heisenberg import heisenberg_group
 from sublap.polynomial import Polynomial, PolyMap, monomials_up_to, poly_mat_eval, poly_mat_mul
@@ -164,6 +164,22 @@ def test_left_translation_jacobian_heisenberg(h1):
     for row, erow in zip(lam, expect):
         for entry, s in zip(row, erow):
             assert entry == Polynomial.parse(s, 3)
+
+
+def test_bernoulli_numbers():
+    assert bernoulli_numbers(11) == tuple(Rat(x) for x in (
+        1, Rat(1, 2), Rat(1, 6), 0, Rat(-1, 30), 0, Rat(1, 42), 0, Rat(-1, 30), 0, Rat(5, 66)))
+
+
+def test_jacobian_matches_bch_oracle(h1, h2, engel):
+    # the Bernoulli series ad_p / (1 - e^{-ad_p}) against the derivative of
+    # the symbolic BCH product p * q in q at q = 0
+    filiforms = [_filiform(n) for n in range(4, 10)]
+    skewed5 = subriemannian_group(filiforms[1].algebra, ((1, 0, 0, 0, 0), (1, 1, 0, 0, 0)),
+                                  ((3, 1), (1, 2)))
+    groups = [h1, h2, heisenberg_group(3, (1, Rat(3, 2), 2)), engel, skewed5] + filiforms
+    for group in groups:
+        assert left_translation_jacobian(group) == bch_left_translation_jacobian(group), group
 
 
 def test_jacobian_is_identity_at_origin(h2, engel):

@@ -172,6 +172,23 @@ def test_sublaplacian_rejects_non_nilpotent(tmp_path, capsys):
     assert "nilpotent" in out
 
 
+def test_sublaplacian_of_a_large_step_group_is_fast(tmp_path, capsys):
+    # the 14-dimensional model filiform group has step 13; its invariant
+    # fields come from a series in ad_p, not from a 28-variable BCH product
+    import time
+    n = 14
+    doc = {"dim": n,
+           "brackets": [{"i": 1, "j": k, "coeffs": {str(k + 1): 1}} for k in range(2, n)],
+           "polarization": [[1 if j == i else 0 for j in range(n)] for i in range(2)],
+           "metric": [[1, 0], [0, 1]]}
+    path = write(tmp_path, "filiform14.json", doc)
+    start = time.perf_counter()
+    code, out = run_main(capsys, ["sublaplacian", path])
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert "d1 d1: 1" in out
+
+
 # ---------------------------------------------------------------------------
 # frames
 
@@ -490,6 +507,17 @@ def test_analyze_map_shape_mismatch(tmp_path, capsys):
     code, out = run_main(capsys, ["analyze-map", src, tgt, fmap])
     assert code == 2
     assert "shape" in out
+
+
+def test_verify_shape_mismatch(tmp_path, capsys):
+    src = write(tmp_path, "h1.json", H1_DOC)
+    tgt = write(tmp_path, "r2.json", R2_DOC)
+    fmap = write(tmp_path, "id3.json",
+                 {"source_dim": 3, "components": ["x1", "x2", "x3"]})
+    ident = write(tmp_path, "ident.json", {"lambda_sq": 1, "b": ["0", "0"]})
+    code, out = run_main(capsys, ["verify", src, tgt, fmap, ident])
+    assert code == 2
+    assert "map shape 3->3 does not match groups 3->2" in out
 
 
 def test_analyze_map_gallery_reports(tmp_path, capsys):

@@ -502,6 +502,15 @@ def test_b_vector_rejects_wrong_factor(r2):
         b_vector(f, 3, r2, r1)
 
 
+def test_b_vector_rejects_constant_map(h1):
+    # DF = 0 is contact and its cometric image is 0 Q_H, but a zero factor
+    # is not conformal; b_vector agrees with the analyzer
+    f = PolyMap.parse(["1", "2", "3"], 3)
+    assert analyze_commutation(f, h1, h1).reason == "conformal factor is not positive"
+    with pytest.raises(NotConformal, match="conformal factor is not positive"):
+        b_vector(f, 0, h1, h1)
+
+
 def test_b_vector_rejects_broken_contact(h1):
     f = PolyMap.parse(["x1", "x2", "x3 + x1"], 3)
     with pytest.raises(NotConformal, match="polarization"):

@@ -4,11 +4,11 @@ import random
 import numpy as np
 import pytest
 
+from oracles import coordinate_sublaplacian
 from sublap import linalg
 from sublap.algebra import Metric
 from sublap.heisenberg import (NoIsometry, SymplecticForm, build_isometry,
-                               coordinate_sublaplacian, heisenberg_algebra,
-                               heisenberg_group, heisenberg_pair,
+                               heisenberg_algebra, heisenberg_group, heisenberg_pair,
                                isometry_decision, operator_a,
                                standard_symplectic, symplectic_spectrum)
 from sublap.operators import sublaplacian

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from .algebra import LieAlgebra, SubRiemannianGroup, subriemannian_group
-from .heisenberg import heisenberg_algebra, heisenberg_group
 from .rational import Rat
 
 

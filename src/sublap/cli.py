@@ -3,11 +3,14 @@
 Every subcommand reads JSON description files, prints either a text or a
 JSON report (one document, always with a "verdict" key), and exits with
 0 for a positive verdict, 1 for a negative one, 2 for malformed input.
+``main(argv)`` returns that exit code and can be called repeatedly in one
+process: the argument parser is built on the first call and reused.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -94,12 +97,15 @@ def _run_validate(config):
 
 def _run_stratify(config):
     group = specfiles.load_group(config.paths[0])
-    try:
-        v1 = group.polarization.basis
-        layers = stratify(group.algebra, v1)
-    except NotStratifiable as exc:
-        doc = {"verdict": "not-stratifiable", "reason": str(exc)}
-        return 1, doc, ["verdict: not-stratifiable", "reason: %s" % exc]
+    # the group constructor stratifies nilpotent groups already; stratify
+    # again only for the reason a group without strata has none
+    layers = group.strata
+    if layers is None:
+        try:
+            layers = stratify(group.algebra, group.polarization.basis)
+        except NotStratifiable as exc:
+            doc = {"verdict": "not-stratifiable", "reason": str(exc)}
+            return 1, doc, ["verdict: not-stratifiable", "reason: %s" % exc]
     doc = {
         "verdict": "stratified",
         "layer_dims": [len(layer) for layer in layers],
@@ -279,7 +285,11 @@ def _emit(config, doc, lines):
         sys.stdout.write(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``sublap`` parser, built once per process and shared by every
+    caller: ``parse_args`` makes a fresh Namespace per call and leaves the
+    parser unchanged, so callers must not add to it either."""
     parser = argparse.ArgumentParser(
         prog="sublap",
         description="sub-Riemannian group calculus: validation, sub-Laplacians, "

@@ -17,7 +17,7 @@ Three related questions live here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from math import comb
+from math import comb, lcm
 from typing import Optional
 
 from . import linalg
@@ -228,13 +228,20 @@ def _orthogonal_witness(fx, fy) -> tuple:
             continue
         v = tuple(fi - hi for fi, hi in zip(f, h))
         vv = linalg.dot(v, v)
-        scale = rat(2) / vv
-        # the reflection 1 - scale v v^T, applied as a rank-one update
-        w = linalg.mat_vec(linalg.transpose(a), v)
-        a = tuple(
-            tuple(x - scale * vi * wk for x, wk in zip(row, w)) if vi else row
-            for row, vi in zip(a, v)
-        )
+        # the reflection 1 - (2 / vv) v v^T as a rank-one update on integers:
+        # row i loses c_i w, with c_i = 2 v_i / vv and w = a^T v = wn / wd
+        wn, wd = linalg._scaled(linalg.mat_vec(linalg.transpose(a), v))
+        rows = list(a)
+        for i, vi in enumerate(v):
+            if not vi:
+                continue
+            rn, rd = linalg._scaled(rows[i])
+            cn = 2 * int(vi.numerator) * int(vv.denominator)
+            cd = int(vi.denominator) * int(vv.numerator) * wd
+            den = lcm(rd, cd)
+            sr, sc = den // rd, cn * (den // cd)
+            rows[i] = tuple(linalg._ratio(x * sr - sc * y, den) for x, y in zip(rn, wn))
+        a = tuple(rows)
     assert linalg.mat_mul(a, fx) == fy
     assert linalg.mat_mul(linalg.transpose(a), a) == linalg.identity(n)
     return a

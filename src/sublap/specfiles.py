@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Optional
 
-from . import linalg
 from .algebra import Metric, SubRiemannianGroup, subriemannian_group
 from .conformal import CommutationReport
 from .heisenberg import SymplecticForm
 from .operators import DifferentialOperator
 from .polynomial import Polynomial, PolyMap
-from .rational import Rat, rat, rat_str
+from .rational import rat, rat_str
 
 
 class SpecFileError(ValueError):

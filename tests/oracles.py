@@ -21,7 +21,9 @@ package pairs the vector with annihilators and applies a left inverse.  The
 linear-algebra oracles are plain Gauss-Jordan and LDL^T elimination on
 Fractions, apart from the package's fraction-free integer code, and the
 Jacobi oracle calls the algebra's bracket on every basis triple instead of
-reading the table.
+reading the table.  The orthogonal-witness oracle applies each reflection
+with scalar Rat arithmetic, entry by entry, where the package updates
+integer rows.
 """
 
 from fractions import Fraction
@@ -508,3 +510,25 @@ def bracket_jacobi(algebra):
                 if any(a + b + c != 0 for a, b, c in zip(first, second, third)):
                     bad.append((i, j, k))
     return tuple(bad)
+
+
+def scalar_orthogonal_witness(fx, fy):
+    """Orthogonal A with A fx = fy by the same column-by-column reflections
+    as conformal._orthogonal_witness, each applied as the rank-one update
+    x - (2 / vv) v_i w_k on Rat scalars."""
+    a = linalg.identity(len(fx))
+    cols_x = linalg.transpose(fx)
+    cols_y = linalg.transpose(fy)
+    for j in range(len(fx[0])):
+        f = linalg.mat_vec(a, cols_x[j])
+        h = cols_y[j]
+        if f == h:
+            continue
+        v = tuple(fi - hi for fi, hi in zip(f, h))
+        scale = rat(2) / linalg.dot(v, v)
+        w = linalg.mat_vec(linalg.transpose(a), v)
+        a = tuple(
+            tuple(x - scale * vi * wk for x, wk in zip(row, w)) if vi else row
+            for row, vi in zip(a, v)
+        )
+    return a

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from conftest import gallery
-from sublap.cli import RunConfig, main, run
+from sublap.cli import RunConfig, build_parser, main, run
 from sublap.polynomial import COEFF_BIT_BUDGET, TERM_BUDGET
 from sublap.specfiles import group_to_dict, polymap_to_dict
 from sublap.heisenberg import heisenberg_group
@@ -151,6 +151,14 @@ def test_stratify_failure(tmp_path, capsys):
     code, out = run_main(capsys, ["stratify", path])
     assert code == 1
     assert "not-stratifiable" in out
+
+
+def test_stratify_non_nilpotent(tmp_path, capsys):
+    # sl2 has no strata, so the report carries the reason stratify gives
+    path = write(tmp_path, "sl2.json", SL2_DOC)
+    code, out = run_main(capsys, ["stratify", path])
+    assert (code, out) == (1, "verdict: not-stratifiable\n"
+                              "reason: brackets of layer 2 fold back into lower layers\n")
 
 
 def test_sublaplacian_text_and_json(tmp_path, capsys):
@@ -687,6 +695,33 @@ def test_flag_validation(tmp_path, capsys):
     code = main(["analyze-map", path, path, path, "--probe-degree", "1"])
     assert code == 2
     assert "probe degree" in capsys.readouterr().err
+
+
+def test_repeated_main_calls_share_no_flags(tmp_path, capsys):
+    path = write(tmp_path, "pair.json",
+                 {"omega": [[0, 1], [-1, 0]], "gram": [[1, 0], [0, 4]]})
+    build_parser.cache_clear()
+    first = run_main(capsys, ["heis-spectrum", path])
+    code, doc = run_json(capsys, ["heis-spectrum", path, "--tol", "1e-6"])
+    assert (code, doc["tolerance"]) == (0, 1e-6)
+    again = run_main(capsys, ["heis-spectrum", path])
+    assert again == first
+    assert again[0] == 0 and "tolerance: 1e-09\n" in again[1]
+
+
+def test_usage_error_leaves_the_parser_usable(tmp_path, capsys):
+    path = write(tmp_path, "h1.json", H1_DOC)
+    expected = run_main(capsys, ["validate", path])
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", path, "--frobnicate"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --frobnicate" in capsys.readouterr().err
+    assert run_main(capsys, ["validate", path]) == expected
+    assert expected[0] == 0
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
 
 
 def test_run_config_validation():

@@ -2,9 +2,11 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import analyzer_rejections, gallery_maps, random_rational
-from oracles import probe_residuals, trace_drift
+from oracles import probe_residuals, scalar_orthogonal_witness, trace_drift
 from sublap import linalg
 from sublap.calculus import NotNilpotent, dilation, left_translation
 from sublap.catalog import abelian_group, engel_group, sl2_algebra
@@ -181,6 +183,31 @@ def test_frame_equivalence_is_symmetric():
     fz = rmat([[2, 1], [1, 2], [1, 1]])
     assert not frames_equivalent(fx, fz).equivalent
     assert not frames_equivalent(fz, fx).equivalent
+
+
+@st.composite
+def rotated_frames(draw):
+    """(fx, A fx): a random n x n rational frame, n in 2..8, and A a product
+    of one to three rational reflections 1 - 2 u u^T / (u^T u)."""
+    n = draw(st.integers(2, 8))
+    entries = st.one_of(st.just(Rat(0)), st.builds(Rat, st.integers(-9, 9), st.integers(1, 6)))
+    fx = tuple(tuple(draw(entries) for _ in range(n)) for _ in range(n))
+    a = EYE(n)
+    for _ in range(draw(st.integers(1, 3))):
+        u = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+                 .filter(lambda u: any(u)))
+        uu = sum(x * x for x in u)
+        reflection = tuple(tuple(Rat(int(i == j)) - Rat(2 * u[i] * u[j], uu)
+                                 for j in range(n)) for i in range(n))
+        a = linalg.mat_mul(reflection, a)
+    return fx, linalg.mat_mul(a, fx)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rotated_frames())
+def test_orthogonal_witness_matches_scalar_update(frames):
+    fx, fy = frames
+    assert sublap.conformal._orthogonal_witness(fx, fy) == scalar_orthogonal_witness(fx, fy)
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,18 @@ A LieAlgebra stores a sparse table of structure constants exactly as given.
 The read rule supplies the mirrored entry with opposite sign whenever only one
 index order is stored, so tables written with i < j keys are antisymmetric by
 construction, while fully expanded tables can still represent antisymmetry
-violations for the validator to report.
+violations for the validator to report.  Each algebra expands that rule once
+into one table {i: {j: {k: c}}} of the nonzero [e_i, e_j], which every read
+and the Jacobi check use.  The layers V_1, [V_1, V_1], [V_1, V_2], ... of a
+polarization are grown in one place, _filtration, which bracket_generating,
+stratify and the group constructor share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
+from itertools import accumulate
 
 from . import linalg
 from .polynomial import Polynomial
@@ -79,18 +84,27 @@ class LieAlgebra:
     def raw_table(self) -> dict:
         return dict(self.structure_constants)
 
+    @cached_property
+    def _brackets(self) -> dict:
+        """Read-rule expansion as {i: {j: {k: c}}}: the nonzero entries of
+        [e_i, e_j] in sorted (i, j, k) order.  A mirrored entry is synthesized
+        only when its own orientation is absent."""
+        raw = self.raw_table()
+        full = {(j, i, k): -c for (i, j, k), c in raw.items()}
+        full.update(raw)
+        table = {}
+        for (i, j, k), c in sorted(full.items()):
+            table.setdefault(i, {}).setdefault(j, {})[k] = c
+        return table
+
     def constant(self, i: int, j: int, k: int) -> Rat:
         """Read c_{ij}^k under the mirror rule."""
-        table = self.raw_table()
-        if (i, j, k) in table:
-            return table[(i, j, k)]
-        if (j, i, k) in table:
-            return -table[(j, i, k)]
-        return Rat(0)
+        return self._brackets.get(i, {}).get(j, {}).get(k, Rat(0))
 
     def full_table(self) -> dict:
         """The table with both index orders explicit (read-rule expansion)."""
-        return {(i, j, k): c for (i, j, k, c) in _full_constants(self)}
+        return {(i, j, k): c for i, row in self._brackets.items()
+                for j, comps in row.items() for k, c in comps.items()}
 
     # -- algebra operations ---------------------------------------------------
 
@@ -98,21 +112,17 @@ class LieAlgebra:
         """[x, y] for coefficient vectors with Rat or Polynomial entries."""
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("vectors must have length %d" % self.dim)
-        nvars = None
-        for v in tuple(x) + tuple(y):
-            if isinstance(v, Polynomial):
-                nvars = v.nvars
-                break
+        nvars = next((v.nvars for v in (*x, *y) if isinstance(v, Polynomial)), None)
         zero = Rat(0) if nvars is None else Polynomial.zero(nvars)
         out = [zero] * self.dim
-        for i, j, k, c in _full_constants(self):
-            xi, yj = x[i], y[j]
-            if isinstance(xi, Polynomial) or isinstance(yj, Polynomial):
-                term = xi * yj * c
-                if term:
-                    out[k] = out[k] + term
-            elif xi and yj:
-                out[k] = out[k] + c * xi * yj
+        for i, row in self._brackets.items():
+            xi = x[i]
+            if xi:
+                for j, comps in row.items():
+                    if y[j]:
+                        xy = xi * y[j]
+                        for k, c in comps.items():
+                            out[k] = out[k] + xy * c
         return tuple(out)
 
     def ad_matrix(self, x) -> tuple:
@@ -123,17 +133,22 @@ class LieAlgebra:
         nvars = next((v.nvars for v in x if isinstance(v, Polynomial)), None)
         zero = Rat(0) if nvars is None else Polynomial.zero(nvars)
         m = [[zero] * self.dim for _ in range(self.dim)]
-        for i, j, k, c in _full_constants(self):
-            if x[i]:
-                m[k][j] = m[k][j] + x[i] * c
+        for i, row in self._brackets.items():
+            xi = x[i]
+            if xi:
+                for j, comps in row.items():
+                    for k, c in comps.items():
+                        m[k][j] = m[k][j] + xi * c
         return tuple(tuple(row) for row in m)
 
     def modular_trace(self, x) -> Rat:
         """trace(ad_x); identically zero exactly when the group is unimodular."""
         total = Rat(0)
-        for i, j, k, c in _full_constants(self):
-            if j == k and x[i]:
-                total += c * x[i]
+        for i, row in self._brackets.items():
+            if x[i]:
+                for j, comps in row.items():
+                    if j in comps:
+                        total += comps[j] * x[i]
         return total
 
     def basis_vector(self, i: int) -> tuple:
@@ -141,19 +156,6 @@ class LieAlgebra:
 
     def basis(self) -> tuple:
         return tuple(self.basis_vector(i) for i in range(self.dim))
-
-
-@lru_cache(maxsize=None)
-def _full_constants(algebra: LieAlgebra) -> tuple:
-    """Read-rule expansion: (i, j, k, c) for every ordered pair with a nonzero
-    read value.  Mirrored entries are synthesized only when absent."""
-    table = algebra.raw_table()
-    out = []
-    for (i, j, k), c in table.items():
-        out.append((i, j, k, c))
-        if i != j and (j, i, k) not in table:
-            out.append((j, i, k, -c))
-    return tuple(sorted(out, key=lambda t: t[:3]))
 
 
 # -- validation ---------------------------------------------------------------
@@ -192,23 +194,21 @@ def validate(algebra: LieAlgebra) -> ValidationReport:
                 anti.add((i, j, k))
         elif (j, i, k) in table and table[(j, i, k)] != -c:
             anti.add((min(i, j), max(i, j), k))
-    # [e_i, e_j] as {k: c}, read from the same expansion bracket() uses
-    brackets = {}
-    for i, j, k, c in _full_constants(algebra):
-        brackets.setdefault((i, j), {})[k] = c
+    # the same expansion bracket() reads; a triple's Jacobi sum vanishes
+    # unless one of its pairs has a nonzero bracket
+    brackets = algebra._brackets
+    triples = {tuple(sorted((a, b, m))) for a, row in brackets.items() for b in row
+               if a != b for m in range(algebra.dim) if m != a and m != b}
     jacobi = []
-    n = algebra.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                # [e_a, [e_b, e_c]] summed over the three cyclic orders
-                total = {}
-                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    for m, x in brackets.get((b, c), {}).items():
-                        for l, y in brackets.get((a, m), {}).items():
-                            total[l] = total.get(l, 0) + x * y
-                if any(total.values()):
-                    jacobi.append((i, j, k))
+    for i, j, k in sorted(triples):
+        # [e_a, [e_b, e_c]] summed over the three cyclic orders
+        total = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, x in brackets.get(b, {}).get(c, {}).items():
+                for l, y in brackets.get(a, {}).get(m, {}).items():
+                    total[l] = total.get(l, 0) + x * y
+        if any(total.values()):
+            jacobi.append((i, j, k))
     anti_sorted = tuple(sorted(anti))
     return ValidationReport(not anti_sorted and not jacobi, anti_sorted, tuple(jacobi))
 
@@ -216,17 +216,47 @@ def validate(algebra: LieAlgebra) -> ValidationReport:
 # -- subspace growth ----------------------------------------------------------
 
 
-def _grow_independent(span, basis_list, candidates):
-    """Append to basis_list the candidates that enlarge the span, greedy in
-    order; span is the linalg.EchelonBasis of basis_list.  Returns the list
-    of newly added vectors."""
-    added = []
-    for v in candidates:
-        if any(v) and span.insert(v):
-            v = tuple(v)
-            basis_list.append(v)
-            added.append(v)
-    return added
+def _filtration(algebra: LieAlgebra, v1) -> tuple:
+    """(layers, ranks): V_1 = v1 and V_{k+1} grown from [V_1, V_k] as in
+    stratify, until no bracket enlarges the filtration; ranks[k] is the rank
+    of [V_1, layers[k]].  Raises NotStratifiable when v1 is dependent."""
+    span = linalg.EchelonBasis()
+    if not all(span.insert(v) for v in v1):
+        raise NotStratifiable("polarization basis is linearly dependent")
+    if any(len(v) != algebra.dim for v in v1):
+        raise ValueError("vectors must have length %d" % algebra.dim)
+    # [v, .] = 0 unless some e_i in the support of v has a table row
+    active = [v for v in v1 if any(v[i] for i in algebra._brackets)]
+    layers, ranks = [tuple(v1)], []
+    while True:
+        layer, bracket_span = [], linalg.EchelonBasis()
+        for v in active:
+            for w in layers[-1]:
+                b = algebra.bracket(v, w)
+                # a bracket dependent on earlier ones of this pass is in span
+                if any(b) and bracket_span.insert(b) and span.insert(b):
+                    layer.append(b)
+        ranks.append(len(bracket_span))
+        if not layer:
+            return layers, ranks
+        layers.append(tuple(layer))
+
+
+def _strata(algebra: LieAlgebra, layers, ranks) -> tuple:
+    """The grown layers, once the stratification axioms of stratify hold;
+    raises NotStratifiable at the first failure in order of growth."""
+    for k, rank in enumerate(ranks, 1):
+        size = len(layers[k]) if k < len(layers) else 0
+        if rank != size:
+            raise NotStratifiable("[V1, V%d] meets the lower filtration nontrivially" % k if size
+                                  else "brackets of layer %d fold back into lower layers" % k)
+    dim = sum(len(layer) for layer in layers)
+    if dim != algebra.dim:
+        raise NotStratifiable(
+            "polarization generates a %d-dimensional subalgebra of a %d-dimensional algebra"
+            % (dim, algebra.dim)
+        )
+    return tuple(layers)
 
 
 def bracket_generating(algebra: LieAlgebra, vectors) -> tuple:
@@ -236,40 +266,33 @@ def bracket_generating(algebra: LieAlgebra, vectors) -> tuple:
     (generates, growth_dims) where growth_dims lists the filtration dimensions
     until stabilization.
     """
-    seed = [tuple(rat(x) for x in v) for v in vectors]
-    span = linalg.EchelonBasis()
-    basis_list = []
-    _grow_independent(span, basis_list, seed)
-    if not basis_list:
-        return (algebra.dim == 0, (0,))
-    dims = [len(basis_list)]
-    frontier = list(basis_list)
-    while True:
-        brackets = [algebra.bracket(v, w) for v in seed for w in frontier]
-        frontier = _grow_independent(span, basis_list, brackets)
-        if not frontier:
-            break
-        dims.append(len(basis_list))
-    return (len(basis_list) == algebra.dim, tuple(dims))
+    seeds = linalg.EchelonBasis()
+    v1 = [v for v in (tuple(rat(x) for x in v) for v in vectors) if seeds.insert(v)]
+    layers, _ = _filtration(algebra, v1)
+    dims = tuple(accumulate(len(layer) for layer in layers))
+    return (dims[-1] == algebra.dim, dims)
 
 
 def nilpotency_step(algebra: LieAlgebra):
     """Nilpotency step, or None if the lower central series stabilizes
     above zero."""
-    basis = algebra.basis()
-    layer = list(basis)
-    step = 0
-    for _ in range(algebra.dim + 1):
-        if not layer:
-            return step
+    # [e_i, .] = 0 for a basis vector without a table row
+    active = [algebra.basis_vector(i) for i in algebra._brackets]
+    layer, step = algebra.basis(), 0
+    while layer:
         step += 1
-        brackets = [algebra.bracket(e, w) for e in basis for w in layer]
-        span = []
-        _grow_independent(linalg.EchelonBasis(), span, brackets)
-        if span and len(span) == linalg.rank(tuple(layer)) and linalg.span_equal(span, layer):
-            return None  # series stalled at a nonzero ideal
-        layer = span
-    return None
+        span, brackets = linalg.EchelonBasis(), []
+        for e in active:
+            for w in layer:
+                b = algebra.bracket(e, w)
+                if span.insert(b):
+                    brackets.append(b)
+        # C^{k+1} = [g, C^k] lies in C^k for any bilinear bracket, so equal
+        # dimension means the series has stalled at a nonzero ideal
+        if len(brackets) == len(layer):
+            return None
+        layer = brackets
+    return step
 
 
 def stratify(algebra: LieAlgebra, v1_basis) -> tuple:
@@ -282,32 +305,7 @@ def stratify(algebra: LieAlgebra, v1_basis) -> tuple:
     NotStratifiable otherwise.
     """
     v1 = [tuple(rat(x) for x in v) for v in v1_basis]
-    if linalg.rank(tuple(v1)) != len(v1):
-        raise NotStratifiable("polarization basis is linearly dependent")
-    layers = [list(v1)]
-    filtration = list(v1)
-    span = linalg.EchelonBasis(v1)
-    while True:
-        brackets = [algebra.bracket(v, w) for v in v1 for w in layers[-1]]
-        new_layer = _grow_independent(span, filtration, brackets)
-        bracket_rank = linalg.rank(tuple(brackets)) if brackets else 0
-        if not new_layer:
-            if bracket_rank:
-                raise NotStratifiable(
-                    "brackets of layer %d fold back into lower layers" % len(layers)
-                )
-            break
-        if bracket_rank != len(new_layer):
-            raise NotStratifiable(
-                "[V1, V%d] meets the lower filtration nontrivially" % len(layers)
-            )
-        layers.append(new_layer)
-    if len(filtration) != algebra.dim:
-        raise NotStratifiable(
-            "polarization generates a %d-dimensional subalgebra of a %d-dimensional algebra"
-            % (len(filtration), algebra.dim)
-        )
-    return tuple(tuple(layer) for layer in layers)
+    return _strata(algebra, *_filtration(algebra, v1))
 
 
 # -- bundled sub-Riemannian structure ------------------------------------------
@@ -389,20 +387,20 @@ def subriemannian_group(algebra: LieAlgebra, polarization_basis, gram) -> SubRie
     if not report.valid:
         raise ValueError("invalid structure constants: " + report.describe())
     pol = Polarization(tuple(polarization_basis))
-    if linalg.rank(pol.basis) != pol.rank:
-        raise ValueError("polarization basis is linearly dependent")
-    generates, _ = bracket_generating(algebra, pol.basis)
-    if not generates:
+    try:
+        layers, ranks = _filtration(algebra, pol.basis)
+    except NotStratifiable as exc:  # a dependent basis is a plain ValueError here
+        raise ValueError(str(exc)) from None
+    if sum(len(layer) for layer in layers) != algebra.dim:
         raise ValueError("polarization is not bracket generating")
     metric = Metric(gram)
     if len(metric.gram) != pol.rank:
         raise ValueError("metric size %d does not match polarization rank %d"
                          % (len(metric.gram), pol.rank))
-    step = nilpotency_step(algebra)
-    strata = None
-    if step is not None:
-        try:
-            strata = stratify(algebra, pol.basis)
-        except NotStratifiable:
-            strata = None
-    return SubRiemannianGroup(algebra, pol, metric, step, strata)
+    try:
+        strata = _strata(algebra, layers, ranks)
+    except NotStratifiable:
+        return SubRiemannianGroup(algebra, pol, metric, nilpotency_step(algebra), None)
+    # a stratified algebra is graded ([V_i, V_j] lies in V_{i+j}, by Jacobi
+    # and induction on i), so its step is exactly its number of nonzero layers
+    return SubRiemannianGroup(algebra, pol, metric, sum(map(bool, strata)), strata)

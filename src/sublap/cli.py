@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import specfiles
-from .algebra import NotStratifiable, stratify, validate
+from .algebra import NotStratifiable, stratify, subriemannian_group, validate
 from .calculus import NotNilpotent
 from .conformal import ProbeBudgetExceeded, analyze_commutation, commutation_residuals, \
     frames_equivalent
@@ -74,7 +74,6 @@ def _run_validate(config):
     }
     lines = []
     if report.valid:
-        from .algebra import subriemannian_group
         try:
             group = subriemannian_group(alg, pol, gram)
         except ValueError as exc:

@@ -704,10 +704,6 @@ def poly_rat_mat_mul(a, m) -> tuple:
     return tuple(tuple(linear_combination(nvars, zip(col, row)) for col in cols) for row in a)
 
 
-def poly_mat_eval(a, point) -> tuple:
-    return tuple(tuple(entry.evaluate(point) for entry in row) for row in a)
-
-
 def monomials_up_to(nvars: int, degree: int):
     """All monomial Polynomials of total degree <= degree (including 1)."""
     out = [Polynomial.constant(1, nvars)]

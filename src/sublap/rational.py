@@ -19,8 +19,6 @@ ONE = Rat(1)
 # the scalar type in use, "gmpy2.mpq" or "fractions.Fraction"
 BACKEND = "%s.%s" % (Rat.__module__, Rat.__name__)
 
-RatLike = object  # int | str "p/q" | Fraction | mpq
-
 
 def rat(value, den=None) -> Rat:
     """Coerce ``value`` (int, ``"p/q"`` string, Fraction, mpq) to a Rat.

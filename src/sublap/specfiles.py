@@ -11,12 +11,12 @@ from __future__ import annotations
 import json
 import re
 
-from .algebra import Metric, SubRiemannianGroup, subriemannian_group
+from .algebra import LieAlgebra, Metric, SubRiemannianGroup, subriemannian_group
 from .conformal import CommutationReport
 from .heisenberg import SymplecticForm
 from .operators import DifferentialOperator
 from .polynomial import Polynomial, PolyMap
-from .rational import rat, rat_str
+from .rational import Rat, rat_str
 
 
 class SpecFileError(ValueError):
@@ -70,19 +70,25 @@ def _get(doc, key, kind, field, filename, optional=False, default=None):
 
 
 # the rational grammar of string entries: an integer or p/q, no spaces
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
-def _parse_rat(value, field, filename):
+def _parse_rat(value, field, filename, index=()):
     """A JSON int (not a boolean) or a string matching _RATIONAL; anything
-    else, exponent and decimal notation included, is a bad rational."""
-    if (isinstance(value, int) and not isinstance(value, bool)) or \
-            (isinstance(value, str) and _RATIONAL.fullmatch(value)):
+    else, exponent and decimal notation included, is a bad rational.  The
+    error's field is field followed by [i + 1] for each i in index."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Rat(value)
+    match = _RATIONAL.fullmatch(value) if isinstance(value, str) else None
+    if match:
+        p, q = match.groups()
         try:
-            return rat(value)
+            # int() refuses digits past the int-string limit; q = 0 divides by zero
+            return Rat(int(p), int(q or 1))
         except (ValueError, ZeroDivisionError):
             pass
-    raise SpecFileError("bad rational %r" % (value,), filename=filename, field=field)
+    raise SpecFileError("bad rational %r" % (value,), filename=filename,
+                        field=field + "".join("[%d]" % (i + 1) for i in index))
 
 
 def _parse_matrix(rows, field, filename, nrows=None, ncols=None):
@@ -100,8 +106,7 @@ def _parse_matrix(rows, field, filename, nrows=None, ncols=None):
         elif len(row) != width:
             raise SpecFileError("ragged rows", filename=filename,
                                 field="%s[%d]" % (field, i + 1))
-        out.append(tuple(_parse_rat(v, "%s[%d][%d]" % (field, i + 1, j + 1), filename)
-                         for j, v in enumerate(row)))
+        out.append(tuple(_parse_rat(v, field, filename, (i, j)) for j, v in enumerate(row)))
     if nrows is not None and len(out) != nrows:
         raise SpecFileError("expected %d rows, got %d" % (nrows, len(out)),
                             filename=filename, field=field)
@@ -153,7 +158,6 @@ def group_parts_from_dict(doc, filename=None):
             raise SpecFileError("duplicate bracket (%d, %d)" % (i, j),
                                 filename=filename, field=field)
         brackets[key] = parsed
-    from .algebra import LieAlgebra
     try:
         alg = LieAlgebra.from_brackets(dim, brackets)
     except ValueError as exc:

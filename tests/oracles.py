@@ -21,7 +21,10 @@ package pairs the vector with annihilators and applies a left inverse.  The
 linear-algebra oracles are plain Gauss-Jordan and LDL^T elimination on
 Fractions, apart from the package's fraction-free integer code, and the
 Jacobi oracle calls the algebra's bracket on every basis triple instead of
-reading the table.  The orthogonal-witness oracle applies each reflection
+reading the table.  The filtration oracles run generation, the lower central
+series and stratification as three separate dense passes that bracket every
+pair and rank each bracket set apart, where the package grows the filtration
+once, over the table's rows only.  The orthogonal-witness oracle applies each reflection
 with scalar Rat arithmetic, entry by entry, where the package updates
 integer rows.
 """
@@ -29,6 +32,7 @@ integer rows.
 from fractions import Fraction
 
 from sublap import linalg
+from sublap.algebra import NotStratifiable
 from sublap.calculus import bch_product, group_product_map
 from sublap.operators import DifferentialOperator, cometric, frame_components, gradient, \
     sublaplacian
@@ -233,6 +237,11 @@ def truncate(p, nvars):
             raise ValueError("variable beyond %d occurs in %s" % (nvars, p))
         out[exps[:nvars]] = c
     return Polynomial(nvars, out)
+
+
+def poly_mat_eval(a, point):
+    """A matrix of Polynomials evaluated entrywise at a point."""
+    return tuple(tuple(entry.evaluate(point) for entry in row) for row in a)
 
 
 def coeff_of(p, index, power):
@@ -510,6 +519,113 @@ def bracket_jacobi(algebra):
                 if any(a + b + c != 0 for a, b, c in zip(first, second, third)):
                     bad.append((i, j, k))
     return tuple(bad)
+
+
+# ---------------------------------------------------------------------------
+# filtrations, one dense greedy pass per question
+
+
+def _grow_independent(span, basis_list, candidates):
+    """Append to basis_list the candidates that enlarge the span, greedy in
+    order; span is the linalg.EchelonBasis of basis_list.  Returns the list
+    of newly added vectors."""
+    added = []
+    for v in candidates:
+        if any(v) and span.insert(v):
+            v = tuple(v)
+            basis_list.append(v)
+            added.append(v)
+    return added
+
+
+def dense_bracket_generating(algebra, vectors):
+    """(generates, growth_dims) as bracket_generating, bracketing every seed
+    (dependent ones included) with every vector of the last layer."""
+    seed = [tuple(rat(x) for x in v) for v in vectors]
+    span = linalg.EchelonBasis()
+    basis_list = []
+    _grow_independent(span, basis_list, seed)
+    if not basis_list:
+        return (algebra.dim == 0, (0,))
+    dims = [len(basis_list)]
+    frontier = list(basis_list)
+    while True:
+        brackets = [algebra.bracket(v, w) for v in seed for w in frontier]
+        frontier = _grow_independent(span, basis_list, brackets)
+        if not frontier:
+            break
+        dims.append(len(basis_list))
+    return (len(basis_list) == algebra.dim, tuple(dims))
+
+
+def dense_nilpotency_step(algebra):
+    """The lower central series bracketed over the whole basis, stopping
+    when a term is zero or spans the same space as the one before."""
+    basis = algebra.basis()
+    layer = list(basis)
+    step = 0
+    for _ in range(algebra.dim + 1):
+        if not layer:
+            return step
+        step += 1
+        brackets = [algebra.bracket(e, w) for e in basis for w in layer]
+        span = []
+        _grow_independent(linalg.EchelonBasis(), span, brackets)
+        if span and len(span) == linalg.rank(tuple(layer)) and linalg.span_equal(span, layer):
+            return None
+        layer = span
+    return None
+
+
+def dense_stratify(algebra, v1_basis):
+    """stratify with each axiom checked as the layer is grown: the rank of
+    every [V_1, V_k] is taken apart from the growth."""
+    v1 = [tuple(rat(x) for x in v) for v in v1_basis]
+    if linalg.rank(tuple(v1)) != len(v1):
+        raise NotStratifiable("polarization basis is linearly dependent")
+    layers = [list(v1)]
+    filtration = list(v1)
+    span = linalg.EchelonBasis(v1)
+    while True:
+        brackets = [algebra.bracket(v, w) for v in v1 for w in layers[-1]]
+        new_layer = _grow_independent(span, filtration, brackets)
+        bracket_rank = linalg.rank(tuple(brackets)) if brackets else 0
+        if not new_layer:
+            if bracket_rank:
+                raise NotStratifiable(
+                    "brackets of layer %d fold back into lower layers" % len(layers)
+                )
+            break
+        if bracket_rank != len(new_layer):
+            raise NotStratifiable(
+                "[V1, V%d] meets the lower filtration nontrivially" % len(layers)
+            )
+        layers.append(new_layer)
+    if len(filtration) != algebra.dim:
+        raise NotStratifiable(
+            "polarization generates a %d-dimensional subalgebra of a %d-dimensional algebra"
+            % (len(filtration), algebra.dim)
+        )
+    return tuple(tuple(layer) for layer in layers)
+
+
+def dense_group_structure(algebra, polarization_basis):
+    """(step, strata) of the group on a valid algebra, from the three dense
+    passes: generation, the lower central series, then stratify; raises
+    ValueError as the group constructor does."""
+    basis = tuple(tuple(rat(x) for x in v) for v in polarization_basis)
+    if linalg.rank(basis) != len(basis):
+        raise ValueError("polarization basis is linearly dependent")
+    if not dense_bracket_generating(algebra, basis)[0]:
+        raise ValueError("polarization is not bracket generating")
+    step = dense_nilpotency_step(algebra)
+    strata = None
+    if step is not None:
+        try:
+            strata = dense_stratify(algebra, basis)
+        except NotStratifiable:
+            strata = None
+    return step, strata
 
 
 def scalar_orthogonal_witness(fx, fy):

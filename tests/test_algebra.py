@@ -1,15 +1,18 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bracket_jacobi
+from oracles import (bracket_jacobi, dense_bracket_generating, dense_group_structure,
+                     dense_nilpotency_step, dense_stratify)
 
 from sublap.algebra import (LieAlgebra, Metric, NotStratifiable, Polarization,
                             bracket_generating, nilpotency_step, stratify,
                             subriemannian_group, validate)
-from sublap.catalog import abelian_group, engel_algebra, sl2_algebra
-from sublap.heisenberg import heisenberg_algebra
-from sublap.linalg import mat_mul, mat_sub, rank
+from sublap.catalog import abelian_group, engel_algebra, engel_group, sl2_algebra
+from sublap.heisenberg import heisenberg_algebra, heisenberg_group
+from sublap.linalg import identity, mat_mul, mat_sub, rank
 from sublap.rational import Rat
 
 
@@ -300,3 +303,119 @@ def test_validate_jacobi_matches_bracket_oracle(alg, expanded, data):
     report = validate(mutated)
     assert report.jacobi_violations == bracket_jacobi(mutated)
     assert report.valid == (not report.jacobi_violations and not report.antisymmetry_violations)
+
+
+# -- the one filtration growth against three dense passes ------------------------
+
+
+def filiform_group(n):
+    """The model filiform group: [e1, e_k] = e_{k+1}, polarized by (e1, e2)."""
+    alg = LieAlgebra.from_brackets(n, {(0, k): {k + 1: 1} for k in range(1, n - 1)})
+    return subriemannian_group(alg, (alg.basis_vector(0), alg.basis_vector(1)), identity(2))
+
+
+FIXTURE_GROUPS = (
+    [heisenberg_group(k, (1,) * k) for k in range(1, 6)] + [engel_group()]
+    + [filiform_group(n) for n in range(4, 9)] + [abelian_group(n) for n in range(1, 7)])
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def group_structure(algebra, basis):
+    group = subriemannian_group(algebra, basis, identity(len(basis)))
+    return group.step, group.strata
+
+
+def changed_bases(group, rng, count=3):
+    """count random changes of the polarization basis, each also with every
+    vector shifted by a random multiple of the last (central) basis vector."""
+    basis, size = group.polarization.basis, group.rank
+    out = []
+    while len(out) < 2 * count:
+        a = [[Rat(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(size)]
+             for _ in range(size)]
+        if rank(a) != size:
+            continue
+        changed = mat_mul(a, basis)
+        shift = [Rat(rng.randint(-3, 3)) for _ in range(size)]
+        out.append(changed)
+        out.append(tuple(v[:-1] + (v[-1] + s,) for v, s in zip(changed, shift)))
+    return out
+
+
+def engel_sl2_heis3_cases():
+    """Stratifying, fold-back, mixed, non-generating and dependent bases."""
+    eng, sl2, heis = engel_algebra(), sl2_algebra(), heisenberg_algebra(1)
+    e, s, h = eng.basis(), sl2.basis(), heis.basis()
+    zero = vec(0, 0, 0)
+    return [
+        (eng, (e[0], e[1])), (eng, (e[1], e[0])), (eng, (e[0], e[1], e[2])),
+        (eng, (e[1], e[2])), (eng, (e[0], e[3])),
+        (eng, (e[0], tuple(a + b for a, b in zip(e[1], e[2])))),
+        (eng, (e[0], e[1], tuple(a + b for a, b in zip(e[0], e[1])))),
+        (sl2, (s[0], s[1])), (sl2, (s[2],)), (sl2, (s[0], s[2])), (sl2, (s[0], s[0])),
+        (heis, (h[0], h[1])), (heis, (h[0], h[1], h[2])), (heis, (h[0],)),
+        (heis, (vec(1, 0, 1), h[1])), (heis, (h[0], h[0])), (heis, (h[0], zero)),
+        (heis, (h[0], h[1], vec(1, 1, 0))), (heis, (zero, h[0], h[1])),
+    ]
+
+
+def growth_cases():
+    rng = random.Random(14)
+    cases = [(g.algebra, g.polarization.basis) for g in FIXTURE_GROUPS]
+    for group in FIXTURE_GROUPS:
+        cases += [(group.algebra, basis) for basis in changed_bases(group, rng)]
+    return cases + engel_sl2_heis3_cases()
+
+
+def test_growth_matches_the_dense_passes():
+    for algebra, basis in growth_cases():
+        assert bracket_generating(algebra, basis) == dense_bracket_generating(algebra, basis)
+        assert outcome(stratify, algebra, basis) == outcome(dense_stratify, algebra, basis)
+        assert outcome(group_structure, algebra, basis) == \
+            outcome(dense_group_structure, algebra, basis)
+
+
+def test_nilpotency_step_matches_the_dense_series():
+    mixed = LieAlgebra.from_brackets(4, {(0, 1): {3: 1}, (0, 2): {1: 1}})
+    solvable = LieAlgebra.from_brackets(2, {(0, 1): {1: 1}})
+    algebras = [g.algebra for g in FIXTURE_GROUPS] + [
+        engel_algebra(), sl2_algebra(), heisenberg_algebra(1), mixed, solvable]
+    for algebra in algebras:
+        assert nilpotency_step(algebra) == dense_nilpotency_step(algebra)
+
+
+def test_stratified_groups_take_their_step_from_the_strata():
+    for group in FIXTURE_GROUPS:
+        assert group.strata is not None
+        assert group.step == len(group.strata) == nilpotency_step(group.algebra)
+
+
+def test_the_constructor_grows_the_filtration_once(monkeypatch):
+    import sublap.algebra as algebra_module
+    calls = {"filtration": 0, "series": 0}
+    filtration, series = algebra_module._filtration, algebra_module.nilpotency_step
+
+    def counted_filtration(*args):
+        calls["filtration"] += 1
+        return filtration(*args)
+
+    def counted_series(*args):
+        calls["series"] += 1
+        return series(*args)
+
+    monkeypatch.setattr(algebra_module, "_filtration", counted_filtration)
+    monkeypatch.setattr(algebra_module, "nilpotency_step", counted_series)
+    engel_group()
+    assert calls == {"filtration": 1, "series": 0}
+    # (e1, e2, e3) generates the Engel algebra but does not stratify it
+    eng = engel_algebra()
+    group = subriemannian_group(eng, eng.basis()[:3], identity(3))
+    assert (group.step, group.strata) == (3, None)
+    assert calls == {"filtration": 2, "series": 1}

@@ -10,7 +10,7 @@ import pytest
 
 from oracles import (bch_left_translation_jacobian, bch_lie_differential, curve_derivative,
                      heisenberg_rep, engel_rep, mmul, mscale, madd, nilpotent_exp,
-                     nilpotent_log, rep_product, second_lie_differential)
+                     nilpotent_log, poly_mat_eval, rep_product, second_lie_differential)
 from conftest import gallery_maps, random_rational, random_vector
 from sublap.algebra import LieAlgebra, NotStratifiable, subriemannian_group
 from sublap.calculus import (NotNilpotent, bch_product, bernoulli_numbers, dilation,
@@ -21,7 +21,7 @@ from sublap.calculus import (NotNilpotent, bch_product, bernoulli_numbers, dilat
                              right_translation)
 from sublap.catalog import engel_group, abelian_group, sl2_algebra
 from sublap.heisenberg import heisenberg_group
-from sublap.polynomial import Polynomial, PolyMap, monomials_up_to, poly_mat_eval, poly_mat_mul
+from sublap.polynomial import Polynomial, PolyMap, monomials_up_to, poly_mat_mul
 from sublap.rational import Rat
 
 

@@ -197,6 +197,31 @@ def test_sublaplacian_of_a_large_step_group_is_fast(tmp_path, capsys):
     assert "d1 d1: 1" in out
 
 
+@pytest.mark.parametrize("command", ["validate", "stratify"])
+def test_structure_of_large_groups_is_fast(tmp_path, capsys, command):
+    # the dim-160 abelian group has no brackets to take, and the dim-80 model
+    # filiform group has step 79: each grows its filtration once, bracketing
+    # only basis directions with a table row
+    import time
+    n = 80
+    filiform = {"dim": n,
+                "brackets": [{"i": 1, "j": k, "coeffs": {str(k + 1): 1}} for k in range(2, n)],
+                "polarization": [[1 if j == i else 0 for j in range(n)] for i in range(2)],
+                "metric": [[1, 0], [0, 1]]}
+    eye = [[1 if j == i else 0 for j in range(160)] for i in range(160)]
+    abelian = {"dim": 160, "brackets": [], "polarization": eye, "metric": eye}
+    expected = {"validate": ("dim 160, polarization rank 160, step 1",
+                             "dim 80, polarization rank 2, step 79"),
+                "stratify": ("layer dims: [160]", "layer dims: [2%s]" % (", 1" * 78))}
+    for doc, line in zip((abelian, filiform), expected[command]):
+        path = write(tmp_path, "group.json", doc)
+        start = time.perf_counter()
+        code, out = run_main(capsys, [command, path])
+        assert time.perf_counter() - start < 2.0
+        assert code == 0
+        assert line in out.splitlines()
+
+
 # ---------------------------------------------------------------------------
 # frames
 

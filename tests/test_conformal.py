@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import analyzer_rejections, gallery_maps, random_rational
-from oracles import probe_residuals, scalar_orthogonal_witness, trace_drift
+from oracles import madd, probe_residuals, scalar_orthogonal_witness, trace_drift
 from sublap import linalg
 from sublap.calculus import NotNilpotent, dilation, left_translation
 from sublap.catalog import abelian_group, engel_group, sl2_algebra
@@ -76,7 +76,7 @@ def test_gram_validation():
 
 def _random_pd(rng, n):
     a = tuple(tuple(random_rational(rng, 3, 3) for _ in range(n)) for _ in range(n))
-    return linalg.mat_add(linalg.mat_mul(linalg.transpose(a), a), EYE(n))
+    return madd(linalg.mat_mul(linalg.transpose(a), a), EYE(n))
 
 
 def test_characterizations_agree_on_random_inputs():

@@ -1,12 +1,16 @@
-"""Every name a module of the package imports at top level is used in it."""
+"""Every name a module of the package imports at top level is used in it,
+and every private top-level helper of the package is named somewhere."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sublap"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "sublap"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# every file that may call a private helper of the package
+SOURCES = sorted(p for d in ("src", "tests", "scripts", "bench") for p in (ROOT / d).rglob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -32,3 +36,41 @@ def test_scan_finds_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_its_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_definitions(source: str) -> list:
+    """Private (single-underscore) top-level functions and classes of source."""
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")]
+
+
+def named(source: str) -> set:
+    """Every name source refers to: identifiers, attributes, imported names,
+    and string constants (getattr and monkeypatch targets)."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def test_scan_finds_unnamed_helpers():
+    source = ("def _used():\n    pass\n\n\nclass _Gone:\n    pass\n\n\n"
+              "def __getattr__(name):\n    return _used()\n")
+    assert private_definitions(source) == ["_used", "_Gone"]
+    assert "_used" in named(source) and "_Gone" not in named(source)
+    assert "_emit" in named("getattr(cli, '_emit')")
+
+
+def test_private_helpers_are_named_somewhere():
+    used = set().union(*(named(p.read_text()) for p in SOURCES))
+    dead = [(path.name, name) for path in sorted(PACKAGE.glob("*.py"))
+            for name in private_definitions(path.read_text()) if name not in used]
+    assert dead == []

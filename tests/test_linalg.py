@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fraction_ldl, fraction_rref
+from oracles import fraction_ldl, fraction_rref, madd
 from sublap import linalg
 from sublap.rational import Rat, is_rat
 
@@ -94,7 +94,7 @@ def test_pivot_rows_span():
 @given(square(3))
 def test_ldl_positive_definite(a):
     # G = A^T A + I is always symmetric positive definite
-    g = linalg.mat_add(linalg.mat_mul(linalg.transpose(a), a), linalg.identity(3))
+    g = madd(linalg.mat_mul(linalg.transpose(a), a), linalg.identity(3))
     l, d = linalg.ldl_pd(g)
     assert all(x > 0 for x in d)
     dm = tuple(tuple(d[i] if i == j else Rat(0) for j in range(3)) for i in range(3))

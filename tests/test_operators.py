@@ -17,8 +17,7 @@ from sublap.operators import (Cometric, DifferentialOperator, cometric,
                               divergence, frame_components,
                               gradient, pullback_operator,
                               sublaplacian)
-from sublap.polynomial import (Polynomial, PolyMap, monomials_up_to,
-                               poly_mat_eval)
+from sublap.polynomial import Polynomial, PolyMap, monomials_up_to
 from sublap.rational import Rat
 
 EYE2 = ((Rat(1), Rat(0)), (Rat(0), Rat(1)))

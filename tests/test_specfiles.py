@@ -86,6 +86,17 @@ def test_rationals_follow_the_documented_grammar():
         pair_from_dict({"omega": [[0, "1e400"], ["-1e400", 0]], "gram": [[1, 0], [0, 1]]})
 
 
+def test_bad_rationals_name_their_exact_field():
+    # a zero denominator and a numerator past the int-string digit limit
+    # match the grammar but are still bad rationals, named by their path
+    too_long = "9" * 5000
+    for entry in ("1/0", "-0/0", too_long, "1/" + too_long):
+        with pytest.raises(SpecFileError, match=r"field polarization\[2\]\[3\]: bad rational"):
+            group_from_dict(dict(H1_DOC, polarization=[[1, 0, 0], [0, 1, entry]]))
+        with pytest.raises(SpecFileError, match=r"field brackets\[1\]\.coeffs\.3: bad rational"):
+            group_from_dict(dict(H1_DOC, brackets=[{"i": 1, "j": 2, "coeffs": {"3": entry}}]))
+
+
 def test_ragged_rows_rejected():
     doc = dict(H1_DOC, polarization=[[1, 0, 0], [0, 1]])
     with pytest.raises(SpecFileError, match="ragged"):

@@ -7,7 +7,7 @@ equivalence decisions, and the symplectic-spectrum classification of
 Heisenberg sub-Laplacians.
 """
 
-from .algebra import (LieAlgebra, Metric, NotStratifiable, Polarization,
+from .algebra import (InvalidAlgebra, LieAlgebra, Metric, NotStratifiable, Polarization,
                       SubRiemannianGroup, ValidationReport, bracket_generating,
                       nilpotency_step, stratify, subriemannian_group, validate)
 from .calculus import (NotNilpotent, bch_product, dilation, dynkin_terms,
@@ -33,7 +33,7 @@ from .rational import Rat, rat
 __version__ = "0.1.0"
 
 __all__ = [
-    "LieAlgebra", "Metric", "NotStratifiable", "Polarization",
+    "InvalidAlgebra", "LieAlgebra", "Metric", "NotStratifiable", "Polarization",
     "SubRiemannianGroup", "ValidationReport", "bracket_generating",
     "nilpotency_step", "stratify", "subriemannian_group", "validate",
     "NotNilpotent", "bch_product", "dilation", "dynkin_terms",

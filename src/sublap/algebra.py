@@ -178,6 +178,14 @@ class ValidationReport:
         return "; ".join(lines)
 
 
+class InvalidAlgebra(ValueError):
+    """Structure constants that fail validate; report is the ValidationReport."""
+
+    def __init__(self, report: ValidationReport):
+        super().__init__("invalid structure constants: " + report.describe())
+        self.report = report
+
+
 def validate(algebra: LieAlgebra) -> ValidationReport:
     """Check antisymmetry and the Jacobi identity entry by entry.
 
@@ -382,10 +390,11 @@ class SubRiemannianGroup:
 
 
 def subriemannian_group(algebra: LieAlgebra, polarization_basis, gram) -> SubRiemannianGroup:
-    """Validate and assemble a SubRiemannianGroup."""
+    """Validate and assemble a SubRiemannianGroup; structure constants that
+    fail validate raise InvalidAlgebra."""
     report = validate(algebra)
     if not report.valid:
-        raise ValueError("invalid structure constants: " + report.describe())
+        raise InvalidAlgebra(report)
     pol = Polarization(tuple(polarization_basis))
     try:
         layers, ranks = _filtration(algebra, pol.basis)

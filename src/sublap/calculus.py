@@ -21,7 +21,7 @@ from math import comb, factorial
 
 from . import linalg
 from .algebra import LieAlgebra, NotStratifiable, SubRiemannianGroup, nilpotency_step
-from .polynomial import Polynomial, PolyMap, PolyVectorField, poly_mat_mul
+from .polynomial import Polynomial, PolyMap, PolyVectorField, poly_mat_mul, poly_rat_mat_mul
 from .rational import Rat, rat
 
 
@@ -197,15 +197,8 @@ def left_invariant_field(x, group: SubRiemannianGroup) -> PolyVectorField:
     x = tuple(rat(v) for v in x)
     if len(x) != group.dim:
         raise ValueError("vector has length %d, expected %d" % (len(x), group.dim))
-    lam = left_translation_jacobian(group)
-    comps = []
-    for row in lam:
-        acc = Polynomial.zero(group.dim)
-        for entry, xv in zip(row, x):
-            if xv and entry:
-                acc = acc + entry * xv
-        comps.append(acc)
-    return PolyVectorField(tuple(comps))
+    column = poly_rat_mat_mul(left_translation_jacobian(group), tuple((v,) for v in x))
+    return PolyVectorField(tuple(row[0] for row in column))
 
 
 def lie_derivative(u: Polynomial, x, group: SubRiemannianGroup) -> Polynomial:

@@ -18,17 +18,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import specfiles
-from .algebra import NotStratifiable, stratify, subriemannian_group, validate
+from .algebra import InvalidAlgebra, NotStratifiable, stratify, subriemannian_group
 from .calculus import NotNilpotent
 from .conformal import ProbeBudgetExceeded, analyze_commutation, commutation_residuals, \
     frames_equivalent
 from .heisenberg import NoIsometry, build_isometry, symplectic_spectrum
 from .operators import sublaplacian
 from .rational import rat_str
-
-COMMANDS = ("validate", "stratify", "sublaplacian", "equiv-frames",
-            "heis-spectrum", "heis-isometry", "analyze-map", "verify")
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -63,35 +59,25 @@ def _run_validate(config):
     # describes a bad algebra or an unusable polarization is a negative
     # verdict (exit 1)
     alg, pol, gram = specfiles.load_group_parts(config.paths[0])
-    report = validate(alg)
-    doc = {
-        "verdict": "valid" if report.valid else "invalid",
-        "dim": alg.dim,
-        "rank": len(pol),
-        "antisymmetry_violations": [[i + 1 for i in v]
-                                    for v in report.antisymmetry_violations],
-        "jacobi_violations": [[i + 1 for i in v] for v in report.jacobi_violations],
-    }
-    lines = []
-    if report.valid:
-        try:
-            group = subriemannian_group(alg, pol, gram)
-        except ValueError as exc:
-            doc["verdict"] = "invalid"
-            doc["reason"] = str(exc)
-            lines = ["verdict: invalid", "reason: %s" % exc]
-            return 1, doc, lines
-        doc["step"] = group.step
-        lines = ["verdict: valid",
-                 "dim %d, polarization rank %d, step %s"
-                 % (group.dim, group.rank, group.step)]
-        return 0, doc, lines
-    lines = ["verdict: invalid"]
-    for v in report.antisymmetry_violations:
-        lines.append("antisymmetry violated at %s" % (tuple(i + 1 for i in v),))
-    for v in report.jacobi_violations:
-        lines.append("jacobi violated on %s" % (tuple(i + 1 for i in v),))
-    return 1, doc, lines
+    doc = {"verdict": "invalid", "dim": alg.dim, "rank": len(pol),
+           "antisymmetry_violations": [], "jacobi_violations": []}
+    try:
+        group = subriemannian_group(alg, pol, gram)
+    except InvalidAlgebra as exc:
+        anti = doc["antisymmetry_violations"] = [[i + 1 for i in v]
+                                                 for v in exc.report.antisymmetry_violations]
+        jacobi = doc["jacobi_violations"] = [[i + 1 for i in v]
+                                             for v in exc.report.jacobi_violations]
+        lines = ["verdict: invalid"]
+        lines += ["antisymmetry violated at %s" % (tuple(v),) for v in anti]
+        lines += ["jacobi violated on %s" % (tuple(v),) for v in jacobi]
+        return 1, doc, lines
+    except ValueError as exc:
+        doc["reason"] = str(exc)
+        return 1, doc, ["verdict: invalid", "reason: %s" % exc]
+    doc["verdict"], doc["step"] = "valid", group.step
+    return 0, doc, ["verdict: valid", "dim %d, polarization rank %d, step %s"
+                    % (group.dim, group.rank, group.step)]
 
 
 def _run_stratify(config):
@@ -253,22 +239,29 @@ def _run_verify(config):
     return (0 if holds else 1), doc, lines
 
 
-_RUNNERS = {
-    "validate": (_run_validate, 1),
-    "stratify": (_run_stratify, 1),
-    "sublaplacian": (_run_sublaplacian, 1),
-    "equiv-frames": (_run_equiv_frames, 1),
-    "heis-spectrum": (_run_heis_spectrum, 1),
-    "heis-isometry": (_run_heis_isometry, 2),
-    "analyze-map": (_run_analyze_map, 3),
-    "verify": (_run_verify, 4),
+# each subcommand once: name -> (runner, help text, file arguments in order)
+_SUBCOMMANDS = {
+    "validate": (_run_validate, "check the algebra axioms of a group file", ("group",)),
+    "stratify": (_run_stratify, "stratify an algebra starting from its polarization",
+                 ("group",)),
+    "sublaplacian": (_run_sublaplacian, "print the coordinate sub-Laplacian", ("group",)),
+    "equiv-frames": (_run_equiv_frames, "decide frame equivalence", ("frames",)),
+    "heis-spectrum": (_run_heis_spectrum, "symplectic spectrum of an (omega, gram) pair",
+                      ("pair",)),
+    "heis-isometry": (_run_heis_isometry, "construct a conformal symplectic isometry",
+                      ("pair1", "pair2")),
+    "analyze-map": (_run_analyze_map, "analyze sub-Laplacian commutation along a map",
+                    ("source_group", "target_group", "map")),
+    "verify": (_run_verify, "verify a given (lambda_sq, b) commutation identity",
+               ("source_group", "target_group", "map", "identity")),
 }
+COMMANDS = tuple(_SUBCOMMANDS)
 
 
 def run(config: RunConfig):
     """Execute a command; returns (exit_code, report_dict, text_lines)."""
-    runner, count = _RUNNERS[config.command]
-    _expect_paths(config, count)
+    runner, _, files = _SUBCOMMANDS[config.command]
+    _expect_paths(config, len(files))
     return runner(config)
 
 
@@ -294,20 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="sub-Riemannian group calculus: validation, sub-Laplacians, "
                     "frame equivalence, Heisenberg spectra, map analysis")
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "validate": ("check the algebra axioms of a group file", ["group"]),
-        "stratify": ("stratify an algebra starting from its polarization", ["group"]),
-        "sublaplacian": ("print the coordinate sub-Laplacian", ["group"]),
-        "equiv-frames": ("decide frame equivalence", ["frames"]),
-        "heis-spectrum": ("symplectic spectrum of an (omega, gram) pair", ["pair"]),
-        "heis-isometry": ("construct a conformal symplectic isometry",
-                          ["pair1", "pair2"]),
-        "analyze-map": ("analyze sub-Laplacian commutation along a map",
-                        ["source_group", "target_group", "map"]),
-        "verify": ("verify a given (lambda_sq, b) commutation identity",
-                   ["source_group", "target_group", "map", "identity"]),
-    }
-    for name, (help_text, files) in specs.items():
+    for name, (_, help_text, files) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for f in files:
             p.add_argument(f, help="JSON description file")
@@ -324,13 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    file_keys = [k for k in ("group", "frames", "pair", "pair1", "pair2",
-                             "source_group", "target_group", "map", "identity")
-                 if hasattr(args, k)]
     try:
         config = RunConfig(
             command=args.command,
-            paths=tuple(getattr(args, k) for k in file_keys),
+            paths=tuple(getattr(args, k) for k in _SUBCOMMANDS[args.command][2]),
             tolerance=args.tol,
             probe_degree=args.probe_degree,
             format=args.format,

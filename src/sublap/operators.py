@@ -244,13 +244,8 @@ def divergence(X, group: SubRiemannianGroup) -> Polynomial:
     comps = X.components if hasattr(X, "components") else tuple(X)
     if len(comps) != group.dim:
         raise ValueError("field has %d components, expected %d" % (len(comps), group.dim))
-    acc = Polynomial.zero(group.dim)
-    for c, comp in enumerate(comps):
-        if isinstance(comp, Polynomial):
-            part = comp.diff(c)
-            if part:
-                acc = acc + part
-    return acc
+    parts = (comp.diff(c) for c, comp in enumerate(comps) if isinstance(comp, Polynomial))
+    return linear_combination(group.dim, [(1, part) for part in parts if part])
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,13 @@ variables are positional (index 0..nvars-1) and print as x1..xn.  Inside, the
 coefficients are integer numerators over one common denominator, so the
 arithmetic runs on Python ints whichever rational backend is installed.
 Instances are treated as immutable: no method mutates self.
+
+Sums of polynomials go through one of three integer kernels,
+linear_combination, sum_of_products or _weighted_sum, which scale the terms
+to one common denominator and accumulate a single term dict; + and - serve
+one pair.  Two kinds of loop still add term by term: those whose entries
+may be Rat or Polynomial (LieAlgebra.bracket and ad_matrix, the BCH sums of
+bch_product), and calculus._ad_series, which adds one power of ad at a time.
 """
 
 from __future__ import annotations
@@ -557,13 +564,9 @@ class PolyMap:
         """The map p -> matrix @ p."""
         rows = [list(r) for r in matrix]
         n = len(rows[0]) if rows else 0
-        comps = []
-        for row in rows:
-            comp = Polynomial.zero(n)
-            for j, c in enumerate(row):
-                comp = comp + Polynomial.variable(j, n) * rat(c)
-            comps.append(comp)
-        return PolyMap(n, tuple(comps))
+        return PolyMap(n, tuple(linear_combination(n, [(c, Polynomial.variable(j, n))
+                                                       for j, c in enumerate(row)])
+                                for row in rows))
 
     @staticmethod
     def parse(strings, source_dim: int) -> "PolyMap":
@@ -612,17 +615,11 @@ class PolyVectorField:
 
     def bracket(self, other: "PolyVectorField") -> "PolyVectorField":
         """Commutator [self, other] of vector fields."""
-        n = self.nvars
-        comps = []
-        for c in range(n):
-            acc = Polynomial.zero(n)
-            for a in range(n):
-                if self.components[a]:
-                    acc = acc + self.components[a] * other.components[c].diff(a)
-                if other.components[a]:
-                    acc = acc - other.components[a] * self.components[c].diff(a)
-            comps.append(acc)
-        return PolyVectorField(tuple(comps))
+        n, x, y = self.nvars, self.components, other.components
+        return PolyVectorField(tuple(
+            sum_of_products(n, [(x[a], y[c].diff(a)) for a in range(n) if x[a]]
+                            + [(y[a], -x[c].diff(a)) for a in range(n) if y[a]])
+            for c in range(n)))
 
 
 class MapPowers:
@@ -698,10 +695,15 @@ def poly_mat_mul(a, b, den: int = 1) -> tuple:
 
 def poly_rat_mat_mul(a, m) -> tuple:
     """The matrix product a m, for a matrix a of Polynomials in nvars
-    variables and a matrix m of rationals."""
+    variables and a matrix m of rationals.  Sparse: the nonzero entries of
+    each row of a and of each column of m are collected once, and each entry
+    is one linear_combination over the indices where both are nonzero."""
     nvars = a[0][0].nvars
-    cols = tuple(zip(*m))
-    return tuple(tuple(linear_combination(nvars, zip(col, row)) for col in cols) for row in a)
+    rows = [[(i, x) for i, x in enumerate(row) if x] for row in a]
+    cols = [{i: w for i, w in enumerate(map(rat, col)) if w} for col in zip(*m)]
+    return tuple(tuple(linear_combination(nvars, [(col[i], x) for i, x in row if i in col])
+                       for col in cols)
+                 for row in rows)
 
 
 def monomials_up_to(nvars: int, degree: int):

@@ -26,7 +26,9 @@ series and stratification as three separate dense passes that bracket every
 pair and rank each bracket set apart, where the package grows the filtration
 once, over the table's rows only.  The orthogonal-witness oracle applies each reflection
 with scalar Rat arithmetic, entry by entry, where the package updates
-integer rows.
+integer rows.  The rational matrix product oracle forms every entry over all
+of its index pairs, zero or not, where the package visits only the pairs
+whose factors are both nonzero.
 """
 
 from fractions import Fraction
@@ -36,7 +38,7 @@ from sublap.algebra import NotStratifiable
 from sublap.calculus import bch_product, group_product_map
 from sublap.operators import DifferentialOperator, cometric, frame_components, gradient, \
     sublaplacian
-from sublap.polynomial import Polynomial, monomials_up_to
+from sublap.polynomial import Polynomial, linear_combination, monomials_up_to
 from sublap.rational import Rat, rat
 
 
@@ -648,3 +650,12 @@ def scalar_orthogonal_witness(fx, fy):
             for row, vi in zip(a, v)
         )
     return a
+
+
+def dense_poly_rat_mat_mul(a, m):
+    """The matrix product a m, for a matrix a of Polynomials in one number of
+    variables and a matrix m of rationals: one linear_combination per entry
+    over every index, zero factors included."""
+    nvars = a[0][0].nvars
+    cols = tuple(zip(*m))
+    return tuple(tuple(linear_combination(nvars, zip(col, row)) for col in cols) for row in a)

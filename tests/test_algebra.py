@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from oracles import (bracket_jacobi, dense_bracket_generating, dense_group_structure,
                      dense_nilpotency_step, dense_stratify)
 
-from sublap.algebra import (LieAlgebra, Metric, NotStratifiable, Polarization,
+from sublap.algebra import (InvalidAlgebra, LieAlgebra, Metric, NotStratifiable, Polarization,
                             bracket_generating, nilpotency_step, stratify,
                             subriemannian_group, validate)
 from sublap.catalog import abelian_group, engel_algebra, engel_group, sl2_algebra
@@ -267,8 +267,10 @@ def test_subriemannian_group_factory_checks():
     bad_table = heis.full_table()
     bad_table[(1, 0, 2)] = Rat(1)
     bad = LieAlgebra.from_table(3, bad_table)
-    with pytest.raises(ValueError, match="invalid structure constants"):
+    with pytest.raises(InvalidAlgebra, match="invalid structure constants") as exc:
         subriemannian_group(bad, (x, y), eye2)
+    assert isinstance(exc.value, ValueError)
+    assert exc.value.report == validate(bad) and not exc.value.report.valid
 
 
 def test_sl2_group_has_no_step_or_strata():

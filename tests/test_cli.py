@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from conftest import gallery
-from sublap.cli import RunConfig, build_parser, main, run
+from sublap.cli import COMMANDS, RunConfig, build_parser, main, run
 from sublap.polynomial import COEFF_BIT_BUDGET, TERM_BUDGET
 from sublap.specfiles import group_to_dict, polymap_to_dict
 from sublap.heisenberg import heisenberg_group
@@ -88,6 +88,27 @@ def test_validate_flags_bad_structure_constants(tmp_path, capsys):
     assert code == 1
     assert doc["verdict"] == "invalid"
     assert doc["jacobi_violations"] == [[1, 2, 3]]
+
+
+def test_validate_checks_the_algebra_once(tmp_path, capsys, monkeypatch):
+    # the report comes from the group constructor's own validate, so CLI
+    # validate of a valid file checks the algebra once
+    import sys
+    from sublap import algebra
+    original, calls = algebra.validate, []
+
+    def counted(alg):
+        calls.append(alg)
+        return original(alg)
+
+    for name, module in list(sys.modules.items()):
+        if name == "sublap" or name.startswith("sublap."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    path = write(tmp_path, "h1.json", H1_DOC)
+    assert run_main(capsys, ["validate", path])[0] == 0
+    assert len(calls) == 1
 
 
 def test_validate_flags_non_generating_polarization(tmp_path, capsys):
@@ -195,6 +216,21 @@ def test_sublaplacian_of_a_large_step_group_is_fast(tmp_path, capsys):
     assert time.perf_counter() - start < 2.0
     assert code == 0
     assert "d1 d1: 1" in out
+
+
+def test_sublaplacian_of_a_large_abelian_group_is_fast(tmp_path, capsys):
+    # the dim-160 abelian group's horizontal frame is the identity matrix, and
+    # the rational matrix products visit only its nonzero entries
+    import time
+    n = 160
+    eye = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
+    path = write(tmp_path, "abelian160.json",
+                 {"dim": n, "brackets": [], "polarization": eye, "metric": eye})
+    start = time.perf_counter()
+    code, out = run_main(capsys, ["sublaplacian", path])
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert out == "verdict: ok\n" + "".join("d%d d%d: 1\n" % (k, k) for k in range(1, n + 1))
 
 
 @pytest.mark.parametrize("command", ["validate", "stratify"])
@@ -743,6 +779,20 @@ def test_usage_error_leaves_the_parser_usable(tmp_path, capsys):
     assert "unrecognized arguments: --frobnicate" in capsys.readouterr().err
     assert run_main(capsys, ["validate", path]) == expected
     assert expected[0] == 0
+
+
+def test_help_text_matches_the_golden_file(capsys, monkeypatch):
+    # the parser is built from the one subcommand table; argparse wraps help
+    # at $COLUMNS, so the width is pinned
+    monkeypatch.setenv("COLUMNS", "80")
+    out = []
+    for argv in [["--help"]] + [[command, "--help"] for command in COMMANDS]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out.append("$ sublap %s\n%s" % (" ".join(argv), capsys.readouterr().out))
+    golden = Path(__file__).resolve().parent / "golden" / "cli_help.txt"
+    assert "".join(out) == golden.read_text()
 
 
 def test_parser_is_built_once():

@@ -243,6 +243,39 @@ def test_bench_tracer_caches_resolve():
         assert callable(fn) and callable(fn.cache_info), (module, name)
 
 
+def test_bench_tracer_restores_every_binding():
+    # Tracer.install() wraps every public function at each module binding,
+    # the lru_caches, the hot Polynomial methods, DifferentialOperator.apply
+    # and cli._emit by name; a rename of any of them fails install() here,
+    # and uninstall() must put every original back
+    import sys
+    from sublap import cli, operators, polynomial
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for name in tracer.TRACED_MODULES:
+        importlib.import_module("sublap." + name)
+    owners = [m for name, m in sys.modules.items()
+              if name == "sublap" or name.startswith("sublap.")]
+    owners += [polynomial.Polynomial, DifferentialOperator]
+    before = [(owner, dict(vars(owner))) for owner in owners]
+    emit, mul, apply = cli._emit, polynomial.Polynomial.__mul__, DifferentialOperator.apply
+    t = tracer.Tracer()
+    try:
+        t.install()
+        assert cli._emit.__wrapped_original__ is emit
+        assert polynomial.Polynomial.__mul__.__wrapped_original__ is mul
+        assert DifferentialOperator.apply.__wrapped_original__ is apply
+        assert operators.sublaplacian.__wrapped_original__ is sublaplacian
+    finally:
+        t.uninstall()
+    for owner, attrs in before:
+        after = vars(owner)
+        assert set(after) == set(attrs), owner
+        assert all(after[k] is v for k, v in attrs.items()), owner
+
+
 def test_equal_groups_share_cache_entries():
     # groups built separately but equal hash equal, so the per-group caches
     # keep one entry for both

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import coeff_of, pad, truncate
+from oracles import coeff_of, dense_poly_rat_mat_mul, pad, truncate
 from sublap.polynomial import (COEFF_BIT_BUDGET, TERM_BUDGET, MapPowers, Polynomial, PolyMap,
                                PolyVectorField, linear_combination, monomials_up_to,
                                poly_mat_mul, poly_rat_mat_mul)
@@ -316,3 +316,33 @@ def test_poly_rat_mat_mul_matches_naive_product(m, k, n, data):
             expect = naive_sum(a[i][l] * r[l][j] for l in range(k))
             assert got[i][j] == expect
             assert in_normal_form(got[i][j])
+
+
+mixed_rats = st.fractions(min_value=-3, max_value=3, max_denominator=12).map(
+    lambda f: Rat(f.numerator, f.denominator))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.data())
+def test_sparse_poly_rat_mat_mul_matches_the_dense_product(m, k, n, data):
+    # zero polynomials and zero rationals among the entries, whole zero rows
+    # and columns on both sides, and coefficients over mixed denominators
+    zero = Polynomial.zero(2)
+    entry = st.one_of(st.just(zero), polys(max_degree=2, max_terms=3))
+    a = [data.draw(st.lists(entry, min_size=k, max_size=k)) for _ in range(m)]
+    r = [data.draw(st.lists(st.one_of(st.just(Rat(0)), mixed_rats), min_size=n, max_size=n))
+         for _ in range(k)]
+    for i in data.draw(st.sets(st.integers(0, m - 1))):
+        a[i] = [zero] * k
+    for j in data.draw(st.sets(st.integers(0, k - 1))):
+        for row in a:
+            row[j] = zero
+    for i in data.draw(st.sets(st.integers(0, k - 1))):
+        r[i] = [Rat(0)] * n
+    for j in data.draw(st.sets(st.integers(0, n - 1))):
+        for row in r:
+            row[j] = Rat(0)
+    got = poly_rat_mat_mul(a, r)
+    assert got == dense_poly_rat_mat_mul(a, r)
+    assert len(got) == m and all(len(row) == n for row in got)
+    assert all(in_normal_form(p) for row in got for p in row)

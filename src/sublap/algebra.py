@@ -14,7 +14,7 @@ stratify and the group constructor share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 
@@ -224,25 +224,50 @@ def validate(algebra: LieAlgebra) -> ValidationReport:
 # -- subspace growth ----------------------------------------------------------
 
 
+def _ad_columns(algebra: LieAlgebra, v) -> dict:
+    """Sparse ad_v = [v, .] as {j: {k: c}}: the nonzero columns [v, e_j]."""
+    ad = {}
+    rows = algebra._brackets
+    for i, vi in enumerate(v):
+        if vi and i in rows:
+            for j, comps in rows[i].items():
+                col = ad.setdefault(j, {})
+                for k, c in comps.items():
+                    col[k] = col.get(k, 0) + vi * c
+    return {j: col for j, col in ad.items() if any(col.values())}
+
+
 def _filtration(algebra: LieAlgebra, v1) -> tuple:
     """(layers, ranks): V_1 = v1 and V_{k+1} grown from [V_1, V_k] as in
     stratify, until no bracket enlarges the filtration; ranks[k] is the rank
-    of [V_1, layers[k]].  Raises NotStratifiable when v1 is dependent."""
+    of [V_1, layers[k]].  Raises NotStratifiable when v1 is dependent.
+
+    Each first-layer vector brackets through its sparse ad_v, built once, so
+    a bracket costs one look-up per nonzero column of ad_v."""
     span = linalg.EchelonBasis()
     if not all(span.insert(v) for v in v1):
         raise NotStratifiable("polarization basis is linearly dependent")
     if any(len(v) != algebra.dim for v in v1):
         raise ValueError("vectors must have length %d" % algebra.dim)
-    # [v, .] = 0 unless some e_i in the support of v has a table row
-    active = [v for v in v1 if any(v[i] for i in algebra._brackets)]
+    # [v, .] = 0 unless ad_v has a nonzero column
+    ads = [ad for ad in (_ad_columns(algebra, v) for v in v1) if ad]
+    zero, dim = Rat(0), algebra.dim
     layers, ranks = [tuple(v1)], []
     while True:
         layer, bracket_span = [], linalg.EchelonBasis()
-        for v in active:
+        for ad in ads:
             for w in layers[-1]:
-                b = algebra.bracket(v, w)
+                out = {}
+                for j, col in ad.items():
+                    wj = w[j]
+                    if wj:
+                        for k, c in col.items():
+                            out[k] = out.get(k, 0) + wj * c
+                if not any(out.values()):
+                    continue
+                b = tuple(out.get(k, zero) for k in range(dim))
                 # a bracket dependent on earlier ones of this pass is in span
-                if any(b) and bracket_span.insert(b) and span.insert(b):
+                if bracket_span.insert(b) and span.insert(b):
                     layer.append(b)
         ranks.append(len(bracket_span))
         if not layer:
@@ -339,14 +364,19 @@ class Polarization:
 
 @dataclass(frozen=True)
 class Metric:
-    """Inner product on the polarization, as a Gram matrix in its basis."""
+    """Inner product on the polarization, as a Gram matrix in its basis.
+    ldl is the exact factorization (L, d) of linalg.ldl_pd that checked the
+    Gram matrix positive definite, kept for the consumers that reduce by it."""
 
     gram: tuple
+    ldl: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "gram", linalg.mat(self.gram))
-        if not linalg.is_positive_definite(self.gram):
-            raise ValueError("metric Gram matrix must be symmetric positive definite")
+        try:
+            object.__setattr__(self, "ldl", linalg.ldl_pd(self.gram))
+        except ValueError:
+            raise ValueError("metric Gram matrix must be symmetric positive definite") from None
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,8 @@ Three related questions live here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from math import comb, lcm
+from math import comb, gcd
+from operator import mul
 from typing import Optional
 
 from . import linalg
@@ -75,16 +76,16 @@ def is_homothetic_projection(matrix, gram_v, gram_w) -> Optional[Rat]:
     m, n = linalg.shape(l)
     gv = _coerce_gram(gram_v, n, "gram_v")
     gw = _coerce_gram(gram_w, m, "gram_w")
-    e = linalg.mat_mul(linalg.mat_mul(linalg.mat_mul(l, linalg.inverse(gv)),
-                                      linalg.transpose(l)), gw)
+    lr = linalg._to_rows(l)
+    e, den = linalg._rows_mul(
+        linalg._rows_mul(linalg._rows_mul(lr, linalg._inverse_rows(linalg._to_rows(gv))),
+                         linalg._rows_transpose(lr)),
+        linalg._to_rows(gw))
     factor = e[0][0]
-    for i in range(m):
-        for j in range(m):
-            if e[i][j] != (factor if i == j else 0):
-                return None
-    if factor <= 0:
+    if factor <= 0 or any(x != (factor if i == j else 0)
+                          for i, row in enumerate(e) for j, x in enumerate(row)):
         return None
-    return factor
+    return Rat(factor, den)
 
 
 def homothetic_characterizations(matrix, gram_v, gram_w) -> dict:
@@ -201,9 +202,9 @@ def frames_equivalent(frame_x, frame_y) -> FrameDecision:
         raise ValueError("frames have different sizes (%d vs %d)" % (nx, ny))
     if not linalg.span_equal(fx, fy):
         raise ValueError("frames span different subspaces")
-    px = linalg.mat_mul(linalg.transpose(fx), fx)
-    py = linalg.mat_mul(linalg.transpose(fy), fy)
-    if px != py:
+    x, y = linalg._to_rows(fx), linalg._to_rows(fy)
+    if not linalg._rows_equal(linalg._rows_mul(linalg._rows_transpose(x), x),
+                              linalg._rows_mul(linalg._rows_transpose(y), y)):
         return FrameDecision(False, None)
     return FrameDecision(True, _orthogonal_witness(fx, fy))
 
@@ -214,37 +215,35 @@ def _orthogonal_witness(fx, fy) -> tuple:
     Works column by column: the j-th columns of fx and fy have equal pairings
     with everything already matched (the Gram matrices agree), so a single
     reflection in their difference aligns them without disturbing previous
-    columns.
+    columns.  A = N / D stays on integers: the reflection 1 - 2 v v^T / vv
+    does not change when v is rescaled, so v is the integer difference of
+    the two columns, and it takes N to vv N - 2 v (v^T N) and D to D vv.
     """
     n = len(fx)
-    d = len(fx[0])
-    a = linalg.identity(n)
-    cols_x = linalg.transpose(fx)
-    cols_y = linalg.transpose(fy)
-    for j in range(d):
-        f = linalg.mat_vec(a, cols_x[j])
-        h = cols_y[j]
-        if f == h:
+    x, dx = linalg._to_rows(fx)
+    y, dy = linalg._to_rows(fy)
+    # num is rebuilt by every reflection, never updated in place
+    one = [[int(i == j) for j in range(n)] for i in range(n)]
+    num, den = one, 1
+    for col_x, col_y in zip(zip(*x), zip(*y)):
+        # A col_x / dx - col_y / dy, times D dx dy
+        scale = den * dx
+        v = [dy * sum(map(mul, row, col_x)) - scale * h for row, h in zip(num, col_y)]
+        if not any(v):
             continue
-        v = tuple(fi - hi for fi, hi in zip(f, h))
-        vv = linalg.dot(v, v)
-        # the reflection 1 - (2 / vv) v v^T as a rank-one update on integers:
-        # row i loses c_i w, with c_i = 2 v_i / vv and w = a^T v = wn / wd
-        wn, wd = linalg._scaled(linalg.mat_vec(linalg.transpose(a), v))
-        rows = list(a)
-        for i, vi in enumerate(v):
-            if not vi:
-                continue
-            rn, rd = linalg._scaled(rows[i])
-            cn = 2 * int(vi.numerator) * int(vv.denominator)
-            cd = int(vi.denominator) * int(vv.numerator) * wd
-            den = lcm(rd, cd)
-            sr, sc = den // rd, cn * (den // cd)
-            rows[i] = tuple(linalg._ratio(x * sr - sc * y, den) for x, y in zip(rn, wn))
-        a = tuple(rows)
-    assert linalg.mat_mul(a, fx) == fy
-    assert linalg.mat_mul(linalg.transpose(a), a) == linalg.identity(n)
-    return a
+        vv = sum(vi * vi for vi in v)
+        w = [2 * sum(map(mul, v, col)) for col in zip(*num)]
+        num = [[vv * a - vi * wk for a, wk in zip(row, w)] if vi else [vv * a for a in row]
+               for row, vi in zip(num, v)]
+        den *= vv
+        g = gcd(den, *(a for row in num for a in row))
+        if g > 1:
+            num = [[a // g for a in row] for row in num]
+            den //= g
+    a = (num, den)
+    assert linalg._rows_equal(linalg._rows_mul(a, (x, dx)), (y, dy))
+    assert linalg._rows_equal(linalg._rows_mul(linalg._rows_transpose(a), a), (one, 1))
+    return linalg._from_rows(num, den)
 
 
 # ---------------------------------------------------------------------------

@@ -39,11 +39,11 @@ class SymplecticForm:
             raise ValueError("symplectic form needs even positive dimension")
         if any(len(row) != size for row in m):
             raise ValueError("symplectic form must be square")
-        for i in range(size):
-            for j in range(size):
-                if m[i][j] != -m[j][i]:
-                    raise ValueError("symplectic form must be antisymmetric")
-        if linalg.rank(m) != size:
+        rows, _ = linalg._to_rows(m)
+        if any(rows[i][j] + rows[j][i] for i in range(size) for j in range(i + 1)):
+            raise ValueError("symplectic form must be antisymmetric")
+        basis = linalg.EchelonBasis()
+        if not all(map(basis.insert_row, rows)):
             raise ValueError("symplectic form must be nondegenerate")
 
     @property
@@ -100,47 +100,74 @@ class SymplecticSpectrum:
 _FLOAT_RANGE = 200
 
 
-def _power_of_four(values) -> int:
-    """a with the largest magnitude of the nonzero Rats values, divided by
-    4^a, in (1/2, 4); 0 when that magnitude is already within range."""
-    e = max(int(x.numerator).bit_length() - int(x.denominator).bit_length()
-            for x in values if x)
+def _power_of_four(pairs) -> int:
+    """a with the largest magnitude of the nonzero numbers num / den of the
+    integer pairs (den > 0), divided by 4^a, in (1/2, 4); 0 when that
+    magnitude is already within range.
+
+    The magnitude is read off the bit lengths of the lowest terms.  Common
+    factors move the difference of the bit lengths by at most one, so data
+    that is within range by a margin of one needs no gcd.
+    """
+    pairs = [(num, den) for num, den in pairs if num]
+    e = max(num.bit_length() - den.bit_length() for num, den in pairs)
+    if abs(e) < _FLOAT_RANGE:
+        return 0
+    e = max((num // g).bit_length() - (den // g).bit_length()
+            for num, den in pairs for g in (math.gcd(num, den),))
     return 0 if abs(e) <= _FLOAT_RANGE else e // 2
 
 
-def _float_over(x, a: int) -> float:
-    """float(x / 4^a), the division exact."""
-    return float(x / Rat(4) ** a) if a else float(x)
+def _shifted(num: int, den: int, k: int) -> tuple:
+    """(num', den') with num' / den' = num 2^k / den exactly."""
+    return (num << k, den) if k >= 0 else (num, den << -k)
+
+
+def _float_shifted(num: int, den: int, k: int) -> float:
+    """float(num 2^k / den): exact scaling, one correctly rounded division."""
+    num, den = _shifted(num, den, k)
+    return num / den
+
+
+def _pair(x) -> tuple:
+    return int(x.numerator), int(x.denominator)
+
+
+def _reduction(omega, gram) -> tuple:
+    """The exact reduction of the pair by the LDL^T the Metric keeps: the
+    pivots d (Rats), and L^{-1} and mid = L^{-1} omega L^{-T}, both in the
+    integer form (rows, den) of linalg."""
+    l, d = gram.ldl
+    linv = linalg._inverse_rows(linalg._to_rows(l))
+    mid = linalg._rows_mul(linalg._rows_mul(linv, linalg._to_rows(omega.matrix)),
+                           linalg._rows_transpose(linv))
+    return d, linv, mid
 
 
 def _orthonormal_skew(omega, gram):
-    """Float matrix of omega in a G-orthonormal basis, via exact LDL^T, with
-    the shift that scales the skew matrix's invariants r_i back to the
-    pair's and the factors (L^{-1}, b, scale) of the change of basis.
+    """Float matrix of omega in a G-orthonormal basis, from the exact
+    _reduction, with the shift that scales the skew matrix's invariants r_i
+    back to the pair's and the factors (L^{-1}, b, scale) of the change of
+    basis.
 
-    The floats come from copies rescaled exactly by powers of four: each
-    pivot d_i = 4^b_i d'_i, so s_ij = part_ij / sqrt(d'_i d'_j) with
-    part_ij = mid_ij 2^-(b_i + b_j) and mid = L^{-1} omega L^{-T}; the skew
-    matrix returned is s / 4^a, whose invariants are the pair's divided by
-    2^a, so shift = a.  Data within range is not divided at all.  Column j
-    of the change of basis L^{-T} D^{-1/2} is column j of L^{-T} times
-    2^-b_j scale_j, with scale_j = 1/sqrt(d'_j).
+    Each float is one division of integers, rescaled exactly by powers of
+    four: each pivot d_i = 4^b_i d'_i, so s_ij = part_ij / sqrt(d'_i d'_j)
+    with part_ij = mid_ij 2^-(b_i + b_j); the skew matrix returned is
+    s / 4^a, whose invariants are the pair's divided by 2^a, so shift = a.
+    Data within range is not divided at all.
     """
     import numpy as np
 
-    l, d = linalg.ldl_pd(gram.gram)
-    linv = linalg.inverse(l)
-    mid = linalg.mat_mul(linalg.mat_mul(linv, omega.matrix), linalg.transpose(linv))
+    d, linv, (mid, den) = _reduction(omega, gram)
     size = omega.dim
-    b = [_power_of_four((x,)) for x in d]
-    scale = [1.0 / math.sqrt(_float_over(x, bi)) for x, bi in zip(d, b)]
-    part = mid if not any(b) else [[x / Rat(2) ** (b[i] + b[j]) for j, x in enumerate(row)]
-                                   for i, row in enumerate(mid)]
-    a = _power_of_four(x for row in part for x in row)
+    b = [_power_of_four((_pair(x),)) for x in d]
+    scale = [1.0 / math.sqrt(_float_shifted(*_pair(x), -2 * bi)) for x, bi in zip(d, b)]
+    a = _power_of_four(_shifted(x, den, -b[i] - b[j])
+                       for i, row in enumerate(mid) for j, x in enumerate(row))
     s = np.empty((size, size))
     for i in range(size):
         for j in range(size):
-            s[i, j] = _float_over(part[i][j], a) * scale[i] * scale[j]
+            s[i, j] = _float_shifted(mid[i][j], den, -b[i] - b[j] - 2 * a) * scale[i] * scale[j]
     return s, a, (linv, b, scale)
 
 
@@ -214,15 +241,30 @@ def isometry_decision(omega1, gram1, omega2, gram2, tolerance: float = 1e-9):
                   _normal_form(omega2, gram2, tolerance).r, tolerance)
 
 
-def _basis_entry(x) -> float:
-    """float(x), or ValueError when a nonzero x has no normal float."""
+def _basis_entry(num: int, den: int, k: int) -> float:
+    """float(num 2^k / den), or ValueError when a nonzero value has no
+    normal float."""
     try:
-        value = float(x)
+        value = _float_shifted(num, den, k)
     except OverflowError:
         value = math.inf
-    if x and not sys.float_info.min <= abs(value) < math.inf:
+    if num and not sys.float_info.min <= abs(value) < math.inf:
         raise ValueError("normal-form basis lies outside the float range")
     return value
+
+
+def _change_of_basis(linv, b, scale):
+    """The floats of L^{-T} D^{-1/2}, the change of basis to the orthonormal
+    gauge: column j is row j of L^{-1} (integer rows over den) times
+    2^-b_j scale_j."""
+    import numpy as np
+
+    rows, den = linv
+    q = np.empty((len(rows), len(rows)))
+    for j, row in enumerate(rows):
+        for i, x in enumerate(row):
+            q[i, j] = _basis_entry(x, den, -b[j]) * scale[j]
+    return q
 
 
 def _normal_form_basis(form: _NormalForm):
@@ -233,12 +275,8 @@ def _normal_form_basis(form: _NormalForm):
     into planes has norm above 1e-6."""
     import numpy as np
 
-    _, s, w, v, guard, (linv, b, scale) = form
+    _, s, w, v, guard, factors = form
     size = len(w)
-    q = np.empty((size, size))
-    for i, row in enumerate(linalg.transpose(linv)):
-        for j, x in enumerate(row):
-            q[i, j] = _basis_entry(x / Rat(2) ** b[j] if b[j] else x) * scale[j]
     bounds = [0] + [i for i in range(2, size, 2) if w[i] - w[i - 1] > guard] + [size]
     xs, ys, mus = [], [], []
     for lo, hi in zip(bounds, bounds[1:]):
@@ -255,7 +293,7 @@ def _normal_form_basis(form: _NormalForm):
             cols = [c for c in cols if np.linalg.norm(c) > 1e-6]
     order = np.argsort(mus, kind="stable")
     wmat = np.column_stack([xs[i] for i in order] + [ys[i] for i in order])
-    return q @ wmat
+    return _change_of_basis(*factors) @ wmat
 
 
 def build_isometry(omega1, gram1, omega2, gram2, tolerance: float = 1e-9):

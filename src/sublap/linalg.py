@@ -6,7 +6,13 @@ Rat; every routine returns exact results or raises.
 
 Elimination is fraction-free: each row (or the whole matrix) is scaled by
 the lcm of its denominators once, the elimination runs on Python ints, and
-each Rat is built once at the end.  Gauss-Jordan (``rref``, ``solve_matrix``)
+each Rat is built once at the end.  Deciders that chain several products,
+inverses or comparisons keep the intermediate matrices in one private integer
+form, ``(rows, den)``: integer rows over one common positive denominator, the
+matrix being rows / den entrywise.  ``_to_rows`` and ``_from_rows`` convert
+at the API boundary; ``_rows_mul``, ``_rows_transpose`` and ``_inverse_rows``
+multiply, transpose and invert in that form, and ``_rows_equal`` compares two
+matrices in it.  Gauss-Jordan (``rref``, ``solve_matrix``)
 divides every updated row by the gcd of its entries; ``ldl_pd`` is Bareiss's
 elimination, whose exact division by the previous pivot keeps the entries
 minors of the scaled matrix; ``EchelonBasis`` keeps primitive integer rows
@@ -121,13 +127,11 @@ def _primitive(row: list) -> list:
     return [x // g for x in row] if g > 1 else row
 
 
-def _gauss_jordan(a: Matrix):
-    """Fraction-free Gauss-Jordan on the integer rows of a: returns the rows
-    (pivot rows first, each zero in every other pivot column, then zero rows)
-    and the pivot columns."""
-    rows = [_primitive(_scaled(row)[0]) for row in a]
+def _gauss_jordan(rows: list, ncols: int):
+    """Fraction-free Gauss-Jordan on integer rows (updated in place): returns
+    the rows (pivot rows first, each zero in every other pivot column, then
+    zero rows) and the pivot columns."""
     nrows = len(rows)
-    ncols = len(a[0]) if a else 0
     pivots = []
     r = 0
     for c in range(ncols):
@@ -156,8 +160,8 @@ def _divided(row: list, c: int, start: int = 0) -> tuple:
 
 def rref(a: Matrix):
     """Reduced row echelon form.  Returns (rref_matrix, pivot_column_indices)."""
-    rows, pivots = _gauss_jordan(a)
     ncols = len(a[0]) if a else 0
+    rows, pivots = _gauss_jordan([_primitive(_scaled(row)[0]) for row in a], ncols)
     red = [_divided(rows[r], c) for r, c in enumerate(pivots)]
     red += [(ZERO,) * ncols] * (len(rows) - len(pivots))
     return tuple(red), tuple(pivots)
@@ -182,8 +186,11 @@ class EchelonBasis:
 
     def insert(self, v) -> bool:
         """Add v; True when it is independent of the vectors already in."""
+        return self.insert_row(_scaled(v)[0])
+
+    def insert_row(self, row: list) -> bool:
+        """insert() for a vector given by integer entries, at any scale."""
         rows = self._rows
-        row = _scaled(v)[0]
         for c in range(len(row)):
             x = row[c]
             if not x:
@@ -212,7 +219,9 @@ def solve_matrix(a: Matrix, b: Matrix) -> Matrix:
     n, m = shape(a)
     if n != m or len(b) != n:
         raise ValueError("solve needs a square system")
-    rows, pivots = _gauss_jordan(tuple(tuple(ra) + tuple(rb) for ra, rb in zip(a, b)))
+    rows, pivots = _gauss_jordan(
+        [_primitive(_scaled(tuple(ra) + tuple(rb))[0]) for ra, rb in zip(a, b)],
+        n + (len(b[0]) if b else 0))
     # a is nonsingular exactly when its own columns hold all n pivots
     if pivots[:n] != list(range(n)):
         raise ValueError("singular matrix")
@@ -220,7 +229,63 @@ def solve_matrix(a: Matrix, b: Matrix) -> Matrix:
 
 
 def inverse(a: Matrix) -> Matrix:
-    return solve_matrix(a, identity(len(a)))
+    n, m = shape(a)
+    if n != m:
+        raise ValueError("solve needs a square system")
+    return _from_rows(*_inverse_rows(_to_rows(a)))
+
+
+# -- the integer form (rows, den) --------------------------------------------
+
+
+def _to_rows(a: Matrix) -> tuple:
+    """(rows, den) with a == rows / den: den the lcm of every denominator."""
+    den = lcm(*(int(x.denominator) for row in a for x in row))
+    if den == 1:
+        return [[int(x.numerator) for x in row] for row in a], 1
+    return [[int(x.numerator) * (den // int(x.denominator)) for x in row] for row in a], den
+
+
+def _from_rows(rows, den: int) -> Matrix:
+    """The Matrix rows / den, one Rat per entry."""
+    return tuple(tuple(_ratio(x, den) for x in row) for row in rows)
+
+
+def _rows_transpose(a: tuple) -> tuple:
+    rows, den = a
+    return [list(col) for col in zip(*rows)], den
+
+
+def _rows_mul(a: tuple, b: tuple) -> tuple:
+    """The product of two (rows, den) matrices, in the same form."""
+    (ra, da), (rb, db) = a, b
+    cols = tuple(zip(*rb))
+    return [[sum(map(mul, row, col)) for col in cols] for row in ra], da * db
+
+
+def _rows_equal(a: tuple, b: tuple) -> bool:
+    """Whether two (rows, den) matrices of one shape are equal."""
+    (ra, da), (rb, db) = a, b
+    return all(x * db == y * da for row_a, row_b in zip(ra, rb) for x, y in zip(row_a, row_b))
+
+
+def _inverse_rows(a: tuple) -> tuple:
+    """The inverse of a square nonsingular (rows, den), in the same form, by
+    one fraction-free elimination on [rows | 1]: pivot row r ends as
+    (p_r e_r | R_r), so rows^{-1} has row R_r / p_r and a^{-1} = den rows^{-1}."""
+    rows, den = a
+    n = len(rows)
+    work, pivots = _gauss_jordan([list(row) + [0] * i + [1] + [0] * (n - 1 - i)
+                                  for i, row in enumerate(rows)], 2 * n)
+    if pivots[:n] != list(range(n)):
+        raise ValueError("singular matrix")
+    common = lcm(*(work[r][r] for r in range(n)))
+    g = gcd(common, den)
+    out = []
+    for r in range(n):
+        f = common // work[r][r] * (den // g)
+        out.append([f * x for x in work[r][n:]])
+    return out, common // g
 
 
 def nullspace(a: Matrix):

@@ -28,12 +28,17 @@ once, over the table's rows only.  The orthogonal-witness oracle applies each re
 with scalar Rat arithmetic, entry by entry, where the package updates
 integer rows.  The rational matrix product oracle forms every entry over all
 of its index pairs, zero or not, where the package visits only the pairs
-whose factors are both nonzero.
+whose factors are both nonzero.  The Heisenberg gauge oracle reduces a pair
+on Rat matrices, inverse(L) omega inverse(L)^T through the public linalg, and
+takes each float of a Rat rescaled by powers of four, where the package keeps
+L^{-1} and that product on integer rows over one denominator.
 """
 
+import math
+import sys
 from fractions import Fraction
 
-from sublap import linalg
+from sublap import heisenberg, linalg
 from sublap.algebra import NotStratifiable
 from sublap.calculus import bch_product, group_product_map
 from sublap.operators import DifferentialOperator, cometric, frame_components, gradient, \
@@ -659,3 +664,46 @@ def dense_poly_rat_mat_mul(a, m):
     nvars = a[0][0].nvars
     cols = tuple(zip(*m))
     return tuple(tuple(linear_combination(nvars, zip(col, row)) for col in cols) for row in a)
+
+
+def rat_orthonormal_gauge(omega, gram):
+    """The reduction of a Heisenberg pair (Rat matrices) as Rat chains:
+    (d, L^{-1}, mid, s, a, b, scale, q) with L, d from ldl_pd, L^{-1} =
+    inverse(L), mid = L^{-1} omega L^{-T}, and the floats of the gauge
+    (heisenberg._orthonormal_skew's s, a, b, scale and the change of basis q
+    of heisenberg._change_of_basis) each taken as float() of a Rat divided
+    by a power of four.  q is None when one of its nonzero entries has no
+    normal float."""
+    import numpy as np
+
+    def power_of_four(values):
+        e = max(int(x.numerator).bit_length() - int(x.denominator).bit_length()
+                for x in values if x)
+        return 0 if abs(e) <= heisenberg._FLOAT_RANGE else e // 2
+
+    def float_over(x, a):
+        return float(x / Rat(4) ** a)
+
+    l, d = linalg.ldl_pd(gram)
+    linv = linalg.inverse(l)
+    mid = linalg.mat_mul(linalg.mat_mul(linv, omega), linalg.transpose(linv))
+    size = len(omega)
+    b = [power_of_four((x,)) for x in d]
+    scale = [1.0 / math.sqrt(float_over(x, bi)) for x, bi in zip(d, b)]
+    part = [[x / Rat(2) ** (b[i] + b[j]) for j, x in enumerate(row)]
+            for i, row in enumerate(mid)]
+    a = power_of_four(x for row in part for x in row)
+    s = np.array([[float_over(part[i][j], a) * scale[i] * scale[j] for j in range(size)]
+                  for i in range(size)])
+    q = np.empty((size, size))
+    for i, row in enumerate(linalg.transpose(linv)):
+        for j, x in enumerate(row):
+            y = x / Rat(2) ** b[j]
+            try:
+                value = float(y)
+            except OverflowError:
+                return d, linv, mid, s, a, b, scale, None
+            if y and not sys.float_info.min <= abs(value):
+                return d, linv, mid, s, a, b, scale, None
+            q[i, j] = value * scale[j]
+    return d, linv, mid, s, a, b, scale, q

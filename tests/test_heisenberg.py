@@ -3,9 +3,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import coordinate_sublaplacian, madd
-from sublap import linalg
+from oracles import coordinate_sublaplacian, madd, rat_orthonormal_gauge
+from sublap import heisenberg, linalg
 from sublap.algebra import Metric
 from sublap.heisenberg import (NoIsometry, SymplecticForm, build_isometry,
                                heisenberg_algebra, heisenberg_group, heisenberg_pair,
@@ -38,6 +40,25 @@ def test_symplectic_form_validation():
                              [0, 0, 0, 0], [-1, 0, 0, 0]]))
     with pytest.raises(ValueError, match="sizes"):
         operator_a(standard_symplectic(2), rmat([[1, 0], [0, 1]]))
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([], "needs even positive dimension"),
+    ([[0, 1, 0], [-1, 0, 0], [0, 0, 0]], "needs even positive dimension"),
+    ([[0, 1, 0, 0], [-1, 0, 0, 0]], "must be square"),
+    # one entry off: omega_23 = 1/2 against omega_32 = -1/3
+    ([[0, 1, 0, 0], [-1, 0, Rat(1, 2), 0], [0, Rat(-1, 3), 0, 1], [0, 0, -1, 0]],
+     "must be antisymmetric"),
+    # antisymmetric off the diagonal, but omega_33 = 1/3
+    ([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, Rat(1, 3), 1], [0, 0, -1, 0]],
+     "must be antisymmetric"),
+    # Pfaffian 2 * 1 + 4 * (-1/2) = 0
+    ([[0, 2, 0, 4], [-2, 0, Rat(-1, 2), 0], [0, Rat(1, 2), 0, 1], [-4, 0, -1, 0]],
+     "must be nondegenerate"),
+])
+def test_symplectic_form_messages(rows, message):
+    with pytest.raises(ValueError, match="^symplectic form %s$" % message):
+        SymplecticForm(rmat(rows))
 
 
 def test_operator_a_example():
@@ -321,9 +342,13 @@ def test_isometry_ratio_outside_the_float_range_is_an_error():
 
 def test_each_pair_is_reduced_once(monkeypatch):
     # one exact LDL^T and one eigendecomposition per pair, shared by the
-    # spectrum, the ratio and the normal-form basis
-    o1, g1 = heisenberg_pair(2, (1, 2))
-    o2, g2 = heisenberg_pair(2, (2, 4))
+    # Metric's positive-definiteness check, the spectrum, the ratio and the
+    # normal-form basis.  The pairs are raw (omega, gram) tuples, as the CLI
+    # and the benchmark hand them over, so the Metric is built, and its
+    # LDL^T counted, inside each call
+    pairs = [heisenberg_pair(2, rbar) for rbar in ((1, 2), (2, 4))]
+    (o1, g1), (o2, g2) = [(omega.matrix, gram.gram) for omega, gram in pairs]
+    assert not isinstance(g1, Metric) and not isinstance(o1, SymplecticForm)
     calls = []
 
     def counted(name, original):
@@ -341,3 +366,74 @@ def test_each_pair_is_reduced_once(monkeypatch):
         calls.clear()
         call()
         assert sorted(calls) == ["eig"] * pairs + ["ldl_pd"] * pairs
+
+
+# ---------------------------------------------------------------------------
+# the integer reduction against the Rat chain
+
+
+# binary exponents around the float window 2^+-200 and beyond it, where the
+# reduction rescales by powers of four
+WINDOW_EXPONENTS = (0, 1, -1, 198, -198, 199, -199, 200, -200, 201, -201, 202, -202,
+                    300, -300, 451, -451)
+exponents = st.one_of(st.sampled_from(WINDOW_EXPONENTS), st.integers(-520, 520))
+small = st.builds(Rat, st.integers(-6, 6), st.integers(1, 5))
+
+
+@st.composite
+def scaled_pairs(draw):
+    """(omega, gram) as raw Rat tuples: omega = P^T J P for the standard J and
+    a unit upper triangular P, G = A^T A + 1, of size 2, 4 or 6, each times
+    its own power of two."""
+    n = draw(st.integers(1, 3))
+    size = 2 * n
+    p = tuple(tuple(Rat(1) if i == j else draw(small) if j > i else Rat(0)
+                    for j in range(size)) for i in range(size))
+    omega = linalg.mat_mul(linalg.mat_mul(linalg.transpose(p), standard_symplectic(n).matrix), p)
+    a = tuple(tuple(draw(small) for _ in range(size)) for _ in range(size))
+    gram = madd(linalg.mat_mul(linalg.transpose(a), a), linalg.identity(size))
+    fo, fg = Rat(2) ** draw(exponents), Rat(2) ** draw(exponents)
+    return (tuple(tuple(x * fo for x in row) for row in omega),
+            tuple(tuple(x * fg for x in row) for row in gram))
+
+
+def assert_reduction_matches_the_rat_chain(omega, gram):
+    d, linv, mid, s, a, b, scale, q = rat_orthonormal_gauge(omega, gram)
+    form, metric = SymplecticForm(omega), Metric(gram)
+    got_d, got_linv, got_mid = heisenberg._reduction(form, metric)
+    assert got_d == d
+    assert linalg._from_rows(*got_linv) == linv
+    assert linalg._from_rows(*got_mid) == mid
+    got_s, got_a, (_, got_b, got_scale) = heisenberg._orthonormal_skew(form, metric)
+    assert (got_a, got_b, got_scale) == (a, b, scale)
+    assert np.array_equal(got_s, s)
+    if q is None:
+        with pytest.raises(ValueError, match="float range"):
+            heisenberg._change_of_basis(got_linv, got_b, got_scale)
+    else:
+        assert np.array_equal(heisenberg._change_of_basis(got_linv, got_b, got_scale), q)
+
+
+@settings(max_examples=80, deadline=None)
+@given(scaled_pairs())
+def test_integer_reduction_matches_the_rat_chain(pair):
+    assert_reduction_matches_the_rat_chain(*pair)
+
+
+@pytest.mark.parametrize("eo, eg, rescaled", [
+    (0, 0, False), (300, 0, True), (0, -300, True), (-451, 451, True), (520, -520, True),
+    (201, 199, None), (-202, -200, None)])
+def test_rescaled_reduction_matches_the_rat_chain(eo, eg, rescaled):
+    # the power-of-four path on a fixed conjugated pair, whatever hypothesis
+    # draws; rescaled says whether the data leaves the float window (None:
+    # at its edge, either way)
+    omega, gram = heisenberg_pair(2, (1, 3))
+    p = rmat([[1, 2, 0, -1], [0, 1, 3, 0], [1, 0, 1, 2], [0, -1, 0, 1]])
+    fo, fg = Rat(2) ** eo, Rat(2) ** eg
+    omega = linalg.mat_scale(fo, linalg.mat_mul(linalg.mat_mul(linalg.transpose(p),
+                                                               omega.matrix), p))
+    gram = linalg.mat_scale(fg, linalg.mat_mul(linalg.mat_mul(linalg.transpose(p),
+                                                              gram.gram), p))
+    _, a, (_, b, _) = heisenberg._orthonormal_skew(SymplecticForm(omega), Metric(gram))
+    assert rescaled is None or (a != 0 or any(b)) == rescaled
+    assert_reduction_matches_the_rat_chain(omega, gram)

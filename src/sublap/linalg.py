@@ -6,19 +6,21 @@ Rat; every routine returns exact results or raises.
 
 Elimination is fraction-free: each row (or the whole matrix) is scaled by
 the lcm of its denominators once, the elimination runs on Python ints, and
-each Rat is built once at the end.  Deciders that chain several products,
-inverses or comparisons keep the intermediate matrices in one private integer
-form, ``(rows, den)``: integer rows over one common positive denominator, the
-matrix being rows / den entrywise.  ``_to_rows`` and ``_from_rows`` convert
-at the API boundary; ``_rows_mul``, ``_rows_transpose`` and ``_inverse_rows``
-multiply, transpose and invert in that form, and ``_rows_equal`` compares two
-matrices in it.  Gauss-Jordan (``rref``, ``solve_matrix``)
-divides every updated row by the gcd of its entries; ``ldl_pd`` is Bareiss's
-elimination, whose exact division by the previous pivot keeps the entries
-minors of the scaled matrix; ``EchelonBasis`` keeps primitive integer rows
-keyed by pivot column, so ``rank`` and ``pivot_rows`` are one forward pass.
-The backend is touched only through ``.numerator``, ``.denominator`` and
-``Rat(n, d)``.
+each Rat is built once at the end.  Gauss-Jordan (``rref``, ``solve_matrix``,
+``inverse``) divides every updated row by the gcd of its entries; ``ldl_pd``
+is Bareiss's elimination, whose exact division by the previous pivot keeps
+the entries minors of the scaled matrix; ``EchelonBasis`` keeps primitive
+integer rows keyed by pivot column, so ``rank`` and ``pivot_rows`` are one
+forward pass.  The backend is touched only through ``.numerator``,
+``.denominator`` and ``Rat(n, d)``.
+
+Deciders that chain products, inverses and comparisons keep the matrices in
+between in one private integer form, ``(rows, den)``: integer rows over one
+common positive denominator, the matrix being rows / den entrywise.
+``_to_rows`` and ``_from_rows`` convert at the API boundary, so each Rat of
+a chain is built once; ``_rows_mul``, ``_rows_transpose`` and
+``_inverse_rows`` multiply, transpose and invert in the form, and
+``_rows_equal`` compares two matrices in it.
 """
 
 from __future__ import annotations

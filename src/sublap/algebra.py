@@ -9,7 +9,8 @@ violations for the validator to report.  Each algebra expands that rule once
 into one table {i: {j: {k: c}}} of the nonzero [e_i, e_j], which every read
 and the Jacobi check use.  The layers V_1, [V_1, V_1], [V_1, V_2], ... of a
 polarization are grown in one place, _filtration, which bracket_generating,
-stratify and the group constructor share.
+stratify and the group constructor share; it, nilpotency_step and
+calculus.bch_product bracket through one sparse ad (_ad_columns, _ad_apply).
 """
 
 from __future__ import annotations
@@ -109,11 +110,9 @@ class LieAlgebra:
     # -- algebra operations ---------------------------------------------------
 
     def bracket(self, x, y):
-        """[x, y] for coefficient vectors with Rat or Polynomial entries."""
-        if len(x) != self.dim or len(y) != self.dim:
-            raise ValueError("vectors must have length %d" % self.dim)
-        nvars = next((v.nvars for v in (*x, *y) if isinstance(v, Polynomial)), None)
-        zero = Rat(0) if nvars is None else Polynomial.zero(nvars)
+        """[x, y] for coefficient vectors with Rat or Polynomial entries; a
+        Polynomial entry in either makes every entry of the result one."""
+        x, y, zero = _one_kind(self.dim, x, y)
         out = [zero] * self.dim
         for i, row in self._brackets.items():
             xi = x[i]
@@ -128,28 +127,15 @@ class LieAlgebra:
     def ad_matrix(self, x) -> tuple:
         """Matrix of ad_x = [x, .]; column j is bracket(x, e_j).  Entries of
         x may be Rat or Polynomial, as in bracket."""
-        if len(x) != self.dim:
-            raise ValueError("vector must have length %d" % self.dim)
-        nvars = next((v.nvars for v in x if isinstance(v, Polynomial)), None)
-        zero = Rat(0) if nvars is None else Polynomial.zero(nvars)
-        m = [[zero] * self.dim for _ in range(self.dim)]
-        for i, row in self._brackets.items():
-            xi = x[i]
-            if xi:
-                for j, comps in row.items():
-                    for k, c in comps.items():
-                        m[k][j] = m[k][j] + xi * c
-        return tuple(tuple(row) for row in m)
+        x, zero = _one_kind(self.dim, x)
+        ad = _ad_columns(self, x)
+        cols = [ad.get(j, {}) for j in range(self.dim)]
+        return tuple(tuple(col.get(k, zero) for col in cols) for k in range(self.dim))
 
     def modular_trace(self, x) -> Rat:
         """trace(ad_x); identically zero exactly when the group is unimodular."""
-        total = Rat(0)
-        for i, row in self._brackets.items():
-            if x[i]:
-                for j, comps in row.items():
-                    if j in comps:
-                        total += comps[j] * x[i]
-        return total
+        x, zero = _one_kind(self.dim, x)
+        return sum((col.get(j, zero) for j, col in _ad_columns(self, x).items()), zero)
 
     def basis_vector(self, i: int) -> tuple:
         return tuple(Rat(1) if j == i else Rat(0) for j in range(self.dim))
@@ -224,8 +210,21 @@ def validate(algebra: LieAlgebra) -> ValidationReport:
 # -- subspace growth ----------------------------------------------------------
 
 
+def _one_kind(dim: int, *vectors) -> tuple:
+    """The vectors, each of length dim, with entries of one kind, then the
+    zero of that kind: all Rat, or all Polynomial in one number of variables."""
+    if any(len(v) != dim for v in vectors):
+        raise ValueError("vectors must have length %d" % dim)
+    nvars = next((x.nvars for v in vectors for x in v if isinstance(x, Polynomial)), None)
+    if nvars is None:
+        return tuple(tuple(map(rat, v)) for v in vectors) + (Rat(0),)
+    return tuple(tuple(x if isinstance(x, Polynomial) else Polynomial.constant(x, nvars)
+                       for x in v) for v in vectors) + (Polynomial.zero(nvars),)
+
+
 def _ad_columns(algebra: LieAlgebra, v) -> dict:
-    """Sparse ad_v = [v, .] as {j: {k: c}}: the nonzero columns [v, e_j]."""
+    """Sparse ad_v = [v, .] as {j: {k: c}}: the nonzero columns [v, e_j],
+    for v with entries of one kind; row i of the table is ad_{e_i} in this form."""
     ad = {}
     rows = algebra._brackets
     for i, vi in enumerate(v):
@@ -233,8 +232,30 @@ def _ad_columns(algebra: LieAlgebra, v) -> dict:
             for j, comps in rows[i].items():
                 col = ad.setdefault(j, {})
                 for k, c in comps.items():
-                    col[k] = col.get(k, 0) + vi * c
+                    col[k] = col[k] + vi * c if k in col else vi * c
     return {j: col for j, col in ad.items() if any(col.values())}
+
+
+def _ad_apply(ad: dict, w, out: dict) -> dict:
+    """out + ad w into out ({k: entry}), for ad as _ad_columns builds it and a
+    dense w of the same kind; one look-up per nonzero column of ad."""
+    for j, col in ad.items():
+        wj = w[j]
+        if wj:
+            for k, c in col.items():
+                out[k] = out[k] + wj * c if k in out else wj * c
+    return out
+
+
+def _layer_brackets(ads, layer, dim: int):
+    """The nonzero ad w over ad in ads (sparse, as _ad_columns builds them)
+    and w in layer, in that order, as dense rational vectors."""
+    zero = Rat(0)
+    for ad in ads:
+        for w in layer:
+            out = _ad_apply(ad, w, {})
+            if any(out.values()):
+                yield tuple(out.get(k, zero) for k in range(dim))
 
 
 def _filtration(algebra: LieAlgebra, v1) -> tuple:
@@ -242,33 +263,20 @@ def _filtration(algebra: LieAlgebra, v1) -> tuple:
     stratify, until no bracket enlarges the filtration; ranks[k] is the rank
     of [V_1, layers[k]].  Raises NotStratifiable when v1 is dependent.
 
-    Each first-layer vector brackets through its sparse ad_v, built once, so
-    a bracket costs one look-up per nonzero column of ad_v."""
+    Each first-layer vector brackets through its sparse ad_v, built once."""
     span = linalg.EchelonBasis()
     if not all(span.insert(v) for v in v1):
         raise NotStratifiable("polarization basis is linearly dependent")
-    if any(len(v) != algebra.dim for v in v1):
-        raise ValueError("vectors must have length %d" % algebra.dim)
+    v1 = _one_kind(algebra.dim, *v1)[:-1]
     # [v, .] = 0 unless ad_v has a nonzero column
     ads = [ad for ad in (_ad_columns(algebra, v) for v in v1) if ad]
-    zero, dim = Rat(0), algebra.dim
     layers, ranks = [tuple(v1)], []
     while True:
         layer, bracket_span = [], linalg.EchelonBasis()
-        for ad in ads:
-            for w in layers[-1]:
-                out = {}
-                for j, col in ad.items():
-                    wj = w[j]
-                    if wj:
-                        for k, c in col.items():
-                            out[k] = out.get(k, 0) + wj * c
-                if not any(out.values()):
-                    continue
-                b = tuple(out.get(k, zero) for k in range(dim))
-                # a bracket dependent on earlier ones of this pass is in span
-                if bracket_span.insert(b) and span.insert(b):
-                    layer.append(b)
+        for b in _layer_brackets(ads, layers[-1], algebra.dim):
+            # a bracket dependent on earlier ones of this pass is in span
+            if bracket_span.insert(b) and span.insert(b):
+                layer.append(b)
         ranks.append(len(bracket_span))
         if not layer:
             return layers, ranks
@@ -309,17 +317,13 @@ def bracket_generating(algebra: LieAlgebra, vectors) -> tuple:
 def nilpotency_step(algebra: LieAlgebra):
     """Nilpotency step, or None if the lower central series stabilizes
     above zero."""
-    # [e_i, .] = 0 for a basis vector without a table row
-    active = [algebra.basis_vector(i) for i in algebra._brackets]
+    # row i of the table is the sparse ad of e_i, and [e_i, .] = 0 without one
+    ads = tuple(algebra._brackets.values())
     layer, step = algebra.basis(), 0
     while layer:
         step += 1
-        span, brackets = linalg.EchelonBasis(), []
-        for e in active:
-            for w in layer:
-                b = algebra.bracket(e, w)
-                if span.insert(b):
-                    brackets.append(b)
+        span = linalg.EchelonBasis()
+        brackets = [b for b in _layer_brackets(ads, layer, algebra.dim) if span.insert(b)]
         # C^{k+1} = [g, C^k] lies in C^k for any bilinear bracket, so equal
         # dimension means the series has stalled at a nonzero ideal
         if len(brackets) == len(layer):

@@ -2,16 +2,18 @@
 
 Everything happens in exponential coordinates of the first kind: a point of
 the group is its logarithm's coordinate vector, exp and log are the identity
-on coordinates, the group product is the truncated BCH series, and Lebesgue
-measure is the Haar measure.  All operations are exact (rational
-coefficients); floating point never enters.
+on coordinates, the group product is log(e^p e^q), and Lebesgue measure is
+the Haar measure.  All operations are exact (rational coefficients);
+floating point never enters.
 
-The BCH series serves only products: bch_product, group_product_map and the
-two translations.  Everything built on the differential of exp comes from
-finite series in a nilpotent ad matrix (_ad_series): the left-invariant
-fields from the Bernoulli series Lambda_G(p) = ad_p / (1 - e^{-ad_p}), and
-the differential of a map from its inverse series Lambda_H(q)^{-1} =
-(1 - e^{-ad_q}) / ad_q.
+The group law and the differential of exp both come from the Bernoulli
+series Lambda(p) = ad_p / (1 - e^{-ad_p}), finite because ad_p is nilpotent:
+p * q solves z' = Lambda(z) q degree by degree (bch_product, which
+group_product_map and the two translations call), the left-invariant fields
+are Lambda_G(p), and the differential of a map takes the inverse series
+Lambda_H(q)^{-1} = (1 - e^{-ad_q}) / ad_q, both finite series in an ad
+matrix (_ad_series).  Dynkin's form of the series, dynkin_terms, is the
+reference the tests check products against; no product reads it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from functools import lru_cache
 from math import comb, factorial
 
 from . import linalg
-from .algebra import LieAlgebra, NotStratifiable, SubRiemannianGroup, nilpotency_step
+from .algebra import (LieAlgebra, NotStratifiable, SubRiemannianGroup, _ad_apply, _ad_columns,
+                      _one_kind, nilpotency_step)
 from .polynomial import Polynomial, PolyMap, PolyVectorField, poly_mat_mul, poly_rat_mat_mul
 from .rational import Rat, rat
 
@@ -37,7 +40,8 @@ def require_step(group: SubRiemannianGroup) -> int:
 
 @lru_cache(maxsize=None)
 def dynkin_terms(step: int) -> tuple:
-    """Dynkin's BCH expansion truncated at total degree ``step``.
+    """Dynkin's BCH expansion truncated at total degree ``step``: the
+    reference form of the group law, which bch_product does not read.
 
     Returns ((coeff, word), ...) where word is a tuple over {0, 1} (0 = first
     argument, 1 = second) and the word's value is its right-nested bracket
@@ -79,69 +83,67 @@ def dynkin_terms(step: int) -> tuple:
     return tuple(out)
 
 
-def _coerce_vector(p, dim: int):
-    if isinstance(p, PolyMap):
-        p = p.components
-    p = tuple(p)
-    if len(p) != dim:
-        raise ValueError("point has length %d, expected %d" % (len(p), dim))
-    return tuple(x if isinstance(x, Polynomial) else rat(x) for x in p)
-
-
-def _add_scaled(total, coeff, v):
-    out = []
-    for t, x in zip(total, v):
-        term = x * coeff if isinstance(x, Polynomial) else coeff * x
-        if isinstance(term, Polynomial) and not term:
-            out.append(t)
-        elif isinstance(t, Polynomial) or isinstance(term, Polynomial):
-            out.append(term + t if isinstance(term, Polynomial) else t + term)
-        else:
-            out.append(t + term)
-    return tuple(out)
+@lru_cache(maxsize=None)
+def _bch_weights(step: int) -> tuple:
+    """weights[m - 1][k] = B_k / (k! m) of bch_product, for 1 <= m < max(step, 2)."""
+    bernoulli = bernoulli_numbers(step)
+    return tuple(tuple(b / (factorial(k) * m) for k, b in enumerate(bernoulli))
+                 for m in range(1, max(step, 2)))
 
 
 def bch_product(p, q, algebra: LieAlgebra, step: int = None):
-    """Group product p * q in exponential coordinates (truncated BCH/Dynkin).
+    """Group product p * q in exponential coordinates.
+
+    z(t) = log(e^p e^{tq}) solves z' = Lambda(z) q, z(0) = p, for the
+    Bernoulli series Lambda(z) = sum_k (B_k / k!) ad_z^k of
+    left_translation_jacobian.  For z = sum_m c_m t^m, m c_m is the t^(m-1)
+    coefficient of Lambda(z) q; it reads only c_0 .. c_{m-1}, through
+    powers[k][j] = [t^j] ad_z^k q = sum_{i <= j} [c_i, powers[k-1][j-i]].
+    For m >= 2, c_m is a sum of brackets of length at least m + 1, so on a
+    step-s algebra p * q = z(1) = c_0 + c_1 + ... + c_{s-1}.
 
     Arguments may be rational vectors, vectors of Polynomial, or PolyMaps
-    (whose components are taken), mixed freely.  The inverse of p is -p and
-    the identity is 0.
+    (whose components are taken); a Polynomial entry in either makes every
+    entry of the result a Polynomial.  The inverse of p is -p and the
+    identity is 0.
     """
     if step is None:
         step = nilpotency_step(algebra)
         if step is None:
             raise NotNilpotent("BCH product requires a nilpotent algebra")
-    p = _coerce_vector(p, algebra.dim)
-    q = _coerce_vector(q, algebra.dim)
-    args = (p, q)
-    memo = {(0,): p, (1,): q}
-
-    def word_value(word):
-        got = memo.get(word)
-        if got is None:
-            inner = word_value(word[1:])
-            got = algebra.bracket(args[word[0]], inner)
-            memo[word] = got
-        return got
-
-    total = _add_scaled(p, Rat(1), q)
-    for coeff, word in dynkin_terms(step):
-        if len(word) == 1:
-            continue  # the X + Y part is the initializer above
-        total = _add_scaled(total, coeff, word_value(word))
-    return total
+    dim = algebra.dim
+    p, q, zero = _one_kind(dim, *(tuple(v.components if isinstance(v, PolyMap) else v)
+                                  for v in (p, q)))
+    # powers[0][j] is q at j = 0 and zero after; ads[i] is the sparse ad_{c_i}
+    powers = [[q] + [(zero,) * dim] * step] + [[] for _ in range(1, step)]
+    c, ads, total = p, [], list(p)
+    for m, weights in enumerate(_bch_weights(step), 1):
+        ads.append(_ad_columns(algebra, c))
+        for k in range(1, step):
+            out = {}
+            for i, ad in enumerate(ads):
+                _ad_apply(ad, powers[k - 1][m - 1 - i], out)
+            powers[k].append(tuple(out.get(r, zero) for r in range(dim)))
+        out = {}
+        for w, power in zip(weights, powers):
+            if w:
+                for r, x in enumerate(power[m - 1]):
+                    if x:
+                        x = x if w == 1 else x * w
+                        out[r] = out[r] + x if r in out else x
+        c = tuple(out.get(r, zero) for r in range(dim))
+        for r, x in out.items():
+            total[r] = total[r] + x
+    return tuple(total)
 
 
 @lru_cache(maxsize=None)
 def group_product_map(group: SubRiemannianGroup) -> PolyMap:
     """The product as a PolyMap in 2n variables (x1..xn, then the second
     factor's coordinates)."""
-    step = require_step(group)
     n = group.dim
-    pvars = [Polynomial.variable(i, 2 * n) for i in range(n)]
-    qvars = [Polynomial.variable(n + i, 2 * n) for i in range(n)]
-    return PolyMap(2 * n, bch_product(pvars, qvars, group.algebra, step=step))
+    xs = PolyMap.identity(2 * n).components
+    return PolyMap(2 * n, bch_product(xs[:n], xs[n:], group.algebra, require_step(group)))
 
 
 def bernoulli_numbers(count: int) -> tuple:
@@ -208,20 +210,14 @@ def lie_derivative(u: Polynomial, x, group: SubRiemannianGroup) -> Polynomial:
 
 def left_translation(group: SubRiemannianGroup, a) -> PolyMap:
     """L_a(p) = a * p as a PolyMap."""
-    step = require_step(group)
-    n = group.dim
-    avec = tuple(rat(v) for v in a)
-    pvars = [Polynomial.variable(i, n) for i in range(n)]
-    return PolyMap(n, bch_product(avec, pvars, group.algebra, step=step))
+    p = PolyMap.identity(group.dim)
+    return PolyMap(group.dim, bch_product(a, p, group.algebra, require_step(group)))
 
 
 def right_translation(group: SubRiemannianGroup, a) -> PolyMap:
     """R_a(p) = p * a as a PolyMap."""
-    step = require_step(group)
-    n = group.dim
-    avec = tuple(rat(v) for v in a)
-    pvars = [Polynomial.variable(i, n) for i in range(n)]
-    return PolyMap(n, bch_product(pvars, avec, group.algebra, step=step))
+    p = PolyMap.identity(group.dim)
+    return PolyMap(group.dim, bch_product(p, a, group.algebra, require_step(group)))
 
 
 def dilation(group: SubRiemannianGroup, lam) -> PolyMap:

@@ -10,8 +10,8 @@ Instances are treated as immutable: no method mutates self.
 Sums of polynomials go through one of three integer kernels,
 linear_combination, sum_of_products or _weighted_sum, which scale the terms
 to one common denominator and accumulate a single term dict; + and - serve
-one pair.  Two kinds of loop still add term by term: those whose entries
-may be Rat or Polynomial (LieAlgebra.bracket and ad_matrix, the BCH sums of
+one pair.  Two kinds of loop still add term by term: the brackets of the
+algebra layer on entries of one kind (LieAlgebra.bracket, the sparse ad of
 bch_product), and calculus._ad_series, which adds one power of ad at a time.
 """
 

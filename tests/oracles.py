@@ -31,7 +31,11 @@ of its index pairs, zero or not, where the package visits only the pairs
 whose factors are both nonzero.  The Heisenberg gauge oracle reduces a pair
 on Rat matrices, inverse(L) omega inverse(L)^T through the public linalg, and
 takes each float of a Rat rescaled by powers of four, where the package keeps
-L^{-1} and that product on integer rows over one denominator.
+L^{-1} and that product on integer rows over one denominator.  The Dynkin
+product oracle sums the words of Dynkin's BCH expansion, where the package
+solves for the product degree by degree through the Bernoulli series, and the
+bracket-loop series oracle calls the algebra's bracket on each pair, where
+the package applies each row of the table as a sparse ad.
 """
 
 import math
@@ -40,7 +44,7 @@ from fractions import Fraction
 
 from sublap import heisenberg, linalg
 from sublap.algebra import NotStratifiable
-from sublap.calculus import bch_product, group_product_map
+from sublap.calculus import bch_product, dynkin_terms, group_product_map
 from sublap.operators import DifferentialOperator, cometric, frame_components, gradient, \
     sublaplacian
 from sublap.polynomial import Polynomial, linear_combination, monomials_up_to
@@ -177,6 +181,32 @@ def rep_product(embed, extract, p, q):
     """Group product through the representation: log(exp P exp Q)."""
     u = mmul(nilpotent_exp(embed(p)), nilpotent_exp(embed(q)))
     return extract(nilpotent_log(u))
+
+
+def dynkin_product(p, q, algebra, step):
+    """p * q as Dynkin's truncated BCH sum (calculus.dynkin_terms): each word
+    is a right-nested bracket of p and q, evaluated once through a memo of its
+    inner words, where the package solves for the coefficients of
+    log(e^p e^{tq}) degree by degree through the Bernoulli series.  Entries
+    may be Rat or Polynomial; any Polynomial makes every entry one."""
+    nvars = next((x.nvars for x in (*p, *q) if isinstance(x, Polynomial)), None)
+
+    def lift(x):
+        x = x if isinstance(x, Polynomial) else rat(x)
+        return x if nvars is None or isinstance(x, Polynomial) else Polynomial.constant(x, nvars)
+
+    args = tuple(tuple(map(lift, v)) for v in (p, q))
+    memo = {(0,): args[0], (1,): args[1]}
+
+    def value(word):
+        if word not in memo:
+            memo[word] = algebra.bracket(args[word[0]], value(word[1:]))
+        return memo[word]
+
+    total = [Rat(0) if nvars is None else Polynomial.zero(nvars)] * algebra.dim
+    for coeff, word in dynkin_terms(step):
+        total = [t + x * coeff for t, x in zip(total, value(word))]
+    return tuple(total)
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +612,27 @@ def dense_nilpotency_step(algebra):
             return None
         layer = span
     return None
+
+
+def bracket_nilpotency_step(algebra):
+    """The lower central series through LieAlgebra.bracket, each basis
+    vector with a table row against each vector of the last term, where the
+    package applies each row of the table as a sparse ad."""
+    # [e_i, .] = 0 for a basis vector without a table row
+    active = [algebra.basis_vector(i) for i in algebra._brackets]
+    layer, step = algebra.basis(), 0
+    while layer:
+        step += 1
+        span, brackets = linalg.EchelonBasis(), []
+        for e in active:
+            for w in layer:
+                b = algebra.bracket(e, w)
+                if span.insert(b):
+                    brackets.append(b)
+        if len(brackets) == len(layer):
+            return None
+        layer = brackets
+    return step
 
 
 def dense_stratify(algebra, v1_basis):

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (bracket_jacobi, dense_bracket_generating, dense_group_structure,
-                     dense_nilpotency_step, dense_stratify)
+from oracles import (bracket_jacobi, bracket_nilpotency_step, dense_bracket_generating,
+                     dense_group_structure, dense_nilpotency_step, dense_stratify)
 
 from sublap.algebra import (InvalidAlgebra, LieAlgebra, Metric, NotStratifiable, Polarization,
                             bracket_generating, nilpotency_step, stratify,
@@ -391,6 +391,30 @@ def test_nilpotency_step_matches_the_dense_series():
         engel_algebra(), sl2_algebra(), heisenberg_algebra(1), mixed, solvable]
     for algebra in algebras:
         assert nilpotency_step(algebra) == dense_nilpotency_step(algebra)
+
+
+@st.composite
+def bracket_tables(draw):
+    """An antisymmetric table on up to six basis vectors: strictly upper
+    ([e_i, e_j] has e_k components only for k > j, so the series reaches
+    zero) or unrestricted (mostly not nilpotent); Jacobi is not imposed."""
+    dim = draw(st.integers(1, 6))
+    upper = draw(st.booleans())
+    brackets = {}
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            targets = range(j + 1, dim) if upper else range(dim)
+            if targets:
+                brackets[(i, j)] = draw(st.dictionaries(st.sampled_from(targets),
+                                                        st.integers(-2, 2), max_size=2))
+    return LieAlgebra.from_brackets(dim, brackets)
+
+
+@settings(max_examples=100, deadline=None)
+@given(bracket_tables())
+def test_nilpotency_step_matches_the_bracket_loop(algebra):
+    step = nilpotency_step(algebra)
+    assert step == bracket_nilpotency_step(algebra) == dense_nilpotency_step(algebra)
 
 
 def test_stratified_groups_take_their_step_from_the_strata():

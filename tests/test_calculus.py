@@ -5,12 +5,14 @@ Lagrange differentiation of polynomial curves through rational points."""
 
 import itertools
 import random
+import time
 
 import pytest
 
 from oracles import (bch_left_translation_jacobian, bch_lie_differential, curve_derivative,
-                     heisenberg_rep, engel_rep, mmul, mscale, madd, nilpotent_exp,
-                     nilpotent_log, poly_mat_eval, rep_product, second_lie_differential)
+                     dynkin_product, heisenberg_rep, engel_rep, mmul, mscale, madd,
+                     nilpotent_exp, nilpotent_log, poly_mat_eval, rep_product,
+                     second_lie_differential)
 from conftest import gallery_maps, random_rational, random_vector
 from sublap.algebra import LieAlgebra, NotStratifiable, subriemannian_group
 from sublap.calculus import (NotNilpotent, bch_product, bernoulli_numbers, dilation,
@@ -150,6 +152,60 @@ def test_bch_requires_nilpotency():
         bch_product((1, 0, 0), (0, 1, 0), sl2_algebra())
 
 
+def _oracle_groups(h1, h2, engel):
+    """Heisenberg groups, Engel, a filiform-5 polarized off its axes, and the
+    model filiform groups of dimension 4 to 9 (steps 3 to 8)."""
+    filiforms = [_filiform(n) for n in range(4, 10)]
+    skewed5 = subriemannian_group(filiforms[1].algebra, ((1, 0, 0, 0, 0), (1, 1, 0, 0, 0)),
+                                  ((3, 1), (1, 2)))
+    return [h1, h2, heisenberg_group(3, (1, Rat(3, 2), 2)), engel, skewed5] + filiforms
+
+
+def test_bch_matches_the_dynkin_sum(h1, h2, engel, rng):
+    # the Bernoulli recursion against Dynkin's word sum, exactly, on rational
+    # points, on the symbolic product and on both translations by a point
+    for group in _oracle_groups(h1, h2, engel):
+        alg, n, step = group.algebra, group.dim, group.step
+        for _ in range(3):
+            p, q = random_vector(rng, n), random_vector(rng, n)
+            assert bch_product(p, q, alg) == dynkin_product(p, q, alg, step)
+        xs = PolyMap.identity(2 * n).components
+        assert group_product_map(group).components == \
+            dynkin_product(xs[:n], xs[n:], alg, step), group
+        a, xs = random_vector(rng, n), PolyMap.identity(n).components
+        assert left_translation(group, a).components == dynkin_product(a, xs, alg, step)
+        assert right_translation(group, a).components == dynkin_product(xs, a, alg, step)
+
+
+def test_a_polynomial_entry_makes_every_entry_polynomial(h1):
+    x1 = Polynomial.variable(0, 3)
+    prod = bch_product((1, x1, 0), (0, 1, 0), h1.algebra)
+    assert all(isinstance(c, Polynomial) for c in prod)
+    assert prod == tuple(Polynomial.parse(c, 3) for c in ("1", "x1 + 1", "1/2"))
+
+
+def test_products_never_read_the_dynkin_table(engel):
+    dynkin_terms.cache_clear()
+    a = (1, Rat(-1, 2), 2, 3)
+    bch_product(a, a, engel.algebra)
+    group_product_map.__wrapped__(engel)  # past the cache, so the product is built
+    left_translation(engel, a)
+    right_translation(engel, a)
+    info = dynkin_terms.cache_info()
+    assert (info.hits, info.misses) == (0, 0)
+
+
+def test_left_translation_at_high_step_is_fast():
+    # the model filiform-12 group has step 11; building Dynkin's expansion to
+    # that degree took seconds, the recursion takes hundredths
+    group = _filiform(12)
+    a = (1,) * 12
+    start = time.perf_counter()
+    translation = left_translation(group, a)
+    assert time.perf_counter() - start < 1.0
+    assert translation((0,) * 12) == a
+
+
 # ---------------------------------------------------------------------------
 # left-invariant frame
 
@@ -174,11 +230,7 @@ def test_bernoulli_numbers():
 def test_jacobian_matches_bch_oracle(h1, h2, engel):
     # the Bernoulli series ad_p / (1 - e^{-ad_p}) against the derivative of
     # the symbolic BCH product p * q in q at q = 0
-    filiforms = [_filiform(n) for n in range(4, 10)]
-    skewed5 = subriemannian_group(filiforms[1].algebra, ((1, 0, 0, 0, 0), (1, 1, 0, 0, 0)),
-                                  ((3, 1), (1, 2)))
-    groups = [h1, h2, heisenberg_group(3, (1, Rat(3, 2), 2)), engel, skewed5] + filiforms
-    for group in groups:
+    for group in _oracle_groups(h1, h2, engel):
         assert left_translation_jacobian(group) == bch_left_translation_jacobian(group), group
 
 

@@ -100,7 +100,7 @@ def bch_product(p, q, algebra: LieAlgebra, step: int = None):
     coefficient of Lambda(z) q; it reads only c_0 .. c_{m-1}, through
     powers[k][j] = [t^j] ad_z^k q = sum_{i <= j} [c_i, powers[k-1][j-i]].
     For m >= 2, c_m is a sum of brackets of length at least m + 1, so on a
-    step-s algebra p * q = z(1) = c_0 + c_1 + ... + c_{s-1}.
+    step-s algebra p * q = z(1) = c_0 + c_1 + ... + c_{max(s, 2) - 1}.
 
     Arguments may be rational vectors, vectors of Polynomial, or PolyMaps
     (whose components are taken); a Polynomial entry in either makes every

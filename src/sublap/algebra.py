@@ -82,6 +82,11 @@ class LieAlgebra:
 
     # -- raw reads -----------------------------------------------------------
 
+    @cached_property
+    def step(self):
+        """nilpotency_step of the algebra, computed on first read and kept."""
+        return nilpotency_step(self)
+
     def raw_table(self) -> dict:
         return dict(self.structure_constants)
 
@@ -443,7 +448,7 @@ def subriemannian_group(algebra: LieAlgebra, polarization_basis, gram) -> SubRie
     try:
         strata = _strata(algebra, layers, ranks)
     except NotStratifiable:
-        return SubRiemannianGroup(algebra, pol, metric, nilpotency_step(algebra), None)
+        return SubRiemannianGroup(algebra, pol, metric, algebra.step, None)
     # a stratified algebra is graded ([V_i, V_j] lies in V_{i+j}, by Jacobi
     # and induction on i), so its step is exactly its number of nonzero layers
     return SubRiemannianGroup(algebra, pol, metric, sum(map(bool, strata)), strata)

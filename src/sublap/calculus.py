@@ -12,8 +12,13 @@ p * q solves z' = Lambda(z) q degree by degree (bch_product, which
 group_product_map and the two translations call), the left-invariant fields
 are Lambda_G(p), and the differential of a map takes the inverse series
 Lambda_H(q)^{-1} = (1 - e^{-ad_q}) / ad_q, both finite series in an ad
-matrix (_ad_series).  Dynkin's form of the series, dynkin_terms, is the
-reference the tests check products against; no product reads it.
+matrix (_ad_series).  Both series run on polynomial's private (rows, den)
+form, integer term dicts over one common denominator: ad comes from the
+group's bracket table scaled to integers (_ad_rows), JF from the term dicts
+of the map's components, and lie_differential, horizontal_differential and
+left_translation_jacobian build one reduced Polynomial per entry of the
+result.  Dynkin's form of the series, dynkin_terms, is the reference the
+tests check products against; no product reads it.
 """
 
 from __future__ import annotations
@@ -23,8 +28,9 @@ from math import comb, factorial
 
 from . import linalg
 from .algebra import (LieAlgebra, NotStratifiable, SubRiemannianGroup, _ad_apply, _ad_columns,
-                      _one_kind, nilpotency_step)
-from .polynomial import Polynomial, PolyMap, PolyVectorField, poly_mat_mul, poly_rat_mat_mul
+                      _one_kind)
+from .polynomial import Polynomial, PolyMap, PolyVectorField, _from_prows, _nonzero, \
+    _prows_combination, _prows_mul, _to_prows, poly_rat_mat_mul
 from .rational import Rat, rat
 
 
@@ -108,7 +114,7 @@ def bch_product(p, q, algebra: LieAlgebra, step: int = None):
     identity is 0.
     """
     if step is None:
-        step = nilpotency_step(algebra)
+        step = algebra.step
         if step is None:
             raise NotNilpotent("BCH product requires a nilpotent algebra")
     dim = algebra.dim
@@ -166,31 +172,59 @@ def left_translation_jacobian(group: SubRiemannianGroup) -> tuple:
     Lambda_G(p) X with Lambda_G(p) = ad_p / (1 - e^{-ad_p})
     = sum_k B_k ad_p^k / k!, which stops after k = s - 1 (s the step)
     because ad_p is nilpotent; ad_p is linear in the coordinates of p.
+    GroupTables.jacobian keeps the series in the (rows, den) form of
+    polynomial (_left_translation_rows).
     """
-    step = require_step(group)
+    require_step(group)
+    return _from_prows(group.tables.jacobian, group.dim)
+
+
+def _left_translation_rows(group: SubRiemannianGroup) -> tuple:
+    """left_translation_jacobian in the (rows, den) form of polynomial: the
+    Bernoulli series of ad_p, p the coordinate variables."""
     n = group.dim
-    ad = group.algebra.ad_matrix(tuple(Polynomial.variable(i, n) for i in range(n)))
-    one, zero = Polynomial.constant(1, n), Polynomial.zero(n)
-    identity = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-    return _ad_series(ad, identity, bernoulli_numbers(step), 0)
+    one = (0,) * n
+    variables = tuple({one[:i] + (1,) + one[i + 1:]: 1} for i in range(n))
+    identity = tuple(tuple({one: 1} if i == j else {} for j in range(n)) for i in range(n))
+    return _ad_series(_ad_rows(group.tables.brackets, variables, 1), (identity, 1),
+                      bernoulli_numbers(require_step(group)), 0)
 
 
-def _ad_series(ad, term, weights, shift: int) -> tuple:
+def _ad_rows(brackets: tuple, vector, den: int) -> tuple:
+    """ad_v in the (rows, den) form of polynomial, for v = vector / den with
+    vector a tuple of integer term dicts and brackets the algebra's table
+    {i: {j: {k: c}}} as integers over one denominator (GroupTables.brackets):
+    entry (k, j) is sum_i v_i c_ij^k."""
+    table, dc = brackets
+    n = len(vector)
+    ad = [[{} for _ in range(n)] for _ in range(n)]
+    for i, vi in enumerate(vector):
+        if vi and i in table:
+            for j, comps in table[i].items():
+                for k, c in comps.items():
+                    acc = ad[k][j]
+                    get = acc.get
+                    for e, x in vi.items():
+                        acc[e] = get(e, 0) + x * c
+    return tuple(tuple(_nonzero(acc) for acc in row) for row in ad), den * dc
+
+
+def _ad_series(ad: tuple, term: tuple, weights, shift: int) -> tuple:
     """sum_k weights[k] ad^k term / ((k + shift)! / shift!) over k < len(weights),
-    for a nilpotent matrix ad and a matrix term of Polynomials in one number
-    of variables; weights[0] is 1.  Each power is one poly_mat_mul with the
-    next factor of the factorial as its denominator, and the sum stops at the
-    first power that vanishes."""
-    out = term
+    for a nilpotent ad and a term, both polynomial matrices in the
+    (rows, den) form of polynomial; weights[0] is 1.  Each power is one
+    _prows_mul whose denominator takes the next factor of the factorial, the
+    powers stop at the first that vanishes, and the weighted powers are
+    added in one _prows_combination; nothing is divided."""
+    parts = [(1, term)]
     for k in range(1, len(weights)):
-        term = poly_mat_mul(ad, term, k + shift)
-        if not any(any(row) for row in term):
+        rows, den = _prows_mul(ad, term)
+        if not any(any(row) for row in rows):
             break
-        w = weights[k]
-        if w:
-            out = tuple(tuple(a + (b if w == 1 else b * w) if b else a for a, b in zip(ra, rb))
-                        for ra, rb in zip(out, term))
-    return out
+        term = rows, den * (k + shift)
+        if weights[k]:
+            parts.append((weights[k], term))
+    return _prows_combination(parts)
 
 
 def left_invariant_field(x, group: SubRiemannianGroup) -> PolyVectorField:
@@ -263,7 +297,7 @@ def lie_differential(F: PolyMap, source: SubRiemannianGroup, target: SubRiemanni
     of F.
     """
     _check_map(F, source, target)
-    return _differential(F, target, left_translation_jacobian(source))
+    return _from_prows(_differential(F, target, source.tables.jacobian), source.dim)
 
 
 def horizontal_differential(F: PolyMap, source: SubRiemannianGroup,
@@ -273,12 +307,30 @@ def horizontal_differential(F: PolyMap, source: SubRiemannianGroup,
     vector of the source.  Taken as Lambda_H(F)^{-1} JF (Lambda_G B_G), the
     closed form of lie_differential on the source's horizontal frame
     (GroupTables.horizontal_frame), without building the full DF."""
+    return _from_prows(_horizontal_rows(F, source, target), source.dim)
+
+
+def _horizontal_rows(F: PolyMap, source: SubRiemannianGroup,
+                     target: SubRiemannianGroup) -> tuple:
+    """horizontal_differential in the (rows, den) form of polynomial."""
     _check_map(F, source, target)
     return _differential(F, target, source.tables.horizontal_frame)
 
 
-def _differential(F: PolyMap, target: SubRiemannianGroup, columns) -> tuple:
-    """Lambda_H(F)^{-1} JF columns, for a matrix columns of Polynomial in the
-    source coordinates with one row per source coordinate."""
-    neg_ad = target.algebra.ad_matrix(tuple(-c for c in F.components))
-    return _ad_series(neg_ad, poly_mat_mul(F.jacobian(), columns), (1,) * target.step, 1)
+def _differential(F: PolyMap, target: SubRiemannianGroup, columns: tuple) -> tuple:
+    """Lambda_H(F)^{-1} JF columns, for a matrix columns in the (rows, den)
+    form of polynomial with one row per source coordinate.  JF and -ad_F
+    are read from the term dicts of F's components over their common
+    denominator, ad through the target's integer bracket table."""
+    (comps,), den = _to_prows((F.components,))
+    jacobian = []
+    for x in comps:
+        row = [{} for _ in range(F.source_dim)]
+        for exps, c in x.items():
+            for j, e in enumerate(exps):
+                if e:
+                    row[j][exps[:j] + (e - 1,) + exps[j + 1:]] = c * e
+        jacobian.append(row)
+    neg_ad = _ad_rows(target.tables.brackets,
+                      tuple({e: -c for e, c in x.items()} for x in comps), den)
+    return _ad_series(neg_ad, _prows_mul((jacobian, den), columns), (1,) * target.step, 1)

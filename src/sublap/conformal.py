@@ -16,17 +16,18 @@ Three related questions live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from math import comb, gcd
 from operator import mul
 from typing import Optional
 
 from . import linalg
 from .algebra import SubRiemannianGroup
-from .calculus import horizontal_differential, require_step
-from .operators import cometric, frame_components, polarization_residuals, pullback_operator, \
-    pushforward_first, pushforward_second
-from .polynomial import Polynomial, PolyMap, monomials_up_to
+from .calculus import _horizontal_rows, require_step
+from .operators import PullbackOperator, _polarization_residuals, _pullback_tables, \
+    _pushforward_first, frame_components
+from .polynomial import Polynomial, PolyMap, _from_prows, _nonzero, _prows_combination, \
+    _prows_congruence, _prows_transpose, _reduced, _to_prows, monomials_up_to
 from .rational import Rat, rat
 
 
@@ -273,31 +274,32 @@ class CommutationReport:
     reason: str = ""
 
 
-def _conformal_factor(c, qh):
-    """Split C = lambda_sq * Q_H: returns (lambda_sq, mismatches)."""
-    m = len(qh)
-    n = c[0][0].nvars
-    lam_sq = None
-    for i in range(m):
-        for j in range(m):
-            if qh[i][j]:
-                lam_sq = c[i][j] / qh[i][j]
-                break
-        if lam_sq is not None:
-            break
+def _conformal_factor(c: tuple, qh: tuple, nvars: int) -> tuple:
+    """Split C = lambda_sq * Q_H, for C in the (rows, den) form of polynomial
+    and Q_H as linalg's integer (rows, den): returns (lambda_sq, mismatches).
+
+    With q_0 the first nonzero entry of Q_H and c_0 the entry of C in its
+    place, C = lambda_sq Q_H holds exactly when c_ij q_0 = c_0 q_ij at every
+    entry, compared on integer term dicts without dividing; lambda_sq =
+    c_0 / q_0, and the mismatch c_ij - lambda_sq q_ij of each entry where the
+    test fails, are the only Polynomials built."""
+    (rows, den), (q, qd) = c, qh
+    i0, j0 = next((i, j) for i, row in enumerate(q) for j, x in enumerate(row) if x)
+    c0, q0 = rows[i0][j0], q[i0][j0]
+    # lambda_sq q_ij = c0 q_ij / (den q0): keep that denominator positive
+    sign, den0 = (1, den * q0) if q0 > 0 else (-1, -den * q0)
     mismatches = []
-    for i in range(m):
-        for j in range(m):
-            want = lam_sq * qh[i][j] if qh[i][j] else Polynomial.zero(n)
-            if c[i][j] != want:
-                mismatches.append(c[i][j] - want)
+    for crow, qrow in zip(rows, q):
+        for x, w in zip(crow, qrow):
+            y = c0 if w else {}
+            if len(x) == len(y) and all(v * q0 == y.get(e, 0) * w for e, v in x.items()):
+                continue
+            diff = {e: v * q0 * sign for e, v in x.items()}
+            for e, v in y.items():
+                diff[e] = diff.get(e, 0) - v * w * sign
+            mismatches.append(_reduced(nvars, _nonzero(diff), den0))
+    lam_sq = _reduced(nvars, {e: v * qd * sign for e, v in c0.items()}, den0)
     return lam_sq, tuple(mismatches)
-
-
-def _contact_residuals(db, target) -> tuple:
-    """Components of DB = DF B_G outside the target polarization (empty when
-    DF is contact), annihilator by annihilator and column by column."""
-    return polarization_residuals(zip(*db), target)
 
 
 def commutation_residuals(F: PolyMap, lambda_sq, b, source: SubRiemannianGroup,
@@ -334,17 +336,23 @@ def commutation_residuals(F: PolyMap, lambda_sq, b, source: SubRiemannianGroup,
     frame_components(b, target)  # raises if b is not horizontal
     b = tuple(v if isinstance(v, Polynomial) else Polynomial.constant(rat(v), n)
               for v in b)
-    pulled = pullback_operator(F, source, target)
-    qh = cometric(target).matrix
-    second = tuple(tuple(pulled.second[c][d] - lambda_sq * qh[c][d] for d in range(m))
-                   for c in range(m))
-    first = tuple(f - bc for f, bc in zip(pulled.first, b))
-    if not any(first) and not any(any(row) for row in second):
+    if any(v.nvars != n for v in (lambda_sq, *b)):
+        raise ValueError("lambda_sq and b must be polynomials in the %d source variables" % n)
+    second, first = _pullback_tables(_horizontal_rows(F, source, target), source)
+    q, qd = target.tables.cometric_rows
+    lam = lambda_sq._num
+    scaled = tuple(tuple({e: c * w for e, c in lam.items()} if w else {} for w in row)
+                   for row in q), lambda_sq._den * qd
+    second = _prows_combination([(1, second), (-1, scaled)])
+    first = _prows_combination([(1, first), (-1, _to_prows(tuple((v,) for v in b)))])
+    if not any(any(row) for row in second[0]) and not any(row[0] for row in first[0]):
         return ()
     probes = comb(m + probe_degree, probe_degree)
     if probes > PROBE_BUDGET:
         raise ProbeBudgetExceeded(probe_degree, probes)
-    residual = replace(pulled, second=second, first=first)
+    residual = PullbackOperator(F, source, target, _from_prows(second, n),
+                                tuple(row[0] for row in _from_prows(first, n)),
+                                Polynomial.zero(n))
     bad = []
     for u in monomials_up_to(m, probe_degree):
         res = residual.apply(u)
@@ -374,17 +382,19 @@ def analyze_commutation(F: PolyMap, source: SubRiemannianGroup,
     """
     if probe_degree < 2:
         raise ValueError("probe_degree must be at least 2")
-    db = horizontal_differential(F, source, target)
+    n = source.dim
+    db = _horizontal_rows(F, source, target)
 
-    contact_bad = _contact_residuals(db, target)
+    # the columns of DB outside the target polarization, annihilator by
+    # annihilator and column by column
+    contact_bad = _polarization_residuals(_prows_transpose(db), target, n)
     if contact_bad:
         return CommutationReport(False, False, None, None, probe_degree,
                                  contact_bad, "differential leaves the polarization")
 
     tables = source.tables
-    c = pushforward_second(db, tables.gram_inverse)
-    qh = cometric(target).matrix
-    lam_sq, mismatches = _conformal_factor(c, qh)
+    lam_sq, mismatches = _conformal_factor(_prows_congruence(db, tables.gram_inverse),
+                                           target.tables.cometric_rows, n)
     if mismatches:
         return CommutationReport(True, False, None, None, probe_degree,
                                  mismatches, "cometric image is not a multiple of the target cometric")
@@ -392,8 +402,8 @@ def analyze_commutation(F: PolyMap, source: SubRiemannianGroup,
         return CommutationReport(True, False, None, None, probe_degree,
                                  (lam_sq,), "conformal factor is not positive")
 
-    return CommutationReport(True, True, lam_sq, pushforward_first(db, tables.gradient_fields),
-                             probe_degree, (), "")
+    b = _from_prows(_pushforward_first(db, tables.gradient_fields), n)
+    return CommutationReport(True, True, lam_sq, tuple(row[0] for row in b), probe_degree, (), "")
 
 
 def b_vector(F: PolyMap, lambda_sq, source: SubRiemannianGroup,

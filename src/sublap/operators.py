@@ -13,6 +13,15 @@ horizontal frame DB = Lambda_G B (GroupTables.horizontal_frame) it gives the
 sub-Laplacian itself, at DB = horizontal_differential(F) its pullback along
 the map F.  The full differential DF is never built.
 
+The assembly runs in polynomial's private (rows, den) form, integer term
+dicts over one common denominator (_pullback_tables):
+DB arrives in that form from calculus, the group's tables (G^{-1}, the
+frame, the fields w_j, the annihilators) are kept in it by GroupTables, and
+a Polynomial is built once per entry only where a table leaves the module:
+the sub-Laplacian, the PullbackOperator tables, and the public
+pushforward_second, pushforward_first and polarization_residuals, which are
+the same kernels behind a Polynomial signature.
+
 There is no drift term.  The coordinate calculus requires a nilpotent group
 (require_step), and a nilpotent group is unimodular (tr ad_x = 0): Haar
 measure is bi-invariant, every left-invariant field is divergence free, and
@@ -23,12 +32,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import lcm
 
 from . import linalg
 from .algebra import SubRiemannianGroup
-from .calculus import horizontal_differential, left_translation_jacobian, require_step
-from .polynomial import MapPowers, Polynomial, PolyMap, PolyVectorField, linear_combination, \
-    poly_mat_mul, poly_rat_mat_mul, sum_of_products
+from .calculus import _horizontal_rows, _left_translation_rows, left_translation_jacobian, \
+    require_step
+from .polynomial import MapPowers, Polynomial, PolyMap, PolyVectorField, _diff_num, _from_prows, \
+    _mul_into, _nonzero, _prows_congruence, _prows_mul, _prows_rat_mul, _prows_transpose, \
+    _reduced, _to_prows, linear_combination, sum_of_products
 from .rational import rat
 
 
@@ -59,8 +71,11 @@ class GroupTables:
     With B the polarization's column matrix and G the Gram matrix, the
     rational constants are G^{-1}, the cometric Q = B G^{-1} B^T, the
     annihilators y of B (y B = 0) and a left inverse L of B (L B = 1); the
-    others are Polynomial tables built from them and the left-translation
-    Jacobian Lambda.
+    others are polynomial tables built from them and the left-translation
+    Jacobian Lambda.  The tables the commutation pipeline reads (gram_inverse,
+    cometric_rows, annihilators, brackets, jacobian, horizontal_frame,
+    gradient_fields) are kept in the integer forms: linalg's (rows, den) for
+    rational matrices, polynomial's for polynomial ones.
     """
 
     def __init__(self, group: SubRiemannianGroup):
@@ -68,18 +83,26 @@ class GroupTables:
 
     @cached_property
     def gram_inverse(self) -> tuple:
-        return linalg.inverse(self.group.metric.gram)
+        """G^{-1} as linalg's integer (rows, den)."""
+        return linalg._inverse_rows(linalg._to_rows(self.group.metric.gram))
+
+    @cached_property
+    def cometric_rows(self) -> tuple:
+        """Q = B G^{-1} B^T as linalg's integer (rows, den)."""
+        b = linalg._to_rows(self.group.polarization.matrix())
+        return linalg._rows_mul(linalg._rows_mul(b, self.gram_inverse), linalg._rows_transpose(b))
 
     @cached_property
     def cometric(self) -> Cometric:
-        b = self.group.polarization.matrix()
-        return Cometric(linalg.mat_mul(linalg.mat_mul(b, self.gram_inverse), linalg.transpose(b)))
+        return Cometric(linalg._from_rows(*self.cometric_rows))
 
     @cached_property
     def annihilators(self) -> tuple:
-        """A basis of the row vectors y with y B = 0: a vector lies in the
-        polarization exactly when every y pairs with it to zero."""
-        return linalg.left_nullspace(self.group.polarization.matrix())
+        """The row vectors y with y B = 0, a basis of them, as the columns of
+        linalg's integer (rows, den): a vector lies in the polarization
+        exactly when every y pairs with it to zero."""
+        return linalg._rows_transpose(
+            linalg._to_rows(linalg.left_nullspace(self.group.polarization.matrix())))
 
     @cached_property
     def left_inverse(self) -> tuple:
@@ -88,18 +111,35 @@ class GroupTables:
         return linalg.mat_mul(linalg.inverse(linalg.mat_mul(bt, linalg.transpose(bt))), bt)
 
     @cached_property
+    def brackets(self) -> tuple:
+        """The algebra's bracket table {i: {j: {k: c}}} (LieAlgebra._brackets)
+        scaled to integers over one denominator, as (table, den)."""
+        table = self.group.algebra._brackets
+        den = lcm(*(int(c.denominator) for row in table.values()
+                    for comps in row.values() for c in comps.values()))
+        return {i: {j: {k: int(c.numerator) * (den // int(c.denominator))
+                        for k, c in comps.items()} for j, comps in row.items()}
+                for i, row in table.items()}, den
+
+    @cached_property
+    def jacobian(self) -> tuple:
+        """left_translation_jacobian in the (rows, den) form of polynomial."""
+        return _left_translation_rows(self.group)
+
+    @cached_property
     def horizontal_frame(self) -> tuple:
-        """Lambda B, dim x rank: column j holds the coordinate components of
-        the left-invariant field v_j~ of the j-th polarization basis vector."""
-        return poly_rat_mat_mul(left_translation_jacobian(self.group),
-                                self.group.polarization.matrix())
+        """Lambda B, dim x rank, in the (rows, den) form of polynomial: column
+        j holds the coordinate components of the left-invariant field v_j~
+        of the j-th polarization basis vector."""
+        return _prows_rat_mul(self.jacobian, linalg._to_rows(self.group.polarization.matrix()))
 
     @cached_property
     def gradient_fields(self) -> tuple:
         """Row j holds the coordinate components of w_j = sum_k g^{jk} v_k~,
-        the columns of Lambda B G^{-1}.  w_j u is the j-th frame component
-        of the horizontal gradient of u."""
-        return tuple(zip(*poly_rat_mat_mul(self.horizontal_frame, self.gram_inverse)))
+        the columns of Lambda B G^{-1}, in the (rows, den) form of
+        polynomial.  w_j u is the j-th frame component of the horizontal
+        gradient of u."""
+        return _prows_transpose(_prows_rat_mul(self.horizontal_frame, self.gram_inverse))
 
     @cached_property
     def frame_derivatives(self) -> tuple:
@@ -164,19 +204,39 @@ def pushforward_second(db, gram_inverse) -> tuple:
     """DB G^{-1} DB^T: the second-order table of Delta_G pushed through the
     horizontal differential DB (rows Polynomial over the group's
     coordinates, one column per polarization basis vector), with G^{-1} the
-    inverse Gram matrix of the group."""
-    return poly_mat_mul(poly_rat_mat_mul(db, gram_inverse), tuple(zip(*db)))
+    inverse Gram matrix of the group.  _prows_congruence behind the
+    Polynomial signature."""
+    return _from_prows(_prows_congruence(_to_prows(db), linalg._to_rows(linalg.mat(gram_inverse))),
+                       db[0][0].nvars)
 
 
 def pushforward_first(db, fields) -> tuple:
     """The first-order table of Delta_G pushed through DB: entry c is
     sum_j w_j(DB[c][j]), with fields[j] the coordinate components of
-    w_j = sum_k g^{jk} v_k~ (GroupTables.gradient_fields)."""
-    n = len(fields[0])
-    return tuple(sum_of_products(n, ((comp, entries[j].diff(k))
-                                     for j, comps in enumerate(fields) if entries[j]
-                                     for k, comp in enumerate(comps) if comp))
-                 for entries in db)
+    w_j = sum_k g^{jk} v_k~ (GroupTables.gradient_fields).
+    _pushforward_first behind the Polynomial signature."""
+    first = _pushforward_first(_to_prows(db), _to_prows(fields))
+    return tuple(row[0] for row in _from_prows(first, db[0][0].nvars))
+
+
+def _pushforward_first(db: tuple, fields: tuple) -> tuple:
+    """pushforward_first on DB and the fields in the (rows, den) form of
+    polynomial, as a one-column matrix in that form: entry c is
+    sum_jk fields[j][k] d_k DB[c][j]."""
+    (rows, den), (comps, dw) = db, fields
+    out = []
+    for entries in rows:
+        acc = {}
+        for x, field in zip(entries, comps):
+            if x:
+                for k, w in enumerate(field):
+                    if w and (d := _diff_num(x, k)):
+                        if len(w) > len(d):
+                            _mul_into(acc, d, w)
+                        else:
+                            _mul_into(acc, w, d)
+        out.append((_nonzero(acc),))
+    return tuple(out), den * dw
 
 
 @lru_cache(maxsize=None)
@@ -185,11 +245,10 @@ def sublaplacian(group: SubRiemannianGroup) -> DifferentialOperator:
     pushforward tables at the horizontal frame DB = Lambda B, since
     v_j~ = sum_k (Lambda B)[k][j] d_k."""
     require_step(group)
-    tables = group.tables
-    frame = tables.horizontal_frame
-    return DifferentialOperator(group.dim, pushforward_second(frame, tables.gram_inverse),
-                                pushforward_first(frame, tables.gradient_fields),
-                                Polynomial.zero(group.dim))
+    n = group.dim
+    second, first = _pullback_tables(group.tables.horizontal_frame, group)
+    return DifferentialOperator(n, _from_prows(second, n),
+                                tuple(row[0] for row in _from_prows(first, n)), Polynomial.zero(n))
 
 
 def gradient(u: Polynomial, group: SubRiemannianGroup) -> tuple:
@@ -197,11 +256,11 @@ def gradient(u: Polynomial, group: SubRiemannianGroup) -> tuple:
     grad u = sum_j gamma_j v_j, gamma = G^{-1} (v_1~ u, ..., v_r~ u), that
     is gamma_j = w_j u."""
     require_step(group)
-    if u.nvars != group.dim:
-        raise ValueError("argument has %d variables, expected %d" % (u.nvars, group.dim))
-    du = [u.diff(k) for k in range(group.dim)]
-    return tuple(sum_of_products(group.dim, zip(comps, du))
-                 for comps in group.tables.gradient_fields)
+    n = group.dim
+    if u.nvars != n:
+        raise ValueError("argument has %d variables, expected %d" % (u.nvars, n))
+    du = _to_prows(tuple((u.diff(k),) for k in range(n)))
+    return tuple(row[0] for row in _from_prows(_prows_mul(group.tables.gradient_fields, du), n))
 
 
 def polarization_residuals(vectors, group: SubRiemannianGroup) -> tuple:
@@ -210,8 +269,17 @@ def polarization_residuals(vectors, group: SubRiemannianGroup) -> tuple:
     by annihilator and, within each, in the order of the vectors.  Empty
     exactly when every vector takes values in the polarization."""
     vectors = tuple(vectors)
-    return tuple(r for y in group.tables.annihilators for v in vectors
-                 if (r := linear_combination(v[0].nvars, zip(y, v))))
+    if not vectors:
+        return ()
+    return _polarization_residuals(_to_prows(vectors), group, vectors[0][0].nvars)
+
+
+def _polarization_residuals(vectors: tuple, group: SubRiemannianGroup, nvars: int) -> tuple:
+    """polarization_residuals for vectors given as the rows of a (rows, den)
+    form of polynomial; a Polynomial is built only for a nonzero pairing."""
+    rows, den = _prows_rat_mul(vectors, group.tables.annihilators)
+    return tuple(_reduced(nvars, x, den) for t in range(len(rows[0]))
+                 for row in rows if (x := row[t]))
 
 
 def frame_components(vector, group: SubRiemannianGroup) -> tuple:
@@ -297,9 +365,10 @@ class PullbackOperator:
         and ((), zero), nonzero entries only."""
         m, n = self.target.dim, self.source.dim
         compose = self._powers.compose
-        lam = tuple(tuple(compose(e) for e in row)
-                    for row in left_translation_jacobian(self.target))
-        second = poly_mat_mul(poly_mat_mul(lam, self.second), tuple(zip(*lam)))
+        lam = tuple(tuple(compose(e) for e in row) for row in left_translation_jacobian(self.target))
+        rows = _to_prows(lam)
+        second = _from_prows(_prows_mul(_prows_mul(rows, _to_prows(self.second)),
+                                        _prows_transpose(rows)), n)
         first = [[(f, lam[k][c]) for c, f in enumerate(self.first)] for k in range(m)]
         for d, k, c, entry in self.target.tables.frame_derivatives:
             if self.second[c][d]:
@@ -319,8 +388,15 @@ def pullback_operator(F: PolyMap, source: SubRiemannianGroup,
     tables at DB = horizontal_differential(F, source, target), frame-indexed
     on the target.  second = DB G^{-1} DB^T, first_c = sum_j w_j(DB_cj),
     zero vanishes."""
-    db = horizontal_differential(F, source, target)
+    second, first = _pullback_tables(_horizontal_rows(F, source, target), source)
+    n = source.dim
+    return PullbackOperator(F, source, target, _from_prows(second, n),
+                            tuple(row[0] for row in _from_prows(first, n)), Polynomial.zero(n))
+
+
+def _pullback_tables(db: tuple, source: SubRiemannianGroup) -> tuple:
+    """(second, first), the pushforward tables of the source's sub-Laplacian
+    at DB, in the (rows, den) form of polynomial."""
     tables = source.tables
-    return PullbackOperator(F, source, target, pushforward_second(db, tables.gram_inverse),
-                            pushforward_first(db, tables.gradient_fields),
-                            Polynomial.zero(source.dim))
+    return (_prows_congruence(db, tables.gram_inverse),
+            _pushforward_first(db, tables.gradient_fields))

@@ -10,9 +10,21 @@ Instances are treated as immutable: no method mutates self.
 Sums of polynomials go through one of three integer kernels,
 linear_combination, sum_of_products or _weighted_sum, which scale the terms
 to one common denominator and accumulate a single term dict; + and - serve
-one pair.  Two kinds of loop still add term by term: the brackets of the
-algebra layer on entries of one kind (LieAlgebra.bracket, the sparse ad of
-bch_product), and calculus._ad_series, which adds one power of ad at a time.
+one pair.  The brackets of the algebra layer on entries of one kind
+(LieAlgebra.bracket, the sparse ad of bch_product) still add term by term.
+
+Matrices of polynomials that feed further matrix arithmetic stay in one
+private form, ``(rows, den)`` as linalg names its integer matrices: rows of
+integer term dicts (no zero stored, {} for a zero entry) over one common
+positive denominator, the matrix being rows / den entrywise.  ``_to_prows``
+and ``_from_prows`` convert at the API boundary, one reduced Polynomial per
+entry; ``_prows_mul``, ``_prows_rat_mul`` (by an integer matrix in linalg's
+form), ``_prows_congruence`` (A M A^T for a symmetric M, upper triangle
+mirrored) and ``_prows_combination`` multiply and add without dividing, so a
+chain of them (the differential series of calculus, the pushforward tables
+of operators, the commutation tables of conformal) takes one gcd per entry,
+at the end.  poly_mat_mul and poly_rat_mat_mul are that form behind the
+Polynomial signature.
 """
 
 from __future__ import annotations
@@ -23,6 +35,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb, gcd, lcm
 
+from . import linalg
 from .rational import Rat, rat
 
 
@@ -37,7 +50,18 @@ def _mul_into(out: dict, a: dict, b: dict) -> dict:
 
 
 def _nonzero(num: dict) -> dict:
-    return {e: c for e, c in num.items() if c}
+    """num without its zero entries (num itself when it has none)."""
+    return num if all(num.values()) else {e: c for e, c in num.items() if c}
+
+
+def _diff_num(num: dict, index: int) -> dict:
+    """The derivative in variable index of an integer term dict."""
+    out = {}
+    for exps, c in num.items():
+        e = exps[index]
+        if e:
+            out[exps[:index] + (e - 1,) + exps[index + 1:]] = c * e
+    return out
 
 
 def _raw(nvars: int, num: dict, den: int) -> "Polynomial":
@@ -218,14 +242,7 @@ class Polynomial:
 
     def diff(self, index: int) -> "Polynomial":
         """Partial derivative with respect to variable ``index``."""
-        out = {}
-        for exps, c in self._num.items():
-            e = exps[index]
-            if e:
-                key = list(exps)
-                key[index] = e - 1
-                out[tuple(key)] = c * e
-        return _reduced(self.nvars, out, self._den)
+        return _reduced(self.nvars, _diff_num(self._num, index), self._den)
 
     def evaluate(self, point) -> Rat:
         """Value at a point of rationals (exact)."""
@@ -294,32 +311,29 @@ class Polynomial:
     # -- printing / parsing ---------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
+        """Terms by descending total degree, then descending exponent tuple;
+        each coefficient in lowest terms, a unit one left out before a
+        monomial."""
+        num, den = self._num, self._den
+        if not num:
             return "0"
-        items = sorted(self.terms.items(), key=lambda t: (-sum(t[0]), tuple(-e for e in t[0])))
         pieces = []
-        for exps, c in items:
-            factors = []
-            for i, e in enumerate(exps):
-                if e == 1:
-                    factors.append("x%d" % (i + 1))
-                elif e > 1:
-                    factors.append("x%d^%d" % (i + 1, e))
-            body = "*".join(factors)
-            mag = c if c > 0 else -c
-            if body and mag == 1:
-                text = body
+        for _, exps, c in sorted(((sum(e), e, c) for e, c in num.items()), reverse=True):
+            g = gcd(c, den)
+            mag, d = abs(c) // g, den // g
+            body = "*".join("x%d" % i if e == 1 else "x%d^%d" % (i, e)
+                            for i, e in enumerate(exps, 1) if e)
+            if d != 1:
+                text = "%d/%d*%s" % (mag, d, body) if body else "%d/%d" % (mag, d)
             elif body:
-                text = "%s*%s" % (mag, body)
+                text = body if mag == 1 else "%d*%s" % (mag, body)
             else:
-                text = str(mag)
-            sign = "-" if c < 0 else "+"
-            pieces.append((sign, text))
-        first_sign, first = pieces[0]
-        out = ("-" if first_sign == "-" else "") + first
-        for sign, text in pieces[1:]:
-            out += " %s %s" % (sign, text)
-        return out
+                text = "%d" % mag
+            if pieces:
+                pieces.append((" - " if c < 0 else " + ") + text)
+            else:
+                pieces.append("-" + text if c < 0 else text)
+        return "".join(pieces)
 
     def __repr__(self) -> str:
         return "Polynomial(%r)" % str(self)
@@ -679,31 +693,126 @@ class MapPowers:
 # -- matrices with polynomial entries -----------------------------------------
 
 
+def _to_prows(a) -> tuple:
+    """(rows, den) with a == rows / den, for a matrix a of Polynomials: den
+    the lcm of the entries' denominators."""
+    den = lcm(*(x._den for row in a for x in row))
+    return tuple(tuple(x._num if x._den == den else
+                       {e: c * (den // x._den) for e, c in x._num.items()}
+                       for x in row) for row in a), den
+
+
+def _from_prows(a: tuple, nvars: int) -> tuple:
+    """The matrix of Polynomials in nvars variables that a (rows, den) form
+    stands for, one reduced Polynomial per entry."""
+    rows, den = a
+    zero = _raw(nvars, {}, 1)
+    return tuple(tuple(_reduced(nvars, x, den) if x else zero for x in row) for row in rows)
+
+
+def _prows_transpose(a: tuple) -> tuple:
+    rows, den = a
+    return tuple(zip(*rows)), den
+
+
+def _dot(row, col: dict) -> dict:
+    """sum row[k] * col[k] on integer term dicts, for row a list of (k, dict)
+    and col {k: dict}, both without zero entries."""
+    out = {}
+    for k, x in row:
+        y = col.get(k)
+        if y:
+            if len(x) > len(y):
+                _mul_into(out, y, x)
+            else:
+                _mul_into(out, x, y)
+    return _nonzero(out)
+
+
+def _prows_mul(a: tuple, b: tuple) -> tuple:
+    """The product of two polynomial matrices in the (rows, den) form, in the
+    same form; each entry is one integer sum over the index pairs whose
+    factors are both nonzero."""
+    (ra, da), (rb, db) = a, b
+    cols = [{k: y for k, y in enumerate(col) if y} for col in zip(*rb)]
+    return tuple(tuple(_dot(row, col) for col in cols)
+                 for row in ([(k, x) for k, x in enumerate(r) if x] for r in ra)), da * db
+
+
+def _prows_rat_mul(a: tuple, m: tuple) -> tuple:
+    """a m for a polynomial matrix a in the (rows, den) form and a rational
+    matrix m as linalg's integer (rows, den); sparse in both."""
+    (ra, da), (rm, dm) = a, m
+    cols = [[(k, w) for k, w in enumerate(col) if w] for col in zip(*rm)]
+    out = []
+    for row in ra:
+        entries = []
+        for col in cols:
+            acc = {}
+            get = acc.get
+            for k, w in col:
+                x = row[k]
+                if x:
+                    for e, c in x.items():
+                        acc[e] = get(e, 0) + c * w
+            entries.append(_nonzero(acc))
+        out.append(tuple(entries))
+    return tuple(out), da * dm
+
+
+def _prows_congruence(a: tuple, m: tuple) -> tuple:
+    """a m a^T for a polynomial matrix a in the (rows, den) form and a
+    symmetric rational matrix m as linalg's integer (rows, den): the upper
+    triangle is summed and mirrored."""
+    (rp, dp), (ra, da) = _prows_rat_mul(a, m), a
+    rows = [[(k, x) for k, x in enumerate(r) if x] for r in rp]
+    cols = [{k: y for k, y in enumerate(r) if y} for r in ra]
+    size = len(ra)
+    out = [[None] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i, size):
+            out[i][j] = out[j][i] = _dot(rows[i], cols[j])
+    return tuple(map(tuple, out)), dp * da
+
+
+def _prows_combination(parts) -> tuple:
+    """sum w a over (w, a) pairs, w a nonzero rational and a a polynomial
+    matrix in the (rows, den) form, all of one shape, in the same form over
+    the lcm of the scaled denominators."""
+    if len(parts) == 1 and parts[0][0] == 1:
+        return parts[0][1]
+    scaled = []
+    for w, (rows, den) in parts:
+        w = rat(w)
+        scaled.append((int(w.numerator), int(w.denominator) * den, rows))
+    common = lcm(*(den for _, den, _ in scaled))
+    out = [[{} for _ in row] for row in scaled[0][2]]
+    for k, den, rows in scaled:
+        k *= common // den
+        for acc_row, row in zip(out, rows):
+            for acc, x in zip(acc_row, row):
+                get = acc.get
+                for e, c in x.items():
+                    acc[e] = get(e, 0) + c * k
+    return tuple(tuple(_nonzero(acc) for acc in row) for row in out), common
+
+
 def poly_mat_mul(a, b, den: int = 1) -> tuple:
     """The matrix product a b / den, for matrices of Polynomials in one number
-    of variables and a positive int den.  Each entry is one _weighted_sum over
-    the pairs whose factors are both nonzero."""
+    of variables and a positive int den: _prows_mul behind the Polynomial
+    signature."""
     if not a or not b:
         return tuple(() for _ in a)
-    nvars = a[0][0].nvars
-    rows = [[(i, x) for i, x in enumerate(row) if x] for row in a]
-    cols = [{i: y for i, y in enumerate(col) if y} for col in zip(*b)]
-    return tuple(tuple(_weighted_sum(nvars, [(1, x, col[i]) for i, x in row if i in col], den)
-                       for col in cols)
-                 for row in rows)
+    rows, d = _prows_mul(_to_prows(a), _to_prows(b))
+    return _from_prows((rows, d * den), a[0][0].nvars)
 
 
 def poly_rat_mat_mul(a, m) -> tuple:
-    """The matrix product a m, for a matrix a of Polynomials in nvars
-    variables and a matrix m of rationals.  Sparse: the nonzero entries of
-    each row of a and of each column of m are collected once, and each entry
-    is one linear_combination over the indices where both are nonzero."""
-    nvars = a[0][0].nvars
-    rows = [[(i, x) for i, x in enumerate(row) if x] for row in a]
-    cols = [{i: w for i, w in enumerate(map(rat, col)) if w} for col in zip(*m)]
-    return tuple(tuple(linear_combination(nvars, [(col[i], x) for i, x in row if i in col])
-                       for col in cols)
-                 for row in rows)
+    """The matrix product a m, for a matrix a of Polynomials in one number of
+    variables and a matrix m of rationals: _prows_rat_mul behind the
+    Polynomial signature."""
+    return _from_prows(_prows_rat_mul(_to_prows(a), linalg._to_rows(linalg.mat(m))),
+                       a[0][0].nvars)
 
 
 def monomials_up_to(nvars: int, degree: int):

@@ -35,7 +35,15 @@ L^{-1} and that product on integer rows over one denominator.  The Dynkin
 product oracle sums the words of Dynkin's BCH expansion, where the package
 solves for the product degree by degree through the Bernoulli series, and the
 bracket-loop series oracle calls the algebra's bracket on each pair, where
-the package applies each row of the table as a sparse ad.
+the package applies each row of the table as a sparse ad.  The Polynomial
+pipeline oracles (poly_horizontal_differential, poly_lie_differential,
+poly_pushforward_second/_first, poly_analyze_commutation) compose the
+differential, the pushforward tables and the commutation stages on
+Polynomial entries, one reduced Polynomial per entry of every intermediate
+matrix, where the package keeps integer term dicts over one common
+denominator until a table leaves it.  reference_str prints a polynomial
+from its Rat terms, where Polynomial.__str__ reads the integer numerators
+once.
 """
 
 import math
@@ -44,10 +52,11 @@ from fractions import Fraction
 
 from sublap import heisenberg, linalg
 from sublap.algebra import NotStratifiable
-from sublap.calculus import bch_product, dynkin_terms, group_product_map
+from sublap.calculus import bch_product, bernoulli_numbers, dynkin_terms, group_product_map
+from sublap.conformal import CommutationReport
 from sublap.operators import DifferentialOperator, cometric, frame_components, gradient, \
     sublaplacian
-from sublap.polynomial import Polynomial, linear_combination, monomials_up_to
+from sublap.polynomial import Polynomial, linear_combination, monomials_up_to, sum_of_products
 from sublap.rational import Rat, rat
 
 
@@ -758,3 +767,142 @@ def rat_orthonormal_gauge(omega, gram):
                 return d, linv, mid, s, a, b, scale, None
             q[i, j] = value * scale[j]
     return d, linv, mid, s, a, b, scale, q
+
+
+# ---------------------------------------------------------------------------
+# the commutation pipeline on Polynomial entries
+
+
+def poly_matrix_product(a, b, den=1):
+    """a b / den for matrices of Polynomials, one sum_of_products per entry
+    and one Polynomial per partial result."""
+    nvars = a[0][0].nvars
+    scale = Rat(1, den)
+    return tuple(tuple(sum_of_products(nvars, zip(row, col)) * scale for col in zip(*b))
+                 for row in a)
+
+
+def poly_ad_series(ad, term, weights, shift):
+    """sum_k weights[k] ad^k term / ((k + shift)! / shift!) for matrices of
+    Polynomials, one reduced Polynomial per entry of every power and every
+    partial sum."""
+    out = term
+    for k in range(1, len(weights)):
+        term = poly_matrix_product(ad, term, k + shift)
+        if not any(any(row) for row in term):
+            break
+        if weights[k]:
+            out = tuple(tuple(a + b * weights[k] for a, b in zip(ra, rb))
+                        for ra, rb in zip(out, term))
+    return out
+
+
+def poly_left_translation_jacobian(group):
+    """The Bernoulli series Lambda_G(p) = sum_k B_k ad_p^k / k! on Polynomial
+    entries, ad_p from LieAlgebra.ad_matrix."""
+    n = group.dim
+    ad = group.algebra.ad_matrix(tuple(Polynomial.variable(i, n) for i in range(n)))
+    one, zero = Polynomial.constant(1, n), Polynomial.zero(n)
+    identity = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+    return poly_ad_series(ad, identity, bernoulli_numbers(group.step), 0)
+
+
+def poly_horizontal_frame(group):
+    """Lambda_G B on Polynomial entries."""
+    return dense_poly_rat_mat_mul(poly_left_translation_jacobian(group),
+                                  group.polarization.matrix())
+
+
+def poly_gradient_fields(group):
+    """Row j holds the components of w_j = sum_k g^{jk} v_k~."""
+    gram_inverse = linalg.inverse(group.metric.gram)
+    return tuple(zip(*dense_poly_rat_mat_mul(poly_horizontal_frame(group), gram_inverse)))
+
+
+def poly_differential(F, target, columns):
+    """Lambda_H(F)^{-1} JF columns on Polynomial entries: JF from
+    PolyMap.jacobian and -ad_F from LieAlgebra.ad_matrix."""
+    neg_ad = target.algebra.ad_matrix(tuple(-c for c in F.components))
+    return poly_ad_series(neg_ad, poly_matrix_product(F.jacobian(), columns),
+                          (1,) * target.step, 1)
+
+
+def poly_lie_differential(F, source, target):
+    return poly_differential(F, target, poly_left_translation_jacobian(source))
+
+
+def poly_horizontal_differential(F, source, target):
+    return poly_differential(F, target, poly_horizontal_frame(source))
+
+
+def poly_pushforward_second(db, gram_inverse):
+    """DB G^{-1} DB^T on Polynomial entries."""
+    return poly_matrix_product(dense_poly_rat_mat_mul(db, gram_inverse), tuple(zip(*db)))
+
+
+def poly_pushforward_first(db, fields):
+    """first_c = sum_j w_j(DB[c][j]) on Polynomial entries."""
+    n = len(fields[0])
+    return tuple(sum_of_products(n, ((comp, entries[j].diff(k))
+                                     for j, comps in enumerate(fields)
+                                     for k, comp in enumerate(comps)))
+                 for entries in db)
+
+
+def poly_analyze_commutation(F, source, target, probe_degree=4):
+    """analyze_commutation with every stage on Polynomial entries: the
+    contact pairings as linear_combination with the Rat annihilators, and
+    C = lambda_sq Q_H split by dividing at the first nonzero entry of Q_H."""
+    n = source.dim
+    db = poly_horizontal_differential(F, source, target)
+    contact_bad = tuple(r for y in linalg.left_nullspace(target.polarization.matrix())
+                        for v in zip(*db) if (r := linear_combination(n, zip(y, v))))
+    if contact_bad:
+        return CommutationReport(False, False, None, None, probe_degree,
+                                 contact_bad, "differential leaves the polarization")
+    c = poly_pushforward_second(db, linalg.inverse(source.metric.gram))
+    qh = cometric(target).matrix
+    i, j = next((i, j) for i, row in enumerate(qh) for j, q in enumerate(row) if q)
+    lam_sq = c[i][j] / qh[i][j]
+    mismatches = tuple(d for crow, qrow in zip(c, qh) for x, q in zip(crow, qrow)
+                       if (d := x - lam_sq * q))
+    if mismatches:
+        return CommutationReport(True, False, None, None, probe_degree, mismatches,
+                                 "cometric image is not a multiple of the target cometric")
+    if lam_sq.is_constant and lam_sq.constant_value() <= 0:
+        return CommutationReport(True, False, None, None, probe_degree,
+                                 (lam_sq,), "conformal factor is not positive")
+    return CommutationReport(True, True, lam_sq,
+                             poly_pushforward_first(db, poly_gradient_fields(source)),
+                             probe_degree, (), "")
+
+
+def reference_str(p):
+    """Polynomial text built from the Rat terms: sorted by (-degree, -exponents),
+    each coefficient printed with str() of its Rat."""
+    if not p.terms:
+        return "0"
+    items = sorted(p.terms.items(), key=lambda t: (-sum(t[0]), tuple(-e for e in t[0])))
+    pieces = []
+    for exps, c in items:
+        factors = []
+        for i, e in enumerate(exps):
+            if e == 1:
+                factors.append("x%d" % (i + 1))
+            elif e > 1:
+                factors.append("x%d^%d" % (i + 1, e))
+        body = "*".join(factors)
+        mag = c if c > 0 else -c
+        if body and mag == 1:
+            text = body
+        elif body:
+            text = "%s*%s" % (mag, body)
+        else:
+            text = str(mag)
+        sign = "-" if c < 0 else "+"
+        pieces.append((sign, text))
+    first_sign, first = pieces[0]
+    out = ("-" if first_sign == "-" else "") + first
+    for sign, text in pieces[1:]:
+        out += " %s %s" % (sign, text)
+    return out

@@ -184,6 +184,28 @@ def test_a_polynomial_entry_makes_every_entry_polynomial(h1):
     assert prod == tuple(Polynomial.parse(c, 3) for c in ("1", "x1 + 1", "1/2"))
 
 
+def test_products_compute_the_step_once_per_algebra(monkeypatch):
+    # bch_product without a step reads LieAlgebra.step, which runs
+    # nilpotency_step on first use only
+    import sublap.algebra
+    import sublap.calculus
+    calls = []
+    original = sublap.algebra.nilpotency_step
+
+    def counted(algebra):
+        calls.append(algebra)
+        return original(algebra)
+
+    monkeypatch.setattr(sublap.algebra, "nilpotency_step", counted)
+    monkeypatch.setattr(sublap.calculus, "nilpotency_step", counted, raising=False)
+    algebra = engel_group().algebra
+    fresh = LieAlgebra(algebra.dim, algebra.structure_constants)
+    p, q = (1, Rat(-1, 2), 2, 3), (Rat(1, 3), 0, -1, 1)
+    for _ in range(1000):
+        assert bch_product(p, q, fresh) == bch_product(p, q, algebra, step=3)
+    assert calls == [fresh]
+
+
 def test_products_never_read_the_dynkin_table(engel):
     dynkin_terms.cache_clear()
     a = (1, Rat(-1, 2), 2, 3)

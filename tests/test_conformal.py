@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 from math import comb
 
 import pytest
@@ -6,11 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import analyzer_rejections, gallery_maps, random_rational
-from oracles import madd, probe_residuals, scalar_orthogonal_witness, trace_drift
+from oracles import (madd, poly_analyze_commutation, poly_gradient_fields,
+                     poly_horizontal_differential, poly_lie_differential, poly_pushforward_first,
+                     poly_pushforward_second, probe_residuals, scalar_orthogonal_witness,
+                     trace_drift)
 from sublap import linalg
-from sublap.calculus import NotNilpotent, dilation, left_translation
+from sublap.calculus import (NotNilpotent, dilation, horizontal_differential, left_translation,
+                             lie_differential)
 from sublap.catalog import abelian_group, engel_group, sl2_algebra
-from sublap.algebra import subriemannian_group
+from sublap.algebra import LieAlgebra, subriemannian_group
 from sublap.heisenberg import heisenberg_group
 import sublap.conformal
 from sublap.conformal import (PROBE_BUDGET, CommutationReport, FrameDecision,
@@ -19,8 +24,9 @@ from sublap.conformal import (PROBE_BUDGET, CommutationReport, FrameDecision,
                               commutation_residuals, frames_equivalent,
                               homothetic_characterizations,
                               is_homothetic_projection)
-from sublap.operators import cometric, polarization_residuals, pullback_operator
-from sublap.polynomial import Polynomial, PolyMap, monomials_up_to
+from sublap.operators import cometric, polarization_residuals, pullback_operator, \
+    pushforward_first, pushforward_second
+from sublap.polynomial import Polynomial, PolyMap, linear_combination, monomials_up_to
 from sublap.rational import Rat
 
 EYE = linalg.identity
@@ -587,3 +593,67 @@ def test_second_analysis_derives_no_metric_constants(monkeypatch):
         monkeypatch.setattr(linalg, name, counted(name, getattr(linalg, name)))
     analyses()
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# the integer pipeline against the Polynomial-level composition
+
+
+@lru_cache(maxsize=None)
+def _pipeline_groups():
+    """h1, h2 with unequal r_i, Engel, the model filiform-5, and filiform-5
+    polarized by (e1, e2 - e1) with a non-diagonal Gram matrix, whose
+    cometric has a negative entry."""
+    fil = LieAlgebra.from_brackets(5, {(0, k): {k + 1: 1} for k in range(1, 4)})
+    return (heisenberg_group(1, (1,)), heisenberg_group(2, (1, Rat(3, 2))), engel_group(),
+            subriemannian_group(fil, fil.basis()[:2], ((1, 0), (0, 1))),
+            subriemannian_group(fil, ((1, 0, 0, 0, 0), (-1, 1, 0, 0, 0)), ((3, 1), (1, 2))))
+
+
+SMALL = st.sampled_from((Rat(-2), Rat(-1), Rat(-1, 2), Rat(1, 3), Rat(1), Rat(3, 2), Rat(2)))
+
+
+@st.composite
+def pipeline_maps(draw):
+    """(F, source, target): random components of degree <= 2, or, on one
+    group, the identity, a dilation or a left translation with one component
+    perturbed (possibly by zero)."""
+    groups = _pipeline_groups()
+    source = draw(st.sampled_from(groups))
+    n = source.dim
+    monomials = monomials_up_to(n, 2)
+
+    def poly():
+        terms = draw(st.lists(st.tuples(st.sampled_from(monomials), SMALL), max_size=3))
+        return linear_combination(n, [(c, u) for u, c in terms])
+
+    if draw(st.booleans()):
+        target = source
+        base = draw(st.sampled_from(("identity", "dilation", "translation")))
+        if base == "dilation":
+            F = dilation(source, draw(SMALL))
+        elif base == "translation":
+            F = left_translation(source, tuple(draw(SMALL) for _ in range(n)))
+        else:
+            F = PolyMap.identity(n)
+        comps = list(F.components)
+        i = draw(st.integers(0, n - 1))
+        comps[i] = comps[i] + poly()
+    else:
+        target = draw(st.sampled_from(groups))
+        comps = [poly() for _ in range(target.dim)]
+    return PolyMap(n, tuple(comps)), source, target
+
+
+@settings(max_examples=60, deadline=None)
+@given(pipeline_maps())
+def test_pipeline_matches_polynomial_composition(case):
+    F, source, target = case
+    db = horizontal_differential(F, source, target)
+    assert db == poly_horizontal_differential(F, source, target)
+    assert lie_differential(F, source, target) == poly_lie_differential(F, source, target)
+    gram_inverse = linalg.inverse(source.metric.gram)
+    fields = poly_gradient_fields(source)
+    assert pushforward_second(db, gram_inverse) == poly_pushforward_second(db, gram_inverse)
+    assert pushforward_first(db, fields) == poly_pushforward_first(db, fields)
+    assert analyze_commutation(F, source, target) == poly_analyze_commutation(F, source, target)

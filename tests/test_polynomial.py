@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import coeff_of, dense_poly_rat_mat_mul, pad, truncate
+from oracles import coeff_of, dense_poly_rat_mat_mul, pad, reference_str, truncate
 from sublap.polynomial import (COEFF_BIT_BUDGET, TERM_BUDGET, MapPowers, Polynomial, PolyMap,
                                PolyVectorField, linear_combination, monomials_up_to,
                                poly_mat_mul, poly_rat_mat_mul)
@@ -88,6 +88,15 @@ def test_parse_rejects_garbage():
 @given(polys())
 def test_str_parse_round_trip(p):
     assert Polynomial.parse(str(p), p.nvars) == p
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys(nvars=3, max_degree=4, max_terms=8), st.integers(1, 12))
+def test_str_matches_the_rat_terms_text(p, k):
+    # one pass over the integer numerators prints what the Rat terms print,
+    # including over a denominator shared with some numerators only
+    for q in (p, p * Rat(1, k), -p * Rat(k, 7)):
+        assert str(q) == reference_str(q)
 
 
 @settings(max_examples=60, deadline=None)

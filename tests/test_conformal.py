@@ -352,6 +352,11 @@ def test_residuals_reject_nonhorizontal_drift(h1):
         commutation_residuals(f, 1, vertical, h1, h1, 3)
     with pytest.raises(ValueError, match="probe_degree"):
         commutation_residuals(f, 1, (Polynomial.zero(3),) * 3, h1, h1, 1)
+    # lambda_sq and b live on the source; other variable counts are refused
+    with pytest.raises(ValueError, match="3 source variables"):
+        commutation_residuals(f, Polynomial.constant(1, 2), (Polynomial.zero(3),) * 3, h1, h1, 3)
+    with pytest.raises(ValueError, match="3 source variables"):
+        commutation_residuals(f, 1, (Polynomial.zero(4),) * 3, h1, h1, 3)
 
 
 def test_probe_budget(h1, r2):

@@ -152,6 +152,7 @@ def group_product_map(group: SubRiemannianGroup) -> PolyMap:
     return PolyMap(2 * n, bch_product(xs[:n], xs[n:], group.algebra, require_step(group)))
 
 
+@lru_cache(maxsize=None)
 def bernoulli_numbers(count: int) -> tuple:
     """B_0, ..., B_{count-1} with B_1 = +1/2: the coefficients of
     x / (1 - e^{-x}) = sum_k B_k x^k / k!."""
@@ -186,7 +187,17 @@ def _left_translation_rows(group: SubRiemannianGroup) -> tuple:
     one = (0,) * n
     variables = tuple({one[:i] + (1,) + one[i + 1:]: 1} for i in range(n))
     identity = tuple(tuple({one: 1} if i == j else {} for j in range(n)) for i in range(n))
-    return _ad_series(_ad_rows(group.tables.brackets, variables, 1), (identity, 1),
+    return _frame_at(variables, 1, group, (identity, 1))
+
+
+def _frame_at(point: tuple, den: int, group: SubRiemannianGroup, term: tuple) -> tuple:
+    """Lambda(q) term at q = point / den, for point a tuple of integer term
+    dicts (one per coordinate of the group) and term a matrix in the
+    (rows, den) form of polynomial with one row per coordinate: the
+    Bernoulli series sum_k B_k ad_q^k term / k!.  At the coordinate
+    variables and the identity it is left_translation_jacobian; at the
+    components of a map F it is Lambda(F) term, without composing."""
+    return _ad_series(_ad_rows(group.tables.brackets, point, den), term,
                       bernoulli_numbers(require_step(group)), 0)
 
 
@@ -323,14 +334,21 @@ def _differential(F: PolyMap, target: SubRiemannianGroup, columns: tuple) -> tup
     are read from the term dicts of F's components over their common
     denominator, ad through the target's integer bracket table."""
     (comps,), den = _to_prows((F.components,))
+    neg_ad = _ad_rows(target.tables.brackets,
+                      tuple({e: -c for e, c in x.items()} for x in comps), den)
+    return _ad_series(neg_ad, _prows_mul(_jacobian_rows(comps, den, F.source_dim), columns),
+                      (1,) * target.step, 1)
+
+
+def _jacobian_rows(comps: tuple, den: int, nvars: int) -> tuple:
+    """JF in the (rows, den) form of polynomial, for a map in nvars
+    variables whose components are the integer term dicts comps over den."""
     jacobian = []
     for x in comps:
-        row = [{} for _ in range(F.source_dim)]
+        row = [{} for _ in range(nvars)]
         for exps, c in x.items():
             for j, e in enumerate(exps):
                 if e:
                     row[j][exps[:j] + (e - 1,) + exps[j + 1:]] = c * e
         jacobian.append(row)
-    neg_ad = _ad_rows(target.tables.brackets,
-                      tuple({e: -c for e, c in x.items()} for x in comps), den)
-    return _ad_series(neg_ad, _prows_mul((jacobian, den), columns), (1,) * target.step, 1)
+    return tuple(jacobian), den

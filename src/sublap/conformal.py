@@ -10,24 +10,32 @@ Three related questions live here:
 * when does a polynomial group map intertwine two sub-Laplacians up to a
   conformal factor and a drift term.  That is a condition on the coefficient
   tables of u -> Delta_G(u o F), not on any particular u, so the verdict is
-  exact: it compares those tables and never samples test functions.  Probe
-  monomials are evaluated only to list the witnesses of a failing identity.
+  exact: it compares those tables and never samples test functions.
+  analyze_commutation reads them in the target's frame, on the horizontal
+  differential; commutation_residuals checks a stated identity in target
+  coordinates, by the chain rule, against the target's coordinate
+  sub-Laplacian composed with the map.  Probe monomials are evaluated only
+  to list the witnesses of a failing identity, all of them in one integer
+  pass over the powers of the map's components.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb, gcd
-from operator import mul
+from functools import cached_property, lru_cache
+from itertools import combinations_with_replacement
+from math import comb, gcd, lcm, prod
+from operator import add, mul
 from typing import Optional
 
 from . import linalg
 from .algebra import SubRiemannianGroup
-from .calculus import _horizontal_rows, require_step
-from .operators import PullbackOperator, _polarization_residuals, _pullback_tables, \
-    _pushforward_first, frame_components
-from .polynomial import Polynomial, PolyMap, _from_prows, _nonzero, _prows_combination, \
-    _prows_congruence, _prows_transpose, _reduced, _to_prows, monomials_up_to
+from .calculus import _check_map, _frame_at, _horizontal_rows, _jacobian_rows, require_step
+from .operators import _horizontal_vector, _polarization_residuals, _pullback_tables, \
+    _pushforward_first
+from .polynomial import Polynomial, PolyMap, _from_prows, _mul_into, _nonzero, \
+    _prows_combination, _prows_congruence, _prows_mul, _prows_times, _prows_transpose, \
+    _reduced, _to_prows, monomials_up_to
 from .rational import Rat, rat
 
 
@@ -38,9 +46,10 @@ class NotConformal(ValueError):
 # The most probe monomials a failing commutation_residuals evaluates: a
 # target of dimension m at probe degree k has C(m + k, k) of them.  Each
 # witness grows with the powers of F, so the cost per probe depends on the
-# map: on the Fraction backend and a 2-vCPU host, a dilation of h1 lists 969
-# probes (degree 16) in under 0.1 s, a left translation of h1 the same 969 in
-# 1.3 s, and one of Engel 715 (degree 9) in 2 s but 1365 (degree 11) in 9.5 s.
+# map: on the Fraction backend and a 2-vCPU host (best of 3), a dilation of
+# h1 lists 969 probes (degree 16) in 0.01 s, a left translation of h1 the
+# same 969 in 1.0 s, and one of Engel 715 (degree 9) in 1.4 s but 1365
+# (degree 11, over the budget) in 7.2 s.
 PROBE_BUDGET = 1000
 
 
@@ -312,15 +321,27 @@ def commutation_residuals(F: PolyMap, lambda_sq, b, source: SubRiemannianGroup,
     values in the target polarization.  Returns ((probe, residual), ...) for
     the probes with nonzero residual.
 
-    The residual is sum S[c][d] (e_d~ e_c~ u) o F + sum R[c] (e_c~ u) o F with
-    S = second - lambda_sq Q_H and R = first - b, read off the pullback of
-    Delta_G.  S is symmetric and the 2-jet of u at a point is arbitrary, so
-    the identity holds for every u exactly when both tables are zero; the
-    answer is then () whatever the probe degree.  Otherwise a probe
-    of degree <= 2 already fails, and the probes are run only to list the
-    witnesses.  The residual operator evaluates each probe in coordinate
-    jets (PullbackOperator.apply): its frame tables become coordinate tables
-    once, and the powers of F are built once for the whole run of probes.
+    The residual is read off the coordinate chain rule
+        Delta_G(u o F) = sum_kl Gam_kl (d_k d_l u) o F + sum_k (Delta_G F_k) (d_k u) o F,
+    Gam_kl = Gamma(F_k, F_l): with J = JF (Lambda_G B_G) the horizontal
+    derivatives of F, Gam = J G^{-1} J^T and Delta_G F_k = sum_j w_j(J_kj),
+    the pushforward tables at J.  On the target, Delta_H = sum_kl H2_kl d_k d_l
+    + sum_k H1_k d_k in coordinates (GroupTables.sublaplacian_tables) and
+    <b, grad u> = sum_k (Lambda_H b)_k d_k u.  The residual is
+    sum S_kl (d_k d_l u) o F + sum R_k (d_k u) o F with
+        S = Gam - lambda_sq H2 o F,    R = Delta_G F - lambda_sq H1 o F - Lambda_H(F) b,
+    H2 o F and H1 o F composed from the powers of F's components and
+    Lambda_H(F) b the Bernoulli series in ad_F (built only for b != 0).
+    These are the frame tables of the identity (second - lambda_sq Q_H and
+    first - b on the pullback of Delta_G) seen through Lambda_H(F), which is
+    unipotent, so they vanish together.  S is symmetric and the 2-jet of u
+    at a point is arbitrary, so the identity holds for every u exactly when
+    both tables are zero; the answer is then () whatever the probe degree.
+    Otherwise a probe of degree <= 2 already fails, and the probes are run
+    only to list the witnesses: for a probe x^alpha, (d_k d_l x^alpha) o F
+    and (d_k x^alpha) o F are integer multiples of powers of F, so one
+    integer pass over the probes adds each table entry times a power into
+    its probe (_list_witnesses), and each failing probe is reduced once.
 
     Listing takes C(m + probe_degree, probe_degree) probes for a target of
     dimension m; ProbeBudgetExceeded (a ValueError) is raised before any
@@ -333,31 +354,184 @@ def commutation_residuals(F: PolyMap, lambda_sq, b, source: SubRiemannianGroup,
         lambda_sq = Polynomial.constant(rat(lambda_sq), n)
     require_step(source)
     require_step(target)
-    frame_components(b, target)  # raises if b is not horizontal
+    _horizontal_vector(b, target)  # raises if b is not horizontal
     b = tuple(v if isinstance(v, Polynomial) else Polynomial.constant(rat(v), n)
               for v in b)
     if any(v.nvars != n for v in (lambda_sq, *b)):
         raise ValueError("lambda_sq and b must be polynomials in the %d source variables" % n)
-    second, first = _pullback_tables(_horizontal_rows(F, source, target), source)
-    q, qd = target.tables.cometric_rows
-    lam = lambda_sq._num
-    scaled = tuple(tuple({e: c * w for e, c in lam.items()} if w else {} for w in row)
-                   for row in q), lambda_sq._den * qd
-    second = _prows_combination([(1, second), (-1, scaled)])
-    first = _prows_combination([(1, first), (-1, _to_prows(tuple((v,) for v in b)))])
-    if not any(any(row) for row in second[0]) and not any(row[0] for row in first[0]):
+    _check_map(F, source, target)
+    (comps,), den = _to_prows((F.components,))
+    gam, lap = _pullback_tables(
+        _prows_mul(_jacobian_rows(comps, den, n), source.tables.horizontal_frame), source)
+    h2, h1 = target.tables.sublaplacian_tables
+    degree = target.tables.sublaplacian_degree
+    powers = _ComponentPowers(F)
+    pulled = _compose_rows(h2, powers, den, degree, lambda_sq)
+    first = [(1, lap)]
+    if any(row[0] for row in h1[0]):
+        first.append((-1, _compose_rows(h1, powers, den, degree, lambda_sq)))
+    if any(b):
+        first.append((-1, _frame_at(comps, den, target, _to_prows(tuple((v,) for v in b)))))
+    first = _prows_combination(first)
+    if _symmetric_equal(gam, pulled) and not any(row[0] for row in first[0]):
         return ()
+    second = _prows_combination([(1, gam), (-1, pulled)])
     probes = comb(m + probe_degree, probe_degree)
     if probes > PROBE_BUDGET:
         raise ProbeBudgetExceeded(probe_degree, probes)
-    residual = PullbackOperator(F, source, target, _from_prows(second, n),
-                                tuple(row[0] for row in _from_prows(first, n)),
-                                Polynomial.zero(n))
-    bad = []
+    return _list_witnesses(second, first, powers, n, m, probe_degree)
+
+
+def _symmetric_equal(a: tuple, b: tuple) -> bool:
+    """a == b for two symmetric polynomial matrices in the (rows, den) form,
+    compared on the upper triangle, term by term cross-multiplied."""
+    (ra, da), (rb, db) = a, b
+    return all(len(x) == len(y) and all(c * db == y.get(e, 0) * da for e, c in x.items())
+               for i, (row_a, row_b) in enumerate(zip(ra, rb))
+               for x, y in zip(row_a[i:], row_b[i:]))
+
+
+class _ComponentPowers(dict):
+    """The powers of the components of a PolyMap F on integer term dicts, each
+    component F_i = num_i / den_i in its own normal form: self[beta] is
+    prod_i num_i^beta_i = F^beta den(beta), den(beta) = prod_i den_i^beta_i.
+    A missing power is built from the nearest kept one, as
+    self[beta - e_i] num_i with i the index of beta whose component has the
+    fewest terms, and kept."""
+
+    def __init__(self, F: PolyMap):
+        super().__init__({(0,) * F.target_dim: {(0,) * F.source_dim: 1}})
+        self.nums = tuple(x._num for x in F.components)
+        self.dens = tuple(x._den for x in F.components)
+
+    @cached_property
+    def order(self) -> list:
+        """The component indices, fewest terms first."""
+        return sorted(range(len(self.nums)), key=lambda i: len(self.nums[i]))
+
+    def __missing__(self, beta: tuple) -> dict:
+        chain, got = [], None
+        while got is None:
+            for i in self.order:
+                if beta[i]:
+                    break
+            chain.append((beta, i))
+            beta = beta[:i] + (beta[i] - 1,) + beta[i + 1:]
+            got = self.get(beta)
+        for beta, i in reversed(chain):
+            got = self[beta] = _nonzero(_mul_into({}, self.nums[i], got))
+        return got
+
+    def den(self, beta: tuple) -> int:
+        return prod(map(pow, self.dens, beta))
+
+
+def _compose_rows(a: tuple, powers: _ComponentPowers, den: int, degree: int,
+                  factor: Polynomial) -> tuple:
+    """factor (a o F) for a polynomial matrix a in the (rows, den) form over
+    the target variables, of total degree <= degree, the powers of F, and
+    den the lcm of the denominators of F's components: each term c x^gamma
+    becomes c (den^degree / den(gamma)) powers[gamma], over den^degree.  A
+    constant factor scales the coefficients as they are composed; a
+    polynomial one multiplies the composed entries."""
+    rows, da = a
+    top = den ** degree
+    constant = factor.is_constant
+    k = factor._num.get((0,) * factor.nvars, 0) if constant else 1
+    done = {}  # by id: a symmetric table holds each mirrored entry once
+    out = []
+    for row in rows:
+        entries = []
+        for x in row:
+            acc = done.get(id(x))
+            if acc is None:
+                acc = {}
+                get = acc.get
+                for gamma, c in x.items():
+                    c *= k * (top // powers.den(gamma))
+                    for e, v in powers[gamma].items():
+                        acc[e] = get(e, 0) + c * v
+                acc = done[id(x)] = _nonzero(acc)
+            entries.append(acc)
+        out.append(tuple(entries))
+    if constant:
+        return tuple(out), da * top * factor._den
+    return _prows_times((tuple(out), da * top), factor._num, factor._den)
+
+
+@lru_cache(maxsize=64)
+def _probe_plan(m: int, degree: int) -> dict:
+    """The coordinate derivatives of the probes x^alpha, |alpha| <= degree,
+    of a target of dimension m: {index: {alpha: (beta, w)}} with
+    d_k d_l x^alpha = w x^beta for index (k, l), k <= l (w doubled when
+    k < l, since the symmetric second-order table is visited once per
+    pair), and d_k x^alpha = w x^beta for index (k,); only the nonzero
+    derivatives are listed."""
+    plan = {(k, l): {} for k in range(m) for l in range(k, m)}
+    plan.update(((k,), {}) for k in range(m))
+    for d in range(1, degree + 1):
+        for combo in combinations_with_replacement(range(m), d):
+            alpha = [0] * m
+            for i in combo:
+                alpha[i] += 1
+            key = tuple(alpha)
+            for k in range(m):
+                if not alpha[k]:
+                    continue
+                beta = list(alpha)
+                beta[k] -= 1
+                plan[k,][key] = tuple(beta), alpha[k]
+                for l in range(k, m):
+                    if beta[l]:
+                        twice = list(beta)
+                        twice[l] -= 1
+                        w = alpha[k] * beta[k] if k == l else 2 * alpha[k] * alpha[l]
+                        plan[k, l][key] = tuple(twice), w
+    return plan
+
+
+def _list_witnesses(second: tuple, first: tuple, powers: _ComponentPowers, nvars: int, m: int,
+                    probe_degree: int) -> tuple:
+    """((u, residual), ...) over the probes u of monomials_up_to(m,
+    probe_degree) with a nonzero residual sum second_kl (d_k d_l u) o F +
+    sum first_k (d_k u) o F, for the coordinate tables second and first in
+    the (rows, den) form of polynomial and the powers of F.  Every term of
+    the probe x^alpha sits over L powers.den(alpha), with the index's den_I
+    = den_k den_l for the entry (k, l) of the second-order table and den_k
+    for the entry k of the first-order one: each entry, over its least
+    denominator t_I, is scaled once by L den_I / t_I, and L is the least
+    number that makes every such scale an integer, so the products need no
+    other scaling than the plan's integer weight."""
+    (s_rows, s_den), (f_rows, f_den), dens = second, first, powers.dens
+    cells = [((k, l), s_rows[k][l], s_den) for k in range(m) for l in range(k, m)]
+    cells += [((k,), row[0], f_den) for k, row in enumerate(f_rows)]
+    entries = []
+    for index, x, den in cells:
+        if x:
+            g = gcd(den, *x.values())
+            entries.append((index, x, g, den // g, prod(dens[i] for i in index)))
+    common = lcm(*(t // gcd(t, d) for _, _, _, t, d in entries))
+    plan = _probe_plan(m, probe_degree)
+    table = [(plan[index], {e: c // g * (common * d // t) for e, c in x.items()})
+             for index, x, g, t, d in entries]
+    plus, bad = add, []  # plus: a local name in the inner loop
     for u in monomials_up_to(m, probe_degree):
-        res = residual.apply(u)
-        if res:
-            bad.append((u, res))
+        (alpha,) = u._num
+        out = {}
+        get = out.get
+        for derivatives, x in table:
+            if (item := derivatives.get(alpha)) is None:
+                continue
+            beta, w = item
+            y = powers[beta]
+            a, c = (y, x) if len(x) > len(y) else (x, y)
+            for ea, ca in a.items():
+                ca *= w
+                for ec, cc in c.items():
+                    key = tuple(map(plus, ea, ec))
+                    out[key] = get(key, 0) + ca * cc
+        if out and (out := _nonzero(out)):
+            bad.append((u, _reduced(nvars, out, common * powers.den(alpha))))
     return tuple(bad)
 
 

@@ -74,8 +74,9 @@ class GroupTables:
     others are polynomial tables built from them and the left-translation
     Jacobian Lambda.  The tables the commutation pipeline reads (gram_inverse,
     cometric_rows, annihilators, brackets, jacobian, horizontal_frame,
-    gradient_fields) are kept in the integer forms: linalg's (rows, den) for
-    rational matrices, polynomial's for polynomial ones.
+    gradient_fields, sublaplacian_tables) are kept in the integer forms:
+    linalg's (rows, den) for rational matrices, polynomial's for polynomial
+    ones.
     """
 
     def __init__(self, group: SubRiemannianGroup):
@@ -140,6 +141,20 @@ class GroupTables:
         polynomial.  w_j u is the j-th frame component of the horizontal
         gradient of u."""
         return _prows_transpose(_prows_rat_mul(self.horizontal_frame, self.gram_inverse))
+
+    @cached_property
+    def sublaplacian_tables(self) -> tuple:
+        """(second, first), the coordinate tables of the sub-Laplacian
+        sum_kl second_kl d_k d_l + sum_k first_k d_k: the pushforward tables
+        at the horizontal frame, in the (rows, den) form of polynomial (first
+        a one-column matrix)."""
+        return _pullback_tables(self.horizontal_frame, self.group)
+
+    @cached_property
+    def sublaplacian_degree(self) -> int:
+        """The total degree of the sublaplacian_tables, -1 if both are zero."""
+        return max((sum(e) for table in self.sublaplacian_tables for row in table[0]
+                    for x in row for e in x), default=-1)
 
     @cached_property
     def frame_derivatives(self) -> tuple:
@@ -243,10 +258,10 @@ def _pushforward_first(db: tuple, fields: tuple) -> tuple:
 def sublaplacian(group: SubRiemannianGroup) -> DifferentialOperator:
     """The horizontal Laplacian sum_{jk} g^{jk} v_j~ v_k~ in coordinates: the
     pushforward tables at the horizontal frame DB = Lambda B, since
-    v_j~ = sum_k (Lambda B)[k][j] d_k."""
+    v_j~ = sum_k (Lambda B)[k][j] d_k (GroupTables.sublaplacian_tables)."""
     require_step(group)
     n = group.dim
-    second, first = _pullback_tables(group.tables.horizontal_frame, group)
+    second, first = group.tables.sublaplacian_tables
     return DifferentialOperator(n, _from_prows(second, n),
                                 tuple(row[0] for row in _from_prows(first, n)), Polynomial.zero(n))
 
@@ -291,6 +306,16 @@ def frame_components(vector, group: SubRiemannianGroup) -> tuple:
     map).  Raises ValueError if the vector does not lie in the span of the
     polarization; otherwise gamma = L vector with L the left inverse of B.
     """
+    vec = _horizontal_vector(vector, group)
+    return tuple(linear_combination(vec[0].nvars, zip(row, vec))
+                 for row in group.tables.left_inverse)
+
+
+def _horizontal_vector(vector, group: SubRiemannianGroup) -> tuple:
+    """The check of frame_components without the solve: the vector as a
+    tuple of Polynomial (rationals made constants in the variables of its
+    first Polynomial entry, else in dim variables), after ValueError for a
+    wrong length and then for a vector outside the polarization."""
     if len(vector) != group.dim:
         raise ValueError("vector has %d components, expected %d"
                          % (len(vector), group.dim))
@@ -301,9 +326,9 @@ def frame_components(vector, group: SubRiemannianGroup) -> tuple:
             break
     vec = tuple(v if isinstance(v, Polynomial) else Polynomial.constant(rat(v), nv)
                 for v in vector)
-    if polarization_residuals((vec,), group):
+    if any(vec) and polarization_residuals((vec,), group):
         raise ValueError("vector does not take values in the polarization")
-    return tuple(linear_combination(nv, zip(row, vec)) for row in group.tables.left_inverse)
+    return vec
 
 
 def divergence(X, group: SubRiemannianGroup) -> Polynomial:

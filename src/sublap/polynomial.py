@@ -19,8 +19,9 @@ integer term dicts (no zero stored, {} for a zero entry) over one common
 positive denominator, the matrix being rows / den entrywise.  ``_to_prows``
 and ``_from_prows`` convert at the API boundary, one reduced Polynomial per
 entry; ``_prows_mul``, ``_prows_rat_mul`` (by an integer matrix in linalg's
-form), ``_prows_congruence`` (A M A^T for a symmetric M, upper triangle
-mirrored) and ``_prows_combination`` multiply and add without dividing, so a
+form), ``_prows_times`` (by one polynomial), ``_prows_congruence`` (A M A^T
+for a symmetric M, upper triangle mirrored) and ``_prows_combination``
+multiply and add without dividing, so a
 chain of them (the differential series of calculus, the pushforward tables
 of operators, the commutation tables of conformal) takes one gcd per entry,
 at the end.  poly_mat_mul and poly_rat_mat_mul are that form behind the
@@ -773,6 +774,14 @@ def _prows_congruence(a: tuple, m: tuple) -> tuple:
         for j in range(i, size):
             out[i][j] = out[j][i] = _dot(rows[i], cols[j])
     return tuple(map(tuple, out)), dp * da
+
+
+def _prows_times(a: tuple, num: dict, den: int) -> tuple:
+    """a p for a polynomial matrix a in the (rows, den) form and a polynomial
+    p = num / den given by its integer term dict, in the same form."""
+    rows, da = a
+    return tuple(tuple(_nonzero(_mul_into({}, num, x)) if x else {} for x in row)
+                 for row in rows), da * den
 
 
 def _prows_combination(parts) -> tuple:

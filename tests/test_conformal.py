@@ -24,8 +24,8 @@ from sublap.conformal import (PROBE_BUDGET, CommutationReport, FrameDecision,
                               commutation_residuals, frames_equivalent,
                               homothetic_characterizations,
                               is_homothetic_projection)
-from sublap.operators import cometric, polarization_residuals, pullback_operator, \
-    pushforward_first, pushforward_second
+from sublap.operators import cometric, gradient, polarization_residuals, pullback_operator, \
+    pushforward_first, pushforward_second, sublaplacian
 from sublap.polynomial import Polynomial, PolyMap, linear_combination, monomials_up_to
 from sublap.rational import Rat
 
@@ -464,6 +464,10 @@ def test_residuals_match_probe_oracle(h1, h2, engel):
     radial_lam = (x1 * x1 + x2 * x2) * 4
     square = PolyMap.parse(["x1^2 - x2^2", "2*x1*x2"], 3)
     square_lam = Polynomial.parse("4*x1^2 + 4*x2^2", 3)
+    _, _, _, fil5, fil5b = _pipeline_groups()
+    engel_shift = left_translation(engel, (1, -1, Rat(1, 2), 2))
+    fil_shift = left_translation(fil5, (Rat(1, 2), -1, 1, 2, Rat(-1, 3)))
+    fil_skew_shift = left_translation(fil5b, (1, 1, -1, Rat(1, 2), 3))
     # (map, source, target, lambda_sq, b, holds, probe degree)
     cases = [
         (dilation(h1, 2), h1, h1, const(4, 3), zero_b(3, 3), True, 4),
@@ -489,6 +493,34 @@ def test_residuals_match_probe_oracle(h1, h2, engel):
         (radial, r2, r1, radial_lam, (const(4, 2),), True, 4),
         (radial, r2, r1, radial_lam, (const(Rat(21, 5), 2),), False, 4),
         (radial, r2, r1, radial_lam + x1, (const(4, 2),), False, 4),
+        # a nonzero horizontal drift into h1 and Engel
+        (dilation(h1, 2), h1, h1, const(4, 3),
+         (Polynomial.variable(0, 3), const(Rat(-1, 2), 3), Polynomial.zero(3)), False, 3),
+        (dilation(engel, 2), engel, engel, const(4, 4),
+         (const(1, 4), Polynomial.variable(1, 4)) + zero_b(4, 2), False, 3),
+        # Engel and filiform-5 targets, whose sub-Laplacians have a nonzero
+        # first-order table; a left translation holds with lambda_sq = 1
+        (engel_shift, engel, engel, const(1, 4), zero_b(4, 4), True, 3),
+        (engel_shift, engel, engel, const(Rat(6, 5), 4), zero_b(4, 4), False, 3),
+        (fil_shift, fil5, fil5, const(1, 5), zero_b(5, 5), True, 3),
+        (fil_shift, fil5, fil5, const(Rat(2, 3), 5), zero_b(5, 5), False, 2),
+        (fil_skew_shift, fil5b, fil5b, const(3, 5), zero_b(5, 5), False, 2),
+        # a polynomial lambda_sq into non-abelian targets
+        (engel_shift, engel, engel, const(1, 4) + Polynomial.parse("x2^2", 4), zero_b(4, 4),
+         False, 3),
+        (fil_shift, fil5, fil5, Polynomial.parse("1 + x1*x2", 5),
+         (Polynomial.variable(2, 5),) + zero_b(5, 4), False, 2),
+        # |grad F_1|^2 = |grad F_2|^2 = lambda_sq, but grad F_1 . grad F_2 != 0:
+        # only the off-diagonal entry of the second-order table fails
+        (PolyMap.parse(["3/5*x1 + 4/5*x2", "x1"], 2), r2, r2, const(1, 2), zero_b(2, 2),
+         False, 3),
+        # probe degrees 2 to 6
+        (dilation(h1, 2), h1, h1, const(Rat(29, 7), 3), zero_b(3, 3), False, 2),
+        (dilation(h1, 2), h1, h1, const(Rat(29, 7), 3), zero_b(3, 3), False, 5),
+        (left_translation(h1, (1, -2, Rat(1, 3))), h1, h1, const(Rat(6, 5), 3), zero_b(3, 3),
+         False, 6),
+        (square, h1, r2, square_lam * Rat(1, 2), zero_b(3, 2), False, 6),
+        (radial, r2, r1, radial_lam, (const(Rat(21, 5), 2),), False, 6),
     ]
     for F, source, target, lam_sq, b, holds, degree in cases:
         expected = probe_residuals(F, lam_sq, b, source, target, degree)
@@ -619,12 +651,15 @@ SMALL = st.sampled_from((Rat(-2), Rat(-1), Rat(-1, 2), Rat(1, 3), Rat(1), Rat(3,
 
 
 @st.composite
-def pipeline_maps(draw):
+def pipeline_maps(draw, targets=None):
     """(F, source, target): random components of degree <= 2, or, on one
     group, the identity, a dilation or a left translation with one component
-    perturbed (possibly by zero)."""
+    perturbed (possibly by zero).  targets, when given, are the indices into
+    _pipeline_groups the target is drawn from."""
     groups = _pipeline_groups()
-    source = draw(st.sampled_from(groups))
+    allowed = groups if targets is None else tuple(groups[i] for i in targets)
+    same = draw(st.booleans())
+    source = draw(st.sampled_from(allowed if same else groups))
     n = source.dim
     monomials = monomials_up_to(n, 2)
 
@@ -632,7 +667,7 @@ def pipeline_maps(draw):
         terms = draw(st.lists(st.tuples(st.sampled_from(monomials), SMALL), max_size=3))
         return linear_combination(n, [(c, u) for u, c in terms])
 
-    if draw(st.booleans()):
+    if same:
         target = source
         base = draw(st.sampled_from(("identity", "dilation", "translation")))
         if base == "dilation":
@@ -645,7 +680,7 @@ def pipeline_maps(draw):
         i = draw(st.integers(0, n - 1))
         comps[i] = comps[i] + poly()
     else:
-        target = draw(st.sampled_from(groups))
+        target = draw(st.sampled_from(allowed))
         comps = [poly() for _ in range(target.dim)]
     return PolyMap(n, tuple(comps)), source, target
 
@@ -662,3 +697,70 @@ def test_pipeline_matches_polynomial_composition(case):
     assert pushforward_second(db, gram_inverse) == poly_pushforward_second(db, gram_inverse)
     assert pushforward_first(db, fields) == poly_pushforward_first(db, fields)
     assert analyze_commutation(F, source, target) == poly_analyze_commutation(F, source, target)
+
+
+# h1, Engel and the two filiform-5 groups
+CHAIN_RULE_TARGETS = (0, 2, 3, 4)
+
+
+@settings(max_examples=30, deadline=None)
+@given(pipeline_maps(CHAIN_RULE_TARGETS), st.data())
+def test_pullback_is_the_coordinate_chain_rule(case, data):
+    # Delta_G(u o F) = sum_kl Gamma(F_k, F_l) (d_k d_l u) o F
+    #                  + sum_k (Delta_G F_k) (d_k u) o F,
+    # Gamma(f, g) = <grad f, grad g> the carre du champ of the source
+    F, source, target = case
+    n, comps = source.dim, F.components
+    gram, lap = source.metric.gram, sublaplacian(source)
+    grads = [gradient(f, source) for f in comps]
+
+    def carre(a, b):
+        return linear_combination(n, [(gram[j][k], grads[a][j] * grads[b][k])
+                                      for j in range(source.rank)
+                                      for k in range(source.rank) if gram[j][k]])
+
+    pulled = pullback_operator(F, source, target)
+    probes = monomials_up_to(target.dim, 3)
+    for u in data.draw(st.lists(st.sampled_from(probes), min_size=1, max_size=4)):
+        expected = linear_combination(n, [(1, carre(k, l) * u.diff(k).diff(l).subs(comps))
+                                          for k in range(target.dim)
+                                          for l in range(target.dim)])
+        expected = expected + linear_combination(n, [(1, lap.apply(comps[k]) * u.diff(k).subs(comps))
+                                                     for k in range(target.dim)])
+        assert pulled.apply(u) == expected, (F, u)
+
+
+@st.composite
+def stated_identities(draw):
+    """(F, source, target, lambda_sq, b): a map from pipeline_maps with the
+    identity the analyzer finds when it is conformal, else (and sometimes
+    also then) a stated lambda_sq (a constant, possibly plus a polynomial)
+    and a horizontal drift b = B_H gamma with random source polynomials
+    gamma."""
+    F, source, target = draw(pipeline_maps())
+    n = source.dim
+    report = analyze_commutation(F, source, target)
+    if report.conformal and draw(st.booleans()):
+        return F, source, target, report.lambda_sq, report.b
+    monomials = monomials_up_to(n, 1)
+
+    def poly():
+        terms = draw(st.lists(st.tuples(st.sampled_from(monomials), SMALL), max_size=2))
+        return linear_combination(n, [(c, u) for u, c in terms])
+
+    lam_sq = Polynomial.constant(draw(SMALL), n) + poly()
+    gamma = [poly() for _ in range(target.rank)]
+    basis = target.polarization.basis
+    b = tuple(linear_combination(n, [(basis[j][i], gamma[j]) for j in range(target.rank)])
+              for i in range(target.dim))
+    return F, source, target, lam_sq, b
+
+
+@settings(max_examples=30, deadline=None)
+@given(stated_identities(), st.sampled_from((2, 3)))
+def test_residuals_match_probe_oracle_on_random_identities(case, degree):
+    F, source, target, lam_sq, b = case
+    expected = probe_residuals(F, lam_sq, b, source, target, degree)
+    got = commutation_residuals(F, lam_sq, b, source, target, degree)
+    assert [u for u, _ in got] == [u for u, _ in expected]
+    assert got == expected

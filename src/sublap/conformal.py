@@ -13,29 +13,30 @@ Three related questions live here:
   exact: it compares those tables and never samples test functions.
   analyze_commutation reads them in the target's frame, on the horizontal
   differential; commutation_residuals checks a stated identity in target
-  coordinates, by the chain rule, against the target's coordinate
+  coordinates, on the chain-rule tables of operators (the ones
+  PullbackOperator.apply evaluates), against the target's coordinate
   sub-Laplacian composed with the map.  Probe monomials are evaluated only
   to list the witnesses of a failing identity, all of them in one integer
-  pass over the powers of the map's components.
+  pass through the jet evaluator of operators over one polynomial.MapPowers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import comb, gcd, lcm, prod
-from operator import add, mul
+from math import comb, gcd
+from operator import mul
 from typing import Optional
 
 from . import linalg
 from .algebra import SubRiemannianGroup
-from .calculus import _check_map, _frame_at, _horizontal_rows, _jacobian_rows, require_step
-from .operators import _horizontal_vector, _polarization_residuals, _pullback_tables, \
-    _pushforward_first
-from .polynomial import Polynomial, PolyMap, _from_prows, _mul_into, _nonzero, \
-    _prows_combination, _prows_congruence, _prows_mul, _prows_times, _prows_transpose, \
-    _reduced, _to_prows, monomials_up_to
+from .calculus import _check_map, _frame_at, _horizontal_rows, require_step
+from .operators import _add_jet, _chain_rule_tables, _horizontal_vector, _jet_table, \
+    _jet_weights, _polarization_residuals, _pushforward_first
+from .polynomial import MapPowers, Polynomial, PolyMap, _from_prows, _nonzero, \
+    _prows_combination, _prows_congruence, _prows_times, _prows_transpose, _reduced, _to_prows, \
+    monomials_up_to
 from .rational import Rat, rat
 
 
@@ -325,8 +326,9 @@ def commutation_residuals(F: PolyMap, lambda_sq, b, source: SubRiemannianGroup,
         Delta_G(u o F) = sum_kl Gam_kl (d_k d_l u) o F + sum_k (Delta_G F_k) (d_k u) o F,
     Gam_kl = Gamma(F_k, F_l): with J = JF (Lambda_G B_G) the horizontal
     derivatives of F, Gam = J G^{-1} J^T and Delta_G F_k = sum_j w_j(J_kj),
-    the pushforward tables at J.  On the target, Delta_H = sum_kl H2_kl d_k d_l
-    + sum_k H1_k d_k in coordinates (GroupTables.sublaplacian_tables) and
+    the pushforward tables at J (operators._chain_rule_tables).  On the
+    target, Delta_H = sum_kl H2_kl d_k d_l + sum_k H1_k d_k in coordinates
+    (GroupTables.sublaplacian_tables) and
     <b, grad u> = sum_k (Lambda_H b)_k d_k u.  The residual is
     sum S_kl (d_k d_l u) o F + sum R_k (d_k u) o F with
         S = Gam - lambda_sq H2 o F,    R = Delta_G F - lambda_sq H1 o F - Lambda_H(F) b,
@@ -354,24 +356,21 @@ def commutation_residuals(F: PolyMap, lambda_sq, b, source: SubRiemannianGroup,
         lambda_sq = Polynomial.constant(rat(lambda_sq), n)
     require_step(source)
     require_step(target)
-    _horizontal_vector(b, target)  # raises if b is not horizontal
-    b = tuple(v if isinstance(v, Polynomial) else Polynomial.constant(rat(v), n)
-              for v in b)
-    if any(v.nvars != n for v in (lambda_sq, *b)):
+    drift, _ = _horizontal_vector(b, target, n)  # raises if b is not horizontal
+    if any(v.nvars != n for v in (lambda_sq, *b) if isinstance(v, Polynomial)):
         raise ValueError("lambda_sq and b must be polynomials in the %d source variables" % n)
     _check_map(F, source, target)
     (comps,), den = _to_prows((F.components,))
-    gam, lap = _pullback_tables(
-        _prows_mul(_jacobian_rows(comps, den, n), source.tables.horizontal_frame), source)
+    gam, lap = _chain_rule_tables(comps, den, source)
     h2, h1 = target.tables.sublaplacian_tables
     degree = target.tables.sublaplacian_degree
-    powers = _ComponentPowers(F)
+    powers = MapPowers(F)
     pulled = _compose_rows(h2, powers, den, degree, lambda_sq)
     first = [(1, lap)]
     if any(row[0] for row in h1[0]):
         first.append((-1, _compose_rows(h1, powers, den, degree, lambda_sq)))
     if any(b):
-        first.append((-1, _frame_at(comps, den, target, _to_prows(tuple((v,) for v in b)))))
+        first.append((-1, _frame_at(comps, den, target, drift)))
     first = _prows_combination(first)
     if _symmetric_equal(gam, pulled) and not any(row[0] for row in first[0]):
         return ()
@@ -391,42 +390,7 @@ def _symmetric_equal(a: tuple, b: tuple) -> bool:
                for x, y in zip(row_a[i:], row_b[i:]))
 
 
-class _ComponentPowers(dict):
-    """The powers of the components of a PolyMap F on integer term dicts, each
-    component F_i = num_i / den_i in its own normal form: self[beta] is
-    prod_i num_i^beta_i = F^beta den(beta), den(beta) = prod_i den_i^beta_i.
-    A missing power is built from the nearest kept one, as
-    self[beta - e_i] num_i with i the index of beta whose component has the
-    fewest terms, and kept."""
-
-    def __init__(self, F: PolyMap):
-        super().__init__({(0,) * F.target_dim: {(0,) * F.source_dim: 1}})
-        self.nums = tuple(x._num for x in F.components)
-        self.dens = tuple(x._den for x in F.components)
-
-    @cached_property
-    def order(self) -> list:
-        """The component indices, fewest terms first."""
-        return sorted(range(len(self.nums)), key=lambda i: len(self.nums[i]))
-
-    def __missing__(self, beta: tuple) -> dict:
-        chain, got = [], None
-        while got is None:
-            for i in self.order:
-                if beta[i]:
-                    break
-            chain.append((beta, i))
-            beta = beta[:i] + (beta[i] - 1,) + beta[i + 1:]
-            got = self.get(beta)
-        for beta, i in reversed(chain):
-            got = self[beta] = _nonzero(_mul_into({}, self.nums[i], got))
-        return got
-
-    def den(self, beta: tuple) -> int:
-        return prod(map(pow, self.dens, beta))
-
-
-def _compose_rows(a: tuple, powers: _ComponentPowers, den: int, degree: int,
+def _compose_rows(a: tuple, powers: MapPowers, den: int, degree: int,
                   factor: Polynomial) -> tuple:
     """factor (a o F) for a polynomial matrix a in the (rows, den) form over
     the target variables, of total degree <= degree, the powers of F, and
@@ -461,75 +425,30 @@ def _compose_rows(a: tuple, powers: _ComponentPowers, den: int, degree: int,
 
 @lru_cache(maxsize=64)
 def _probe_plan(m: int, degree: int) -> dict:
-    """The coordinate derivatives of the probes x^alpha, |alpha| <= degree,
-    of a target of dimension m: {index: {alpha: (beta, w)}} with
-    d_k d_l x^alpha = w x^beta for index (k, l), k <= l (w doubled when
-    k < l, since the symmetric second-order table is visited once per
-    pair), and d_k x^alpha = w x^beta for index (k,); only the nonzero
-    derivatives are listed."""
-    plan = {(k, l): {} for k in range(m) for l in range(k, m)}
-    plan.update(((k,), {}) for k in range(m))
-    for d in range(1, degree + 1):
+    """{alpha: _jet_weights(alpha)} for the exponents of the probes x^alpha,
+    |alpha| <= degree, of a target of dimension m."""
+    plan = {}
+    for d in range(degree + 1):
         for combo in combinations_with_replacement(range(m), d):
-            alpha = [0] * m
-            for i in combo:
-                alpha[i] += 1
-            key = tuple(alpha)
-            for k in range(m):
-                if not alpha[k]:
-                    continue
-                beta = list(alpha)
-                beta[k] -= 1
-                plan[k,][key] = tuple(beta), alpha[k]
-                for l in range(k, m):
-                    if beta[l]:
-                        twice = list(beta)
-                        twice[l] -= 1
-                        w = alpha[k] * beta[k] if k == l else 2 * alpha[k] * alpha[l]
-                        plan[k, l][key] = tuple(twice), w
+            alpha = tuple(map(combo.count, range(m)))
+            plan[alpha] = _jet_weights(alpha)
     return plan
 
 
-def _list_witnesses(second: tuple, first: tuple, powers: _ComponentPowers, nvars: int, m: int,
+def _list_witnesses(second: tuple, first: tuple, powers: MapPowers, nvars: int, m: int,
                     probe_degree: int) -> tuple:
     """((u, residual), ...) over the probes u of monomials_up_to(m,
     probe_degree) with a nonzero residual sum second_kl (d_k d_l u) o F +
     sum first_k (d_k u) o F, for the coordinate tables second and first in
-    the (rows, den) form of polynomial and the powers of F.  Every term of
-    the probe x^alpha sits over L powers.den(alpha), with the index's den_I
-    = den_k den_l for the entry (k, l) of the second-order table and den_k
-    for the entry k of the first-order one: each entry, over its least
-    denominator t_I, is scaled once by L den_I / t_I, and L is the least
-    number that makes every such scale an integer, so the products need no
-    other scaling than the plan's integer weight."""
-    (s_rows, s_den), (f_rows, f_den), dens = second, first, powers.dens
-    cells = [((k, l), s_rows[k][l], s_den) for k in range(m) for l in range(k, m)]
-    cells += [((k,), row[0], f_den) for k, row in enumerate(f_rows)]
-    entries = []
-    for index, x, den in cells:
-        if x:
-            g = gcd(den, *x.values())
-            entries.append((index, x, g, den // g, prod(dens[i] for i in index)))
-    common = lcm(*(t // gcd(t, d) for _, _, _, t, d in entries))
+    the (rows, den) form of polynomial and the powers of F: each probe's
+    jet is one _add_jet over the entries of _jet_table, as in
+    PullbackOperator.apply, and each failing probe is reduced once."""
+    entries, common = _jet_table(second, first, powers.dens)
     plan = _probe_plan(m, probe_degree)
-    table = [(plan[index], {e: c // g * (common * d // t) for e, c in x.items()})
-             for index, x, g, t, d in entries]
-    plus, bad = add, []  # plus: a local name in the inner loop
+    bad = []
     for u in monomials_up_to(m, probe_degree):
         (alpha,) = u._num
-        out = {}
-        get = out.get
-        for derivatives, x in table:
-            if (item := derivatives.get(alpha)) is None:
-                continue
-            beta, w = item
-            y = powers[beta]
-            a, c = (y, x) if len(x) > len(y) else (x, y)
-            for ea, ca in a.items():
-                ca *= w
-                for ec, cc in c.items():
-                    key = tuple(map(plus, ea, ec))
-                    out[key] = get(key, 0) + ca * cc
+        out = _add_jet({}, entries, plan[alpha], powers, 1)
         if out and (out := _nonzero(out)):
             bad.append((u, _reduced(nvars, out, common * powers.den(alpha))))
     return tuple(bad)

@@ -5,20 +5,22 @@ built from the left-invariant frame v_1~, ..., v_r~ of the polarization,
 with respect to Lebesgue measure (= Haar in exponential coordinates).  With
 w_j = sum_k g^{jk} v_k~ it reads sum_j v_j~ w_j.  One assembly
 (pushforward_second, pushforward_first) pushes that operator through a
-horizontal differential DB, the field matrix on the polarization basis only
-(one column per basis vector v_j): the second-order table is
-DB G^{-1} DB^T, which is DF Q DF^T for the cometric Q = B G^{-1} B^T and
-DB = DF B, and the first-order table is first_c = sum_j w_j(DB_cj).  At the
-horizontal frame DB = Lambda_G B (GroupTables.horizontal_frame) it gives the
-sub-Laplacian itself, at DB = horizontal_differential(F) its pullback along
-the map F.  The full differential DF is never built.
+matrix DB of horizontal derivatives, one column per basis vector v_j: the
+second-order table is DB G^{-1} DB^T (DF Q DF^T for DB = DF B and the
+cometric Q = B G^{-1} B^T), the first-order table first_c = sum_j w_j(DB_cj).
+At DB = Lambda_G B (GroupTables.horizontal_frame) it gives the sub-Laplacian,
+at DB = horizontal_differential(F) the frame tables of its pullback along a
+map F, and at J = JF (Lambda_G B_G) the tables (Gamma(F_k, F_l), Delta_G F_k)
+of the coordinate chain rule (_chain_rule_tables), on which
+PullbackOperator.apply and conformal's verify evaluate Delta_G(u o F) with
+one jet evaluator (_add_jet).  The full differential DF is never built.
 
 The assembly runs in polynomial's private (rows, den) form, integer term
 dicts over one common denominator (_pullback_tables):
 DB arrives in that form from calculus, the group's tables (G^{-1}, the
 frame, the fields w_j, the annihilators) are kept in it by GroupTables, and
 a Polynomial is built once per entry only where a table leaves the module:
-the sub-Laplacian, the PullbackOperator tables, and the public
+the sub-Laplacian, the PullbackOperator frame tables, and the public
 pushforward_second, pushforward_first and polarization_residuals, which are
 the same kernels behind a Polynomial signature.
 
@@ -32,15 +34,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import lcm
+from math import gcd, lcm, prod
+from operator import add
 
 from . import linalg
 from .algebra import SubRiemannianGroup
-from .calculus import _horizontal_rows, _left_translation_rows, left_translation_jacobian, \
+from .calculus import _check_map, _horizontal_rows, _jacobian_rows, _left_translation_rows, \
     require_step
-from .polynomial import MapPowers, Polynomial, PolyMap, PolyVectorField, _diff_num, _from_prows, \
-    _mul_into, _nonzero, _prows_congruence, _prows_mul, _prows_rat_mul, _prows_transpose, \
-    _reduced, _to_prows, linear_combination, sum_of_products
+from .polynomial import MapPowers, Polynomial, PolyMap, _diff_num, _from_prows, _mul_into, \
+    _nonzero, _prows_congruence, _prows_mul, _prows_rat_mul, _prows_transpose, _reduced, \
+    _to_prows, linear_combination, sum_of_products
 from .rational import rat
 
 
@@ -155,22 +158,6 @@ class GroupTables:
         """The total degree of the sublaplacian_tables, -1 if both are zero."""
         return max((sum(e) for table in self.sublaplacian_tables for row in table[0]
                     for x in row for e in x), default=-1)
-
-    @cached_property
-    def frame_derivatives(self) -> tuple:
-        """(d, k, c, e_d~ Lam_kc) for the nonzero derivatives of the entries
-        of Lam = left_translation_jacobian along the frame e_d~ = sum_l
-        Lam_ld d_l."""
-        lam = left_translation_jacobian(self.group)
-        n = self.group.dim
-        out = []
-        for d in range(n):
-            field = PolyVectorField(tuple(row[d] for row in lam))
-            for k in range(n):
-                for c in range(n):
-                    if (entry := field.apply(lam[k][c])):
-                        out.append((d, k, c, entry))
-        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -306,29 +293,29 @@ def frame_components(vector, group: SubRiemannianGroup) -> tuple:
     map).  Raises ValueError if the vector does not lie in the span of the
     polarization; otherwise gamma = L vector with L the left inverse of B.
     """
-    vec = _horizontal_vector(vector, group)
-    return tuple(linear_combination(vec[0].nvars, zip(row, vec))
-                 for row in group.tables.left_inverse)
+    column, nvars = _horizontal_vector(vector, group, group.dim)
+    vec = tuple(row[0] for row in _from_prows(column, nvars))
+    return tuple(linear_combination(nvars, zip(row, vec)) for row in group.tables.left_inverse)
 
 
-def _horizontal_vector(vector, group: SubRiemannianGroup) -> tuple:
-    """The check of frame_components without the solve: the vector as a
-    tuple of Polynomial (rationals made constants in the variables of its
-    first Polynomial entry, else in dim variables), after ValueError for a
-    wrong length and then for a vector outside the polarization."""
+def _horizontal_vector(vector, group: SubRiemannianGroup, nvars: int) -> tuple:
+    """(column, nv): the vector as a one-column matrix in the (rows, den)
+    form of polynomial, in the nv variables of its first Polynomial entry
+    (else nvars; rationals become constants), after ValueError for a wrong
+    length and then for a vector outside the polarization.  The check pairs
+    a nonzero vector with the annihilators on integer term dicts."""
     if len(vector) != group.dim:
         raise ValueError("vector has %d components, expected %d"
                          % (len(vector), group.dim))
-    nv = group.dim
-    for v in vector:
-        if isinstance(v, Polynomial):
-            nv = v.nvars
-            break
-    vec = tuple(v if isinstance(v, Polynomial) else Polynomial.constant(rat(v), nv)
-                for v in vector)
-    if any(vec) and polarization_residuals((vec,), group):
+    nv = next((v.nvars for v in vector if isinstance(v, Polynomial)), nvars)
+    if not any(vector):
+        return (tuple(({},) for _ in vector), 1), nv
+    column = _to_prows(tuple((v if isinstance(v, Polynomial) else Polynomial.constant(rat(v), nv),)
+                             for v in vector))
+    (pairings,), _ = _prows_rat_mul(_prows_transpose(column), group.tables.annihilators)
+    if any(pairings):
         raise ValueError("vector does not take values in the polarization")
-    return vec
+    return column, nv
 
 
 def divergence(X, group: SubRiemannianGroup) -> Polynomial:
@@ -344,79 +331,66 @@ def divergence(X, group: SubRiemannianGroup) -> Polynomial:
 @dataclass(frozen=True)
 class PullbackOperator:
     """Decomposition of u -> Delta_G(u o F) into frame derivatives on the
-    target: second[c][d] multiplies (e_d~ e_c~ u) o F, first[c] multiplies
-    (e_c~ u) o F, zero multiplies u o F.  Coefficients are Polynomial over
-    the source coordinates; second is symmetric.
+    target: second[c][d] multiplies (e_d~ e_c~ u) o F and first[c]
+    multiplies (e_c~ u) o F.  Coefficients are Polynomial over the source
+    coordinates; second is symmetric.  Both are the pushforward tables at
+    DB = horizontal_differential(F), built on first read.
 
-    apply() evaluates in coordinate jets.  With e_c~ = sum_k Lam_kc d_k
-    (Lam = left_translation_jacobian(target)), the first apply() turns the
-    frame tables into coordinate tables, once:
-        second~ = Lam(F) second Lam(F)^T,
-        first~_k = sum_c first_c Lam_kc(F) + sum_cd second_cd (e_d~ Lam_kc) o F,
-    where e_d~ Lam_kc is a constant table of the target (GroupTables).  Then
-        apply(u) = sum_kl second~_kl (d_k d_l u) o F + sum_k first~_k (d_k u) o F
-                   + zero (u o F),
-    each pair k < l visited once with factor 2.  For a term y^alpha of u,
-    (d^gamma y^alpha) o F is an integer multiple of F^(alpha - gamma), and
-    the powers F^beta come from one MapPowers kept on the operator, so a
-    run of probes builds each power of F once.
+    apply() evaluates the coordinate chain rule instead,
+        Delta_G(u o F) = sum_kl Gamma(F_k, F_l) (d_k d_l u) o F + sum_k (Delta_G F_k) (d_k u) o F,
+    on the tables verify reads (_chain_rule_tables): for a term x^alpha of u
+    each derivative is an integer multiple of a power of F, taken from one
+    MapPowers kept on the operator (_add_jet).
     """
 
     map: PolyMap
     source: SubRiemannianGroup
     target: SubRiemannianGroup
-    second: tuple
-    first: tuple
-    zero: Polynomial
 
-    def __post_init__(self):
-        m = len(self.second)
-        for c in range(m):
-            for d in range(c + 1, m):
-                if self.second[c][d] != self.second[d][c]:
-                    raise ValueError("second-order table must be symmetric")
+    @cached_property
+    def _frame_tables(self) -> tuple:
+        n = self.source.dim
+        second, first = _pullback_tables(_horizontal_rows(self.map, self.source, self.target),
+                                         self.source)
+        return _from_prows(second, n), tuple(row[0] for row in _from_prows(first, n))
+
+    @property
+    def second(self) -> tuple:
+        return self._frame_tables[0]
+
+    @property
+    def first(self) -> tuple:
+        return self._frame_tables[1]
+
+    @cached_property
+    def _jets(self) -> tuple:
+        """(powers, entries, common): the powers of F and the chain-rule
+        tables as _jet_table scales them."""
+        powers = MapPowers(self.map)
+        (comps,), den = _to_prows((self.map.components,))
+        return (powers, *_jet_table(*_chain_rule_tables(comps, den, self.source), powers.dens))
 
     def apply(self, u: Polynomial) -> Polynomial:
-        return self._powers.compose_derivatives(u, self._coordinate_table)
-
-    @cached_property
-    def _powers(self) -> MapPowers:
-        return MapPowers(self.map)
-
-    @cached_property
-    def _coordinate_table(self) -> tuple:
-        """The operator in target coordinates, as MapPowers.compose_derivatives
-        reads it: ((k, l), second~_kl, doubled when k < l), ((k,), first~_k)
-        and ((), zero), nonzero entries only."""
-        m, n = self.target.dim, self.source.dim
-        compose = self._powers.compose
-        lam = tuple(tuple(compose(e) for e in row) for row in left_translation_jacobian(self.target))
-        rows = _to_prows(lam)
-        second = _from_prows(_prows_mul(_prows_mul(rows, _to_prows(self.second)),
-                                        _prows_transpose(rows)), n)
-        first = [[(f, lam[k][c]) for c, f in enumerate(self.first)] for k in range(m)]
-        for d, k, c, entry in self.target.tables.frame_derivatives:
-            if self.second[c][d]:
-                first[k].append((self.second[c][d], compose(entry)))
-        table = [((k, l), s if k == l else s * 2)
-                 for k in range(m) for l in range(k, m) if (s := second[k][l])]
-        table += [((k,), r) for k, pairs in enumerate(first)
-                  if (r := sum_of_products(n, pairs))]
-        if self.zero:
-            table.append(((), self.zero))
-        return tuple(table)
+        if u.nvars != self.target.dim:
+            raise ValueError("argument has %d variables, expected %d"
+                             % (u.nvars, self.target.dim))
+        powers, entries, common = self._jets
+        # the jet of x^alpha sits over common den(alpha); scale each to the
+        # lcm of those over the terms of u
+        top = lcm(*map(powers.den, u._num))
+        out = {}
+        for alpha, c in u._num.items():
+            _add_jet(out, entries, _jet_weights(alpha), powers, c * (top // powers.den(alpha)))
+        return _reduced(self.source.dim, _nonzero(out), u._den * common * top)
 
 
 def pullback_operator(F: PolyMap, source: SubRiemannianGroup,
                       target: SubRiemannianGroup) -> PullbackOperator:
     """Push Delta_G through a polynomial map F: G -> H: the pushforward
     tables at DB = horizontal_differential(F, source, target), frame-indexed
-    on the target.  second = DB G^{-1} DB^T, first_c = sum_j w_j(DB_cj),
-    zero vanishes."""
-    second, first = _pullback_tables(_horizontal_rows(F, source, target), source)
-    n = source.dim
-    return PullbackOperator(F, source, target, _from_prows(second, n),
-                            tuple(row[0] for row in _from_prows(first, n)), Polynomial.zero(n))
+    on the target, second = DB G^{-1} DB^T and first_c = sum_j w_j(DB_cj)."""
+    _check_map(F, source, target)
+    return PullbackOperator(F, source, target)
 
 
 def _pullback_tables(db: tuple, source: SubRiemannianGroup) -> tuple:
@@ -425,3 +399,74 @@ def _pullback_tables(db: tuple, source: SubRiemannianGroup) -> tuple:
     tables = source.tables
     return (_prows_congruence(db, tables.gram_inverse),
             _pushforward_first(db, tables.gradient_fields))
+
+
+def _chain_rule_tables(comps: tuple, den: int, source: SubRiemannianGroup) -> tuple:
+    """(Gam, Delta_G F) for a map whose components are the integer term dicts
+    comps over den: the pushforward tables at J = JF (Lambda_G B_G), the
+    horizontal derivatives of F, so Gam = J G^{-1} J^T is the carre du champ
+    Gamma(F_k, F_l) and Delta_G F_k = sum_j w_j(J_kj)."""
+    return _pullback_tables(
+        _prows_mul(_jacobian_rows(comps, den, source.dim), source.tables.horizontal_frame), source)
+
+
+def _jet_weights(alpha: tuple) -> dict:
+    """{index: (beta, w)} for the nonzero coordinate derivatives of x^alpha:
+    d_k d_l x^alpha = w x^beta for index (k, l), k <= l (w doubled when
+    k < l, since a symmetric second-order table is visited once per pair),
+    and d_k x^alpha = w x^beta for index (k,)."""
+    out = {}
+    m = len(alpha)
+    for k in range(m):
+        a = alpha[k]
+        if not a:
+            continue
+        beta = alpha[:k] + (a - 1,) + alpha[k + 1:]
+        out[k,] = beta, a
+        for l in range(k, m):
+            if b := beta[l]:
+                out[k, l] = beta[:l] + (b - 1,) + beta[l + 1:], a * b if k == l else 2 * a * b
+    return out
+
+
+def _jet_table(second: tuple, first: tuple, dens: tuple) -> tuple:
+    """(entries, common): (index, x) per nonzero entry of the coordinate
+    tables second and first (a one-column matrix) in the (rows, den) form of
+    polynomial, index (k, l) with k <= l or (k,), scaled so that the jet of
+    x^alpha, sum x w powers[beta] over the (beta, w) of _jet_weights(alpha),
+    sits over common den(alpha) for the denominators dens of F's components.
+    An entry over its least denominator t_I is scaled by common den_I / t_I,
+    den_I = den_k den_l or den_k the part of den(alpha) its derivative drops;
+    common is the least number that makes every such scale an integer."""
+    (s_rows, s_den), (f_rows, f_den) = second, first
+    m = len(f_rows)
+    cells = [((k, l), s_rows[k][l], s_den) for k in range(m) for l in range(k, m)]
+    cells += [((k,), row[0], f_den) for k, row in enumerate(f_rows)]
+    entries = []
+    for index, x, den in cells:
+        if x:
+            g = gcd(den, *x.values())
+            entries.append((index, x, g, den // g, prod(dens[i] for i in index)))
+    common = lcm(*(t // gcd(t, d) for _, _, _, t, d in entries))
+    return tuple((index, {e: c // g * (common * d // t) for e, c in x.items()})
+                 for index, x, g, t, d in entries), common
+
+
+def _add_jet(out: dict, entries: tuple, weights: dict, powers: MapPowers, k: int) -> dict:
+    """out += k times the jet of x^alpha, for the entries of _jet_table,
+    weights = _jet_weights(alpha) and the powers of F, on integer term
+    dicts; cancelled entries stay as zeros."""
+    get, plus = out.get, add
+    for index, x in entries:
+        if (item := weights.get(index)) is None:
+            continue
+        beta, w = item
+        w *= k
+        y = powers[beta]
+        a, c = (y, x) if len(x) > len(y) else (x, y)
+        for ea, ca in a.items():
+            ca *= w
+            for ec, cc in c.items():
+                key = tuple(map(plus, ea, ec))
+                out[key] = get(key, 0) + ca * cc
+    return out

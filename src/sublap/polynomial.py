@@ -7,10 +7,9 @@ coefficients are integer numerators over one common denominator, so the
 arithmetic runs on Python ints whichever rational backend is installed.
 Instances are treated as immutable: no method mutates self.
 
-Sums of polynomials go through one of three integer kernels,
-linear_combination, sum_of_products or _weighted_sum, which scale the terms
-to one common denominator and accumulate a single term dict; + and - serve
-one pair.  The brackets of the algebra layer on entries of one kind
+Sums of polynomials go through one of two integer kernels,
+linear_combination or sum_of_products, which scale the terms to one common
+denominator and accumulate a single term dict; + and - serve one pair.  The brackets of the algebra layer on entries of one kind
 (LieAlgebra.bracket, the sparse ad of bch_product) still add term by term.
 
 Matrices of polynomials that feed further matrix arithmetic stay in one
@@ -25,7 +24,8 @@ multiply and add without dividing, so a
 chain of them (the differential series of calculus, the pushforward tables
 of operators, the commutation tables of conformal) takes one gcd per entry,
 at the end.  poly_mat_mul and poly_rat_mat_mul are that form behind the
-Polynomial signature.
+Polynomial signature.  MapPowers keeps the powers of a map's components on
+integer term dicts, for every composition with a map that runs in that form.
 """
 
 from __future__ import annotations
@@ -33,8 +33,9 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations_with_replacement
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, prod
 
 from . import linalg
 from .rational import Rat, rat
@@ -505,7 +506,17 @@ def sum_of_products(nvars: int, pairs) -> Polynomial:
     for a, b in pairs:
         if a.nvars != nvars or b.nvars != nvars:
             raise ValueError("expected polynomials in %d variables" % nvars)
-    return _weighted_sum(nvars, [(1, a, b) for a, b in pairs])
+    common = lcm(*(a._den * b._den for a, b in pairs))
+    out = {}
+    for a, b in pairs:
+        x, y = a._num, b._num
+        if len(x) > len(y):
+            x, y = y, x
+        k = common // (a._den * b._den)
+        if k != 1:
+            x = {e: c * k for e, c in x.items()}
+        _mul_into(out, x, y)
+    return _reduced(nvars, _nonzero(out), common)
 
 
 def linear_combination(nvars: int, pairs) -> Polynomial:
@@ -527,24 +538,6 @@ def linear_combination(nvars: int, pairs) -> Polynomial:
         for e, c in num.items():
             out[e] = get(e, 0) + c * k
     return _reduced(nvars, _nonzero(out), common)
-
-
-def _weighted_sum(nvars: int, triples, den: int = 1) -> Polynomial:
-    """The sum of w * a * b / den over (w, a, b) triples, with w a nonzero
-    int and a, b nonzero Polynomials in nvars variables."""
-    if not triples:
-        return _raw(nvars, {}, 1)
-    common = lcm(*(a._den * b._den for _, a, b in triples))
-    out = {}
-    for w, a, b in triples:
-        x, y = a._num, b._num
-        if len(x) > len(y):
-            x, y = y, x
-        k = w * (common // (a._den * b._den))
-        if k != 1:
-            x = {e: c * k for e, c in x.items()}
-        _mul_into(out, x, y)
-    return _reduced(nvars, _nonzero(out), common * den)
 
 
 # -- polynomial maps ----------------------------------------------------------
@@ -637,58 +630,41 @@ class PolyVectorField:
             for c in range(n)))
 
 
-class MapPowers:
-    """The powers F^beta of the components of a PolyMap F, each built once,
-    as F^(beta - e_i) * F_i, and kept for the life of the instance."""
+class MapPowers(dict):
+    """The powers of the components of a PolyMap F on integer term dicts, each
+    component F_i = num_i / den_i in its own normal form: self[beta] is
+    prod_i num_i^beta_i = F^beta den(beta), den(beta) = prod_i den_i^beta_i.
+    A missing power is built from the nearest kept one, as
+    self[beta - e_i] num_i with i the index of beta whose component has the
+    fewest terms, and kept for the life of the instance."""
 
     def __init__(self, pmap: PolyMap):
-        self.map = pmap
-        self._cache = {(0,) * pmap.target_dim: Polynomial.constant(1, pmap.source_dim)}
+        super().__init__({(0,) * pmap.target_dim: {(0,) * pmap.source_dim: 1}})
+        self.nums = tuple(x._num for x in pmap.components)
+        self.dens = tuple(x._den for x in pmap.components)
 
-    def __getitem__(self, beta: tuple) -> Polynomial:
-        cache = self._cache
-        got = cache.get(beta)
-        if got is None:
-            if len(beta) != self.map.target_dim or min(beta) < 0:
-                raise ValueError("%r is not an exponent tuple of the map's components"
-                                 % (beta,))
-            # walk down to a cached power, then multiply back up
-            chain = []
-            while got is None:
-                i = next(i for i, e in enumerate(beta) if e)
-                chain.append((beta, i))
-                beta = beta[:i] + (beta[i] - 1,) + beta[i + 1:]
-                got = cache.get(beta)
-            comps = self.map.components
-            for beta, i in reversed(chain):
-                got = got * comps[i]
-                cache[beta] = got
+    @cached_property
+    def order(self) -> list:
+        """The component indices, fewest terms first."""
+        return sorted(range(len(self.nums)), key=lambda i: len(self.nums[i]))
+
+    def __missing__(self, beta: tuple) -> dict:
+        if len(beta) != len(self.nums) or min(beta) < 0:
+            raise ValueError("%r is not an exponent tuple of the map's components" % (beta,))
+        chain, got = [], None
+        while got is None:
+            for i in self.order:
+                if beta[i]:
+                    break
+            chain.append((beta, i))
+            beta = beta[:i] + (beta[i] - 1,) + beta[i + 1:]
+            got = self.get(beta)
+        for beta, i in reversed(chain):
+            got = self[beta] = _nonzero(_mul_into({}, self.nums[i], got))
         return got
 
-    def compose(self, u: Polynomial) -> Polynomial:
-        """u o F, from the cached powers."""
-        return self.compose_derivatives(u, (((), Polynomial.constant(1, self.map.source_dim)),))
-
-    def compose_derivatives(self, u: Polynomial, table) -> Polynomial:
-        """sum C * (d_i1 ... d_ir u) o F over the ((i1, ..., ir), C) pairs of
-        table: u is a Polynomial over the target of F, each C a nonzero
-        Polynomial over its source.  For a term x^alpha of u the derivative
-        is the integer alpha_i1 (alpha_i1 - 1 if i2 == i1) ... times
-        x^(alpha - e_i1 - ... - e_ir), so each term costs one cached power
-        per entry of table."""
-        if u.nvars != self.map.target_dim:
-            raise ValueError("argument has %d variables, expected %d"
-                             % (u.nvars, self.map.target_dim))
-        triples = []
-        for alpha, c in u._num.items():
-            for indices, coeff in table:
-                w, beta = c, list(alpha)
-                for i in indices:
-                    w *= beta[i]
-                    beta[i] -= 1
-                if w:
-                    triples.append((w, coeff, self[tuple(beta)]))
-        return _weighted_sum(self.map.source_dim, triples, u._den)
+    def den(self, beta: tuple) -> int:
+        return prod(map(pow, self.dens, beta))
 
 
 # -- matrices with polynomial entries -----------------------------------------

@@ -730,6 +730,26 @@ def test_pullback_is_the_coordinate_chain_rule(case, data):
         assert pulled.apply(u) == expected, (F, u)
 
 
+def test_residuals_with_zero_factor_list_the_pullback():
+    # with lambda_sq = 0 and b = 0 the residual of a probe is Delta_G(u o F)
+    # itself, so verify's witness listing and PullbackOperator.apply must
+    # give the same polynomials
+    groups = _pipeline_groups()
+    cases = gallery_maps()
+    for target, point in ((groups[2], (1, Rat(-2, 3), Rat(1, 2), 3)),
+                          (groups[3], (Rat(1, 2), -1, 2, Rat(-3, 4), 1)),
+                          (groups[4], (-1, Rat(1, 3), 0, 2, Rat(5, 2)))):
+        cases.append((left_translation(target, point), target, target))
+    for F, source, target in cases:
+        pulled = pullback_operator(F, source, target)
+        zero = (Polynomial.zero(source.dim),) * target.dim
+        for degree in (2, 3):
+            expected = [(u, r) for u in monomials_up_to(target.dim, degree)
+                        if (r := pulled.apply(u))]
+            assert list(commutation_residuals(F, 0, zero, source, target, degree)) == \
+                expected, (F, degree)
+
+
 @st.composite
 def stated_identities(draw):
     """(F, source, target, lambda_sq, b): a map from pipeline_maps with the

@@ -30,7 +30,7 @@ from . import linalg
 from .algebra import (LieAlgebra, NotStratifiable, SubRiemannianGroup, _ad_apply, _ad_columns,
                       _one_kind)
 from .polynomial import Polynomial, PolyMap, PolyVectorField, _from_prows, _nonzero, \
-    _prows_combination, _prows_mul, _to_prows, poly_rat_mat_mul
+    _prows_combination, _prows_mul, _prows_rat_mul, _to_prows
 from .rational import Rat, rat
 
 
@@ -244,8 +244,8 @@ def left_invariant_field(x, group: SubRiemannianGroup) -> PolyVectorField:
     x = tuple(rat(v) for v in x)
     if len(x) != group.dim:
         raise ValueError("vector has length %d, expected %d" % (len(x), group.dim))
-    column = poly_rat_mat_mul(left_translation_jacobian(group), tuple((v,) for v in x))
-    return PolyVectorField(tuple(row[0] for row in column))
+    column = _prows_rat_mul(group.tables.jacobian, linalg._to_rows(tuple((v,) for v in x)))
+    return PolyVectorField(tuple(row[0] for row in _from_prows(column, group.dim)))
 
 
 def lie_derivative(u: Polynomial, x, group: SubRiemannianGroup) -> Polynomial:

@@ -56,10 +56,13 @@ PROBE_BUDGET = 1000
 
 class ProbeBudgetExceeded(ValueError):
     """Raised when listing the witnesses of a failing identity would take more
-    than PROBE_BUDGET probes."""
+    than PROBE_BUDGET probes.  The identity fails: witnesses are those of the
+    highest degree whose probes fit the budget (none below 2), and unlisted
+    counts the probes left out."""
 
-    def __init__(self, probe_degree: int, probes: int):
+    def __init__(self, probe_degree: int, probes: int, witnesses: tuple, unlisted: int):
         self.probe_degree, self.probes, self.budget = probe_degree, probes, PROBE_BUDGET
+        self.witnesses, self.unlisted = witnesses, unlisted
         super().__init__("probe degree %d needs %d probes, over the budget of %d"
                          % (probe_degree, probes, PROBE_BUDGET))
 
@@ -346,8 +349,8 @@ def commutation_residuals(F: PolyMap, lambda_sq, b, source: SubRiemannianGroup,
     its probe (_list_witnesses), and each failing probe is reduced once.
 
     Listing takes C(m + probe_degree, probe_degree) probes for a target of
-    dimension m; ProbeBudgetExceeded (a ValueError) is raised before any
-    probe runs when that is more than PROBE_BUDGET.
+    dimension m; over PROBE_BUDGET, ProbeBudgetExceeded (a ValueError) is
+    raised instead, with the witnesses of the degrees the budget covers.
     """
     if probe_degree < 2:
         raise ValueError("probe_degree must be at least 2")
@@ -376,9 +379,15 @@ def commutation_residuals(F: PolyMap, lambda_sq, b, source: SubRiemannianGroup,
         return ()
     second = _prows_combination([(1, gam), (-1, pulled)])
     probes = comb(m + probe_degree, probe_degree)
-    if probes > PROBE_BUDGET:
-        raise ProbeBudgetExceeded(probe_degree, probes)
-    return _list_witnesses(second, first, powers, n, m, probe_degree)
+    if probes <= PROBE_BUDGET:
+        return _list_witnesses(second, first, powers, n, m, probe_degree)
+    k = 0  # the highest degree whose probes fit the budget
+    while comb(m + k + 1, k + 1) <= PROBE_BUDGET:
+        k += 1
+    if k < 2:
+        raise ProbeBudgetExceeded(probe_degree, probes, (), probes)
+    listed = _list_witnesses(second, first, powers, n, m, k)
+    raise ProbeBudgetExceeded(probe_degree, probes, listed, probes - comb(m + k, k))
 
 
 def _symmetric_equal(a: tuple, b: tuple) -> bool:

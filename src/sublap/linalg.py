@@ -6,13 +6,12 @@ Rat; every routine returns exact results or raises.
 
 Elimination is fraction-free: each row (or the whole matrix) is scaled by
 the lcm of its denominators once, the elimination runs on Python ints, and
-each Rat is built once at the end.  Gauss-Jordan (``rref``, ``solve_matrix``,
-``inverse``) divides every updated row by the gcd of its entries; ``ldl_pd``
-is Bareiss's elimination, whose exact division by the previous pivot keeps
-the entries minors of the scaled matrix; ``EchelonBasis`` keeps primitive
-integer rows keyed by pivot column, so ``rank`` and ``pivot_rows`` are one
-forward pass.  The backend is touched only through ``.numerator``,
-``.denominator`` and ``Rat(n, d)``.
+each Rat is built once at the end.  Gauss-Jordan (``rref``, ``inverse``)
+divides every updated row by the gcd of its entries; ``ldl_pd`` is Bareiss's
+elimination, whose exact division by the previous pivot keeps the entries
+minors of the scaled matrix; ``EchelonBasis`` keeps primitive integer rows
+keyed by pivot column, so ``rank`` is one forward pass.  The backend is
+touched only through ``.numerator``, ``.denominator`` and ``Rat(n, d)``.
 
 Deciders that chain products, inverses and comparisons keep the matrices in
 between in one private integer form, ``(rows, den)``: integer rows over one
@@ -77,23 +76,6 @@ def _ratio(num: int, den: int):
     return Rat(num, den) if num else ZERO
 
 
-def dot(u: Vector, v: Vector):
-    """sum u_i v_i, with every product scaled to one common denominator: the
-    integer numerators are summed and one Rat is built at the end."""
-    num, den = 0, 1
-    for x, y in zip(u, v):
-        if x and y:
-            n = int(x.numerator) * int(y.numerator)
-            d = int(x.denominator) * int(y.denominator)
-            if d == den:
-                num += n
-            else:
-                common = lcm(den, d)
-                num = num * (common // den) + n * (common // d)
-                den = common
-    return Rat(num, den)
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """a @ b from one integer row of a and one integer column of b per lcm:
     each entry is an integer dot product over the product of the two
@@ -154,10 +136,10 @@ def _gauss_jordan(rows: list, ncols: int):
     return rows, pivots
 
 
-def _divided(row: list, c: int, start: int = 0) -> tuple:
-    """row[start:] / row[c] as Rats (row[c] is the pivot)."""
+def _divided(row: list, c: int) -> tuple:
+    """row / row[c] as Rats (row[c] is the pivot)."""
     p = row[c]
-    return tuple(ONE if j == c else _ratio(row[j], p) for j in range(start, len(row)))
+    return tuple(ONE if j == c else _ratio(x, p) for j, x in enumerate(row))
 
 
 def rref(a: Matrix):
@@ -211,29 +193,10 @@ def rank(a: Matrix) -> int:
     return len(EchelonBasis(a))
 
 
-def solve(a: Matrix, b: Vector) -> Vector:
-    """Solve a @ x = b for square nonsingular a."""
-    return tuple(row[0] for row in solve_matrix(a, tuple((bi,) for bi in b)))
-
-
-def solve_matrix(a: Matrix, b: Matrix) -> Matrix:
-    """Solve a @ X = b (a square nonsingular) by one elimination on [a | b]."""
-    n, m = shape(a)
-    if n != m or len(b) != n:
-        raise ValueError("solve needs a square system")
-    rows, pivots = _gauss_jordan(
-        [_primitive(_scaled(tuple(ra) + tuple(rb))[0]) for ra, rb in zip(a, b)],
-        n + (len(b[0]) if b else 0))
-    # a is nonsingular exactly when its own columns hold all n pivots
-    if pivots[:n] != list(range(n)):
-        raise ValueError("singular matrix")
-    return tuple(_divided(rows[r], r, n) for r in range(n))
-
-
 def inverse(a: Matrix) -> Matrix:
     n, m = shape(a)
     if n != m:
-        raise ValueError("solve needs a square system")
+        raise ValueError("inverse needs a square matrix")
     return _from_rows(*_inverse_rows(_to_rows(a)))
 
 
@@ -308,12 +271,6 @@ def nullspace(a: Matrix):
 def left_nullspace(a: Matrix):
     """Basis of row vectors y with y @ a = 0."""
     return nullspace(transpose(a))
-
-
-def pivot_rows(a: Matrix):
-    """Indices of a maximal independent set of rows, greedy in input order."""
-    basis = EchelonBasis()
-    return tuple(i for i, row in enumerate(a) if basis.insert(row))
 
 
 def span_equal(basis_a, basis_b) -> bool:

@@ -4,10 +4,10 @@ The sub-Laplacian is the divergence-form operator sum_jk X_j(g^{jk} X_k u)
 built from the left-invariant frame v_1~, ..., v_r~ of the polarization,
 with respect to Lebesgue measure (= Haar in exponential coordinates).  With
 w_j = sum_k g^{jk} v_k~ it reads sum_j v_j~ w_j.  One assembly
-(pushforward_second, pushforward_first) pushes that operator through a
-matrix DB of horizontal derivatives, one column per basis vector v_j: the
-second-order table is DB G^{-1} DB^T (DF Q DF^T for DB = DF B and the
-cometric Q = B G^{-1} B^T), the first-order table first_c = sum_j w_j(DB_cj).
+(_pullback_tables) pushes that operator through a matrix DB of horizontal
+derivatives, one column per basis vector v_j: the second-order table is
+DB G^{-1} DB^T (DF Q DF^T for DB = DF B and the cometric Q = B G^{-1} B^T),
+the first-order table first_c = sum_j w_j(DB_cj).
 At DB = Lambda_G B (GroupTables.horizontal_frame) it gives the sub-Laplacian,
 at DB = horizontal_differential(F) the frame tables of its pullback along a
 map F, and at J = JF (Lambda_G B_G) the tables (Gamma(F_k, F_l), Delta_G F_k)
@@ -20,9 +20,7 @@ dicts over one common denominator (_pullback_tables):
 DB arrives in that form from calculus, the group's tables (G^{-1}, the
 frame, the fields w_j, the annihilators) are kept in it by GroupTables, and
 a Polynomial is built once per entry only where a table leaves the module:
-the sub-Laplacian, the PullbackOperator frame tables, and the public
-pushforward_second, pushforward_first and polarization_residuals, which are
-the same kernels behind a Polynomial signature.
+the sub-Laplacian and the PullbackOperator frame tables.
 
 There is no drift term.  The coordinate calculus requires a nilpotent group
 (require_step), and a nilpotent group is unimodular (tr ad_x = 0): Haar
@@ -202,29 +200,11 @@ class DifferentialOperator:
                      if (coeff := self.second_order[c][d]))
 
 
-def pushforward_second(db, gram_inverse) -> tuple:
-    """DB G^{-1} DB^T: the second-order table of Delta_G pushed through the
-    horizontal differential DB (rows Polynomial over the group's
-    coordinates, one column per polarization basis vector), with G^{-1} the
-    inverse Gram matrix of the group.  _prows_congruence behind the
-    Polynomial signature."""
-    return _from_prows(_prows_congruence(_to_prows(db), linalg._to_rows(linalg.mat(gram_inverse))),
-                       db[0][0].nvars)
-
-
-def pushforward_first(db, fields) -> tuple:
-    """The first-order table of Delta_G pushed through DB: entry c is
-    sum_j w_j(DB[c][j]), with fields[j] the coordinate components of
-    w_j = sum_k g^{jk} v_k~ (GroupTables.gradient_fields).
-    _pushforward_first behind the Polynomial signature."""
-    first = _pushforward_first(_to_prows(db), _to_prows(fields))
-    return tuple(row[0] for row in _from_prows(first, db[0][0].nvars))
-
-
 def _pushforward_first(db: tuple, fields: tuple) -> tuple:
-    """pushforward_first on DB and the fields in the (rows, den) form of
+    """The first-order table of Delta_G pushed through DB, for DB and the
+    fields w_j (GroupTables.gradient_fields) in the (rows, den) form of
     polynomial, as a one-column matrix in that form: entry c is
-    sum_jk fields[j][k] d_k DB[c][j]."""
+    sum_j w_j(DB[c][j]) = sum_jk fields[j][k] d_k DB[c][j]."""
     (rows, den), (comps, dw) = db, fields
     out = []
     for entries in rows:
@@ -265,20 +245,11 @@ def gradient(u: Polynomial, group: SubRiemannianGroup) -> tuple:
     return tuple(row[0] for row in _from_prows(_prows_mul(group.tables.gradient_fields, du), n))
 
 
-def polarization_residuals(vectors, group: SubRiemannianGroup) -> tuple:
-    """The nonzero pairings y . v of the group's annihilators y with the
-    vectors v (each dim Polynomials in one number of variables), annihilator
-    by annihilator and, within each, in the order of the vectors.  Empty
-    exactly when every vector takes values in the polarization."""
-    vectors = tuple(vectors)
-    if not vectors:
-        return ()
-    return _polarization_residuals(_to_prows(vectors), group, vectors[0][0].nvars)
-
-
 def _polarization_residuals(vectors: tuple, group: SubRiemannianGroup, nvars: int) -> tuple:
-    """polarization_residuals for vectors given as the rows of a (rows, den)
-    form of polynomial; a Polynomial is built only for a nonzero pairing."""
+    """The nonzero pairings y . v of the group's annihilators y with the rows
+    v of a (rows, den) form of polynomial in nvars variables, annihilator by
+    annihilator, then row by row: empty exactly when every v takes values in
+    the polarization.  A Polynomial is built only for a nonzero pairing."""
     rows, den = _prows_rat_mul(vectors, group.tables.annihilators)
     return tuple(_reduced(nvars, x, den) for t in range(len(rows[0]))
                  for row in rows if (x := row[t]))
@@ -302,8 +273,8 @@ def _horizontal_vector(vector, group: SubRiemannianGroup, nvars: int) -> tuple:
     """(column, nv): the vector as a one-column matrix in the (rows, den)
     form of polynomial, in the nv variables of its first Polynomial entry
     (else nvars; rationals become constants), after ValueError for a wrong
-    length and then for a vector outside the polarization.  The check pairs
-    a nonzero vector with the annihilators on integer term dicts."""
+    length and then for a vector outside the polarization
+    (_polarization_residuals, run on a nonzero vector only)."""
     if len(vector) != group.dim:
         raise ValueError("vector has %d components, expected %d"
                          % (len(vector), group.dim))
@@ -312,8 +283,7 @@ def _horizontal_vector(vector, group: SubRiemannianGroup, nvars: int) -> tuple:
         return (tuple(({},) for _ in vector), 1), nv
     column = _to_prows(tuple((v if isinstance(v, Polynomial) else Polynomial.constant(rat(v), nv),)
                              for v in vector))
-    (pairings,), _ = _prows_rat_mul(_prows_transpose(column), group.tables.annihilators)
-    if any(pairings):
+    if _polarization_residuals(_prows_transpose(column), group, nv):
         raise ValueError("vector does not take values in the polarization")
     return column, nv
 

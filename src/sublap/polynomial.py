@@ -20,12 +20,11 @@ and ``_from_prows`` convert at the API boundary, one reduced Polynomial per
 entry; ``_prows_mul``, ``_prows_rat_mul`` (by an integer matrix in linalg's
 form), ``_prows_times`` (by one polynomial), ``_prows_congruence`` (A M A^T
 for a symmetric M, upper triangle mirrored) and ``_prows_combination``
-multiply and add without dividing, so a
-chain of them (the differential series of calculus, the pushforward tables
-of operators, the commutation tables of conformal) takes one gcd per entry,
-at the end.  poly_mat_mul and poly_rat_mat_mul are that form behind the
-Polynomial signature.  MapPowers keeps the powers of a map's components on
-integer term dicts, for every composition with a map that runs in that form.
+multiply and add without dividing, so a chain of them (the differential
+series of calculus, the pushforward tables of operators, the commutation
+tables of conformal) takes one gcd per entry, at the end.  MapPowers keeps
+the powers of a map's components on integer term dicts, for every
+composition with a map that runs in that form.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from functools import cached_property
 from itertools import combinations_with_replacement
 from math import comb, gcd, lcm, prod
 
-from . import linalg
 from .rational import Rat, rat
 
 
@@ -780,24 +778,6 @@ def _prows_combination(parts) -> tuple:
                 for e, c in x.items():
                     acc[e] = get(e, 0) + c * k
     return tuple(tuple(_nonzero(acc) for acc in row) for row in out), common
-
-
-def poly_mat_mul(a, b, den: int = 1) -> tuple:
-    """The matrix product a b / den, for matrices of Polynomials in one number
-    of variables and a positive int den: _prows_mul behind the Polynomial
-    signature."""
-    if not a or not b:
-        return tuple(() for _ in a)
-    rows, d = _prows_mul(_to_prows(a), _to_prows(b))
-    return _from_prows((rows, d * den), a[0][0].nvars)
-
-
-def poly_rat_mat_mul(a, m) -> tuple:
-    """The matrix product a m, for a matrix a of Polynomials in one number of
-    variables and a matrix m of rationals: _prows_rat_mul behind the
-    Polynomial signature."""
-    return _from_prows(_prows_rat_mul(_to_prows(a), linalg._to_rows(linalg.mat(m))),
-                       a[0][0].nvars)
 
 
 def monomials_up_to(nvars: int, degree: int):

@@ -40,7 +40,3 @@ def rat(value, den=None) -> Rat:
 def rat_str(q) -> str:
     """Render exactly, round-trippable through rat()."""
     return str(q)
-
-
-def is_rat(value) -> bool:
-    return isinstance(value, type(ZERO))

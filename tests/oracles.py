@@ -60,6 +60,11 @@ from sublap.polynomial import Polynomial, linear_combination, monomials_up_to, s
 from sublap.rational import Rat, rat
 
 
+def is_rat(value) -> bool:
+    """Whether value is a scalar of the rational backend in use."""
+    return isinstance(value, Rat)
+
+
 # ---------------------------------------------------------------------------
 # exact matrix arithmetic on nilpotent matrices
 
@@ -346,7 +351,7 @@ def second_lie_differential(F, source, target):
     trace terms only sees the symmetric part.  DF is bch_lie_differential
     and the fields come from bch_left_translation_jacobian.  The package
     takes that trace from the derivatives of DF B_G directly
-    (operators.pushforward_first); this full array is the independent
+    (operators._pushforward_first); this full array is the independent
     reference it is checked against.
     """
     df = bch_lie_differential(F, source, target)
@@ -467,6 +472,12 @@ def horizontal_inner(alpha, beta, group):
     return acc
 
 
+def pivot_rows(a):
+    """Indices of a maximal independent set of rows, greedy in input order."""
+    basis = linalg.EchelonBasis()
+    return tuple(i for i, row in enumerate(a) if basis.insert(row))
+
+
 def pivot_row_frame_components(vector, group):
     """Solve B gamma = vector (entries Polynomial in any one number of
     variables, or rationals) on the first independent rows of B, then
@@ -476,7 +487,7 @@ def pivot_row_frame_components(vector, group):
     vec = tuple(v if isinstance(v, Polynomial) else Polynomial.constant(rat(v), nv)
                 for v in vector)
     bmat = group.polarization.matrix()
-    rows = linalg.pivot_rows(bmat)
+    rows = pivot_rows(bmat)
     subinv = linalg.inverse(tuple(bmat[i] for i in rows))
     gamma = []
     for j in range(group.rank):
@@ -708,7 +719,7 @@ def scalar_orthogonal_witness(fx, fy):
         if f == h:
             continue
         v = tuple(fi - hi for fi, hi in zip(f, h))
-        scale = rat(2) / linalg.dot(v, v)
+        scale = rat(2) / sum(x * x for x in v)
         w = linalg.mat_vec(linalg.transpose(a), v)
         a = tuple(
             tuple(x - scale * vi * wk for x, wk in zip(row, w)) if vi else row

@@ -11,8 +11,8 @@ import pytest
 
 from oracles import (bch_left_translation_jacobian, bch_lie_differential, curve_derivative,
                      dynkin_product, heisenberg_rep, engel_rep, mmul, mscale, madd,
-                     nilpotent_exp, nilpotent_log, poly_mat_eval, rep_product,
-                     second_lie_differential)
+                     nilpotent_exp, nilpotent_log, poly_mat_eval, poly_matrix_product,
+                     rep_product, second_lie_differential)
 from conftest import gallery_maps, random_rational, random_vector
 from sublap.algebra import LieAlgebra, NotStratifiable, subriemannian_group
 from sublap.calculus import (NotNilpotent, bch_product, bernoulli_numbers, dilation,
@@ -23,7 +23,7 @@ from sublap.calculus import (NotNilpotent, bch_product, bernoulli_numbers, dilat
                              right_translation)
 from sublap.catalog import engel_group, abelian_group, sl2_algebra
 from sublap.heisenberg import heisenberg_group
-from sublap.polynomial import Polynomial, PolyMap, monomials_up_to, poly_mat_mul
+from sublap.polynomial import Polynomial, PolyMap, monomials_up_to
 from sublap.rational import Rat
 
 
@@ -524,7 +524,8 @@ def test_horizontal_differential_is_differential_on_polarization(h1, h2, engel, 
         b = tuple(tuple(Polynomial.constant(x, source.dim) for x in row)
                   for row in source.polarization.matrix())
         assert horizontal_differential(f, source, target) == \
-            poly_mat_mul(lie_differential(f, source, target), b), (f, source.dim, target.dim)
+            poly_matrix_product(lie_differential(f, source, target), b), \
+            (f, source.dim, target.dim)
 
 
 def test_differential_rejects_shape_mismatch(h1, engel):

@@ -1,11 +1,12 @@
 import json
+from math import comb
 from pathlib import Path
 
 import pytest
 
 from conftest import gallery
 from sublap.cli import COMMANDS, RunConfig, build_parser, main, run
-from sublap.polynomial import COEFF_BIT_BUDGET, TERM_BUDGET
+from sublap.polynomial import COEFF_BIT_BUDGET, TERM_BUDGET, Polynomial
 from sublap.specfiles import group_to_dict, polymap_to_dict
 from sublap.heisenberg import heisenberg_group
 from sublap.catalog import engel_group
@@ -710,11 +711,17 @@ def test_verify_probe_budget(tmp_path, capsys):
                   "components": ["x1 + 1", "x2 - 2", "x1 + 1/2*x2 + x3 + 1/3"]})
     good = write(tmp_path, "good.json", {"lambda_sq": 1, "b": ["0", "0", "0"]})
     bad = write(tmp_path, "bad.json", {"lambda_sq": "6/5", "b": ["0", "0", "0"]})
-    code, doc = run_json(capsys, ["verify", src, src, fmap, bad, "--probe-degree", "60"])
-    assert code == 2
-    assert doc["verdict"] == "error"
-    assert "--probe-degree 60" in doc["error"]
-    assert "39711" in doc["error"] and str(PROBE_BUDGET) in doc["error"]
+    # the failing identity is decided before any probe runs: the witnesses
+    # are listed at degree 16, the highest with C(3 + k, k) <= PROBE_BUDGET
+    # (969 probes), and the other 39711 - 969 probes are counted
+    assert comb(3 + 16, 16) == 969 <= PROBE_BUDGET < comb(3 + 17, 17)
+    code, doc, lines = run(RunConfig("verify", (src, src, fmap, bad), probe_degree=60))
+    assert (code, doc["verdict"], doc["probe_degree"]) == (1, "fails", 60)
+    assert doc["unlisted_probes"] == 39711 - 969
+    degrees = [Polynomial.parse(w["probe"], 3).degree() for w in doc["failures"]]
+    assert min(degrees) == 2 and max(degrees) == 16
+    assert lines[:2] == ["verdict: fails", "probe degree: 60"]
+    assert lines[-1] == "unlisted probes: 38742 of 39711, over the budget of %d" % PROBE_BUDGET
     # the verdict itself is exact, so a holding identity and analyze-map
     # run at any degree
     code, doc = run_json(capsys, ["verify", src, src, fmap, good, "--probe-degree", "60"])

@@ -24,9 +24,10 @@ from sublap.conformal import (PROBE_BUDGET, CommutationReport, FrameDecision,
                               commutation_residuals, frames_equivalent,
                               homothetic_characterizations,
                               is_homothetic_projection)
-from sublap.operators import cometric, gradient, polarization_residuals, pullback_operator, \
-    pushforward_first, pushforward_second, sublaplacian
-from sublap.polynomial import Polynomial, PolyMap, linear_combination, monomials_up_to
+from sublap.operators import _polarization_residuals, _pullback_tables, cometric, gradient, \
+    pullback_operator, sublaplacian
+from sublap.polynomial import Polynomial, PolyMap, _from_prows, _to_prows, linear_combination, \
+    monomials_up_to
 from sublap.rational import Rat
 
 EYE = linalg.identity
@@ -371,6 +372,16 @@ def test_probe_budget(h1, r2):
     assert (info.value.probe_degree, info.value.probes, info.value.budget) == \
         (degree, comb(3 + degree, degree), PROBE_BUDGET)
     assert isinstance(info.value, ValueError)
+    # the failing identity carries the witnesses of the highest degree that
+    # fits the budget, and the count of the probes above it
+    assert info.value.witnesses == \
+        commutation_residuals(dilation(h1, 2), 5, zero3, h1, h1, degree - 1)
+    assert info.value.unlisted == comb(3 + degree, degree) - comb(2 + degree, degree - 1)
+    # a target with more than PROBE_BUDGET probes of degree <= 2 lists none
+    big = abelian_group(44)
+    with pytest.raises(ProbeBudgetExceeded) as info:
+        commutation_residuals(PolyMap.identity(44), 2, (0,) * 44, big, big, 2)
+    assert (info.value.witnesses, info.value.unlisted) == ((), comb(46, 2))
 
 
 def test_probe_counter_binding(h1, r2, engel, monkeypatch):
@@ -437,10 +448,10 @@ def test_drift_is_horizontal_once_contact_holds():
     for F, source, target in gallery_maps() + analyzer_rejections():
         report = analyze_commutation(F, source, target)
         if report.conformal:
-            assert polarization_residuals((report.b,), target) == (), F
+            assert _polarization_residuals(_to_prows((report.b,)), target, source.dim) == (), F
         if report.contact:
             drift = pullback_operator(F, source, target).first
-            assert polarization_residuals((drift,), target) == (), F
+            assert _polarization_residuals(_to_prows((drift,)), target, source.dim) == (), F
 
 
 def test_pullback_first_order_matches_trace_oracle():
@@ -626,7 +637,7 @@ def test_second_analysis_derives_no_metric_constants(monkeypatch):
         return wrapper
 
     analyses()
-    for name in ("left_nullspace", "pivot_rows", "inverse"):
+    for name in ("left_nullspace", "inverse"):
         monkeypatch.setattr(linalg, name, counted(name, getattr(linalg, name)))
     analyses()
     assert calls == []
@@ -692,10 +703,12 @@ def test_pipeline_matches_polynomial_composition(case):
     db = horizontal_differential(F, source, target)
     assert db == poly_horizontal_differential(F, source, target)
     assert lie_differential(F, source, target) == poly_lie_differential(F, source, target)
-    gram_inverse = linalg.inverse(source.metric.gram)
-    fields = poly_gradient_fields(source)
-    assert pushforward_second(db, gram_inverse) == poly_pushforward_second(db, gram_inverse)
-    assert pushforward_first(db, fields) == poly_pushforward_first(db, fields)
+    second, first = _pullback_tables(_to_prows(db), source)
+    n = source.dim
+    assert _from_prows(second, n) == \
+        poly_pushforward_second(db, linalg.inverse(source.metric.gram))
+    assert tuple(row[0] for row in _from_prows(first, n)) == \
+        poly_pushforward_first(db, poly_gradient_fields(source))
     assert analyze_commutation(F, source, target) == poly_analyze_commutation(F, source, target)
 
 

@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import coeff_of, dense_poly_rat_mat_mul, pad, reference_str, truncate
+from oracles import coeff_of, dense_poly_rat_mat_mul, is_rat, pad, reference_str, truncate
+from sublap import linalg
 from sublap.polynomial import (COEFF_BIT_BUDGET, TERM_BUDGET, MapPowers, Polynomial, PolyMap,
-                               PolyVectorField, linear_combination, monomials_up_to,
-                               poly_mat_mul, poly_rat_mat_mul)
-from sublap.rational import Rat, is_rat
+                               PolyVectorField, _from_prows, _prows_mul, _prows_rat_mul,
+                               _to_prows, linear_combination, monomials_up_to)
+from sublap.rational import Rat
 
 coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=5).map(
     lambda f: Rat(f.numerator, f.denominator))
@@ -304,7 +305,8 @@ def test_linear_combination_empty_and_cancelling():
 def test_poly_mat_mul_matches_naive_product(m, k, n, den, data):
     a = data.draw(matrices(m, k))
     b = data.draw(matrices(k, n))
-    got = poly_mat_mul(a, b, den)
+    rows, d = _prows_mul(_to_prows(a), _to_prows(b))
+    got = _from_prows((rows, d * den), 2)
     assert len(got) == m and all(len(row) == n for row in got)
     for i in range(m):
         for j in range(n):
@@ -319,7 +321,7 @@ def test_poly_rat_mat_mul_matches_naive_product(m, k, n, data):
     a = data.draw(matrices(m, k))
     r = data.draw(st.lists(st.lists(st.one_of(st.just(Rat(0)), coeffs), min_size=n, max_size=n),
                            min_size=k, max_size=k))
-    got = poly_rat_mat_mul(a, r)
+    got = _from_prows(_prows_rat_mul(_to_prows(a), linalg._to_rows(r)), 2)
     for i in range(m):
         for j in range(n):
             expect = naive_sum(a[i][l] * r[l][j] for l in range(k))
@@ -351,7 +353,7 @@ def test_sparse_poly_rat_mat_mul_matches_the_dense_product(m, k, n, data):
     for j in data.draw(st.sets(st.integers(0, n - 1))):
         for row in r:
             row[j] = Rat(0)
-    got = poly_rat_mat_mul(a, r)
+    got = _from_prows(_prows_rat_mul(_to_prows(a), linalg._to_rows(r)), 2)
     assert got == dense_poly_rat_mat_mul(a, r)
     assert len(got) == m and all(len(row) == n for row in got)
     assert all(in_normal_form(p) for row in got for p in row)

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sublap.rational import Rat, is_rat, rat, rat_str
+from oracles import is_rat
+from sublap.rational import Rat, rat, rat_str
 
 
 def test_rat_from_int():

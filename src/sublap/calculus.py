@@ -17,8 +17,12 @@ form, integer term dicts over one common denominator: ad comes from the
 group's bracket table scaled to integers (_ad_rows), JF from the term dicts
 of the map's components, and lie_differential, horizontal_differential and
 left_translation_jacobian build one reduced Polynomial per entry of the
-result.  Dynkin's form of the series, dynkin_terms, is the reference the
-tests check products against; no product reads it.
+result.  A linear Lie homomorphism M skips the inverse series: F(p * q) =
+F(p) * F(q) makes DF = M at every point, so the two differentials are the
+constants M and M B_G, read from the term dicts once an integer check of
+M [x, y]_G = [M x, M y]_H on both bracket tables has passed
+(_homomorphism_rows).  Dynkin's form of the series, dynkin_terms, is the
+reference the tests check products against; no product reads it.
 """
 
 from __future__ import annotations
@@ -32,6 +36,11 @@ from .algebra import (LieAlgebra, NotStratifiable, SubRiemannianGroup, _ad_apply
 from .polynomial import Polynomial, PolyMap, PolyVectorField, _from_prows, _nonzero, \
     _prows_combination, _prows_mul, _prows_rat_mul, _to_prows
 from .rational import Rat, rat
+
+
+# The caches keyed on a group keep at most this many groups alive, so a
+# caller that builds groups without end does not keep every one.
+_GROUP_CACHE_SIZE = 64
 
 
 class NotNilpotent(ValueError):
@@ -143,7 +152,7 @@ def bch_product(p, q, algebra: LieAlgebra, step: int = None):
     return tuple(total)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_GROUP_CACHE_SIZE)
 def group_product_map(group: SubRiemannianGroup) -> PolyMap:
     """The product as a PolyMap in 2n variables (x1..xn, then the second
     factor's coordinates)."""
@@ -163,7 +172,7 @@ def bernoulli_numbers(count: int) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_GROUP_CACHE_SIZE)
 def left_translation_jacobian(group: SubRiemannianGroup) -> tuple:
     """The matrix of dL_p: column j holds the coordinate components of the
     left-invariant field of e_j at p.  Entries are Polynomial in p; the value
@@ -305,10 +314,12 @@ def lie_differential(F: PolyMap, source: SubRiemannianGroup, target: SubRiemanni
     is ad_q / (1 - e^{-ad_q}) X, so Lambda_H(q)^{-1} is the series
     sum_k (-ad_q)^k / (k+1)!, which stops after k = s_H - 1 (s_H the target's
     step) because ad_q is nilpotent; ad_{F(p)} is linear in the components
-    of F.
+    of F.  When F is a linear Lie homomorphism M (every term of degree 1,
+    M [x, y]_G = [M x, M y]_H), F(p * q) = F(p) * F(q) and DF = M at every
+    point: the matrix is returned without the series (_homomorphism_rows).
     """
     _check_map(F, source, target)
-    return _from_prows(_differential(F, target, source.tables.jacobian), source.dim)
+    return _from_prows(_differential(F, source, target, False), source.dim)
 
 
 def horizontal_differential(F: PolyMap, source: SubRiemannianGroup,
@@ -317,7 +328,8 @@ def horizontal_differential(F: PolyMap, source: SubRiemannianGroup,
     coordinates whose column j is DF applied to the j-th polarization basis
     vector of the source.  Taken as Lambda_H(F)^{-1} JF (Lambda_G B_G), the
     closed form of lie_differential on the source's horizontal frame
-    (GroupTables.horizontal_frame), without building the full DF."""
+    (GroupTables.horizontal_frame), without building the full DF; for a
+    linear Lie homomorphism M it is the constant M B_G."""
     return _from_prows(_horizontal_rows(F, source, target), source.dim)
 
 
@@ -325,19 +337,100 @@ def _horizontal_rows(F: PolyMap, source: SubRiemannianGroup,
                      target: SubRiemannianGroup) -> tuple:
     """horizontal_differential in the (rows, den) form of polynomial."""
     _check_map(F, source, target)
-    return _differential(F, target, source.tables.horizontal_frame)
+    return _differential(F, source, target, True)
 
 
-def _differential(F: PolyMap, target: SubRiemannianGroup, columns: tuple) -> tuple:
-    """Lambda_H(F)^{-1} JF columns, for a matrix columns in the (rows, den)
-    form of polynomial with one row per source coordinate.  JF and -ad_F
-    are read from the term dicts of F's components over their common
-    denominator, ad through the target's integer bracket table."""
+def _differential(F: PolyMap, source: SubRiemannianGroup, target: SubRiemannianGroup,
+                  horizontal: bool) -> tuple:
+    """DF, or DF B_G when horizontal, in the (rows, den) form of polynomial.
+
+    A linear Lie homomorphism M gives the constant M (B_G); any other map
+    the series Lambda_H(F)^{-1} JF columns, columns = Lambda_G (B_G) from
+    the source's tables.  JF and -ad_F are read from the term dicts of F's
+    components over their common denominator, ad through the target's
+    integer bracket table."""
     (comps,), den = _to_prows((F.components,))
+    tables = source.tables
+    matrix = _homomorphism_rows(comps, den, source, target)
+    if matrix is not None:
+        rows, den = matrix
+        width = source.dim
+        if horizontal:
+            b, bden = tables.polarization_rows
+            width, den = source.rank, den * bden
+            product = []
+            for row in rows:
+                acc = {}
+                for k, c in row.items():
+                    for j, w in b[k]:
+                        acc[j] = acc.get(j, 0) + c * w
+                product.append(acc)
+            rows = product
+        one = (0,) * source.dim
+        return tuple(tuple({one: x} if (x := row.get(j)) else {} for j in range(width))
+                     for row in rows), den
     neg_ad = _ad_rows(target.tables.brackets,
                       tuple({e: -c for e, c in x.items()} for x in comps), den)
+    columns = tables.horizontal_frame if horizontal else tables.jacobian
     return _ad_series(neg_ad, _prows_mul(_jacobian_rows(comps, den, F.source_dim), columns),
                       (1,) * target.step, 1)
+
+
+def _homomorphism_rows(comps: tuple, den: int, source: SubRiemannianGroup,
+                       target: SubRiemannianGroup):
+    """(rows, den) with F = rows / den when F is a linear Lie homomorphism,
+    else None, for a map whose components are the integer term dicts comps
+    over den: row r of the matrix M as {column: nonzero integer entry}.
+
+    Every term must have degree exactly 1 (checked first, so a map with a
+    constant or a nonlinear term costs one scan up to that term); then F is
+    the matrix M = rows / den, and M is a homomorphism when
+    M [e_i, e_j]_G = [M e_i, M e_j]_H for every i < j.  Both sides are
+    taken on integers from the bracket tables (GroupTables.brackets), each
+    only where it can be nonzero: the left at the source's nonzero
+    brackets, the right as sum_{a<b} (M_ai M_bj - M_bi M_aj) [e_a, e_b]_H
+    over the target's.  In exponential coordinates the group law is a
+    series of brackets, so such an M is also a group homomorphism."""
+    n = source.dim
+    rows = []  # row r of M as {column: entry}
+    cols = [[] for _ in range(n)]  # column k of M as (row, entry) pairs
+    for r, x in enumerate(comps):
+        row = {}
+        for e, c in x.items():
+            if sum(e) != 1:
+                return None
+            k = e.index(1)
+            row[k] = c
+            cols[k].append((r, c))
+        rows.append(row)
+    (tg, dg), (th, dh) = source.tables.brackets, target.tables.brackets
+    image = {}  # (i, j) -> [M e_i, M e_j]_H times den^2 dh
+    for a, table in th.items():
+        if ra := rows[a]:
+            for b, out in table.items():
+                if b > a and (rb := rows[b]):
+                    for i, x in ra.items():
+                        for j, y in rb.items():
+                            if i != j:
+                                w, key = (x * y, (i, j)) if i < j else (-x * y, (j, i))
+                                acc = image.setdefault(key, {})
+                                for k, c in out.items():
+                                    acc[k] = acc.get(k, 0) + w * c
+    # M c / (den dg) against image / (den^2 dh), both times den^2 dg dh
+    left, right = den * dh, dg
+    for i, table in tg.items():
+        for j, out in table.items():
+            if j > i:
+                acc = {}
+                for k, c in out.items():
+                    for r, m in cols[k]:
+                        acc[r] = acc.get(r, 0) + c * m
+                if {r: v * left for r, v in acc.items() if v} != \
+                        {k: v * right for k, v in image.pop((i, j), {}).items() if v}:
+                    return None
+    if any(any(acc.values()) for acc in image.values()):
+        return None
+    return rows, den
 
 
 def _jacobian_rows(comps: tuple, den: int, nvars: int) -> tuple:

@@ -37,8 +37,8 @@ from operator import add
 
 from . import linalg
 from .algebra import SubRiemannianGroup
-from .calculus import _check_map, _horizontal_rows, _jacobian_rows, _left_translation_rows, \
-    require_step
+from .calculus import _GROUP_CACHE_SIZE, _check_map, _horizontal_rows, _jacobian_rows, \
+    _left_translation_rows, require_step
 from .polynomial import MapPowers, Polynomial, PolyMap, _diff_num, _from_prows, _mul_into, \
     _nonzero, _prows_congruence, _prows_mul, _prows_rat_mul, _prows_transpose, _reduced, \
     _to_prows, linear_combination, sum_of_products
@@ -74,10 +74,10 @@ class GroupTables:
     annihilators y of B (y B = 0) and a left inverse L of B (L B = 1); the
     others are polynomial tables built from them and the left-translation
     Jacobian Lambda.  The tables the commutation pipeline reads (gram_inverse,
-    cometric_rows, annihilators, brackets, jacobian, horizontal_frame,
-    gradient_fields, sublaplacian_tables) are kept in the integer forms:
-    linalg's (rows, den) for rational matrices, polynomial's for polynomial
-    ones.
+    cometric_rows, annihilators, polarization_rows, brackets, jacobian,
+    horizontal_frame, gradient_fields, sublaplacian_tables) are kept in the
+    integer forms: linalg's (rows, den) for rational matrices (with sparse
+    rows for polarization_rows), polynomial's for polynomial ones.
     """
 
     def __init__(self, group: SubRiemannianGroup):
@@ -111,6 +111,14 @@ class GroupTables:
         """L = (B^T B)^{-1} B^T, so L B = 1 (B has independent columns)."""
         bt = linalg.transpose(self.group.polarization.matrix())
         return linalg.mat_mul(linalg.inverse(linalg.mat_mul(bt, linalg.transpose(bt))), bt)
+
+    @cached_property
+    def polarization_rows(self) -> tuple:
+        """B as integer rows over one denominator, row k as its nonzero
+        (column, entry) pairs: the sparse form in which calculus multiplies
+        the matrix of a linear Lie homomorphism M into M B."""
+        rows, den = linalg._to_rows(self.group.polarization.matrix())
+        return tuple(tuple((j, w) for j, w in enumerate(row) if w) for row in rows), den
 
     @cached_property
     def brackets(self) -> tuple:
@@ -221,7 +229,7 @@ def _pushforward_first(db: tuple, fields: tuple) -> tuple:
     return tuple(out), den * dw
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_GROUP_CACHE_SIZE)
 def sublaplacian(group: SubRiemannianGroup) -> DifferentialOperator:
     """The horizontal Laplacian sum_{jk} g^{jk} v_j~ v_k~ in coordinates: the
     pushforward tables at the horizontal frame DB = Lambda B, since

@@ -3,27 +3,31 @@ downstream relies on it: exact log(exp X exp Y) in strictly upper triangular
 matrix algebras (which kill all brackets beyond their size), and exact
 Lagrange differentiation of polynomial curves through rational points."""
 
+import functools
 import itertools
 import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (bch_left_translation_jacobian, bch_lie_differential, curve_derivative,
                      dynkin_product, heisenberg_rep, engel_rep, mmul, mscale, madd,
                      nilpotent_exp, nilpotent_log, poly_mat_eval, poly_matrix_product,
                      rep_product, second_lie_differential)
-from conftest import gallery_maps, random_rational, random_vector
+from conftest import filiform_group, gallery_maps, random_rational, random_vector, \
+    seeded_homomorphisms
 from sublap.algebra import LieAlgebra, NotStratifiable, subriemannian_group
-from sublap.calculus import (NotNilpotent, bch_product, bernoulli_numbers, dilation,
-                             dynkin_terms, group_product_map, horizontal_differential,
+from sublap.calculus import (NotNilpotent, _homomorphism_rows, bch_product, bernoulli_numbers,
+                             dilation, dynkin_terms, group_product_map, horizontal_differential,
                              left_invariant_field, left_translation,
                              left_translation_jacobian,
                              lie_derivative, lie_differential, require_step,
                              right_translation)
 from sublap.catalog import engel_group, abelian_group, sl2_algebra
 from sublap.heisenberg import heisenberg_group
-from sublap.polynomial import Polynomial, PolyMap, monomials_up_to
+from sublap.polynomial import Polynomial, PolyMap, _to_prows, monomials_up_to
 from sublap.rational import Rat
 
 
@@ -155,10 +159,15 @@ def test_bch_requires_nilpotency():
 def _oracle_groups(h1, h2, engel):
     """Heisenberg groups, Engel, a filiform-5 polarized off its axes, and the
     model filiform groups of dimension 4 to 9 (steps 3 to 8)."""
-    filiforms = [_filiform(n) for n in range(4, 10)]
-    skewed5 = subriemannian_group(filiforms[1].algebra, ((1, 0, 0, 0, 0), (1, 1, 0, 0, 0)),
-                                  ((3, 1), (1, 2)))
-    return [h1, h2, heisenberg_group(3, (1, Rat(3, 2), 2)), engel, skewed5] + filiforms
+    filiforms = [filiform_group(n) for n in range(4, 10)]
+    return [h1, h2, heisenberg_group(3, (1, Rat(3, 2), 2)), engel, _skewed_filiform5()] + \
+        filiforms
+
+
+def _skewed_filiform5():
+    """The model filiform-5 group polarized by (e1, e1 + e2), Gram ((3, 1), (1, 2))."""
+    return subriemannian_group(filiform_group(5).algebra, ((1, 0, 0, 0, 0), (1, 1, 0, 0, 0)),
+                               ((3, 1), (1, 2)))
 
 
 def test_bch_matches_the_dynkin_sum(h1, h2, engel, rng):
@@ -220,7 +229,7 @@ def test_products_never_read_the_dynkin_table(engel):
 def test_left_translation_at_high_step_is_fast():
     # the model filiform-12 group has step 11; building Dynkin's expansion to
     # that degree took seconds, the recursion takes hundredths
-    group = _filiform(12)
+    group = filiform_group(12)
     a = (1,) * 12
     start = time.perf_counter()
     translation = left_translation(group, a)
@@ -480,12 +489,6 @@ def test_differential_chain_rule(h1):
     assert dgf == product
 
 
-def _filiform(n):
-    """[e1, e_k] = e_{k+1}, polarized by (e1, e2); step n - 1."""
-    alg = LieAlgebra.from_brackets(n, {(0, k): {k + 1: 1} for k in range(1, n - 1)})
-    return subriemannian_group(alg, alg.basis()[:2], ((1, 0), (0, 1)))
-
-
 def _random_map(rng, source_dim, target_dim):
     """Each component a sum of four random monomials of degree <= 2."""
     monomials = monomials_up_to(source_dim, 2)
@@ -501,7 +504,7 @@ def _random_map(rng, source_dim, target_dim):
 def test_differential_matches_bch_oracle(h1, h2, engel, r2):
     # the closed form Lambda_H(F)^-1 JF Lambda_G against the derivative of the
     # BCH curve (-F(p)) * F(p * t e_j), symbolically, across group pairs
-    groups = (h1, h2, engel, _filiform(5), r2, abelian_group(3))
+    groups = (h1, h2, engel, filiform_group(5), r2, abelian_group(3))
     rng = random.Random(3030)
     cases = [(_random_map(rng, s.dim, t.dim), s, t)
              for s in groups for t in groups for _ in range(2)]
@@ -514,7 +517,7 @@ def test_differential_matches_bch_oracle(h1, h2, engel, r2):
 
 def test_horizontal_differential_is_differential_on_polarization(h1, h2, engel, r2):
     # DF B_G built without DF, on the 84 cases of the BCH-oracle test above
-    groups = (h1, h2, engel, _filiform(5), r2, abelian_group(3))
+    groups = (h1, h2, engel, filiform_group(5), r2, abelian_group(3))
     rng = random.Random(3030)
     cases = [(_random_map(rng, s.dim, t.dim), s, t)
              for s in groups for t in groups for _ in range(2)]
@@ -533,6 +536,96 @@ def test_differential_rejects_shape_mismatch(h1, engel):
         lie_differential(PolyMap.identity(3), h1, engel)
     with pytest.raises(ValueError):
         horizontal_differential(PolyMap.identity(3), h1, engel)
+
+
+# ---------------------------------------------------------------------------
+# linear Lie homomorphisms: DF is the map's matrix, without the series
+
+
+@functools.lru_cache(maxsize=None)
+def _law_groups():
+    return (heisenberg_group(1, (1,)), heisenberg_group(2, (1, 1)), engel_group(),
+            filiform_group(5), abelian_group(2), abelian_group(3), abelian_group(4))
+
+
+def _homomorphism(F, source, target):
+    (comps,), den = _to_prows((F.components,))
+    return _homomorphism_rows(comps, den, source, target)
+
+
+def _preserves_products(F, source, target):
+    """F(p * q) == F(p) * F(q), symbolically in the 2n coordinates of (p, q)."""
+    n = source.dim
+    xs = PolyMap.identity(2 * n).components
+    fp = tuple(c.subs(xs[:n]) for c in F.components)
+    fq = tuple(c.subs(xs[n:]) for c in F.components)
+    product = bch_product(fp, fq, target.algebra, target.step)
+    return F.compose(group_product_map(source)).components == product
+
+
+ENTRIES = st.sampled_from((0, 0, 0, 1, -1, 2))
+
+
+@st.composite
+def linear_maps(draw):
+    """(matrix, source, target): a seeded homomorphism with one entry moved
+    by -1, 0 or 1, or a matrix of small integers between two of the
+    groups."""
+    if draw(st.booleans()):
+        _, F, source, target = draw(st.sampled_from(seeded_homomorphisms(7)))
+        matrix = [[c.constant_value() for c in row] for row in F.jacobian()]
+        i, j = draw(st.integers(0, target.dim - 1)), draw(st.integers(0, source.dim - 1))
+        matrix[i][j] += draw(st.integers(-1, 1))
+    else:
+        source, target = draw(st.sampled_from(_law_groups())), draw(st.sampled_from(_law_groups()))
+        matrix = [[Rat(draw(ENTRIES)) for _ in range(source.dim)] for _ in range(target.dim)]
+    return tuple(map(tuple, matrix)), source, target
+
+
+@settings(max_examples=60, deadline=None)
+@given(linear_maps())
+def test_homomorphism_check_is_the_group_law(case):
+    matrix, source, target = case
+    F = PolyMap.linear(matrix)
+    found = _homomorphism(F, source, target)
+    assert (found is not None) == _preserves_products(F, source, target)
+    if found is not None:
+        rows, den = found
+        assert tuple(tuple(Rat(row.get(k, 0), den) for k in range(source.dim))
+                     for row in rows) == matrix
+
+
+def test_homomorphism_check_examples(h1, h2, engel, r2):
+    # dilations, similarities and quotient projections are homomorphisms
+    for kind, F, source, target in seeded_homomorphisms(11):
+        assert _homomorphism(F, source, target) is not None, kind
+        assert _preserves_products(F, source, target), kind
+    refused = [(PolyMap.parse(["x1", "x2", "2*x3"], 3), h1, h1),
+               (PolyMap.parse(["x1", "x3", "x5"], 5), h2, h1),
+               (PolyMap.parse(["x1", "x2", "x3", "x3"], 4), engel, engel),
+               (PolyMap.parse(["x1", "x2", "0"], 2), r2, h1),
+               # degree 1 in every component is not enough: a constant or a
+               # square term refuses at once
+               (PolyMap.parse(["x1 + 1", "x2", "x3"], 3), h1, h1),
+               (PolyMap.parse(["x1", "x2", "x3 + x1^2"], 3), h1, h1),
+               (left_translation(engel, (1, 2, 3, 4)), engel, engel)]
+    for F, source, target in refused:
+        assert _homomorphism(F, source, target) is None, F
+        assert not _preserves_products(F, source, target), F
+
+
+def test_homomorphism_differentials_match_the_bch_oracle():
+    # the shortcut's constant DF and DF B_G against the BCH curve derivative
+    cases = seeded_homomorphisms(5)
+    skewed = _skewed_filiform5()
+    cases.append(("dilation", dilation(skewed, Rat(-3, 2)), skewed, skewed))
+    for kind, F, source, target in cases:
+        assert _homomorphism(F, source, target) is not None, kind
+        df = lie_differential(F, source, target)
+        assert df == bch_lie_differential(F, source, target), kind
+        b = tuple(tuple(Polynomial.constant(x, source.dim) for x in row)
+                  for row in source.polarization.matrix())
+        assert horizontal_differential(F, source, target) == poly_matrix_product(df, b), kind
 
 
 # ---------------------------------------------------------------------------

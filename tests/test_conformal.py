@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import analyzer_rejections, gallery_maps, random_rational
+from conftest import analyzer_rejections, gallery_maps, random_rational, seeded_homomorphisms
 from oracles import (madd, poly_analyze_commutation, poly_gradient_fields,
                      poly_horizontal_differential, poly_lie_differential, poly_pushforward_first,
                      poly_pushforward_second, probe_residuals, scalar_orthogonal_witness,
@@ -17,6 +17,7 @@ from sublap.calculus import (NotNilpotent, dilation, horizontal_differential, le
 from sublap.catalog import abelian_group, engel_group, sl2_algebra
 from sublap.algebra import LieAlgebra, subriemannian_group
 from sublap.heisenberg import heisenberg_group
+import sublap.calculus
 import sublap.conformal
 from sublap.conformal import (PROBE_BUDGET, CommutationReport, FrameDecision,
                               NotConformal, ProbeBudgetExceeded,
@@ -641,6 +642,34 @@ def test_second_analysis_derives_no_metric_constants(monkeypatch):
         monkeypatch.setattr(linalg, name, counted(name, getattr(linalg, name)))
     analyses()
     assert calls == []
+
+
+def test_homomorphism_shortcut_changes_no_report(monkeypatch):
+    # with the homomorphism check refusing every map, the differential runs
+    # the Lambda_H(F)^{-1} series; reports and differentials are the same
+    cases = gallery_maps() + analyzer_rejections()
+    for seed in (1, 2, 3):
+        cases += [(F, source, target) for _, F, source, target in seeded_homomorphisms(seed)]
+    taken = []
+    check = sublap.calculus._homomorphism_rows
+
+    def counted(*args):
+        found = check(*args)
+        taken.append(found is not None)
+        return found
+
+    monkeypatch.setattr(sublap.calculus, "_homomorphism_rows", counted)
+    shortcut = [(analyze_commutation(F, source, target),
+                 horizontal_differential(F, source, target), lie_differential(F, source, target))
+                for F, source, target in cases]
+    # 57 seeded homomorphisms, and 6 of the gallery and 6 of the shapes,
+    # each checked once per call above
+    assert len(cases) == 89 and sum(taken) == 3 * 69
+    monkeypatch.setattr(sublap.calculus, "_homomorphism_rows", lambda *args: None)
+    series = [(analyze_commutation(F, source, target),
+               horizontal_differential(F, source, target), lie_differential(F, source, target))
+              for F, source, target in cases]
+    assert shortcut == series
 
 
 # ---------------------------------------------------------------------------

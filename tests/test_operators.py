@@ -12,7 +12,7 @@ from sublap.calculus import (NotNilpotent, dilation, left_invariant_field,
                              left_translation, left_translation_jacobian, lie_derivative)
 from sublap.catalog import engel_algebra, sl2_algebra
 from sublap.conformal import analyze_commutation
-from sublap.heisenberg import heisenberg_group
+from sublap.heisenberg import heisenberg_algebra, heisenberg_group
 from sublap.operators import (Cometric, DifferentialOperator, cometric,
                               divergence, frame_components,
                               gradient, pullback_operator,
@@ -290,6 +290,26 @@ def test_equal_groups_share_cache_entries():
     assert (after.hits, after.misses, after.currsize) == \
         (before.hits + 1, before.misses, before.currsize)
     assert heisenberg_group(2, (Rat(2, 3), 6)) != a
+
+
+def test_per_group_caches_keep_a_bounded_number_of_groups():
+    # the caches keyed on a group are bounded, so groups a caller drops are
+    # freed once the caches have moved past them
+    import gc
+    import weakref
+    from sublap.calculus import group_product_map, left_translation_jacobian
+    caches = (sublaplacian, left_translation_jacobian, group_product_map)
+    bound = max(cache.cache_parameters()["maxsize"] for cache in caches)
+    basis = ((1, 0, 0), (0, 1, 0))
+    refs = []
+    for i in range(200):
+        group = subriemannian_group(heisenberg_algebra(1), basis, ((1 + i, 0), (0, 1)))
+        for cache in caches:
+            cache(group)
+        refs.append(weakref.ref(group))
+    del group
+    gc.collect()
+    assert 0 < sum(ref() is not None for ref in refs) <= bound < 200
 
 
 # ---------------------------------------------------------------------------

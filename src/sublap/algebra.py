@@ -9,8 +9,9 @@ violations for the validator to report.  Each algebra expands that rule once
 into one table {i: {j: {k: c}}} of the nonzero [e_i, e_j], which every read
 and the Jacobi check use.  The layers V_1, [V_1, V_1], [V_1, V_2], ... of a
 polarization are grown in one place, _filtration, which bracket_generating,
-stratify and the group constructor share; it, nilpotency_step and
-calculus.bch_product bracket through one sparse ad (_ad_columns, _ad_apply).
+stratify and the group constructor share; it, nilpotency_step, the bracket
+itself and calculus.bch_product bracket through one sparse ad (_ad_columns,
+_ad_apply).
 """
 
 from __future__ import annotations
@@ -118,16 +119,8 @@ class LieAlgebra:
         """[x, y] for coefficient vectors with Rat or Polynomial entries; a
         Polynomial entry in either makes every entry of the result one."""
         x, y, zero = _one_kind(self.dim, x, y)
-        out = [zero] * self.dim
-        for i, row in self._brackets.items():
-            xi = x[i]
-            if xi:
-                for j, comps in row.items():
-                    if y[j]:
-                        xy = xi * y[j]
-                        for k, c in comps.items():
-                            out[k] = out[k] + xy * c
-        return tuple(out)
+        out = _ad_apply(_ad_columns(self, x), y, {})
+        return tuple(out.get(k, zero) for k in range(self.dim))
 
     def ad_matrix(self, x) -> tuple:
         """Matrix of ad_x = [x, .]; column j is bracket(x, e_j).  Entries of

@@ -17,12 +17,16 @@ form, integer term dicts over one common denominator: ad comes from the
 group's bracket table scaled to integers (_ad_rows), JF from the term dicts
 of the map's components, and lie_differential, horizontal_differential and
 left_translation_jacobian build one reduced Polynomial per entry of the
-result.  A linear Lie homomorphism M skips the inverse series: F(p * q) =
-F(p) * F(q) makes DF = M at every point, so the two differentials are the
-constants M and M B_G, read from the term dicts once an integer check of
-M [x, y]_G = [M x, M y]_H on both bracket tables has passed
-(_homomorphism_rows).  Dynkin's form of the series, dynkin_terms, is the
-reference the tests check products against; no product reads it.
+result.  Every differential, DF or DF B_G, comes from one entry,
+_differential, which checks the map against the two groups first; the two
+public differentials, operators.PullbackOperator and
+conformal.analyze_commutation call it.  A linear Lie homomorphism M skips
+the inverse series: F(p * q) = F(p) * F(q) makes DF = M at every point, so
+the two differentials are the constants M and M B_G, read from the term
+dicts once an integer check of M [x, y]_G = [M x, M y]_H on both bracket
+tables has passed (_homomorphism_rows).  Dynkin's form of the series,
+dynkin_terms, is the reference the tests check products against; no
+product reads it.
 """
 
 from __future__ import annotations
@@ -318,7 +322,6 @@ def lie_differential(F: PolyMap, source: SubRiemannianGroup, target: SubRiemanni
     M [x, y]_G = [M x, M y]_H), F(p * q) = F(p) * F(q) and DF = M at every
     point: the matrix is returned without the series (_homomorphism_rows).
     """
-    _check_map(F, source, target)
     return _from_prows(_differential(F, source, target, False), source.dim)
 
 
@@ -330,25 +333,20 @@ def horizontal_differential(F: PolyMap, source: SubRiemannianGroup,
     closed form of lie_differential on the source's horizontal frame
     (GroupTables.horizontal_frame), without building the full DF; for a
     linear Lie homomorphism M it is the constant M B_G."""
-    return _from_prows(_horizontal_rows(F, source, target), source.dim)
-
-
-def _horizontal_rows(F: PolyMap, source: SubRiemannianGroup,
-                     target: SubRiemannianGroup) -> tuple:
-    """horizontal_differential in the (rows, den) form of polynomial."""
-    _check_map(F, source, target)
-    return _differential(F, source, target, True)
+    return _from_prows(_differential(F, source, target, True), source.dim)
 
 
 def _differential(F: PolyMap, source: SubRiemannianGroup, target: SubRiemannianGroup,
                   horizontal: bool) -> tuple:
-    """DF, or DF B_G when horizontal, in the (rows, den) form of polynomial.
+    """DF, or DF B_G when horizontal, in the (rows, den) form of polynomial,
+    after _check_map: the one entry to the differential.
 
     A linear Lie homomorphism M gives the constant M (B_G); any other map
     the series Lambda_H(F)^{-1} JF columns, columns = Lambda_G (B_G) from
     the source's tables.  JF and -ad_F are read from the term dicts of F's
     components over their common denominator, ad through the target's
     integer bracket table."""
+    _check_map(F, source, target)
     (comps,), den = _to_prows((F.components,))
     tables = source.tables
     matrix = _homomorphism_rows(comps, den, source, target)

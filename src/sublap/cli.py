@@ -19,7 +19,7 @@ from typing import Optional
 
 from . import specfiles
 from .algebra import InvalidAlgebra, NotStratifiable, stratify, subriemannian_group
-from .calculus import NotNilpotent
+from .calculus import NotNilpotent, require_step
 from .conformal import ProbeBudgetExceeded, analyze_commutation, commutation_residuals, \
     frames_equivalent
 from .heisenberg import NoIsometry, build_isometry, symplectic_spectrum
@@ -120,8 +120,6 @@ def _run_sublaplacian(config):
     for i in range(n):
         if op.first_order[i]:
             lines.append("d%d: %s" % (i + 1, op.first_order[i]))
-    if op.zero_order:
-        lines.append("1: %s" % op.zero_order)
     return 0, doc, lines
 
 
@@ -181,9 +179,15 @@ def _run_heis_isometry(config):
 
 def _load_map(config):
     """The source group, target group and map of analyze-map and verify,
-    with the map's shape checked against the two groups."""
+    with each group checked nilpotent, source first, and then the map's
+    shape checked against the two groups."""
     source = specfiles.load_group(config.paths[0])
     target = specfiles.load_group(config.paths[1])
+    for path, group in zip(config.paths, (source, target)):
+        try:
+            require_step(group)
+        except NotNilpotent as exc:
+            raise specfiles.SpecFileError(str(exc), filename=path)
     f = specfiles.load_polymap(config.paths[2])
     if f.source_dim != source.dim or f.target_dim != target.dim:
         raise specfiles.SpecFileError(
@@ -195,10 +199,7 @@ def _load_map(config):
 
 def _run_analyze_map(config):
     source, target, f = _load_map(config)
-    try:
-        report = analyze_commutation(f, source, target, config.probe_degree)
-    except NotNilpotent as exc:
-        raise specfiles.SpecFileError(str(exc))
+    report = analyze_commutation(f, source, target, config.probe_degree)
     doc = {"verdict": "conformal" if report.conformal else "not-conformal"}
     doc.update(specfiles.report_to_dict(report))
     lines = ["verdict: %s" % doc["verdict"],
@@ -219,8 +220,6 @@ def _run_verify(config):
     over = None
     try:
         bad = commutation_residuals(f, lam, b, source, target, config.probe_degree)
-    except NotNilpotent as exc:
-        raise specfiles.SpecFileError(str(exc))
     except ProbeBudgetExceeded as exc:  # the identity fails; the listing is cut
         over, bad = exc, exc.witnesses
     except ValueError as exc:

@@ -31,7 +31,7 @@ from typing import Optional
 
 from . import linalg
 from .algebra import SubRiemannianGroup
-from .calculus import _check_map, _frame_at, _horizontal_rows, require_step
+from .calculus import _check_map, _differential, _frame_at, require_step
 from .operators import _add_jet, _chain_rule_tables, _horizontal_vector, _jet_table, \
     _jet_weights, _polarization_residuals, _pushforward_first
 from .polynomial import MapPowers, Polynomial, PolyMap, _from_prows, _nonzero, \
@@ -369,15 +369,13 @@ def commutation_residuals(F: PolyMap, lambda_sq, b, source: SubRiemannianGroup,
     degree = target.tables.sublaplacian_degree
     powers = MapPowers(F)
     pulled = _compose_rows(h2, powers, den, degree, lambda_sq)
-    first = [(1, lap)]
-    if any(row[0] for row in h1[0]):
-        first.append((-1, _compose_rows(h1, powers, den, degree, lambda_sq)))
+    second = _prows_combination([(1, gam), (-1, pulled)])
+    first = [(1, lap), (-1, _compose_rows(h1, powers, den, degree, lambda_sq))]
     if any(b):
         first.append((-1, _frame_at(comps, den, target, drift)))
     first = _prows_combination(first)
-    if _symmetric_equal(gam, pulled) and not any(row[0] for row in first[0]):
+    if not any(map(any, second[0])) and not any(row[0] for row in first[0]):
         return ()
-    second = _prows_combination([(1, gam), (-1, pulled)])
     probes = comb(m + probe_degree, probe_degree)
     if probes <= PROBE_BUDGET:
         return _list_witnesses(second, first, powers, n, m, probe_degree)
@@ -388,15 +386,6 @@ def commutation_residuals(F: PolyMap, lambda_sq, b, source: SubRiemannianGroup,
         raise ProbeBudgetExceeded(probe_degree, probes, (), probes)
     listed = _list_witnesses(second, first, powers, n, m, k)
     raise ProbeBudgetExceeded(probe_degree, probes, listed, probes - comb(m + k, k))
-
-
-def _symmetric_equal(a: tuple, b: tuple) -> bool:
-    """a == b for two symmetric polynomial matrices in the (rows, den) form,
-    compared on the upper triangle, term by term cross-multiplied."""
-    (ra, da), (rb, db) = a, b
-    return all(len(x) == len(y) and all(c * db == y.get(e, 0) * da for e, c in x.items())
-               for i, (row_a, row_b) in enumerate(zip(ra, rb))
-               for x, y in zip(row_a[i:], row_b[i:]))
 
 
 def _compose_rows(a: tuple, powers: MapPowers, den: int, degree: int,
@@ -485,7 +474,7 @@ def analyze_commutation(F: PolyMap, source: SubRiemannianGroup,
     if probe_degree < 2:
         raise ValueError("probe_degree must be at least 2")
     n = source.dim
-    db = _horizontal_rows(F, source, target)
+    db = _differential(F, source, target, True)
 
     # the columns of DB outside the target polarization, annihilator by
     # annihilator and column by column

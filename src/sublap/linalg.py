@@ -4,22 +4,24 @@ Small dense matrices only (dimensions here are Lie-algebra dimensions, so
 single digits).  Matrices are tuples of tuples of Rat, vectors are tuples of
 Rat; every routine returns exact results or raises.
 
-Elimination is fraction-free: each row (or the whole matrix) is scaled by
-the lcm of its denominators once, the elimination runs on Python ints, and
-each Rat is built once at the end.  Gauss-Jordan (``rref``, ``inverse``)
-divides every updated row by the gcd of its entries; ``ldl_pd`` is Bareiss's
-elimination, whose exact division by the previous pivot keeps the entries
-minors of the scaled matrix; ``EchelonBasis`` keeps primitive integer rows
-keyed by pivot column, so ``rank`` is one forward pass.  The backend is
-touched only through ``.numerator``, ``.denominator`` and ``Rat(n, d)``.
+Everything runs in one private integer form, ``(rows, den)``: integer rows
+over one common positive denominator, the matrix being rows / den
+entrywise.  ``_to_rows``, the one scaling helper, takes a matrix to it with
+one lcm of its denominators; ``_from_rows`` builds each Rat once on the way
+back.  ``_rows_mul``, ``_rows_transpose`` and ``_inverse_rows`` multiply,
+transpose and invert in the form, and ``_rows_equal`` compares two matrices
+in it.  ``mat_mul``, ``mat_vec`` and ``inverse`` are wrappers of those
+kernels, and deciders that chain products, inverses and comparisons call
+the kernels directly, so each Rat of a chain is built once.
 
-Deciders that chain products, inverses and comparisons keep the matrices in
-between in one private integer form, ``(rows, den)``: integer rows over one
-common positive denominator, the matrix being rows / den entrywise.
-``_to_rows`` and ``_from_rows`` convert at the API boundary, so each Rat of
-a chain is built once; ``_rows_mul``, ``_rows_transpose`` and
-``_inverse_rows`` multiply, transpose and invert in the form, and
-``_rows_equal`` compares two matrices in it.
+Elimination is fraction-free and runs on Python ints.  Gauss-Jordan
+(``rref``, ``inverse``) divides every updated row by the gcd of its entries,
+and ``rref`` starts from the primitive rows of ``_to_rows``, which do not
+depend on the positive scale it chose; ``ldl_pd`` is Bareiss's elimination,
+whose exact division by the previous pivot keeps the entries minors of the
+scaled matrix; ``EchelonBasis`` keeps primitive integer rows keyed by pivot
+column, so ``rank`` is one forward pass.  The backend is touched only
+through ``.numerator``, ``.denominator`` and ``Rat(n, d)``.
 """
 
 from __future__ import annotations
@@ -54,6 +56,8 @@ def transpose(a: Matrix) -> Matrix:
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
+    if shape(a) != shape(b):
+        raise ValueError("shape mismatch %sx%s - %sx%s" % (shape(a) + shape(b)))
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
@@ -62,43 +66,27 @@ def mat_scale(c, a: Matrix) -> Matrix:
     return tuple(tuple(c * x for x in row) for row in a)
 
 
-def _scaled(v) -> tuple:
-    """(nums, den): the integer list nums and the lcm den of the entries'
-    denominators, with v == nums / den entrywise."""
-    dens = [int(x.denominator) for x in v]
-    den = lcm(*dens)
-    if den == 1:
-        return [int(x.numerator) for x in v], 1
-    return [int(x.numerator) * (den // d) for x, d in zip(v, dens)], den
-
-
 def _ratio(num: int, den: int):
     return Rat(num, den) if num else ZERO
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """a @ b from one integer row of a and one integer column of b per lcm:
-    each entry is an integer dot product over the product of the two
-    denominators."""
+    """a @ b, one lcm per operand."""
     n, k = shape(a)
     k2, m = shape(b)
     if k != k2:
         raise ValueError("shape mismatch %sx%s @ %sx%s" % (n, k, k2, m))
-    cols = [_scaled(col) for col in transpose(b)]
-    out = []
-    for row in a:
-        ra, da = _scaled(row)
-        out.append(tuple(_ratio(sum(map(mul, ra, cb)), da * db) for cb, db in cols))
-    return tuple(out)
+    return _from_rows(*_rows_mul(_to_rows(a), _to_rows(b)))
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
-    cv, dv = _scaled(v)
-    out = []
-    for row in a:
-        ra, da = _scaled(row)
-        out.append(_ratio(sum(map(mul, ra, cv)), da * dv))
-    return tuple(out)
+    """a @ v, as the product with the one-column matrix of v."""
+    n, k = shape(a)
+    if k != len(v):
+        raise ValueError("shape mismatch %sx%s @ %s" % (n, k, len(v)))
+    rows, den = _rows_mul(_to_rows(a), _to_rows(tuple((x,) for x in v)))
+    # with k = 0 the one-column matrix has no rows, so the product no column
+    return tuple(_ratio(row[0], den) if row else ZERO for row in rows)
 
 
 def is_symmetric(a: Matrix) -> bool:
@@ -145,7 +133,7 @@ def _divided(row: list, c: int) -> tuple:
 def rref(a: Matrix):
     """Reduced row echelon form.  Returns (rref_matrix, pivot_column_indices)."""
     ncols = len(a[0]) if a else 0
-    rows, pivots = _gauss_jordan([_primitive(_scaled(row)[0]) for row in a], ncols)
+    rows, pivots = _gauss_jordan([_primitive(row) for row in _to_rows(a)[0]], ncols)
     red = [_divided(rows[r], c) for r, c in enumerate(pivots)]
     red += [(ZERO,) * ncols] * (len(rows) - len(pivots))
     return tuple(red), tuple(pivots)
@@ -170,7 +158,7 @@ class EchelonBasis:
 
     def insert(self, v) -> bool:
         """Add v; True when it is independent of the vectors already in."""
-        return self.insert_row(_scaled(v)[0])
+        return self.insert_row(_to_rows((v,))[0][0])
 
     def insert_row(self, row: list) -> bool:
         """insert() for a vector given by integer entries, at any scale."""
@@ -205,7 +193,12 @@ def inverse(a: Matrix) -> Matrix:
 
 def _to_rows(a: Matrix) -> tuple:
     """(rows, den) with a == rows / den: den the lcm of every denominator."""
-    den = lcm(*(int(x.denominator) for row in a for x in row))
+    den = 1
+    for row in a:
+        for x in row:
+            # most entries share a denominator, so most skip the lcm
+            if den % x.denominator:
+                den = lcm(den, int(x.denominator))
     if den == 1:
         return [[int(x.numerator) for x in row] for row in a], 1
     return [[int(x.numerator) * (den // int(x.denominator)) for x in row] for row in a], den

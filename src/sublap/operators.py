@@ -37,7 +37,7 @@ from operator import add
 
 from . import linalg
 from .algebra import SubRiemannianGroup
-from .calculus import _GROUP_CACHE_SIZE, _check_map, _horizontal_rows, _jacobian_rows, \
+from .calculus import _GROUP_CACHE_SIZE, _check_map, _differential, _jacobian_rows, \
     _left_translation_rows, require_step
 from .polynomial import MapPowers, Polynomial, PolyMap, _diff_num, _from_prows, _mul_into, \
     _nonzero, _prows_congruence, _prows_mul, _prows_rat_mul, _prows_transpose, _reduced, \
@@ -61,7 +61,7 @@ class Cometric:
 
 
 def cometric(group: SubRiemannianGroup) -> Cometric:
-    return group.tables.cometric
+    return Cometric(linalg._from_rows(*group.tables.cometric_rows))
 
 
 class GroupTables:
@@ -77,7 +77,8 @@ class GroupTables:
     cometric_rows, annihilators, polarization_rows, brackets, jacobian,
     horizontal_frame, gradient_fields, sublaplacian_tables) are kept in the
     integer forms: linalg's (rows, den) for rational matrices (with sparse
-    rows for polarization_rows), polynomial's for polynomial ones.
+    rows for polarization_rows), polynomial's for polynomial ones.  The
+    public cometric(group) builds its Rats from cometric_rows on each call.
     """
 
     def __init__(self, group: SubRiemannianGroup):
@@ -93,10 +94,6 @@ class GroupTables:
         """Q = B G^{-1} B^T as linalg's integer (rows, den)."""
         b = linalg._to_rows(self.group.polarization.matrix())
         return linalg._rows_mul(linalg._rows_mul(b, self.gram_inverse), linalg._rows_transpose(b))
-
-    @cached_property
-    def cometric(self) -> Cometric:
-        return Cometric(linalg._from_rows(*self.cometric_rows))
 
     @cached_property
     def annihilators(self) -> tuple:
@@ -328,7 +325,7 @@ class PullbackOperator:
     @cached_property
     def _frame_tables(self) -> tuple:
         n = self.source.dim
-        second, first = _pullback_tables(_horizontal_rows(self.map, self.source, self.target),
+        second, first = _pullback_tables(_differential(self.map, self.source, self.target, True),
                                          self.source)
         return _from_prows(second, n), tuple(row[0] for row in _from_prows(first, n))
 

@@ -741,6 +741,36 @@ def test_verify_rejects_bad_identity_file(tmp_path, capsys):
     assert "b must have 2" in out
 
 
+def test_verify_rejects_a_drift_off_the_target_polarization(tmp_path, capsys):
+    # e3 is the vertical direction of h1, so b = e3 is an identity-file error
+    src = write(tmp_path, "h1.json", H1_DOC)
+    fmap = write(tmp_path, "id.json", {"source_dim": 3, "components": ["x1", "x2", "x3"]})
+    vertical = write(tmp_path, "vertical.json", {"lambda_sq": 1, "b": ["0", "0", "1"]})
+    code, doc = run_json(capsys, ["verify", src, src, fmap, vertical])
+    assert (code, doc["verdict"]) == (2, "error")
+    assert doc["error"] == vertical + ": vector does not take values in the polarization"
+
+
+@pytest.mark.parametrize("command", ["analyze-map", "verify"])
+@pytest.mark.parametrize("roles", [("sl2", "h1"), ("h1", "sl2"), ("sl2", "sl2")])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_map_commands_name_the_non_nilpotent_group_file(tmp_path, capsys, command, roles, fmt):
+    # the source is checked first, then the target, and the error names the file
+    docs = {"sl2": SL2_DOC, "h1": H1_DOC}
+    src, tgt = (write(tmp_path, "%s_%s.json" % (role, tag), docs[tag])
+                for role, tag in zip(("source", "target"), roles))
+    files = [src, tgt, write(tmp_path, "id.json", {"source_dim": 3,
+                                                   "components": ["x1", "x2", "x3"]})]
+    if command == "verify":
+        files.append(write(tmp_path, "ident.json", {"lambda_sq": 1, "b": ["0", "0", "0"]}))
+    code = main([command, *files, "--format", fmt])
+    out = capsys.readouterr().out
+    error = json.loads(out)["error"] if fmt == "json" else out.splitlines()[1][len("error: "):]
+    assert code == 2
+    assert error == "%s: group is not nilpotent; no exponential coordinate calculus" \
+        % (src if roles[0] == "sl2" else tgt)
+
+
 # ---------------------------------------------------------------------------
 # plumbing
 
@@ -824,3 +854,22 @@ def test_console_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "analyze-map" in proc.stdout
+
+
+def test_dump_verdicts_prints_one_line_per_task(monkeypatch):
+    # scripts/dump_verdicts.py on map-analysis seed 1: kind, description and
+    # result of each task, in the order the workload runs them
+    import subprocess
+    import sys
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "dump_verdicts.py"),
+                           "map-analysis", "--seeds", "1"],
+                          capture_output=True, text=True, check=True)
+    monkeypatch.syspath_prepend(str(root / "bench"))
+    import workloads
+    tasks = workloads.map_analysis(1)
+    lines = [line.split("\t") for line in proc.stdout.splitlines()]
+    assert [line[:4] for line in lines] == [["map-analysis", "1", t.kind, t.desc] for t in tasks]
+    assert all(len(line) == 5 for line in lines)
+    assert {line[4] for line in lines if line[2] == "verify/holds"} == {"[]"}
+    assert all(json.loads(line[4])["conformal"] for line in lines if line[2].startswith("analyze/"))

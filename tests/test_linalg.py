@@ -63,6 +63,42 @@ def test_mat_mul_equals_naive_fraction_sum(n, k, m, data):
     assert linalg.mat_vec(a, linalg.transpose(b)[0]) == tuple(row[0] for row in product)
 
 
+def test_mat_vec_and_mat_sub_reject_mismatched_shapes():
+    a = linalg.mat(((1, 2, 3), (4, 5, 6)))
+    for v in ((1, 1), (1, 1, 1, 1)):
+        with pytest.raises(ValueError, match="shape mismatch 2x3 @ %d" % len(v)):
+            linalg.mat_vec(a, linalg.mat((v,))[0])
+    for b in (((1, 2), (4, 5)), ((1, 2, 3, 4), (4, 5, 6, 7)), ((1, 2, 3),)):
+        with pytest.raises(ValueError, match="shape mismatch 2x3 - "):
+            linalg.mat_sub(a, linalg.mat(b))
+    assert linalg.mat_vec(a, linalg.mat(((1, 1, 1),))[0]) == (Rat(6), Rat(15))
+
+
+def fraction_product(a, b, n, k, m):
+    """a @ b on Fractions for an n x k and a k x m matrix, shapes given
+    because an empty matrix does not carry its width."""
+    return tuple(tuple(sum((Fraction(a[i][t]) * Fraction(b[t][j]) for t in range(k)), Fraction(0))
+                       for j in range(m)) for i in range(n))
+
+
+@pytest.mark.parametrize("n, k, m", [(0, 0, 0), (0, 0, 3), (3, 0, 0), (2, 3, 0), (1, 3, 0),
+                                     (1, 1, 1)])
+def test_products_and_rref_on_edge_shapes_match_fraction_oracle(n, k, m):
+    # 0 x k, k x 0 and 1 x 1; a matrix with no rows is (), whatever its width,
+    # so a k x 0 matrix times one is k x 0
+    a = tuple(tuple(Rat(i + 2 * t - 1, t + 1) for t in range(k)) for i in range(n))
+    b = tuple(tuple(Rat(3 * t - j, j + 2) for j in range(m)) for t in range(k))
+    product = linalg.mat_mul(a, b)
+    assert product == fraction_product(a, b, n, k, m)
+    assert all(is_rat(x) for row in product for x in row)
+    v = tuple(row[0] for row in b) if m else (Rat(-2, 3),) * k
+    vec = linalg.mat_vec(a, v)
+    assert vec == tuple(row[0] for row in fraction_product(a, tuple((x,) for x in v), n, k, 1))
+    assert all(is_rat(x) for x in vec)
+    for x in (a, b):
+        assert linalg.rref(x) == fraction_rref(x)
+
+
 @settings(max_examples=60, deadline=None)
 @given(square(3))
 def test_rank_nullity(a):

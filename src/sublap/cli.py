@@ -138,12 +138,15 @@ def _run_equiv_frames(config):
     return (0 if decision.equivalent else 1), doc, lines
 
 
-def _run_heis_spectrum(config):
-    omega, gram = specfiles.load_pair(config.paths[0])
+def _spectrum(path, omega, gram, tolerance):
     try:
-        spec = symplectic_spectrum(omega, gram, config.tolerance)
+        return symplectic_spectrum(omega, gram, tolerance)
     except ValueError as exc:
-        raise specfiles.SpecFileError(str(exc), filename=config.paths[0])
+        raise specfiles.SpecFileError(str(exc), filename=path)
+
+
+def _run_heis_spectrum(config):
+    spec = _spectrum(config.paths[0], *specfiles.load_pair(config.paths[0]), config.tolerance)
     doc = {
         "verdict": "ok",
         "spectrum": ["%.12g" % v for v in spec.r],
@@ -156,14 +159,17 @@ def _run_heis_spectrum(config):
 
 
 def _run_heis_isometry(config):
-    om1, g1 = specfiles.load_pair(config.paths[0])
-    om2, g2 = specfiles.load_pair(config.paths[1])
+    pairs = [specfiles.load_pair(path) for path in config.paths]
     try:
-        psi, rho = build_isometry(om1, g1, om2, g2, config.tolerance)
+        psi, rho = build_isometry(*pairs[0], *pairs[1], config.tolerance)
     except NoIsometry:
         doc = {"verdict": "no-isometry", "tolerance": config.tolerance}
         return 1, doc, ["verdict: no-isometry"]
     except ValueError as exc:
+        # a pair whose own spectrum fails is named as heis-spectrum names it;
+        # a ratio outside the float range belongs to neither file
+        for path, pair in zip(config.paths, pairs):
+            _spectrum(path, *pair, config.tolerance)
         raise specfiles.SpecFileError(str(exc))
     doc = {
         "verdict": "isometric",

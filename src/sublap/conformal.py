@@ -107,76 +107,57 @@ def homothetic_characterizations(matrix, gram_v, gram_w) -> dict:
 
     Each entry holds the factor lambda^2 (or None).  They agree for every
     input; the separate code paths exist so that agreement is checkable.
+    Inputs are built once and shared, comparisons are not: L Gv^{-1} L^T by
+    (1) and (2), the metric adjoint T = Gv^{-1} L^T Gw by (3) and (4), a
+    kernel basis by (4) and (5).
     """
     l = linalg.mat(matrix)
     m, n = linalg.shape(l)
     gv = _coerce_gram(gram_v, n, "gram_v")
     gw = _coerce_gram(gram_w, m, "gram_w")
     gv_inv = linalg.inverse(gv)
-    gw_inv = linalg.inverse(gw)
     lt = linalg.transpose(l)
+    cometric = linalg.mat_mul(linalg.mat_mul(l, gv_inv), lt)
+    adjoint = linalg.mat_mul(linalg.mat_mul(gv_inv, lt), gw)
+    kernel = linalg.nullspace(l)
     out = {}
 
     def scalar_multiple(a, b):
-        """factor c with a == c b, for b invertible-shaped comparisons."""
-        c = None
-        size = len(a)
-        for i in range(size):
-            for j in range(len(a[0])):
-                if b[i][j] != 0:
-                    c = a[i][j] / b[i][j]
-                    break
-            if c is not None:
-                break
-        if c is None or c <= 0:
-            return None
-        for i in range(size):
-            for j in range(len(a[0])):
-                if a[i][j] != c * b[i][j]:
-                    return None
-        return c
+        """c > 0 with a == c b, c read at the first nonzero entry of b; else None."""
+        c = next((x / y for ra, rb in zip(a, b) for x, y in zip(ra, rb) if y), None)
+        return c if c is not None and c > 0 and a == linalg.mat_scale(c, b) else None
 
     # (1) cometric image: L Gv^{-1} L^T Gw is a positive multiple of the identity
-    e = linalg.mat_mul(linalg.mat_mul(linalg.mat_mul(l, gv_inv), lt), gw)
-    out["cometric_identity"] = scalar_multiple(e, linalg.identity(m))
+    out["cometric_identity"] = scalar_multiple(linalg.mat_mul(cometric, gw), linalg.identity(m))
 
     # (2) dual cometric: L Gv^{-1} L^T is the same multiple of Gw^{-1}
-    out["dual_cometric"] = scalar_multiple(
-        linalg.mat_mul(linalg.mat_mul(l, gv_inv), lt), gw_inv)
+    out["dual_cometric"] = scalar_multiple(cometric, linalg.inverse(gw))
 
     # (3) the metric adjoint T = Gv^{-1} L^T Gw is a homothetic embedding:
     #     T^T Gv T is a positive multiple of Gw
-    t = linalg.mat_mul(linalg.mat_mul(gv_inv, lt), gw)
     out["adjoint_embedding"] = scalar_multiple(
-        linalg.mat_mul(linalg.mat_mul(linalg.transpose(t), gv), t), gw)
+        linalg.mat_mul(linalg.mat_mul(linalg.transpose(adjoint), gv), adjoint), gw)
 
-    # (4) surjectivity plus L^*L equal to a multiple of the Gv-orthogonal
-    #     projection onto the orthocomplement of the kernel
-    if linalg.rank(l) < m:
+    # (4) surjectivity (rank n - dim ker = m) plus L^*L equal to a multiple of
+    #     the Gv-orthogonal projection onto the orthocomplement of the kernel
+    if n - len(kernel) < m:
         out["kernel_projection"] = None
     else:
-        star = linalg.mat_mul(linalg.mat_mul(gv_inv, lt), gw)  # adjoint of L
-        ll = linalg.mat_mul(star, l)
-        kernel = linalg.nullspace(l)
         proj = linalg.identity(n)
         if kernel:
             # Gv-orthogonal projection onto the kernel, subtracted from 1
             k = linalg.transpose(kernel)             # n x dim(ker), columns
-            kt_g = linalg.mat_mul(linalg.transpose(k), gv)
+            kt_g = linalg.mat_mul(kernel, gv)
             gramk = linalg.mat_mul(kt_g, k)
             pk = linalg.mat_mul(linalg.mat_mul(k, linalg.inverse(gramk)), kt_g)
             proj = linalg.mat_sub(proj, pk)
-        out["kernel_projection"] = scalar_multiple(ll, proj)
+        out["kernel_projection"] = scalar_multiple(linalg.mat_mul(adjoint, l), proj)
 
-    # (5) isometry-up-to-scale on a basis of the orthocomplement of the kernel
-    kernel = linalg.nullspace(l)
-    if kernel:
-        # Gv-orthocomplement: vectors w with k^T Gv w = 0 for all kernel k
-        rows = tuple(linalg.mat_vec(gv, kv) for kv in kernel)
-        comp = linalg.nullspace(linalg.mat(rows))
-    else:
-        comp = tuple(linalg.identity(n))
-    if len(comp) != m or linalg.rank(linalg.mat(comp)) != m:
+    # (5) isometry-up-to-scale on a (nullspace, so independent) basis of the
+    #     Gv-orthocomplement of the kernel: the w with k^T Gv w = 0 for kernel k
+    rows = tuple(linalg.mat_vec(gv, kv) for kv in kernel)
+    comp = linalg.nullspace(rows) if kernel else linalg.identity(n)
+    if len(comp) != m:
         out["restricted_isometry"] = None
     else:
         p = linalg.transpose(comp)                    # n x m, columns span ker^perp
@@ -220,11 +201,12 @@ def frames_equivalent(frame_x, frame_y) -> FrameDecision:
     if not linalg._rows_equal(linalg._rows_mul(linalg._rows_transpose(x), x),
                               linalg._rows_mul(linalg._rows_transpose(y), y)):
         return FrameDecision(False, None)
-    return FrameDecision(True, _orthogonal_witness(fx, fy))
+    return FrameDecision(True, _orthogonal_witness(x, y))
 
 
-def _orthogonal_witness(fx, fy) -> tuple:
-    """Orthogonal A with A fx = fy, as a product of reflections.
+def _orthogonal_witness(fx: tuple, fy: tuple) -> tuple:
+    """Orthogonal A with A fx = fy, as a product of reflections, for two
+    frames given as linalg's integer rows (rows, den).
 
     Works column by column: the j-th columns of fx and fy have equal pairings
     with everything already matched (the Gram matrices agree), so a single
@@ -233,9 +215,8 @@ def _orthogonal_witness(fx, fy) -> tuple:
     does not change when v is rescaled, so v is the integer difference of
     the two columns, and it takes N to vv N - 2 v (v^T N) and D to D vv.
     """
-    n = len(fx)
-    x, dx = linalg._to_rows(fx)
-    y, dy = linalg._to_rows(fy)
+    (x, dx), (y, dy) = fx, fy
+    n = len(x)
     # num is rebuilt by every reflection, never updated in place
     one = [[int(i == j) for j in range(n)] for i in range(n)]
     num, den = one, 1
@@ -255,7 +236,7 @@ def _orthogonal_witness(fx, fy) -> tuple:
             num = [[a // g for a in row] for row in num]
             den //= g
     a = (num, den)
-    assert linalg._rows_equal(linalg._rows_mul(a, (x, dx)), (y, dy))
+    assert linalg._rows_equal(linalg._rows_mul(a, fx), fy)
     assert linalg._rows_equal(linalg._rows_mul(linalg._rows_transpose(a), a), (one, 1))
     return linalg._from_rows(num, den)
 
@@ -489,7 +470,9 @@ def analyze_commutation(F: PolyMap, source: SubRiemannianGroup,
     if mismatches:
         return CommutationReport(True, False, None, None, probe_degree,
                                  mismatches, "cometric image is not a multiple of the target cometric")
-    if lam_sq.is_constant and lam_sq.constant_value() <= 0:
+    # C = DB G^{-1} DB^T and the constant Q_H != 0 are positive semidefinite, so
+    # lambda_sq < 0 cannot occur: only lambda_sq = 0 (a constant map) gets here
+    if not lam_sq:
         return CommutationReport(True, False, None, None, probe_degree,
                                  (lam_sq,), "conformal factor is not positive")
 

@@ -268,8 +268,7 @@ def left_nullspace(a: Matrix):
 
 def span_equal(basis_a, basis_b) -> bool:
     a, b = tuple(basis_a), tuple(basis_b)
-    ra, rb = rank(a) if a else 0, rank(b) if b else 0
-    return ra == rb == (rank(a + b) if a + b else 0)
+    return rank(a) == rank(b) == rank(a + b)
 
 
 def ldl_pd(a: Matrix):

@@ -340,7 +340,12 @@ class Polynomial:
 
     @staticmethod
     def parse(text: str, nvars: int) -> "Polynomial":
-        return _parse_polynomial(text, nvars)
+        """text in the format __str__ emits; ValueError for any malformed
+        text, a zero denominator and too deep nesting included."""
+        try:
+            return _parse_polynomial(text, nvars)
+        except RecursionError:
+            raise ValueError("polynomial is nested too deeply") from None
 
 
 # The most terms Polynomial.parse lets one power or product make.  A t-term
@@ -372,7 +377,8 @@ def _coeff_bits(p: Polynomial) -> int:
     return (max(sum(map(abs, p._num.values())) * p._den, 1) - 1).bit_length()
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+(?:/\d+)?)|(x\d+)|([+\-*^()]))")
+# a zero denominator matches no token, so "1/0" cannot be tokenized
+_TOKEN = re.compile(r"\s*(?:(\d+(?:/0*[1-9]\d*)?)|(x\d+)|([+\-*^()]))")
 
 
 def _tokenize(text: str):
@@ -761,7 +767,9 @@ def _prows_times(a: tuple, num: dict, den: int) -> tuple:
 def _prows_combination(parts) -> tuple:
     """sum w a over (w, a) pairs, w a nonzero rational and a a polynomial
     matrix in the (rows, den) form, all of one shape, in the same form over
-    the lcm of the scaled denominators."""
+    the lcm of the scaled denominators; all-zero parts are left out unless
+    every part is (the first then keeps the shape)."""
+    parts = [part for part in parts if any(map(any, part[1][0]))] or parts[:1]
     if len(parts) == 1 and parts[0][0] == 1:
         return parts[0][1]
     scaled = []

@@ -91,29 +91,35 @@ def _parse_rat(value, field, filename, index=()):
                         field=field + "".join("[%d]" % (i + 1) for i in index))
 
 
-def _parse_matrix(rows, field, filename, nrows=None, ncols=None):
-    if not isinstance(rows, list) or not rows:
+def _parse_matrix(doc, field, filename, nrows=None, ncols=None):
+    """The non-empty list of rational rows under the top-level key field."""
+    rows = _get(doc, field, list, "", filename)
+    if not rows:
         raise SpecFileError("expected a non-empty list of rows",
                             filename=filename, field=field)
     out = []
-    width = None
     for i, row in enumerate(rows):
         if not isinstance(row, list):
             raise SpecFileError("expected a list", filename=filename,
                                 field="%s[%d]" % (field, i + 1))
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
+        if len(row) != len(rows[0]):  # rows[0] passed the test above
             raise SpecFileError("ragged rows", filename=filename,
                                 field="%s[%d]" % (field, i + 1))
         out.append(tuple(_parse_rat(v, field, filename, (i, j)) for j, v in enumerate(row)))
     if nrows is not None and len(out) != nrows:
         raise SpecFileError("expected %d rows, got %d" % (nrows, len(out)),
                             filename=filename, field=field)
-    if ncols is not None and width != ncols:
-        raise SpecFileError("expected %d columns, got %d" % (ncols, width),
+    if ncols is not None and len(rows[0]) != ncols:
+        raise SpecFileError("expected %d columns, got %d" % (ncols, len(rows[0])),
                             filename=filename, field=field)
     return tuple(out)
+
+
+def _parse_poly_field(text, nvars, field, filename):
+    try:
+        return Polynomial.parse(str(text), nvars)
+    except ValueError as exc:
+        raise SpecFileError(str(exc), filename=filename, field=field)
 
 
 # ---------------------------------------------------------------------------
@@ -162,11 +168,8 @@ def group_parts_from_dict(doc, filename=None):
         alg = LieAlgebra.from_brackets(dim, brackets)
     except ValueError as exc:
         raise SpecFileError(str(exc), filename=filename, field="brackets")
-    pol = _parse_matrix(_get(doc, "polarization", list, "", filename),
-                        "polarization", filename, ncols=dim)
-    rank = len(pol)
-    gram = _parse_matrix(_get(doc, "metric", list, "", filename),
-                         "metric", filename, nrows=rank, ncols=rank)
+    pol = _parse_matrix(doc, "polarization", filename, ncols=dim)
+    gram = _parse_matrix(doc, "metric", filename, nrows=len(pol), ncols=len(pol))
     return alg, pol, gram
 
 
@@ -223,10 +226,7 @@ def polymap_from_dict(doc, filename=None) -> PolyMap:
         if not isinstance(text, str):
             raise SpecFileError("expected a polynomial string",
                                 filename=filename, field=field)
-        try:
-            parsed.append(Polynomial.parse(text, source_dim))
-        except ValueError as exc:
-            raise SpecFileError(str(exc), filename=filename, field=field)
+        parsed.append(_parse_poly_field(text, source_dim, field, filename))
     return PolyMap(source_dim, tuple(parsed))
 
 
@@ -245,11 +245,8 @@ def polymap_to_dict(pmap: PolyMap) -> dict:
 
 def frames_from_dict(doc, filename=None):
     dim = _get(doc, "dim", int, "", filename)
-    fx = _parse_matrix(_get(doc, "frame_x", list, "", filename),
-                       "frame_x", filename, ncols=dim)
-    fy = _parse_matrix(_get(doc, "frame_y", list, "", filename),
-                       "frame_y", filename, ncols=dim)
-    return fx, fy
+    return (_parse_matrix(doc, "frame_x", filename, ncols=dim),
+            _parse_matrix(doc, "frame_y", filename, ncols=dim))
 
 
 def load_frames(path):
@@ -261,8 +258,8 @@ def load_frames(path):
 
 
 def pair_from_dict(doc, filename=None):
-    omega = _parse_matrix(_get(doc, "omega", list, "", filename), "omega", filename)
-    gram = _parse_matrix(_get(doc, "gram", list, "", filename), "gram", filename)
+    omega = _parse_matrix(doc, "omega", filename)
+    gram = _parse_matrix(doc, "gram", filename)
     try:
         return SymplecticForm(omega), Metric(gram)
     except ValueError as exc:
@@ -279,22 +276,14 @@ def load_pair(path):
 
 def identity_from_dict(doc, source_dim, target_dim, filename=None):
     lam_text = _get(doc, "lambda_sq", (str, int), "", filename)
-    try:
-        lam = Polynomial.parse(str(lam_text), source_dim)
-    except ValueError as exc:
-        raise SpecFileError(str(exc), filename=filename, field="lambda_sq")
+    lam = _parse_poly_field(lam_text, source_dim, "lambda_sq", filename)
     b_texts = _get(doc, "b", list, "", filename)
     if len(b_texts) != target_dim:
         raise SpecFileError("b must have %d components" % target_dim,
                             filename=filename, field="b")
-    b = []
-    for i, text in enumerate(b_texts):
-        try:
-            b.append(Polynomial.parse(str(text), source_dim))
-        except ValueError as exc:
-            raise SpecFileError(str(exc), filename=filename,
-                                field="b[%d]" % (i + 1))
-    return lam, tuple(b)
+    b = tuple(_parse_poly_field(text, source_dim, "b[%d]" % (i + 1), filename)
+              for i, text in enumerate(b_texts))
+    return lam, b
 
 
 def load_identity(path, source_dim, target_dim):

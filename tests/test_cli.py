@@ -349,6 +349,24 @@ def _pair_doc(rbar, gram_scale=1):
             "gram": [[str(x * gram_scale) for x in row] for row in gram.gram]}
 
 
+@pytest.mark.parametrize("wide_first", [False, True])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_heis_isometry_names_the_file_of_the_failing_pair(tmp_path, capsys, wide_first, fmt):
+    # the spectrum of (1, 200) fails the relative tolerance; the error named
+    # no file, while heis-spectrum prefixed it with the path
+    ok = write(tmp_path, "ok.json", _pair_doc((1, 2)))
+    wide = write(tmp_path, "wide.json", _pair_doc((1, 200)))
+    paths = [wide, ok] if wide_first else [ok, wide]
+    code = main(["heis-isometry", *paths, "--format", fmt])
+    out = capsys.readouterr().out
+    error = json.loads(out)["error"] if fmt == "json" else out.splitlines()[1][len("error: "):]
+    assert code == 2
+    assert error == ("%s: smallest squared eigenvalue is below the tolerance relative to "
+                     "the largest" % wide)
+    assert main(["heis-spectrum", wide, "--format", fmt]) == 2
+    assert capsys.readouterr().out == out
+
+
 @pytest.mark.parametrize("k", [50, 101])
 def test_heis_isometry_verdict_does_not_depend_on_the_scale(tmp_path, capsys, k):
     # gram times 4^k divides every r_i by 2^k; the tolerances are relative,
@@ -749,6 +767,46 @@ def test_verify_rejects_a_drift_off_the_target_polarization(tmp_path, capsys):
     code, doc = run_json(capsys, ["verify", src, src, fmap, vertical])
     assert (code, doc["verdict"]) == (2, "error")
     assert doc["error"] == vertical + ": vector does not take values in the polarization"
+
+
+_DEEP = "(" * 300 + "x1" + ")" * 300
+
+
+@pytest.mark.parametrize("field, text, message", [
+    ("components[1]", "x1 + 1/0", "cannot tokenize polynomial at '/0'"),
+    ("components[2]", _DEEP, "polynomial is nested too deeply"),
+    ("components[3]", "x1*" + "-" * 2000 + "x2", "polynomial is nested too deeply"),
+    ("lambda_sq", "1/0", "cannot tokenize polynomial at '/0'"),
+    ("lambda_sq", "(" * 400 + "1" + ")" * 400, "polynomial is nested too deeply"),
+    ("b[2]", "2/0*x1", "cannot tokenize polynomial at '/0*x1'"),
+], ids=["map-zero-denominator", "map-parentheses", "map-unary-minus",
+        "lambda-zero-denominator", "lambda-parentheses", "b-zero-denominator"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_unparsable_polynomial_fields_are_input_errors(tmp_path, capsys, field, text, message,
+                                                       fmt):
+    # each of these texts raised ZeroDivisionError or RecursionError, a
+    # traceback and exit 1; now exit 2, naming the file and the field
+    components = ["x1", "x2", "x3"]
+    identity = {"lambda_sq": "1", "b": ["0", "0", "0"]}
+    if field.startswith("components"):
+        components[int(field[-2]) - 1] = text
+    elif field == "lambda_sq":
+        identity["lambda_sq"] = text
+    else:
+        identity["b"][1] = text
+    h1 = write(tmp_path, "h1.json", H1_DOC)
+    fmap = write(tmp_path, "map.json", {"source_dim": 3, "components": components})
+    ident = write(tmp_path, "ident.json", identity)
+    commands = [["verify", h1, h1, fmap, ident]]
+    if field.startswith("components"):
+        commands.append(["analyze-map", h1, h1, fmap])
+    for argv in commands:
+        code = main(argv + ["--format", fmt])
+        out = capsys.readouterr().out
+        error = json.loads(out)["error"] if fmt == "json" else out.splitlines()[1][len("error: "):]
+        assert code == 2
+        path = fmap if field.startswith("components") else ident
+        assert error == "%s, field %s: %s" % (path, field, message)
 
 
 @pytest.mark.parametrize("command", ["analyze-map", "verify"])

@@ -215,7 +215,8 @@ def rotated_frames(draw):
 @given(rotated_frames())
 def test_orthogonal_witness_matches_scalar_update(frames):
     fx, fy = frames
-    assert sublap.conformal._orthogonal_witness(fx, fy) == scalar_orthogonal_witness(fx, fy)
+    rows = linalg._to_rows(fx), linalg._to_rows(fy)
+    assert sublap.conformal._orthogonal_witness(*rows) == scalar_orthogonal_witness(fx, fy)
 
 
 # ---------------------------------------------------------------------------

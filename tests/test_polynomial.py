@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from oracles import coeff_of, dense_poly_rat_mat_mul, is_rat, pad, reference_str, truncate
 from sublap import linalg
 from sublap.polynomial import (COEFF_BIT_BUDGET, TERM_BUDGET, MapPowers, Polynomial, PolyMap,
-                               PolyVectorField, _from_prows, _prows_mul, _prows_rat_mul,
-                               _to_prows, linear_combination, monomials_up_to)
+                               PolyVectorField, _from_prows, _prows_combination, _prows_mul,
+                               _prows_rat_mul, _to_prows, linear_combination, monomials_up_to)
 from sublap.rational import Rat
 
 coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=5).map(
@@ -83,6 +83,49 @@ def test_parse_rejects_garbage():
         Polynomial.parse("x1 +* 2", 2)
     with pytest.raises(ValueError):
         Polynomial.parse("x1^-2", 2)
+
+
+@pytest.mark.parametrize("text", ["x1 + 1/0", "x1^2/00", "1/0*x1"])
+def test_parse_refuses_a_zero_denominator(text):
+    # rat("1/0") raised ZeroDivisionError, which no caller expected
+    with pytest.raises(ValueError, match="cannot tokenize polynomial at '/0"):
+        Polynomial.parse(text, 2)
+    assert Polynomial.parse("3/010*x1", 2) == Polynomial.parse("3/10*x1", 2)
+
+
+@pytest.mark.parametrize("text", ["(" * 300 + "x1" + ")" * 300, "x1*" + "-" * 2000 + "x2",
+                                  "x1 + " + "(" * 400 + "1" + ")" * 400],
+                         ids=["parentheses", "unary-minus", "sum"])
+def test_parse_refuses_deep_nesting(text):
+    # the recursive descent raised RecursionError
+    with pytest.raises(ValueError, match="nested too deeply"):
+        Polynomial.parse(text, 2)
+
+
+def test_parse_keeps_moderate_nesting():
+    assert Polynomial.parse("(" * 200 + "x1" + ")" * 200, 2) == Polynomial.variable(0, 2)
+    assert Polynomial.parse("x1*" + "-" * 200 + "x2", 2) == Polynomial.parse("x1*x2", 2)
+
+
+def test_parse_tokenizer_edges():
+    with pytest.raises(ValueError, match=r"cannot tokenize polynomial at '\$ 2'"):
+        Polynomial.parse("x1 $ 2", 2)
+    assert Polynomial.parse("x1 + 2   ", 2) == Polynomial.parse("x1+2", 2)
+
+
+def test_prows_combination_leaves_out_all_zero_parts():
+    x1, x2 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+    zero = Polynomial.constant(0, 2)
+    a = _to_prows(((x1, Polynomial.constant(Rat(1, 2), 2)), (zero, x1 * x2)))
+    empty = _to_prows(((zero, zero), (zero, zero)))
+    # a single nonzero part of weight 1 is returned as is
+    assert _prows_combination([(1, a), (-1, empty)]) is a
+    assert _prows_combination([(-1, empty), (1, a), (2, empty)]) is a
+    # with every part zero the table keeps its shape
+    for parts in ([(-1, empty)], [(1, empty), (3, empty)]):
+        assert _from_prows(_prows_combination(parts), 2) == ((zero, zero), (zero, zero))
+    twice = _prows_combination([(1, a), (1, empty), (1, a)])
+    assert _from_prows(twice, 2) == ((2 * x1, Polynomial.constant(1, 2)), (zero, 2 * x1 * x2))
 
 
 @settings(max_examples=80, deadline=None)

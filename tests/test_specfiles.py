@@ -1,7 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sublap.algebra import LieAlgebra
 from sublap.catalog import engel_group
 from sublap.conformal import CommutationReport, analyze_commutation
 from sublap.heisenberg import heisenberg_group
@@ -9,6 +12,7 @@ from sublap.operators import sublaplacian
 from sublap.polynomial import Polynomial, PolyMap
 from sublap.rational import Rat
 from sublap.specfiles import (SpecFileError, frames_from_dict, group_from_dict,
+                              group_parts_from_dict,
                               group_to_dict, identity_from_dict, load_group,
                               load_pair, load_polymap, operator_to_dict,
                               pair_from_dict, polymap_from_dict,
@@ -219,6 +223,126 @@ def test_identity_from_dict():
         identity_from_dict({"lambda_sq": 1, "b": ["0"]}, 3, 2)
     with pytest.raises(SpecFileError, match="lambda_sq"):
         identity_from_dict({"lambda_sq": "x9", "b": ["0"]}, 3, 1)
+
+
+# ---------------------------------------------------------------------------
+# front-end branches
+
+
+def test_group_file_without_brackets_is_abelian():
+    group = group_from_dict({"dim": 2, "polarization": [[1, 0], [0, 1]],
+                             "metric": [[1, 0], [0, 1]]})
+    assert group.algebra == LieAlgebra.from_brackets(2, {})
+    assert group.step == 1
+
+
+def test_bracket_written_with_i_above_j_is_antisymmetric():
+    flipped = dict(H1_DOC, brackets=[{"i": 2, "j": 1, "coeffs": {"3": 1}}])
+    negated = dict(H1_DOC, brackets=[{"i": 1, "j": 2, "coeffs": {"3": -1}}])
+    assert group_from_dict(flipped).algebra == group_from_dict(negated).algebra
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"brackets": [[1, 2, 3]]}, r"field brackets\[1\]: expected an object"),
+    ({"brackets": [{"i": 1, "j": 2, "coeffs": {"e3": 1}}]},
+     r"field brackets\[1\]\.coeffs: bad basis index 'e3'"),
+    ({"polarization": 7}, "field polarization: expected list, got int"),
+    ({"polarization": []}, "field polarization: expected a non-empty list of rows"),
+    ({"polarization": [[1, 0, 0], "0 1 0"]}, r"field polarization\[2\]: expected a list"),
+    ({"polarization": [[1, 0], [0, 1]]}, "field polarization: expected 3 columns, got 2"),
+    ({"metric": [[1, 0]]}, "field metric: expected 2 rows, got 1"),
+    ({"metric": [[1, 0, 0], [0, 1, 0]]}, "field metric: expected 2 columns, got 3"),
+])
+def test_malformed_group_fields_name_the_field(change, message):
+    with pytest.raises(SpecFileError, match="^h1.json, " + message):
+        group_parts_from_dict(dict(H1_DOC, **change), filename="h1.json")
+
+
+def test_bad_drift_component_names_its_index():
+    with pytest.raises(SpecFileError, match=r"^ident.json, field b\[2\]: variable x9 exceeds"):
+        identity_from_dict({"lambda_sq": 1, "b": ["0", "x9"]}, 3, 2, filename="ident.json")
+
+
+# Documents for every loader, shaped as the loader expects so that draws
+# reach its later checks, with one key then dropped or replaced by any JSON
+# value in half of them.  Polynomial strings and rationals come from the
+# grammar's characters, "/" included.
+_TEXT = st.text(alphabet="x0123456789+-*/^() ", max_size=12)
+_RAT = st.one_of(st.integers(-3, 3), st.text("0123456789/-", min_size=1, max_size=4))
+_JSON = st.recursive(st.one_of(st.none(), st.booleans(), st.integers(-3, 5), _TEXT),
+                     lambda inner: st.one_of(st.lists(inner, max_size=3),
+                                             st.dictionaries(st.text("ij0123", max_size=3),
+                                                             inner, max_size=3)),
+                     max_leaves=8)
+
+
+def _matrix(rows, cols):
+    return st.lists(st.lists(_RAT, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+@st.composite
+def _documents(draw, shaped):
+    doc = draw(shaped)
+    key = draw(st.sampled_from(sorted(doc)))
+    change = draw(st.sampled_from(["keep", "keep", "drop", "replace"]))
+    if change == "drop":
+        del doc[key]
+    elif change == "replace":
+        doc[key] = draw(_JSON)
+    return doc
+
+
+@st.composite
+def _group_docs(draw):
+    dim = draw(st.integers(1, 4))
+    rank = draw(st.integers(1, dim))
+    index = st.integers(1, dim)
+    brackets = []
+    for i, j in draw(st.lists(st.tuples(index, index), max_size=3)):
+        coeffs = draw(st.dictionaries(index.map(str), _RAT, max_size=2))
+        brackets.append({"i": i, "j": j if draw(st.integers(0, 3)) else i, "coeffs": coeffs})
+    return {"dim": dim, "brackets": brackets,
+            "polarization": draw(_matrix(rank, dim)), "metric": draw(_matrix(rank, rank))}
+
+
+@st.composite
+def _frame_docs(draw):
+    dim, nx, ny = (draw(st.integers(1, 3)) for _ in range(3))
+    return {"dim": dim, "frame_x": draw(_matrix(nx, dim)), "frame_y": draw(_matrix(ny, dim))}
+
+
+@st.composite
+def _pair_docs(draw):
+    size = draw(st.sampled_from([1, 2, 2, 4]))
+    return {"omega": draw(_matrix(size, size)), "gram": draw(_matrix(size, size))}
+
+
+_LOADERS = {
+    "group": (lambda doc: group_from_dict(doc, filename="g.json"), _group_docs()),
+    "polymap": (lambda doc: polymap_from_dict(doc, filename="m.json"),
+                st.fixed_dictionaries({"source_dim": st.integers(1, 3),
+                                       "components": st.lists(_TEXT, min_size=1, max_size=3)})),
+    "frames": (lambda doc: frames_from_dict(doc, filename="f.json"), _frame_docs()),
+    "pair": (lambda doc: pair_from_dict(doc, filename="p.json"), _pair_docs()),
+    "identity": (lambda doc: identity_from_dict(doc, 3, 2, filename="i.json"),
+                 st.fixed_dictionaries({"lambda_sq": st.one_of(_TEXT, st.integers(-3, 3)),
+                                        "b": st.lists(_TEXT, min_size=2, max_size=2)})),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LOADERS))
+def test_loaders_raise_only_spec_file_errors(name):
+    load, shaped = _LOADERS[name]
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_documents(shaped))
+    def check(doc):
+        try:
+            load(doc)
+        except SpecFileError:
+            pass
+
+    check()
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,12 @@ Three related questions live here:
   conformal factor and a drift term.  That is a condition on the coefficient
   tables of u -> Delta_G(u o F), not on any particular u, so the verdict is
   exact: it compares those tables and never samples test functions.
-  analyze_commutation reads them in the target's frame, on the horizontal
-  differential; commutation_residuals checks a stated identity in target
-  coordinates, on the chain-rule tables of operators (the ones
-  PullbackOperator.apply evaluates), against the target's coordinate
-  sub-Laplacian composed with the map.  Probe monomials are evaluated only
-  to list the witnesses of a failing identity, all of them in one integer
-  pass through the jet evaluator of operators over one polynomial.MapPowers.
+  Both deciders read them in the target's frame, on the horizontal
+  differential (_frame_stages); commutation_residuals then lists the
+  witnesses of a failing stated identity in target coordinates, on the
+  chain-rule tables of operators (the ones PullbackOperator.apply
+  evaluates): probe monomials, all of them in one integer pass through the
+  jet evaluator of operators over one polynomial.MapPowers.
 """
 
 from __future__ import annotations
@@ -195,13 +194,14 @@ def frames_equivalent(frame_x, frame_y) -> FrameDecision:
         raise ValueError("frames live in different ambient dimensions")
     if nx != ny:
         raise ValueError("frames have different sizes (%d vs %d)" % (nx, ny))
+    x, y = linalg._to_rows(fx), linalg._to_rows(fy)
+    if linalg._rows_equal(linalg._rows_mul(linalg._rows_transpose(x), x),
+                          linalg._rows_mul(linalg._rows_transpose(y), y)):
+        return FrameDecision(True, _orthogonal_witness(x, y))
+    # the range of X^T X is the row space of X: equal cometrics span alike
     if not linalg.span_equal(fx, fy):
         raise ValueError("frames span different subspaces")
-    x, y = linalg._to_rows(fx), linalg._to_rows(fy)
-    if not linalg._rows_equal(linalg._rows_mul(linalg._rows_transpose(x), x),
-                              linalg._rows_mul(linalg._rows_transpose(y), y)):
-        return FrameDecision(False, None)
-    return FrameDecision(True, _orthogonal_witness(x, y))
+    return FrameDecision(False, None)
 
 
 def _orthogonal_witness(fx: tuple, fy: tuple) -> tuple:
@@ -296,6 +296,37 @@ def _conformal_factor(c: tuple, qh: tuple, nvars: int) -> tuple:
     return lam_sq, tuple(mismatches)
 
 
+_NOT_CONTACT = "differential leaves the polarization"
+
+
+def _frame_stages(F: PolyMap, source: SubRiemannianGroup, target: SubRiemannianGroup) -> tuple:
+    """The commutation identity in the target's frame, on the horizontal
+    differential DB = DF B_G (horizontal_differential): (reason, witnesses)
+    for the first stage that fails, else ("", (lambda_sq, b)), lambda_sq = 0
+    included.  DF is contact when DB takes values in the target
+    polarization, DF Q_G DF^T = DB G^{-1} DB^T splits as lambda_sq Q_H, and
+    b, the first-order table of the pushforward assembly at DB, is built
+    only once it has.  As the 2-jet of u at a point is arbitrary, the
+    identity holds exactly when the pullback of Delta_G has the frame tables
+    lambda_sq Q_H and b.  b needs no horizontality check: b_c =
+    sum_j w_j(DB_cj) with w_j = sum_k g^{jk} v_k~, and after contact DB,
+    hence every derivative of it, takes values in the fixed subspace span B_H."""
+    n = source.dim
+    db = _differential(F, source, target, True)
+    # the columns of DB outside the target polarization, annihilator by
+    # annihilator and column by column
+    contact_bad = _polarization_residuals(_prows_transpose(db), target, n)
+    if contact_bad:
+        return _NOT_CONTACT, contact_bad
+    tables = source.tables
+    lam_sq, mismatches = _conformal_factor(_prows_congruence(db, tables.gram_inverse),
+                                           target.tables.cometric_rows, n)
+    if mismatches:
+        return "cometric image is not a multiple of the target cometric", mismatches
+    b = _from_prows(_pushforward_first(db, tables.gradient_fields), n)
+    return "", (lam_sq, tuple(row[0] for row in b))
+
+
 def commutation_residuals(F: PolyMap, lambda_sq, b, source: SubRiemannianGroup,
                           target: SubRiemannianGroup, probe_degree: int) -> tuple:
     """Residuals of Delta_G(u o F) - lambda_sq (Delta_H u) o F - <b, (grad u) o F>
@@ -306,7 +337,9 @@ def commutation_residuals(F: PolyMap, lambda_sq, b, source: SubRiemannianGroup,
     values in the target polarization.  Returns ((probe, residual), ...) for
     the probes with nonzero residual.
 
-    The residual is read off the coordinate chain rule
+    The answer is () at every probe degree exactly when the frame stages of
+    analyze_commutation (_frame_stages) pass with this lambda_sq and b.
+    Otherwise the witnesses are listed from the coordinate chain rule
         Delta_G(u o F) = sum_kl Gam_kl (d_k d_l u) o F + sum_k (Delta_G F_k) (d_k u) o F,
     Gam_kl = Gamma(F_k, F_l): with J = JF (Lambda_G B_G) the horizontal
     derivatives of F, Gam = J G^{-1} J^T and Delta_G F_k = sum_j w_j(J_kj),
@@ -319,15 +352,13 @@ def commutation_residuals(F: PolyMap, lambda_sq, b, source: SubRiemannianGroup,
     H2 o F and H1 o F composed from the powers of F's components and
     Lambda_H(F) b the Bernoulli series in ad_F (built only for b != 0).
     These are the frame tables of the identity (second - lambda_sq Q_H and
-    first - b on the pullback of Delta_G) seen through Lambda_H(F), which is
-    unipotent, so they vanish together.  S is symmetric and the 2-jet of u
-    at a point is arbitrary, so the identity holds for every u exactly when
-    both tables are zero; the answer is then () whatever the probe degree.
-    Otherwise a probe of degree <= 2 already fails, and the probes are run
-    only to list the witnesses: for a probe x^alpha, (d_k d_l x^alpha) o F
-    and (d_k x^alpha) o F are integer multiples of powers of F, so one
-    integer pass over the probes adds each table entry times a power into
-    its probe (_list_witnesses), and each failing probe is reduced once.
+    first - b) seen through Lambda_H(F), which is unipotent, so on a failing
+    identity one of them is nonzero.  S is symmetric and the 2-jet of u at a
+    point is arbitrary, so a probe of degree <= 2 already fails, and the
+    listing is sound: for a probe x^alpha, (d_k d_l x^alpha) o F and
+    (d_k x^alpha) o F are integer multiples of powers of F, so one integer
+    pass over the probes adds each table entry times a power into its probe
+    (_list_witnesses), and each failing probe is reduced once.
 
     Listing takes C(m + probe_degree, probe_degree) probes for a target of
     dimension m; over PROBE_BUDGET, ProbeBudgetExceeded (a ValueError) is
@@ -344,19 +375,19 @@ def commutation_residuals(F: PolyMap, lambda_sq, b, source: SubRiemannianGroup,
     if any(v.nvars != n for v in (lambda_sq, *b) if isinstance(v, Polynomial)):
         raise ValueError("lambda_sq and b must be polynomials in the %d source variables" % n)
     _check_map(F, source, target)
+    reason, found = _frame_stages(F, source, target)
+    if not reason and found == (lambda_sq, tuple(row[0] for row in _from_prows(drift, n))):
+        return ()
     (comps,), den = _to_prows((F.components,))
     gam, lap = _chain_rule_tables(comps, den, source)
     h2, h1 = target.tables.sublaplacian_tables
     degree = target.tables.sublaplacian_degree
     powers = MapPowers(F)
-    pulled = _compose_rows(h2, powers, den, degree, lambda_sq)
-    second = _prows_combination([(1, gam), (-1, pulled)])
+    second = _prows_combination([(1, gam), (-1, _compose_rows(h2, powers, den, degree, lambda_sq))])
     first = [(1, lap), (-1, _compose_rows(h1, powers, den, degree, lambda_sq))]
     if any(b):
         first.append((-1, _frame_at(comps, den, target, drift)))
     first = _prows_combination(first)
-    if not any(map(any, second[0])) and not any(row[0] for row in first[0]):
-        return ()
     probes = comb(m + probe_degree, probe_degree)
     if probes <= PROBE_BUDGET:
         return _list_witnesses(second, first, powers, n, m, probe_degree)
@@ -438,46 +469,25 @@ def analyze_commutation(F: PolyMap, source: SubRiemannianGroup,
                         probe_degree: int = 4) -> CommutationReport:
     """Decide whether F intertwines the two sub-Laplacians conformally.
 
-    Stages: (1) contact compatibility of DF, (2) exact factorization
-    DF Q_G DF^T = lambda_sq Q_H, (3) the drift b, the first-order table of
-    the pullback of Delta_G.  All three read only the horizontal
-    differential DB = DF B_G (horizontal_differential): DF is contact when
-    DB takes values in the target polarization, DF Q_G DF^T = DB G^{-1} DB^T,
-    and both tables come from the pushforward assembly at DB; the
-    first-order one is built only once stage (2) has passed.
-    Stage (2) makes the second-order table of the commutation residual zero
-    and b is its first-order table, so the verdict is exact (see
-    commutation_residuals).  b needs no horizontality check:
-    b_c = sum_j w_j(DB_cj) with w_j = sum_k g^{jk} v_k~, and after (1) DB,
-    hence every derivative of it, takes values in the fixed subspace span B_H.
+    Stages (_frame_stages): (1) contact compatibility of DF, (2) exact
+    factorization DF Q_G DF^T = lambda_sq Q_H, (3) the drift b, the
+    first-order table of the pullback of Delta_G.  A factor lambda_sq = 0
+    (a constant map) passes them and is rejected here as not positive.
     probe_degree is validated and echoed in the report; no probe is run.
     """
     if probe_degree < 2:
         raise ValueError("probe_degree must be at least 2")
-    n = source.dim
-    db = _differential(F, source, target, True)
-
-    # the columns of DB outside the target polarization, annihilator by
-    # annihilator and column by column
-    contact_bad = _polarization_residuals(_prows_transpose(db), target, n)
-    if contact_bad:
-        return CommutationReport(False, False, None, None, probe_degree,
-                                 contact_bad, "differential leaves the polarization")
-
-    tables = source.tables
-    lam_sq, mismatches = _conformal_factor(_prows_congruence(db, tables.gram_inverse),
-                                           target.tables.cometric_rows, n)
-    if mismatches:
-        return CommutationReport(True, False, None, None, probe_degree,
-                                 mismatches, "cometric image is not a multiple of the target cometric")
+    reason, found = _frame_stages(F, source, target)
+    if reason:
+        return CommutationReport(reason != _NOT_CONTACT, False, None, None, probe_degree,
+                                 found, reason)
+    lam_sq, b = found
     # C = DB G^{-1} DB^T and the constant Q_H != 0 are positive semidefinite, so
     # lambda_sq < 0 cannot occur: only lambda_sq = 0 (a constant map) gets here
     if not lam_sq:
         return CommutationReport(True, False, None, None, probe_degree,
                                  (lam_sq,), "conformal factor is not positive")
-
-    b = _from_prows(_pushforward_first(db, tables.gradient_fields), n)
-    return CommutationReport(True, True, lam_sq, tuple(row[0] for row in b), probe_degree, (), "")
+    return CommutationReport(True, True, lam_sq, b, probe_degree, (), "")
 
 
 def b_vector(F: PolyMap, lambda_sq, source: SubRiemannianGroup,

@@ -11,9 +11,9 @@ the first-order table first_c = sum_j w_j(DB_cj).
 At DB = Lambda_G B (GroupTables.horizontal_frame) it gives the sub-Laplacian,
 at DB = horizontal_differential(F) the frame tables of its pullback along a
 map F, and at J = JF (Lambda_G B_G) the tables (Gamma(F_k, F_l), Delta_G F_k)
-of the coordinate chain rule (_chain_rule_tables), on which
-PullbackOperator.apply and conformal's verify evaluate Delta_G(u o F) with
-one jet evaluator (_add_jet).  The full differential DF is never built.
+of the coordinate chain rule (_chain_rule_tables), on which one jet evaluator
+(_add_jet) runs PullbackOperator.apply and lists the witnesses of a failing
+identity for conformal's verify.  The full differential DF is never built.
 
 The assembly runs in polynomial's private (rows, den) form, integer term
 dicts over one common denominator (_pullback_tables):

@@ -219,6 +219,38 @@ def test_orthogonal_witness_matches_scalar_update(frames):
     assert sublap.conformal._orthogonal_witness(*rows) == scalar_orthogonal_witness(fx, fy)
 
 
+@st.composite
+def frame_pairs(draw):
+    """Two n x d rational frames, n and d in 1..4, with entries from a small
+    set so that equal spans occur; half the time the second is a signed
+    permutation of the first, which has the same cometric."""
+    n, d = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entries = st.sampled_from((Rat(0), Rat(0), Rat(1), Rat(-1), Rat(1, 2), Rat(2)))
+    fx = tuple(tuple(draw(entries) for _ in range(d)) for _ in range(n))
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(n)))
+        signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+        return fx, tuple(tuple(s * x for x in fx[i]) for i, s in zip(order, signs))
+    return fx, tuple(tuple(draw(entries) for _ in range(d)) for _ in range(n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(frame_pairs())
+def test_frames_raise_exactly_on_different_spans(frames):
+    # the span test runs only when the cometrics differ: equal cometrics
+    # X^T X = Y^T Y have equal ranges, the row spaces of X and Y
+    fx, fy = frames
+    try:
+        decision = frames_equivalent(fx, fy)
+    except ValueError as err:
+        assert str(err) == "frames span different subspaces"
+        assert not linalg.span_equal(fx, fy)
+    else:
+        assert linalg.span_equal(fx, fy)
+        x, y = linalg.transpose(fx), linalg.transpose(fy)
+        assert decision.equivalent == (linalg.mat_mul(x, fx) == linalg.mat_mul(y, fy))
+
+
 # ---------------------------------------------------------------------------
 # commutation analysis
 
@@ -408,6 +440,29 @@ def test_probe_counter_binding(h1, r2, engel, monkeypatch):
     assert commutation_residuals(dilation(engel, 2), 4, zero4, engel, engel, 3) == ()
     assert commutation_residuals(dilation(engel, 2), 5, zero4, engel, engel, 3)
     assert drawn == [comb(2 + 4, 4), comb(4 + 3, 3)]
+
+
+def test_holding_identity_builds_no_coordinate_table(h1, r2, engel, monkeypatch):
+    # a stated identity is decided on the frame stages, a constant map with
+    # lambda_sq = 0 too; the coordinate tables are built only to list the
+    # witnesses of a failing one
+    def refuse(*args):
+        raise AssertionError("coordinate table built")
+
+    monkeypatch.setattr(sublap.conformal, "_compose_rows", refuse)
+    monkeypatch.setattr(sublap.conformal, "_chain_rule_tables", refuse)
+    la = left_translation(engel, (Rat(1), Rat(-1), Rat(1, 2), Rat(2)))
+    radial = PolyMap.parse(["x1^2 + x2^2"], 2)
+    for F, lam_sq, b, source, target in (
+            (dilation(h1, 2), 4, (0, 0, 0), h1, h1),
+            (horizontal_projection(), 1, (0, 0), h1, r2),
+            (la, 1, (0, 0, 0, 0), engel, engel),
+            (radial, Polynomial.parse("4*x1^2 + 4*x2^2", 2), (Polynomial.constant(4, 2),),
+             r2, abelian_group(1)),
+            (PolyMap.parse(["1", "2"], 2), 0, (0, 0), r2, r2)):
+        assert commutation_residuals(F, lam_sq, b, source, target, 3) == ()
+    with pytest.raises(AssertionError, match="coordinate table"):
+        commutation_residuals(dilation(h1, 2), 5, (0, 0, 0), h1, h1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -783,6 +838,11 @@ def test_residuals_with_zero_factor_list_the_pullback():
                           (groups[3], (Rat(1, 2), -1, 2, Rat(-3, 4), 1)),
                           (groups[4], (-1, Rat(1, 3), 0, 2, Rat(5, 2)))):
         cases.append((left_translation(target, point), target, target))
+    # a constant map: its pullback is 0, so lambda_sq = 0 and b = 0 hold
+    source, target = groups[2], groups[3]
+    constant = PolyMap(source.dim, [Polynomial.constant(c, source.dim)
+                                    for c in (1, -2, 0, Rat(1, 2), 3)])
+    cases.append((constant, source, target))
     for F, source, target in cases:
         pulled = pullback_operator(F, source, target)
         zero = (Polynomial.zero(source.dim),) * target.dim
@@ -791,6 +851,11 @@ def test_residuals_with_zero_factor_list_the_pullback():
                         if (r := pulled.apply(u))]
             assert list(commutation_residuals(F, 0, zero, source, target, degree)) == \
                 expected, (F, degree)
+    zero = (Polynomial.zero(source.dim),) * target.dim
+    assert commutation_residuals(constant, 0, zero, source, target, 3) == ()
+    # with lambda_sq = 1 the residual of a probe is -(Delta_H u) o F
+    listed = commutation_residuals(constant, 1, zero, source, target, 3)
+    assert listed and listed == probe_residuals(constant, 1, zero, source, target, 3)
 
 
 @st.composite

@@ -17,15 +17,19 @@ form, integer term dicts over one common denominator: ad comes from the
 group's bracket table scaled to integers (_ad_rows), JF from the term dicts
 of the map's components, and lie_differential, horizontal_differential and
 left_translation_jacobian build one reduced Polynomial per entry of the
-result.  Every differential, DF or DF B_G, comes from one entry,
-_differential, which checks the map against the two groups first; the two
-public differentials, operators.PullbackOperator and
-conformal.analyze_commutation call it.  A linear Lie homomorphism M skips
-the inverse series: F(p * q) = F(p) * F(q) makes DF = M at every point, so
-the two differentials are the constants M and M B_G, read from the term
-dicts once an integer check of M [x, y]_G = [M x, M y]_H on both bracket
-tables has passed (_homomorphism_rows).  Dynkin's form of the series,
-dynkin_terms, is the reference the tests check products against; no
+result.  Every differential, DF or DF B_G, starts at _map_rows, which
+checks the map against the two groups and then tests it once for a linear
+Lie homomorphism (_homomorphism_rows).  Such an M skips the inverse
+series: F(p * q) = F(p) * F(q) makes DF = M at every point, so the two
+differentials are the constants M and M B_G, read from the term dicts once
+an integer check of M [x, y]_G = [M x, M y]_H on both bracket tables has
+passed, and formed as linalg's integer matrices (_constant_differential);
+any other map takes the series (_series_differential).  _differential, the
+entry of the two public differentials and operators.PullbackOperator,
+returns either in the (rows, den) form of polynomial;
+conformal.analyze_commutation calls the branches itself, so that it decides
+a homomorphism's frame stages on the integer matrix.  Dynkin's form of the
+series, dynkin_terms, is the reference the tests check products against; no
 product reads it.
 """
 
@@ -339,38 +343,60 @@ def horizontal_differential(F: PolyMap, source: SubRiemannianGroup,
 def _differential(F: PolyMap, source: SubRiemannianGroup, target: SubRiemannianGroup,
                   horizontal: bool) -> tuple:
     """DF, or DF B_G when horizontal, in the (rows, den) form of polynomial,
-    after _check_map: the one entry to the differential.
+    after _check_map: the entry of lie_differential, horizontal_differential
+    and PullbackOperator.
 
-    A linear Lie homomorphism M gives the constant M (B_G); any other map
-    the series Lambda_H(F)^{-1} JF columns, columns = Lambda_G (B_G) from
-    the source's tables.  JF and -ad_F are read from the term dicts of F's
-    components over their common denominator, ad through the target's
-    integer bracket table."""
+    A linear Lie homomorphism M gives the constant M (B_G) of
+    _constant_differential, each nonzero entry as a one-term dict; any other
+    map the series of _series_differential."""
+    comps, den, matrix = _map_rows(F, source, target)
+    if matrix is None:
+        return _series_differential(comps, den, source, target, horizontal)
+    rows, den = _constant_differential(matrix, source, horizontal)
+    one = (0,) * source.dim
+    return tuple(tuple({one: x} if x else {} for x in row) for row in rows), den
+
+
+def _map_rows(F: PolyMap, source: SubRiemannianGroup, target: SubRiemannianGroup) -> tuple:
+    """(comps, den, matrix) after _check_map: F's components as integer term
+    dicts comps over den, and matrix = _homomorphism_rows(comps, den, ...),
+    None unless F is a linear Lie homomorphism."""
     _check_map(F, source, target)
     (comps,), den = _to_prows((F.components,))
-    tables = source.tables
-    matrix = _homomorphism_rows(comps, den, source, target)
-    if matrix is not None:
-        rows, den = matrix
-        width = source.dim
-        if horizontal:
-            b, bden = tables.polarization_rows
-            width, den = source.rank, den * bden
-            product = []
-            for row in rows:
-                acc = {}
-                for k, c in row.items():
-                    for j, w in b[k]:
-                        acc[j] = acc.get(j, 0) + c * w
-                product.append(acc)
-            rows = product
-        one = (0,) * source.dim
-        return tuple(tuple({one: x} if (x := row.get(j)) else {} for j in range(width))
-                     for row in rows), den
+    return comps, den, _homomorphism_rows(comps, den, source, target)
+
+
+def _constant_differential(matrix: tuple, source: SubRiemannianGroup, horizontal: bool) -> tuple:
+    """The differential M, or M B_G when horizontal, of a linear Lie
+    homomorphism given as _homomorphism_rows returns it, as linalg's integer
+    (rows, den); B_G is read from its sparse rows (polarization_rows)."""
+    rows, den = matrix
+    if not horizontal:
+        n = source.dim
+        return [[row.get(j, 0) for j in range(n)] for row in rows], den
+    b, bden = source.tables.polarization_rows
+    r = source.rank
+    product = []
+    for row in rows:
+        acc = [0] * r
+        for k, c in row.items():
+            for j, w in b[k]:
+                acc[j] += c * w
+        product.append(acc)
+    return product, den * bden
+
+
+def _series_differential(comps: tuple, den: int, source: SubRiemannianGroup,
+                         target: SubRiemannianGroup, horizontal: bool) -> tuple:
+    """Lambda_H(F)^{-1} JF columns, columns = Lambda_G (B_G) from the
+    source's tables, in the (rows, den) form of polynomial, for a map whose
+    components are the integer term dicts comps over den: JF and -ad_F are
+    read from those dicts, ad through the target's integer bracket table."""
     neg_ad = _ad_rows(target.tables.brackets,
                       tuple({e: -c for e, c in x.items()} for x in comps), den)
+    tables = source.tables
     columns = tables.horizontal_frame if horizontal else tables.jacobian
-    return _ad_series(neg_ad, _prows_mul(_jacobian_rows(comps, den, F.source_dim), columns),
+    return _ad_series(neg_ad, _prows_mul(_jacobian_rows(comps, den, source.dim), columns),
                       (1,) * target.step, 1)
 
 

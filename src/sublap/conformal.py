@@ -12,28 +12,31 @@ Three related questions live here:
   tables of u -> Delta_G(u o F), not on any particular u, so the verdict is
   exact: it compares those tables and never samples test functions.
   Both deciders read them in the target's frame, on the horizontal
-  differential (_frame_stages); commutation_residuals then lists the
-  witnesses of a failing stated identity in target coordinates, on the
-  chain-rule tables of operators (the ones PullbackOperator.apply
-  evaluates): probe monomials, all of them in one integer pass through the
-  jet evaluator of operators over one polynomial.MapPowers.
+  differential (_frame_stages), which for a linear Lie homomorphism is a
+  constant integer matrix (_constant_stages).  commutation_residuals then
+  lists the witnesses of a failing stated identity in target coordinates:
+  probe monomials, all of them in one integer pass through the jet
+  evaluator of operators over one polynomial.MapPowers, on the residual
+  tables.  When the stages pass, those are the stated identity's distance
+  from the true one; when they fail, the chain-rule tables of operators
+  (the ones PullbackOperator.apply evaluates) minus the stated identity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations_with_replacement
 from math import comb, gcd
 from operator import mul
 from typing import Optional
 
 from . import linalg
 from .algebra import SubRiemannianGroup
-from .calculus import _check_map, _differential, _frame_at, require_step
+from .calculus import _check_map, _constant_differential, _frame_at, _map_rows, \
+    _series_differential, require_step
 from .operators import _add_jet, _chain_rule_tables, _horizontal_vector, _jet_table, \
     _jet_weights, _polarization_residuals, _pushforward_first
-from .polynomial import MapPowers, Polynomial, PolyMap, _from_prows, _nonzero, \
+from .polynomial import MapPowers, Polynomial, PolyMap, _from_prows, _monomials, _nonzero, \
     _prows_combination, _prows_congruence, _prows_times, _prows_transpose, _reduced, _to_prows, \
     monomials_up_to
 from .rational import Rat, rat
@@ -297,6 +300,7 @@ def _conformal_factor(c: tuple, qh: tuple, nvars: int) -> tuple:
 
 
 _NOT_CONTACT = "differential leaves the polarization"
+_NOT_CONFORMAL = "cometric image is not a multiple of the target cometric"
 
 
 def _frame_stages(F: PolyMap, source: SubRiemannianGroup, target: SubRiemannianGroup) -> tuple:
@@ -310,9 +314,16 @@ def _frame_stages(F: PolyMap, source: SubRiemannianGroup, target: SubRiemannianG
     identity holds exactly when the pullback of Delta_G has the frame tables
     lambda_sq Q_H and b.  b needs no horizontality check: b_c =
     sum_j w_j(DB_cj) with w_j = sum_k g^{jk} v_k~, and after contact DB,
-    hence every derivative of it, takes values in the fixed subspace span B_H."""
+    hence every derivative of it, takes values in the fixed subspace span B_H.
+
+    A linear Lie homomorphism M has the constant DB = M B_G
+    (calculus._constant_differential), so its stages run on integer
+    matrices (_constant_stages); any other map's on polynomial ones."""
+    comps, den, matrix = _map_rows(F, source, target)
+    if matrix is not None:
+        return _constant_stages(_constant_differential(matrix, source, True), source, target)
     n = source.dim
-    db = _differential(F, source, target, True)
+    db = _series_differential(comps, den, source, target, True)
     # the columns of DB outside the target polarization, annihilator by
     # annihilator and column by column
     contact_bad = _polarization_residuals(_prows_transpose(db), target, n)
@@ -322,9 +333,42 @@ def _frame_stages(F: PolyMap, source: SubRiemannianGroup, target: SubRiemannianG
     lam_sq, mismatches = _conformal_factor(_prows_congruence(db, tables.gram_inverse),
                                            target.tables.cometric_rows, n)
     if mismatches:
-        return "cometric image is not a multiple of the target cometric", mismatches
+        return _NOT_CONFORMAL, mismatches
     b = _from_prows(_pushforward_first(db, tables.gradient_fields), n)
     return "", (lam_sq, tuple(row[0] for row in b))
+
+
+def _constant_stages(db: tuple, source: SubRiemannianGroup, target: SubRiemannianGroup) -> tuple:
+    """_frame_stages for a constant DB given as linalg's integer (rows, den),
+    with the same stages, witnesses and order, each witness a constant
+    Polynomial in the source variables: the contact pairings are one
+    product DB^T Y with the target's annihilators Y (none for R^m), the
+    split is _conformal_factor's rule on the integers of DB G^{-1} DB^T,
+    and b = 0, since the derivatives of a constant vanish."""
+    n = source.dim
+    one = (0,) * n
+
+    def constant(x: int, den: int) -> Polynomial:
+        return _reduced(n, {one: x} if x else {}, den)
+
+    pairs, den = linalg._rows_mul(linalg._rows_transpose(db), target.tables.annihilators)
+    contact_bad = tuple(constant(x, den) for col in zip(*pairs) for x in col if x)
+    if contact_bad:
+        return _NOT_CONTACT, contact_bad
+    rows, den = linalg._rows_mul(linalg._rows_mul(db, source.tables.gram_inverse),
+                                 linalg._rows_transpose(db))
+    q, qd = target.tables.cometric_rows
+    i0, j0 = next((i, j) for i, row in enumerate(q) for j, x in enumerate(row) if x)
+    c0, q0 = rows[i0][j0], q[i0][j0]
+    # as in _conformal_factor: c_ij q_0 = c_0 q_ij, and lambda_sq = c_0 / q_0
+    sign, den0 = (1, den * q0) if q0 > 0 else (-1, -den * q0)
+    mismatches = tuple(constant((x * q0 - c0 * w) * sign, den0)
+                       for crow, qrow in zip(rows, q) for x, w in zip(crow, qrow)
+                       if x * q0 != c0 * w)
+    if mismatches:
+        return _NOT_CONFORMAL, mismatches
+    zero = constant(0, 1)
+    return "", (constant(c0 * qd * sign, den0), (zero,) * target.dim)
 
 
 def commutation_residuals(F: PolyMap, lambda_sq, b, source: SubRiemannianGroup,
@@ -353,12 +397,17 @@ def commutation_residuals(F: PolyMap, lambda_sq, b, source: SubRiemannianGroup,
     Lambda_H(F) b the Bernoulli series in ad_F (built only for b != 0).
     These are the frame tables of the identity (second - lambda_sq Q_H and
     first - b) seen through Lambda_H(F), which is unipotent, so on a failing
-    identity one of them is nonzero.  S is symmetric and the 2-jet of u at a
-    point is arbitrary, so a probe of degree <= 2 already fails, and the
-    listing is sound: for a probe x^alpha, (d_k d_l x^alpha) o F and
-    (d_k x^alpha) o F are integer multiples of powers of F, so one integer
-    pass over the probes adds each table entry times a power into its probe
-    (_list_witnesses), and each failing probe is reduced once.
+    identity one of them is nonzero.  When the stages pass with the true
+    (lam, b_true), Gam = lam H2 o F and Delta_G F = lam H1 o F +
+    Lambda_H(F) b_true, since J = Lambda_H(F) DB, so the tables are built
+    without J:
+        S = (lam - lambda_sq) H2 o F,    R = (lam - lambda_sq) H1 o F + Lambda_H(F) (b_true - b).
+    S is symmetric and the 2-jet of u at a point is arbitrary, so a probe of
+    degree <= 2 already fails, and the listing is sound: for a probe
+    x^alpha, (d_k d_l x^alpha) o F and (d_k x^alpha) o F are integer
+    multiples of powers of F, so one integer pass over the probes adds each
+    table entry times a power into its probe (_list_witnesses), and each
+    failing probe is reduced once.
 
     Listing takes C(m + probe_degree, probe_degree) probes for a target of
     dimension m; over PROBE_BUDGET, ProbeBudgetExceeded (a ValueError) is
@@ -379,13 +428,23 @@ def commutation_residuals(F: PolyMap, lambda_sq, b, source: SubRiemannianGroup,
     if not reason and found == (lambda_sq, tuple(row[0] for row in _from_prows(drift, n))):
         return ()
     (comps,), den = _to_prows((F.components,))
-    gam, lap = _chain_rule_tables(comps, den, source)
+    if reason:
+        gam, lap = _chain_rule_tables(comps, den, source)
+        second, first = [(1, gam)], [(1, lap)]
+    else:
+        # with the true (lam, b_true), Gam = lam H2 o F and Delta_G F =
+        # lam H1 o F + Lambda_H(F) b_true: only the differences remain
+        lam, b_true = found
+        second, first = [], []
+        lambda_sq = lambda_sq - lam
+        drift = _prows_combination([(1, drift), (-1, _to_prows(tuple((x,) for x in b_true)))])
     h2, h1 = target.tables.sublaplacian_tables
     degree = target.tables.sublaplacian_degree
     powers = MapPowers(F)
-    second = _prows_combination([(1, gam), (-1, _compose_rows(h2, powers, den, degree, lambda_sq))])
-    first = [(1, lap), (-1, _compose_rows(h1, powers, den, degree, lambda_sq))]
-    if any(b):
+    second.append((-1, _compose_rows(h2, powers, den, degree, lambda_sq)))
+    second = _prows_combination(second)
+    first.append((-1, _compose_rows(h1, powers, den, degree, lambda_sq)))
+    if any(map(any, drift[0])):
         first.append((-1, _frame_at(comps, den, target, drift)))
     first = _prows_combination(first)
     probes = comb(m + probe_degree, probe_degree)
@@ -409,6 +468,8 @@ def _compose_rows(a: tuple, powers: MapPowers, den: int, degree: int,
     constant factor scales the coefficients as they are composed; a
     polynomial one multiplies the composed entries."""
     rows, da = a
+    if not factor:
+        return tuple(tuple({} for _ in row) for row in rows), 1
     top = den ** degree
     constant = factor.is_constant
     k = factor._num.get((0,) * factor.nvars, 0) if constant else 1
@@ -434,15 +495,11 @@ def _compose_rows(a: tuple, powers: MapPowers, den: int, degree: int,
 
 
 @lru_cache(maxsize=64)
-def _probe_plan(m: int, degree: int) -> dict:
-    """{alpha: _jet_weights(alpha)} for the exponents of the probes x^alpha,
-    |alpha| <= degree, of a target of dimension m."""
-    plan = {}
-    for d in range(degree + 1):
-        for combo in combinations_with_replacement(range(m), d):
-            alpha = tuple(map(combo.count, range(m)))
-            plan[alpha] = _jet_weights(alpha)
-    return plan
+def _probe_plan(m: int, degree: int) -> tuple:
+    """_jet_weights(alpha) for each probe x^alpha of monomials_up_to(m,
+    degree), in its order.  Read from polynomial's cached probes
+    (_monomials), so that monomials_up_to runs once per listing."""
+    return tuple(_jet_weights(next(iter(u._num))) for u in _monomials(m, degree))
 
 
 def _list_witnesses(second: tuple, first: tuple, powers: MapPowers, nvars: int, m: int,
@@ -452,14 +509,14 @@ def _list_witnesses(second: tuple, first: tuple, powers: MapPowers, nvars: int, 
     sum first_k (d_k u) o F, for the coordinate tables second and first in
     the (rows, den) form of polynomial and the powers of F: each probe's
     jet is one _add_jet over the entries of _jet_table, as in
-    PullbackOperator.apply, and each failing probe is reduced once."""
+    PullbackOperator.apply, and each failing probe is reduced once.  The
+    probes and their weights are built once per (m, probe_degree)."""
     entries, common = _jet_table(second, first, powers.dens)
-    plan = _probe_plan(m, probe_degree)
     bad = []
-    for u in monomials_up_to(m, probe_degree):
-        (alpha,) = u._num
-        out = _add_jet({}, entries, plan[alpha], powers, 1)
+    for u, weights in zip(monomials_up_to(m, probe_degree), _probe_plan(m, probe_degree)):
+        out = _add_jet({}, entries, weights, powers, 1)
         if out and (out := _nonzero(out)):
+            (alpha,) = u._num
             bad.append((u, _reduced(nvars, out, common * powers.den(alpha))))
     return tuple(bad)
 

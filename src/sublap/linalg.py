@@ -71,7 +71,11 @@ def _ratio(num: int, den: int):
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """a @ b, one lcm per operand."""
+    """a @ b, one lcm per operand.  A matrix with no rows is stored as ()
+    whatever its width, so it is taken to fit any b: the product has no
+    rows either."""
+    if not a:
+        return ()
     n, k = shape(a)
     k2, m = shape(b)
     if k != k2:
@@ -80,7 +84,10 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
-    """a @ v, as the product with the one-column matrix of v."""
+    """a @ v, as the product with the one-column matrix of v; () when a
+    has no rows (see mat_mul)."""
+    if not a:
+        return ()
     n, k = shape(a)
     if k != len(v):
         raise ValueError("shape mismatch %sx%s @ %s" % (n, k, len(v)))

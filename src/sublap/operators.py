@@ -12,8 +12,9 @@ At DB = Lambda_G B (GroupTables.horizontal_frame) it gives the sub-Laplacian,
 at DB = horizontal_differential(F) the frame tables of its pullback along a
 map F, and at J = JF (Lambda_G B_G) the tables (Gamma(F_k, F_l), Delta_G F_k)
 of the coordinate chain rule (_chain_rule_tables), on which one jet evaluator
-(_add_jet) runs PullbackOperator.apply and lists the witnesses of a failing
-identity for conformal's verify.  The full differential DF is never built.
+(_add_jet) runs PullbackOperator.apply and lists the witnesses of an
+identity that conformal's verify finds failing at a frame stage.  The full
+differential DF is never built.
 
 The assembly runs in polynomial's private (rows, den) form, integer term
 dicts over one common denominator (_pullback_tables):

@@ -32,7 +32,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 from math import comb, gcd, lcm, prod
 
@@ -789,12 +789,17 @@ def _prows_combination(parts) -> tuple:
 
 
 def monomials_up_to(nvars: int, degree: int):
-    """All monomial Polynomials of total degree <= degree (including 1)."""
-    out = [Polynomial.constant(1, nvars)]
-    for d in range(1, degree + 1):
+    """All monomial Polynomials of total degree <= degree (including 1), by
+    degree and then in the order of combinations_with_replacement.  Each
+    call returns a new list; the Polynomials in it are built once per
+    (nvars, degree) and shared between calls."""
+    return list(_monomials(nvars, degree))
+
+
+@lru_cache(maxsize=64)
+def _monomials(nvars: int, degree: int) -> tuple:
+    out = []
+    for d in range(degree + 1):
         for combo in combinations_with_replacement(range(nvars), d):
-            exps = [0] * nvars
-            for i in combo:
-                exps[i] += 1
-            out.append(_raw(nvars, {tuple(exps): 1}, 1))
-    return out
+            out.append(_raw(nvars, {tuple(map(combo.count, range(nvars))): 1}, 1))
+    return tuple(out)

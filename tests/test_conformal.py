@@ -728,6 +728,72 @@ def test_homomorphism_shortcut_changes_no_report(monkeypatch):
     assert shortcut == series
 
 
+def _seeded_homomorphism_cases():
+    return [(F, source, target) for seed in (1, 2, 3)
+            for _, F, source, target in seeded_homomorphisms(seed)]
+
+
+def test_homomorphisms_take_the_integer_stages(monkeypatch):
+    # a linear Lie homomorphism has the constant DB = M B_G, so analyze-map
+    # and verify decide its stages on integer matrices: none of the
+    # polynomial stage kernels runs, while any other map still reaches them
+    def refuse(*args):
+        raise AssertionError("polynomial stage kernel")
+
+    for name in ("_prows_congruence", "_pushforward_first", "_polarization_residuals"):
+        monkeypatch.setattr(sublap.conformal, name, refuse)
+    cases = _seeded_homomorphism_cases()
+    verdicts = []
+    for F, source, target in cases:
+        report = analyze_commutation(F, source, target)
+        verdicts.append(report.conformal)
+        lam_sq = report.lambda_sq if report.conformal else Polynomial.constant(1, source.dim)
+        b = report.b if report.conformal else (0,) * target.dim
+        assert (commutation_residuals(F, lam_sq, b, source, target, 2) == ()) == \
+            report.conformal, F
+        assert commutation_residuals(F, lam_sq + 1, b, source, target, 2), F
+    # the dilations, similarities and quotients of each seed
+    assert len(cases) == 57 and verdicts.count(True) == 3 * 11
+    h1 = heisenberg_group(1, (1,))
+    with pytest.raises(AssertionError, match="polynomial stage kernel"):
+        analyze_commutation(left_translation(h1, (Rat(1), Rat(2), Rat(3))), h1, h1)
+
+
+def test_integer_stages_match_polynomial_analysis():
+    cases = _seeded_homomorphism_cases() + gallery_maps() + analyzer_rejections()
+    assert len(cases) == 57 + 12 + 20
+    for F, source, target in cases:
+        assert analyze_commutation(F, source, target) == \
+            poly_analyze_commutation(F, source, target), F
+
+
+def test_failing_identity_on_a_conformal_map_differentiates_once(monkeypatch):
+    # once the frame stages pass with the true (lambda_sq, b), the residual
+    # tables of a stated identity are (lambda_sq - stated) (H o F) and
+    # Lambda_H(F) (b - stated b): no chain-rule table is built, and the
+    # witnesses are those of the direct probe oracle
+    def refuse(*args):
+        raise AssertionError("chain-rule table built")
+
+    cases = [case for case in gallery_maps() + _seeded_homomorphism_cases()[:19]
+             if analyze_commutation(*case).conformal]
+    assert len(cases) == 8 + 11
+    monkeypatch.setattr(sublap.conformal, "_chain_rule_tables", refuse)
+    for F, source, target in cases:
+        report = analyze_commutation(F, source, target)
+        n = source.dim
+        shift = tuple(Polynomial.constant(x, n) * Rat(-3, 2)
+                      for x in target.polarization.basis[0])
+        for lam_sq, b in ((report.lambda_sq + Rat(1, 2), report.b),
+                          (report.lambda_sq, tuple(map(Polynomial.__add__, report.b, shift))),
+                          (report.lambda_sq * 2, tuple(map(Polynomial.__add__, report.b, shift)))):
+            got = commutation_residuals(F, lam_sq, b, source, target, 2)
+            assert got and got == probe_residuals(F, lam_sq, b, source, target, 2), F
+    with pytest.raises(AssertionError, match="chain-rule table"):
+        commutation_residuals(PolyMap.parse(["x1", "2*x2"], 2), 1, (0, 0),
+                              abelian_group(2), abelian_group(2), 2)
+
+
 # ---------------------------------------------------------------------------
 # the integer pipeline against the Polynomial-level composition
 

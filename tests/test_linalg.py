@@ -74,6 +74,18 @@ def test_mat_vec_and_mat_sub_reject_mismatched_shapes():
     assert linalg.mat_vec(a, linalg.mat(((1, 1, 1),))[0]) == (Rat(6), Rat(15))
 
 
+def test_matrix_without_rows_multiplies_any_width():
+    # () is a 0 x k matrix for every k: its products have no rows, with no
+    # shape mismatch, while a matrix with rows still checks its width
+    b = linalg.mat(((1, 2), (3, 4), (5, 6)))
+    assert linalg.mat_mul((), b) == ()
+    assert linalg.mat_mul((), linalg.mat(((1, 2, 3),))) == ()
+    assert linalg.mat_vec((), linalg.mat(((1, -1, 2),))[0]) == ()
+    assert linalg.mat_vec((), ()) == ()
+    with pytest.raises(ValueError, match="shape mismatch 3x2 @ 0x0"):
+        linalg.mat_mul(b, ())
+
+
 def fraction_product(a, b, n, k, m):
     """a @ b on Fractions for an n x k and a k x m matrix, shapes given
     because an empty matrix does not carry its width."""
@@ -81,10 +93,11 @@ def fraction_product(a, b, n, k, m):
                        for j in range(m)) for i in range(n))
 
 
-@pytest.mark.parametrize("n, k, m", [(0, 0, 0), (3, 0, 0), (2, 3, 0), (1, 3, 0), (1, 1, 1)])
+@pytest.mark.parametrize("n, k, m", [(0, 0, 0), (3, 0, 0), (2, 3, 0), (1, 3, 0), (1, 1, 1),
+                                     (0, 3, 2), (0, 1, 0)])
 def test_products_and_rref_on_edge_shapes_match_fraction_oracle(n, k, m):
     # 0 x k, k x 0 and 1 x 1; a matrix with no rows is (), whatever its width,
-    # so a k x 0 matrix times one is k x 0
+    # so a k x 0 matrix times one is k x 0, and a 0 x k one times a k x m is ()
     a = tuple(tuple(Rat(i + 2 * t - 1, t + 1) for t in range(k)) for i in range(n))
     b = tuple(tuple(Rat(3 * t - j, j + 2) for j in range(m)) for t in range(k))
     product = linalg.mat_mul(a, b)

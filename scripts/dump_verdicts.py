@@ -4,7 +4,9 @@
 One line per task, in the order the workload runs them, for each seed:
 the task's kind and description, then its result.  An analysis prints as
 specfiles.report_to_dict, a witness list as its (str(probe), str(residual))
-pairs, and any other result as the verdict text of the task's own check.
+pairs, a Heisenberg result (the spectrum r, the ratio rho, the entries of
+Psi) with repr, so that its floats compare to the last bit, and any other
+result as the verdict text of the task's own check.
 With --cli, every map-analysis task also runs through the analyze-map or
 verify command of sublap.cli.main at each of the given probe degrees, in
 text and in JSON, one line per report.
@@ -34,6 +36,7 @@ import workloads  # noqa: E402  (imports sublap from this checkout's src)
 
 from sublap import cli, specfiles  # noqa: E402
 from sublap.conformal import CommutationReport  # noqa: E402
+from sublap.heisenberg import SymplecticSpectrum  # noqa: E402
 
 
 def render(task, result) -> str:
@@ -41,6 +44,13 @@ def render(task, result) -> str:
         return json.dumps(specfiles.report_to_dict(result), sort_keys=True)
     if task.kind.startswith("verify/"):
         return json.dumps([(str(u), str(r)) for u, r in result])
+    if isinstance(result, SymplecticSpectrum):
+        return "r=%r" % (result.r,)
+    if task.kind == "isometry/build":
+        psi, rho = result
+        return "rho=%r psi=%r" % (rho, psi.tolist())
+    if task.kind.startswith("isometry/"):
+        return "rho=%r" % (result,)
     return task.check(result)[1]
 
 

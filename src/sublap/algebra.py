@@ -367,16 +367,18 @@ class Polarization:
 @dataclass(frozen=True)
 class Metric:
     """Inner product on the polarization, as a Gram matrix in its basis.
-    ldl is the exact factorization (L, d) of linalg.ldl_pd that checked the
-    Gram matrix positive definite, kept for the consumers that reduce by it."""
+    bareiss is the integer elimination (s, tri) of linalg._bareiss_pd that
+    checked the Gram matrix positive definite: the scale s and the lower
+    triangle of leading minors and multipliers, from which the consumers
+    that reduce by G = L diag(d) L^T read L and d."""
 
     gram: tuple
-    ldl: tuple = field(init=False, repr=False, compare=False)
+    bareiss: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "gram", linalg.mat(self.gram))
         try:
-            object.__setattr__(self, "ldl", linalg.ldl_pd(self.gram))
+            object.__setattr__(self, "bareiss", linalg._bareiss_pd(self.gram))
         except ValueError:
             raise ValueError("metric Gram matrix must be symmetric positive definite") from None
 

@@ -202,7 +202,7 @@ def frames_equivalent(frame_x, frame_y) -> FrameDecision:
                           linalg._rows_mul(linalg._rows_transpose(y), y)):
         return FrameDecision(True, _orthogonal_witness(x, y))
     # the range of X^T X is the row space of X: equal cometrics span alike
-    if not linalg.span_equal(fx, fy):
+    if not linalg._rows_span_equal(x[0], y[0]):
         raise ValueError("frames span different subspaces")
     return FrameDecision(False, None)
 

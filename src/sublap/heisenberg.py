@@ -5,10 +5,13 @@ positive inner product G on the same even-dimensional space.  The operator
 A = G^{-1} omega has purely imaginary spectrum {+-i mu_1, ..., +-i mu_n}; the
 invariants r_i = sqrt(mu_i), listed in increasing order, classify the pair up
 to linear symplectic-conformal isometry.  The computation reduces A to an
-orthonormal gauge (exact LDL^T of G), where the problem becomes a symmetric
-eigenvalue problem solved in floating point.  numpy is imported inside the
-float functions only, so importing this module (and every exact command of
-the CLI) does not load it.
+orthonormal gauge, where the problem becomes a symmetric eigenvalue problem
+solved in floating point.  The reduction is exact and runs on integers: the
+fraction-free elimination of G that the Metric's check made gives
+G = L diag(d) L^T, and L^{-1} omega L^{-T} comes from two triangular
+products; each float is then one division of integers.  numpy is imported
+inside the float functions only, so importing this module (and every exact
+command of the CLI) does not load it.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import mul
 
 from . import linalg
 from .algebra import LieAlgebra, Metric, SubRiemannianGroup, subriemannian_group
@@ -29,7 +33,11 @@ class NoIsometry(ValueError):
 
 @dataclass(frozen=True)
 class SymplecticForm:
+    """An antisymmetric nondegenerate matrix.  rows is its integer form
+    (rows, den) of linalg, the one its checks ran on."""
+
     matrix: tuple
+    rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = linalg.mat(self.matrix)
@@ -39,12 +47,13 @@ class SymplecticForm:
             raise ValueError("symplectic form needs even positive dimension")
         if any(len(row) != size for row in m):
             raise ValueError("symplectic form must be square")
-        rows, _ = linalg._to_rows(m)
+        rows, den = linalg._to_rows(m)
         if any(rows[i][j] + rows[j][i] for i in range(size) for j in range(i + 1)):
             raise ValueError("symplectic form must be antisymmetric")
         basis = linalg.EchelonBasis()
         if not all(map(basis.insert_row, rows)):
             raise ValueError("symplectic form must be nondegenerate")
+        object.__setattr__(self, "rows", (tuple(map(tuple, rows)), den))
 
     @property
     def dim(self) -> int:
@@ -129,46 +138,78 @@ def _float_shifted(num: int, den: int, k: int) -> float:
     return num / den
 
 
-def _pair(x) -> tuple:
-    return int(x.numerator), int(x.denominator)
-
-
 def _reduction(omega, gram) -> tuple:
-    """The exact reduction of the pair by the LDL^T the Metric keeps: the
-    pivots d (Rats), and L^{-1} and mid = L^{-1} omega L^{-T}, both in the
-    integer form (rows, den) of linalg."""
-    l, d = gram.ldl
-    linv = linalg._inverse_rows(linalg._to_rows(l))
-    mid = linalg._rows_mul(linalg._rows_mul(linv, linalg._to_rows(omega.matrix)),
-                           linalg._rows_transpose(linv))
-    return d, linv, mid
+    """The exact reduction of the pair by the elimination (s, tri) of
+    M = s G that the Metric keeps, on integers: (s, p, r, y, den) with
+
+    * p[k] the leading principal minor of order k of M (p[0] = 1), so the
+      pivots of G = L diag(d) L^T are d_i = p[i+1] / (p[i] s);
+    * r the rows of the integer lower triangular R = diag(p[:-1]) L^{-1},
+      row i of length i + 1, so L^{-1} has row r[i] / p[i];
+    * y the strict lower triangle of the skew Y = R W R^T, with
+      omega = W / den, so mid = L^{-1} omega L^{-T} has
+      mid_ij = y[i][j] / (p[i] p[j] den) below the diagonal.
+
+    R is the elimination replayed on the identity: step k takes row i > k
+    to (p[k+1] R_i - f_ik R_k) / p[k], exactly, with the multiplier
+    f_ik = tri[i][k] the elimination recorded, so row i gains the entry
+    -f_ik in column k and its diagonal ends at p[i].  Y is two triangular
+    products, R W and then (R W) R^T below the diagonal.
+    """
+    s, tri = gram.bareiss
+    w, den = omega.rows
+    size = len(tri)
+    p = [1] + [tri[k][k] for k in range(size)]
+    r = [[0] * i + [p[i]] for i in range(size)]
+    for k in range(size):
+        rk, piv, prev = r[k], p[k + 1], p[k]
+        for i in range(k + 1, size):
+            ri, f = r[i], tri[i][k]
+            # R_k vanishes right of column k and R_i between k and i
+            for j in range(k):
+                ri[j] = (piv * ri[j] - f * rk[j]) // prev
+            ri[k] = -f
+    cols = tuple(zip(*w))
+    # map stops at the shorter operand: the rows of R are triangular
+    rw = [[sum(map(mul, ri, col)) for col in cols] for ri in r]
+    y = [[sum(map(mul, rwi, r[j])) for j in range(i)] for i, rwi in enumerate(rw)]
+    return s, p, r, y, den
 
 
 def _orthonormal_skew(omega, gram):
     """Float matrix of omega in a G-orthonormal basis, from the exact
     _reduction, with the shift that scales the skew matrix's invariants r_i
-    back to the pair's and the factors (L^{-1}, b, scale) of the change of
-    basis.
+    back to the pair's and the factors ((r, p), b, scale) of the change of
+    basis, L^{-1} given as its rows r[i] over p[i].
 
-    Each float is one division of integers, rescaled exactly by powers of
-    four: each pivot d_i = 4^b_i d'_i, so s_ij = part_ij / sqrt(d'_i d'_j)
-    with part_ij = mid_ij 2^-(b_i + b_j); the skew matrix returned is
-    s / 4^a, whose invariants are the pair's divided by 2^a, so shift = a.
-    Data within range is not divided at all.
+    Each float is one correctly rounded division of integers, rescaled
+    exactly by powers of four, so it depends on the rational only, not on
+    how it is written: each pivot d_i = 4^b_i d'_i, so
+    s_ij = part_ij / sqrt(d'_i d'_j) with part_ij = mid_ij 2^-(b_i + b_j);
+    the skew matrix returned is s / 4^a, whose invariants are the pair's
+    divided by 2^a, so shift = a.  Data within range is not divided at all.
+    Only the lower triangle of mid is converted: s_ji is -part_ij / 4^a
+    (the float of -x is -x) times the two scales in its own order, and the
+    diagonal is exactly zero.
     """
     import numpy as np
 
-    d, linv, (mid, den) = _reduction(omega, gram)
+    sg, p, r, y, den = _reduction(omega, gram)
     size = omega.dim
-    b = [_power_of_four((_pair(x),)) for x in d]
-    scale = [1.0 / math.sqrt(_float_shifted(*_pair(x), -2 * bi)) for x, bi in zip(d, b)]
-    a = _power_of_four(_shifted(x, den, -b[i] - b[j])
-                       for i, row in enumerate(mid) for j, x in enumerate(row))
-    s = np.empty((size, size))
-    for i in range(size):
-        for j in range(size):
-            s[i, j] = _float_shifted(mid[i][j], den, -b[i] - b[j] - 2 * a) * scale[i] * scale[j]
-    return s, a, (linv, b, scale)
+    d = [(p[i + 1], p[i] * sg) for i in range(size)]
+    b = [_power_of_four((x,)) for x in d]
+    scale = [1.0 / math.sqrt(_float_shifted(*x, -2 * bi)) for x, bi in zip(d, b)]
+    # mirrored entries of the skew mid have equal magnitudes
+    a = _power_of_four(_shifted(x, p[i] * p[j] * den, -b[i] - b[j])
+                       for i, row in enumerate(y) for j, x in enumerate(row))
+    s = np.zeros((size, size))
+    for i, row in enumerate(y):
+        for j, x in enumerate(row):
+            if x:
+                t = _float_shifted(x, p[i] * p[j] * den, -b[i] - b[j] - 2 * a)
+                s[i, j] = t * scale[i] * scale[j]
+                s[j, i] = -t * scale[j] * scale[i]
+    return s, a, ((r, p), b, scale)
 
 
 _NormalForm = namedtuple("_NormalForm", "r s w v guard factors")
@@ -176,7 +217,7 @@ _NormalForm = namedtuple("_NormalForm", "r s w v guard factors")
 
 def _normal_form(omega, gram, tolerance) -> _NormalForm:
     """Reduce the pair once: the invariants r, the orthonormal-gauge skew
-    matrix s with the factors (L^{-1}, b, scale) of its change of basis, the
+    matrix s with the factors ((r, p), b, scale) of its change of basis, the
     increasing eigenvalues w and orthonormal eigenvectors v of s^T s, and the
     guard tolerance * w_max they were checked with.
 
@@ -242,28 +283,29 @@ def isometry_decision(omega1, gram1, omega2, gram2, tolerance: float = 1e-9):
 
 
 def _basis_entry(num: int, den: int, k: int) -> float:
-    """float(num 2^k / den), or ValueError when a nonzero value has no
+    """float(num 2^k / den) for num != 0, or ValueError when it has no
     normal float."""
     try:
         value = _float_shifted(num, den, k)
     except OverflowError:
         value = math.inf
-    if num and not sys.float_info.min <= abs(value) < math.inf:
+    if not sys.float_info.min <= abs(value) < math.inf:
         raise ValueError("normal-form basis lies outside the float range")
     return value
 
 
 def _change_of_basis(linv, b, scale):
     """The floats of L^{-T} D^{-1/2}, the change of basis to the orthonormal
-    gauge: column j is row j of L^{-1} (integer rows over den) times
-    2^-b_j scale_j."""
+    gauge: column j is row j of L^{-1}, the integer row rows[j] over
+    dens[j] (zero right of the diagonal), times 2^-b_j scale_j."""
     import numpy as np
 
-    rows, den = linv
-    q = np.empty((len(rows), len(rows)))
-    for j, row in enumerate(rows):
+    rows, dens = linv
+    q = np.zeros((len(rows), len(rows)))
+    for j, (row, den) in enumerate(zip(rows, dens)):
         for i, x in enumerate(row):
-            q[i, j] = _basis_entry(x, den, -b[j]) * scale[j]
+            if x:
+                q[i, j] = _basis_entry(x, den, -b[j]) * scale[j]
     return q
 
 

@@ -17,11 +17,15 @@ the kernels directly, so each Rat of a chain is built once.
 Elimination is fraction-free and runs on Python ints.  Gauss-Jordan
 (``rref``, ``inverse``) divides every updated row by the gcd of its entries,
 and ``rref`` starts from the primitive rows of ``_to_rows``, which do not
-depend on the positive scale it chose; ``ldl_pd`` is Bareiss's elimination,
-whose exact division by the previous pivot keeps the entries minors of the
-scaled matrix; ``EchelonBasis`` keeps primitive integer rows keyed by pivot
-column, so ``rank`` is one forward pass.  The backend is touched only
-through ``.numerator``, ``.denominator`` and ``Rat(n, d)``.
+depend on the positive scale it chose; ``_bareiss_pd`` is Bareiss's
+elimination of a symmetric positive definite matrix, whose exact division
+by the previous pivot keeps the entries minors of the scaled matrix: it
+returns those integers and builds no Rat, and ``is_positive_definite`` and
+the Metric read their verdicts and factors off it; ``EchelonBasis`` keeps
+primitive integer rows keyed by pivot column, so ``rank`` is one forward
+pass, and ``_rows_span_equal`` compares two spans with one basis each.  The
+backend is touched only through ``.numerator``, ``.denominator`` and
+``Rat(n, d)``.
 """
 
 from __future__ import annotations
@@ -167,8 +171,9 @@ class EchelonBasis:
         """Add v; True when it is independent of the vectors already in."""
         return self.insert_row(_to_rows((v,))[0][0])
 
-    def insert_row(self, row: list) -> bool:
-        """insert() for a vector given by integer entries, at any scale."""
+    def insert_row(self, row) -> bool:
+        """insert() for a vector given by integer entries, at any scale.  The
+        basis keeps a row of its own, never the one passed in."""
         rows = self._rows
         for c in range(len(row)):
             x = row[c]
@@ -176,7 +181,7 @@ class EchelonBasis:
                 continue
             prow = rows.get(c)
             if prow is None:
-                rows[c] = _primitive(row)
+                rows[c] = _primitive(list(row))
                 return True
             # prow vanishes left of c, so columns before c stay zero
             p = prow[c]
@@ -273,52 +278,55 @@ def left_nullspace(a: Matrix):
     return nullspace(transpose(a))
 
 
-def span_equal(basis_a, basis_b) -> bool:
-    a, b = tuple(basis_a), tuple(basis_b)
-    return rank(a) == rank(b) == rank(a + b)
+def _rows_span_equal(rows_a, rows_b) -> bool:
+    """Whether two lists of integer vectors, each at any scale, span one
+    space: one echelon basis each, and b's vectors then add nothing to a's."""
+    span_a, span_b = EchelonBasis(), EchelonBasis()
+    for row in rows_a:
+        span_a.insert_row(row)
+    for row in rows_b:
+        span_b.insert_row(row)
+    return len(span_a) == len(span_b) and not any(map(span_a.insert_row, rows_b))
 
 
-def ldl_pd(a: Matrix):
-    """LDL^T factorization of a symmetric positive definite matrix.
+def _bareiss_pd(a: Matrix) -> tuple:
+    """Bareiss elimination of a symmetric positive definite matrix: (s, tri)
+    with s the lcm of the denominators of a and tri the integer lower
+    triangle of the elimination of M = s a.  Raises ValueError if a is not
+    symmetric positive definite.
 
-    Returns (L unit lower triangular, d tuple of positive pivots) with
-    a == L @ diag(d) @ L^T exactly.  Raises ValueError if a is not symmetric
-    positive definite.
-
-    Bareiss elimination on the integer matrix M = s a (s the lcm of the
-    denominators; indices from 1, p_0 = 1): step k divides exactly by the
-    previous pivot, so the k-th pivot p_k is the k-th leading principal
-    minor of M, and a nonpositive pivot is exactly the PD failure.  Then
-    d_k = p_k / (p_{k-1} s) and L_ik = M_ik / p_k, with M_ik read at step k.
+    With indices from 0 and p_0 = 1, step k divides exactly by the previous
+    pivot p_k, so the pivot tri[k][k] = p_{k+1} is the leading principal
+    minor of order k + 1 of M, and a nonpositive pivot is exactly the PD
+    failure.  Below the diagonal tri[i][k] is the multiplier f_ik, M_ik as
+    read at step k; column k is never written after step k.  So
+    M = L diag(s d) L^T with L_ik = f_ik / p_{k+1} and
+    d_k = p_{k+1} / (p_k s).
     """
     if not is_symmetric(a):
         raise ValueError("matrix is not symmetric")
     n = len(a)
     s = lcm(*(int(x.denominator) for row in a for x in row))
     # the lower triangle is all that is read or written
-    work = [[int(x.numerator) * (s // int(x.denominator)) for x in row[:i + 1]]
-            for i, row in enumerate(a)]
-    lower = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    d = []
+    tri = [[int(x.numerator) * (s // int(x.denominator)) for x in row[:i + 1]]
+           for i, row in enumerate(a)]
     prev = 1
     for k in range(n):
-        piv = work[k][k]
+        piv = tri[k][k]
         if piv <= 0:
             raise ValueError("matrix is not positive definite")
-        d.append(Rat(piv, prev * s))
         for i in range(k + 1, n):
-            wi = work[i]
+            wi = tri[i]
             f = wi[k]
-            lower[i][k] = _ratio(f, piv)
             for j in range(k + 1, i + 1):
-                wi[j] = (piv * wi[j] - f * work[j][k]) // prev
+                wi[j] = (piv * wi[j] - f * tri[j][k]) // prev
         prev = piv
-    return tuple(tuple(row) for row in lower), tuple(d)
+    return s, tuple(map(tuple, tri))
 
 
 def is_positive_definite(a: Matrix) -> bool:
     try:
-        ldl_pd(a)
+        _bareiss_pd(a)
         return True
     except ValueError:
         return False

@@ -560,6 +560,26 @@ def fraction_ldl(a):
     return tuple(tuple(row) for row in lower), tuple(d)
 
 
+def ldl_pd(a):
+    """LDL^T of a symmetric positive definite matrix read off the integers
+    (s, tri) of linalg._bareiss_pd: (L unit lower triangular with
+    L_ik = tri[i][k] / tri[k][k], d with d_k = p_{k+1} / (p_k s), p_0 = 1
+    and p_{k+1} = tri[k][k]), so a == L diag(d) L^T.  Raises ValueError as
+    the kernel does."""
+    s, tri = linalg._bareiss_pd(a)
+    n = len(tri)
+    p = [1] + [tri[k][k] for k in range(n)]
+    lower = tuple(tuple(Rat(1) if i == j else Rat(tri[i][j], p[j + 1]) if j < i else Rat(0)
+                        for j in range(n)) for i in range(n))
+    return lower, tuple(Rat(p[k + 1], p[k] * s) for k in range(n))
+
+
+def span_equal(basis_a, basis_b):
+    """Whether two families of vectors span one space, by three ranks."""
+    a, b = tuple(basis_a), tuple(basis_b)
+    return linalg.rank(a) == linalg.rank(b) == linalg.rank(a + b)
+
+
 def bracket_jacobi(algebra):
     """Basis triples (i, j, k), i < j < k, on which
     [e_i, [e_j, e_k]] + [e_j, [e_k, e_i]] + [e_k, [e_i, e_j]] != 0, each
@@ -628,7 +648,7 @@ def dense_nilpotency_step(algebra):
         brackets = [algebra.bracket(e, w) for e in basis for w in layer]
         span = []
         _grow_independent(linalg.EchelonBasis(), span, brackets)
-        if span and len(span) == linalg.rank(tuple(layer)) and linalg.span_equal(span, layer):
+        if span and len(span) == linalg.rank(tuple(layer)) and span_equal(span, layer):
             return None
         layer = span
     return None
@@ -739,7 +759,7 @@ def dense_poly_rat_mat_mul(a, m):
 
 def rat_orthonormal_gauge(omega, gram):
     """The reduction of a Heisenberg pair (Rat matrices) as Rat chains:
-    (d, L^{-1}, mid, s, a, b, scale, q) with L, d from ldl_pd, L^{-1} =
+    (d, L^{-1}, mid, s, a, b, scale, q) with L, d from fraction_ldl, L^{-1} =
     inverse(L), mid = L^{-1} omega L^{-T}, and the floats of the gauge
     (heisenberg._orthonormal_skew's s, a, b, scale and the change of basis q
     of heisenberg._change_of_basis) each taken as float() of a Rat divided
@@ -755,7 +775,9 @@ def rat_orthonormal_gauge(omega, gram):
     def float_over(x, a):
         return float(x / Rat(4) ** a)
 
-    l, d = linalg.ldl_pd(gram)
+    lower, pivots = fraction_ldl(gram)
+    l = tuple(tuple(Rat(x.numerator, x.denominator) for x in row) for row in lower)
+    d = tuple(Rat(x.numerator, x.denominator) for x in pivots)
     linv = linalg.inverse(l)
     mid = linalg.mat_mul(linalg.mat_mul(linv, omega), linalg.transpose(linv))
     size = len(omega)

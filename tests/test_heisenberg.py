@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import coordinate_sublaplacian, madd, rat_orthonormal_gauge
+from oracles import coordinate_sublaplacian, fraction_ldl, madd, rat_orthonormal_gauge
 from sublap import heisenberg, linalg
 from sublap.algebra import Metric
 from sublap.heisenberg import (NoIsometry, SymplecticForm, build_isometry,
@@ -341,11 +341,12 @@ def test_isometry_ratio_outside_the_float_range_is_an_error():
 
 
 def test_each_pair_is_reduced_once(monkeypatch):
-    # one exact LDL^T and one eigendecomposition per pair, shared by the
-    # Metric's positive-definiteness check, the spectrum, the ratio and the
-    # normal-form basis.  The pairs are raw (omega, gram) tuples, as the CLI
-    # and the benchmark hand them over, so the Metric is built, and its
-    # LDL^T counted, inside each call
+    # one exact elimination of G and one eigendecomposition per pair, shared
+    # by the Metric's positive-definiteness check, the spectrum, the ratio
+    # and the normal-form basis, and no inverse or Gauss-Jordan elimination
+    # at all.  The pairs are raw (omega, gram) tuples, as the CLI and the
+    # benchmark hand them over, so the Metric is built, and its elimination
+    # counted, inside each call
     pairs = [heisenberg_pair(2, rbar) for rbar in ((1, 2), (2, 4))]
     (o1, g1), (o2, g2) = [(omega.matrix, gram.gram) for omega, gram in pairs]
     assert not isinstance(g1, Metric) and not isinstance(o1, SymplecticForm)
@@ -357,7 +358,12 @@ def test_each_pair_is_reduced_once(monkeypatch):
             return original(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(linalg, "ldl_pd", counted("ldl_pd", linalg.ldl_pd))
+    def refused(*args, **kwargs):
+        raise AssertionError("a Heisenberg pair is reduced without inverting")
+
+    monkeypatch.setattr(linalg, "_bareiss_pd", counted("bareiss", linalg._bareiss_pd))
+    monkeypatch.setattr(linalg, "_inverse_rows", refused)
+    monkeypatch.setattr(linalg, "_gauss_jordan", refused)
     for name in ("eig", "eigh", "eigvals", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, counted("eig", getattr(np.linalg, name)))
     for call, pairs in ((lambda: symplectic_spectrum(o1, g1), 1),
@@ -365,7 +371,7 @@ def test_each_pair_is_reduced_once(monkeypatch):
                         (lambda: build_isometry(o1, g1, o2, g2), 2)):
         calls.clear()
         call()
-        assert sorted(calls) == ["eig"] * pairs + ["ldl_pd"] * pairs
+        assert sorted(calls) == ["bareiss"] * pairs + ["eig"] * pairs
 
 
 # ---------------------------------------------------------------------------
@@ -400,11 +406,24 @@ def scaled_pairs(draw):
 def assert_reduction_matches_the_rat_chain(omega, gram):
     d, linv, mid, s, a, b, scale, q = rat_orthonormal_gauge(omega, gram)
     form, metric = SymplecticForm(omega), Metric(gram)
-    got_d, got_linv, got_mid = heisenberg._reduction(form, metric)
-    assert got_d == d
-    assert linalg._from_rows(*got_linv) == linv
-    assert linalg._from_rows(*got_mid) == mid
-    got_s, got_a, (_, got_b, got_scale) = heisenberg._orthonormal_skew(form, metric)
+    sg, p, r, y, den = heisenberg._reduction(form, metric)
+    size = len(omega)
+    # exact values, each a Rat of the reduction's integers: d_i, the rows
+    # R_i / p_i of L^{-1} and mid_ij below the diagonal, mid being skew
+    assert tuple(Rat(p[i + 1], p[i] * sg) for i in range(size)) == d
+    assert all(len(row) == i + 1 for i, row in enumerate(r))
+    assert tuple(tuple(Rat(row[j], p[i]) if j <= i else Rat(0) for j in range(size))
+                 for i, row in enumerate(r)) == linv
+    assert all(len(row) == i for i, row in enumerate(y))
+    assert all(mid[i][i] == 0 for i in range(size))
+    assert all(Rat(x, p[i] * p[j] * den) == mid[i][j] == -mid[j][i]
+               for i, row in enumerate(y) for j, x in enumerate(row))
+    # R L = diag(p_0, ..., p_{n-1}) exactly, L from plain Fraction elimination
+    lower, _ = fraction_ldl(gram)
+    assert all(sum(row[k] * lower[k][j] for k in range(j, i + 1)) == (p[i] if i == j else 0)
+               for i, row in enumerate(r) for j in range(i + 1))
+    got_s, got_a, (got_linv, got_b, got_scale) = heisenberg._orthonormal_skew(form, metric)
+    assert got_linv == (r, p)
     assert (got_a, got_b, got_scale) == (a, b, scale)
     assert np.array_equal(got_s, s)
     if q is None:

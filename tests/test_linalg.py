@@ -1,10 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fraction_ldl, fraction_rref, is_rat, madd, pivot_rows
+from oracles import fraction_ldl, fraction_rref, is_rat, ldl_pd, madd, pivot_rows, span_equal
 from sublap import linalg
 from sublap.rational import Rat
 
@@ -137,7 +138,7 @@ def test_pivot_rows_span():
 def test_ldl_positive_definite(a):
     # G = A^T A + I is always symmetric positive definite
     g = madd(linalg.mat_mul(linalg.transpose(a), a), linalg.identity(3))
-    l, d = linalg.ldl_pd(g)
+    l, d = ldl_pd(g)
     assert all(x > 0 for x in d)
     dm = tuple(tuple(d[i] if i == j else Rat(0) for j in range(3)) for i in range(3))
     assert linalg.mat_mul(linalg.mat_mul(l, dm), linalg.transpose(l)) == g
@@ -145,20 +146,35 @@ def test_ldl_positive_definite(a):
 
 
 def test_ldl_rejects_indefinite():
-    with pytest.raises(ValueError):
-        linalg.ldl_pd(((1, 0), (0, -1)))
-    with pytest.raises(ValueError):
-        linalg.ldl_pd(((0, 1), (1, 0)))
-    with pytest.raises(ValueError):
-        linalg.ldl_pd(((1, 2), (3, 4)))  # not symmetric
+    with pytest.raises(ValueError, match="not positive definite"):
+        linalg._bareiss_pd(linalg.mat(((1, 0), (0, -1))))
+    with pytest.raises(ValueError, match="not positive definite"):
+        linalg._bareiss_pd(linalg.mat(((0, 1), (1, 0))))
+    with pytest.raises(ValueError, match="not symmetric"):
+        linalg._bareiss_pd(linalg.mat(((1, 2), (3, 4))))
 
 
 def test_span_equal():
     a = ((1, 0, 0), (0, 1, 0))
     b = ((1, 1, 0), (1, -1, 0))
     c = ((1, 0, 0), (0, 0, 1))
-    assert linalg.span_equal(a, b)
-    assert not linalg.span_equal(a, c)
+    # the integer test of the frames, at any scale, and the rank oracle
+    assert linalg._rows_span_equal(a, [[2, 2, 0], [3, -3, 0]])
+    assert not linalg._rows_span_equal(a, c)
+    assert not linalg._rows_span_equal(a, a[:1])
+    assert span_equal(a, b)
+    assert not span_equal(a, c)
+
+
+def test_echelon_basis_keeps_its_own_rows():
+    # the caller's row may change after it is inserted, as the frames' rows
+    # of the span test may: the basis must not see it
+    row = [1, 2, 3]
+    basis = linalg.EchelonBasis()
+    assert basis.insert_row(row)
+    row[0] = 0
+    assert not basis.insert_row([1, 2, 3])
+    assert len(basis) == 1
 
 
 @settings(max_examples=40, deadline=None)
@@ -254,8 +270,25 @@ def symmetric(draw):
 @settings(max_examples=120, deadline=None)
 @given(symmetric())
 def test_ldl_matches_fraction_oracle(a):
-    got = outcome(linalg.ldl_pd, a)
+    got = outcome(ldl_pd, a)
     assert got == outcome(fraction_ldl, a)
+    kernel = outcome(linalg._bareiss_pd, a)
+    assert kernel[0] == got[0]
+    if kernel[0] == "value":
+        # the kernel's integers against the oracle's Fractions: the scale s,
+        # the leading minors p_{k+1} = s^(k+1) d_0 ... d_k of M = s a on the
+        # diagonal, and the multipliers f_ik = L_ik p_{k+1} below it
+        s, tri = kernel[1]
+        lower, d = fraction_ldl(a)
+        assert s == math.lcm(*(int(x.denominator) for row in a for x in row))
+        minor = Fraction(1)
+        for k, row in enumerate(tri):
+            minor *= s * d[k]
+            assert len(row) == k + 1 and row[k] == minor
+        assert all(tri[i][k] == lower[i][k] * tri[k][k]
+                   for i in range(len(tri)) for k in range(i))
+    else:
+        assert kernel == got
     assert linalg.is_positive_definite(a) == (got[0] == "value")
     if got[0] == "value":
         assert all(is_rat(x) for row in got[1][0] for x in row)

@@ -5,11 +5,13 @@ One line per task, in the order the workload runs them, for each seed:
 the task's kind and description, then its result.  An analysis prints as
 specfiles.report_to_dict, a witness list as its (str(probe), str(residual))
 pairs, a Heisenberg result (the spectrum r, the ratio rho, the entries of
-Psi) with repr, so that its floats compare to the last bit, and any other
-result as the verdict text of the task's own check.
+Psi) with repr, so that its floats compare to the last bit, a CLI call of
+the classify front end as its verdict text and its full stdout (JSON
+escaped), and any other result as the verdict text of the task's own check.
 With --cli, every map-analysis task also runs through the analyze-map or
-verify command of sublap.cli.main at each of the given probe degrees, in
-text and in JSON, one line per report.
+verify command of sublap.cli.main at each of the given probe degrees, and
+through sublaplacian, stratify and validate on its source group file, each
+in text and in JSON, one line per report.
 
 The tasks come from bench/workloads.py, imported and never written to;
 the fixture files a workload needs go to a temporary directory, whose path
@@ -51,12 +53,23 @@ def render(task, result) -> str:
         return "rho=%r psi=%r" % (rho, psi.tolist())
     if task.kind.startswith("isometry/"):
         return "rho=%r" % (result,)
+    if task.kind.startswith("frontend/"):
+        return "%s %s" % (task.check(result)[1], json.dumps(result[1]))
     return task.check(result)[1]
+
+
+def run_main(argv) -> tuple:
+    """(exit code, stdout) of sublap.cli.main(argv) in this process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
 
 
 def cli_reports(task, workdir: Path, degrees):
     """(label, stdout) of the CLI command that runs a map-analysis task, on
-    spec files written from the task's inputs."""
+    spec files written from the task's inputs, and of the group commands on
+    its source group file."""
     inputs = inspect.getclosurevars(task.call).nonlocals
     docs = [("source", specfiles.group_to_dict(inputs["source"])),
             ("target", specfiles.group_to_dict(inputs["target"])),
@@ -73,10 +86,12 @@ def cli_reports(task, workdir: Path, degrees):
         paths.append(str(path))
     for degree in degrees:
         for fmt in ("text", "json"):
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                code = cli.main([command, *paths, "--probe-degree", str(degree), "--format", fmt])
-            yield "cli %s degree %d %s exit %d" % (command, degree, fmt, code), out.getvalue()
+            code, out = run_main([command, *paths, "--probe-degree", str(degree), "--format", fmt])
+            yield "cli %s degree %d %s exit %d" % (command, degree, fmt, code), out
+    for group_command in ("sublaplacian", "stratify", "validate"):
+        for fmt in ("text", "json"):
+            code, out = run_main([group_command, paths[0], "--format", fmt])
+            yield "cli %s source %s exit %d" % (group_command, fmt, code), out
 
 
 def dump(names, seeds, degrees):

@@ -2,7 +2,8 @@
 
 Every subcommand reads JSON description files, prints either a text or a
 JSON report (one document, always with a "verdict" key), and exits with
-0 for a positive verdict, 1 for a negative one, 2 for malformed input.
+0 for a positive verdict, 1 for a negative one, 2 for malformed input or
+an unwritable --out.  The text lines are read off the JSON document's strings.
 ``main(argv)`` returns that exit code and can be called repeatedly in one
 process: the argument parser is built on the first call and reused.
 """
@@ -96,11 +97,9 @@ def _run_stratify(config):
         "layer_dims": [len(layer) for layer in layers],
         "layers": [[[rat_str(v) for v in vec] for vec in layer] for layer in layers],
     }
-    lines = ["verdict: stratified",
-             "layer dims: %s" % (doc["layer_dims"],)]
-    for k, layer in enumerate(layers, start=1):
-        for vec in layer:
-            lines.append("V%d: (%s)" % (k, ", ".join(rat_str(v) for v in vec)))
+    lines = ["verdict: stratified", "layer dims: %s" % (doc["layer_dims"],)]
+    lines += ["V%d: (%s)" % (k, ", ".join(vec))
+              for k, layer in enumerate(doc["layers"], start=1) for vec in layer]
     return 0, doc, lines
 
 
@@ -110,17 +109,13 @@ def _run_sublaplacian(config):
         op = sublaplacian(group)
     except NotNilpotent as exc:
         raise specfiles.SpecFileError(str(exc), filename=config.paths[0])
-    doc = {"verdict": "ok", "operator": specfiles.operator_to_dict(op)}
-    lines = ["verdict: ok"]
-    n = op.dim
-    for i in range(n):
-        for j in range(i, n):
-            if op.second_order[i][j]:
-                lines.append("d%d d%d: %s" % (i + 1, j + 1, op.second_order[i][j]))
-    for i in range(n):
-        if op.first_order[i]:
-            lines.append("d%d: %s" % (i + 1, op.first_order[i]))
-    return 0, doc, lines
+    table = specfiles.operator_to_dict(op)
+    # the upper triangle of the symmetric second-order table, zeros skipped
+    lines = ["verdict: ok"] + ["d%d d%d: %s" % (i + 1, j + 1, row[j])
+                               for i, row in enumerate(table["second_order"])
+                               for j in range(i, len(row)) if row[j] != "0"]
+    lines += ["d%d: %s" % (i + 1, x) for i, x in enumerate(table["first_order"]) if x != "0"]
+    return 0, {"verdict": "ok", "operator": table}, lines
 
 
 def _run_equiv_frames(config):
@@ -133,8 +128,7 @@ def _run_equiv_frames(config):
     lines = ["verdict: %s" % doc["verdict"]]
     if decision.witness is not None:
         doc["witness"] = [[rat_str(v) for v in row] for row in decision.witness]
-        for row in decision.witness:
-            lines.append("witness row: (%s)" % ", ".join(rat_str(v) for v in row))
+        lines += ["witness row: (%s)" % ", ".join(row) for row in doc["witness"]]
     return (0 if decision.equivalent else 1), doc, lines
 
 
@@ -178,8 +172,7 @@ def _run_heis_isometry(config):
         "tolerance": config.tolerance,
     }
     lines = ["verdict: isometric", "ratio: %s" % doc["ratio"]]
-    for row in doc["matrix"]:
-        lines.append("psi row: (%s)" % ", ".join(row))
+    lines += ["psi row: (%s)" % ", ".join(row) for row in doc["matrix"]]
     return 0, doc, lines
 
 
@@ -209,14 +202,12 @@ def _run_analyze_map(config):
     doc = {"verdict": "conformal" if report.conformal else "not-conformal"}
     doc.update(specfiles.report_to_dict(report))
     lines = ["verdict: %s" % doc["verdict"],
-             "contact: %s" % str(report.contact).lower()]
+             "contact: %s" % json.dumps(doc["contact"])]
     if report.conformal:
-        lines.append("lambda_sq: %s" % report.lambda_sq)
-        lines.append("b: (%s)" % ", ".join(str(c) for c in report.b))
+        lines += ["lambda_sq: %s" % doc["lambda_sq"], "b: (%s)" % ", ".join(doc["b"])]
     else:
-        lines.append("reason: %s" % report.reason)
-        for r in report.residuals[:5]:
-            lines.append("residual: %s" % r)
+        lines.append("reason: %s" % doc["reason"])
+        lines += ["residual: %s" % r for r in doc["residuals"][:5]]
     return (0 if report.conformal else 1), doc, lines
 
 
@@ -238,8 +229,7 @@ def _run_verify(config):
     }
     lines = ["verdict: %s" % doc["verdict"],
              "probe degree: %d" % config.probe_degree]
-    for u, r in bad[:5]:
-        lines.append("probe %s: residual %s" % (u, r))
+    lines += ["probe %(probe)s: residual %(residual)s" % w for w in doc["failures"][:5]]
     if over is not None:
         doc["unlisted_probes"] = over.unlisted
         lines.append("unlisted probes: %d of %d, over the budget of %d"
@@ -273,16 +263,22 @@ def run(config: RunConfig):
     return runner(config)
 
 
-def _emit(config, doc, lines):
+def _emit(config, code, doc, lines) -> int:
+    """Write the report to stdout or --out; the exit code, 2 if --out fails."""
     if config.format == "json":
         text = json.dumps(doc, indent=2) + "\n"
     else:
         text = "\n".join(lines) + "\n"
-    if config.out:
+    if not config.out:
+        sys.stdout.write(text)
+        return code
+    try:
         with open(config.out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        sys.stderr.write("error: cannot write %s: %s\n" % (config.out, exc.strerror or exc))
+        return 2
+    return code
 
 
 @functools.cache
@@ -327,11 +323,9 @@ def main(argv=None) -> int:
     try:
         code, doc, lines = run(config)
     except specfiles.SpecFileError as exc:
-        _emit(config, {"verdict": "error", "error": str(exc)},
-              ["verdict: error", "error: %s" % exc])
-        return 2
-    _emit(config, doc, lines)
-    return code
+        code, doc = 2, {"verdict": "error", "error": str(exc)}
+        lines = ["verdict: error", "error: %s" % doc["error"]]
+    return _emit(config, code, doc, lines)
 
 
 if __name__ == "__main__":

@@ -32,12 +32,12 @@ from typing import Optional
 
 from . import linalg
 from .algebra import SubRiemannianGroup
-from .calculus import _check_map, _constant_differential, _frame_at, _map_rows, \
-    _series_differential, require_step
+from .calculus import _constant_differential, _frame_at, _map_rows, _series_differential, \
+    require_step
 from .operators import _add_jet, _chain_rule_tables, _horizontal_vector, _jet_table, \
     _jet_weights, _polarization_residuals, _pushforward_first
 from .polynomial import MapPowers, Polynomial, PolyMap, _from_prows, _monomials, _nonzero, \
-    _prows_combination, _prows_congruence, _prows_times, _prows_transpose, _reduced, _to_prows, \
+    _prows_combination, _prows_congruence, _prows_times, _prows_transpose, _reduced, \
     monomials_up_to
 from .rational import Rat, rat
 
@@ -303,23 +303,26 @@ _NOT_CONTACT = "differential leaves the polarization"
 _NOT_CONFORMAL = "cometric image is not a multiple of the target cometric"
 
 
-def _frame_stages(F: PolyMap, source: SubRiemannianGroup, target: SubRiemannianGroup) -> tuple:
+def _frame_stages(reading: tuple, source: SubRiemannianGroup, target: SubRiemannianGroup) -> tuple:
     """The commutation identity in the target's frame, on the horizontal
-    differential DB = DF B_G (horizontal_differential): (reason, witnesses)
-    for the first stage that fails, else ("", (lambda_sq, b)), lambda_sq = 0
-    included.  DF is contact when DB takes values in the target
-    polarization, DF Q_G DF^T = DB G^{-1} DB^T splits as lambda_sq Q_H, and
-    b, the first-order table of the pushforward assembly at DB, is built
-    only once it has.  As the 2-jet of u at a point is arbitrary, the
-    identity holds exactly when the pullback of Delta_G has the frame tables
-    lambda_sq Q_H and b.  b needs no horizontality check: b_c =
-    sum_j w_j(DB_cj) with w_j = sum_k g^{jk} v_k~, and after contact DB,
-    hence every derivative of it, takes values in the fixed subspace span B_H.
+    differential DB = DF B_G of the reading (comps, den, matrix) of F by
+    calculus._map_rows: (reason, witnesses) for the first stage that fails,
+    else ("", (lambda_sq, b)), lambda_sq = 0 included and b the one-column
+    (rows, den) table of _pushforward_first.  DF is contact when DB takes
+    values in the target polarization, DF Q_G DF^T = DB G^{-1} DB^T splits
+    as lambda_sq Q_H, and b, the first-order table of the pushforward
+    assembly at DB, is built only once it has.  As the 2-jet of u at a
+    point is arbitrary, the identity holds exactly when the pullback of
+    Delta_G has the frame tables lambda_sq Q_H and b.  b needs no
+    horizontality check: b_c = sum_j w_j(DB_cj) with w_j = sum_k g^{jk}
+    v_k~, and after contact DB, hence every derivative of it, takes values
+    in the fixed subspace span B_H.
 
     A linear Lie homomorphism M has the constant DB = M B_G
     (calculus._constant_differential), so its stages run on integer
-    matrices (_constant_stages); any other map's on polynomial ones."""
-    comps, den, matrix = _map_rows(F, source, target)
+    matrices (_constant_stages), with b the zero table; any other map's on
+    polynomial ones."""
+    comps, den, matrix = reading
     if matrix is not None:
         return _constant_stages(_constant_differential(matrix, source, True), source, target)
     n = source.dim
@@ -334,8 +337,7 @@ def _frame_stages(F: PolyMap, source: SubRiemannianGroup, target: SubRiemannianG
                                            target.tables.cometric_rows, n)
     if mismatches:
         return _NOT_CONFORMAL, mismatches
-    b = _from_prows(_pushforward_first(db, tables.gradient_fields), n)
-    return "", (lam_sq, tuple(row[0] for row in b))
+    return "", (lam_sq, _pushforward_first(db, tables.gradient_fields))
 
 
 def _constant_stages(db: tuple, source: SubRiemannianGroup, target: SubRiemannianGroup) -> tuple:
@@ -344,7 +346,7 @@ def _constant_stages(db: tuple, source: SubRiemannianGroup, target: SubRiemannia
     Polynomial in the source variables: the contact pairings are one
     product DB^T Y with the target's annihilators Y (none for R^m), the
     split is _conformal_factor's rule on the integers of DB G^{-1} DB^T,
-    and b = 0, since the derivatives of a constant vanish."""
+    and b is the zero table, since the derivatives of a constant vanish."""
     n = source.dim
     one = (0,) * n
 
@@ -367,8 +369,7 @@ def _constant_stages(db: tuple, source: SubRiemannianGroup, target: SubRiemannia
                        if x * q0 != c0 * w)
     if mismatches:
         return _NOT_CONFORMAL, mismatches
-    zero = constant(0, 1)
-    return "", (constant(c0 * qd * sign, den0), (zero,) * target.dim)
+    return "", (constant(c0 * qd * sign, den0), ((({},),) * target.dim, 1))
 
 
 def commutation_residuals(F: PolyMap, lambda_sq, b, source: SubRiemannianGroup,
@@ -381,8 +382,9 @@ def commutation_residuals(F: PolyMap, lambda_sq, b, source: SubRiemannianGroup,
     values in the target polarization.  Returns ((probe, residual), ...) for
     the probes with nonzero residual.
 
-    The answer is () at every probe degree exactly when the frame stages of
-    analyze_commutation (_frame_stages) pass with this lambda_sq and b.
+    F is read once (calculus._map_rows).  The answer is () at every probe
+    degree exactly when the frame stages of analyze_commutation
+    (_frame_stages) pass with this lambda_sq and b.
     Otherwise the witnesses are listed from the coordinate chain rule
         Delta_G(u o F) = sum_kl Gam_kl (d_k d_l u) o F + sum_k (Delta_G F_k) (d_k u) o F,
     Gam_kl = Gamma(F_k, F_l): with J = JF (Lambda_G B_G) the horizontal
@@ -402,7 +404,8 @@ def commutation_residuals(F: PolyMap, lambda_sq, b, source: SubRiemannianGroup,
     Lambda_H(F) b_true, since J = Lambda_H(F) DB, so the tables are built
     without J:
         S = (lam - lambda_sq) H2 o F,    R = (lam - lambda_sq) H1 o F + Lambda_H(F) (b_true - b).
-    S is symmetric and the 2-jet of u at a point is arbitrary, so a probe of
+    The identity holds exactly when both differences vanish.  S is
+    symmetric and the 2-jet of u at a point is arbitrary, so a probe of
     degree <= 2 already fails, and the listing is sound: for a probe
     x^alpha, (d_k d_l x^alpha) o F and (d_k x^alpha) o F are integer
     multiples of powers of F, so one integer pass over the probes adds each
@@ -423,11 +426,8 @@ def commutation_residuals(F: PolyMap, lambda_sq, b, source: SubRiemannianGroup,
     drift, _ = _horizontal_vector(b, target, n)  # raises if b is not horizontal
     if any(v.nvars != n for v in (lambda_sq, *b) if isinstance(v, Polynomial)):
         raise ValueError("lambda_sq and b must be polynomials in the %d source variables" % n)
-    _check_map(F, source, target)
-    reason, found = _frame_stages(F, source, target)
-    if not reason and found == (lambda_sq, tuple(row[0] for row in _from_prows(drift, n))):
-        return ()
-    (comps,), den = _to_prows((F.components,))
+    comps, den, _ = reading = _map_rows(F, source, target)
+    reason, found = _frame_stages(reading, source, target)
     if reason:
         gam, lap = _chain_rule_tables(comps, den, source)
         second, first = [(1, gam)], [(1, lap)]
@@ -437,7 +437,9 @@ def commutation_residuals(F: PolyMap, lambda_sq, b, source: SubRiemannianGroup,
         lam, b_true = found
         second, first = [], []
         lambda_sq = lambda_sq - lam
-        drift = _prows_combination([(1, drift), (-1, _to_prows(tuple((x,) for x in b_true)))])
+        drift = _prows_combination([(1, drift), (-1, b_true)])
+        if not lambda_sq and not any(map(any, drift[0])):
+            return ()
     h2, h1 = target.tables.sublaplacian_tables
     degree = target.tables.sublaplacian_degree
     powers = MapPowers(F)
@@ -526,15 +528,16 @@ def analyze_commutation(F: PolyMap, source: SubRiemannianGroup,
                         probe_degree: int = 4) -> CommutationReport:
     """Decide whether F intertwines the two sub-Laplacians conformally.
 
-    Stages (_frame_stages): (1) contact compatibility of DF, (2) exact
-    factorization DF Q_G DF^T = lambda_sq Q_H, (3) the drift b, the
-    first-order table of the pullback of Delta_G.  A factor lambda_sq = 0
+    Stages (_frame_stages, on F read once): (1) contact compatibility of DF,
+    (2) exact factorization DF Q_G DF^T = lambda_sq Q_H, (3) the drift b,
+    the first-order table of the pullback of Delta_G, made a Polynomial
+    only here, for the report.  A factor lambda_sq = 0
     (a constant map) passes them and is rejected here as not positive.
     probe_degree is validated and echoed in the report; no probe is run.
     """
     if probe_degree < 2:
         raise ValueError("probe_degree must be at least 2")
-    reason, found = _frame_stages(F, source, target)
+    reason, found = _frame_stages(_map_rows(F, source, target), source, target)
     if reason:
         return CommutationReport(reason != _NOT_CONTACT, False, None, None, probe_degree,
                                  found, reason)
@@ -544,6 +547,7 @@ def analyze_commutation(F: PolyMap, source: SubRiemannianGroup,
     if not lam_sq:
         return CommutationReport(True, False, None, None, probe_degree,
                                  (lam_sq,), "conformal factor is not positive")
+    b = _from_prows(_prows_transpose(b), source.dim)[0]
     return CommutationReport(True, True, lam_sq, b, probe_degree, (), "")
 
 

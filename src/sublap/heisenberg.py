@@ -75,10 +75,11 @@ def standard_symplectic(n: int) -> SymplecticForm:
 
 
 def _coerce_pair(omega, gram):
+    """(SymplecticForm, Metric), a raw matrix coerced once, by its constructor."""
     if not isinstance(omega, SymplecticForm):
         omega = SymplecticForm(omega)
     if not isinstance(gram, Metric):
-        gram = Metric(linalg.mat(gram))
+        gram = Metric(gram)
     if omega.dim != len(gram.gram):
         raise ValueError("omega and gram have different sizes")
     return omega, gram
@@ -393,6 +394,6 @@ def heisenberg_group(n: int, rbar) -> SubRiemannianGroup:
 
 def heisenberg_pair(n: int, rbar):
     """The (omega, G) data of heisenberg_group(n, rbar) on the horizontal
-    space: standard omega and the diagonal metric."""
-    group = heisenberg_group(n, rbar)
-    return standard_symplectic(n), Metric(group.metric.gram)
+    space: standard omega and the group's own diagonal Metric, checked once
+    by the group's constructor."""
+    return standard_symplectic(n), heisenberg_group(n, rbar).metric

@@ -834,13 +834,63 @@ def test_map_commands_name_the_non_nilpotent_group_file(tmp_path, capsys, comman
 
 
 def test_out_writes_file(tmp_path, capsys):
+    # the file holds exactly the bytes the report prints on stdout
     path = write(tmp_path, "h1.json", H1_DOC)
-    target = tmp_path / "report.json"
-    code = main(["validate", path, "--format", "json", "--out", str(target)])
-    assert code == 0
-    assert capsys.readouterr().out == ""
-    doc = json.loads(target.read_text())
+    for fmt in ("text", "json"):
+        printed = run_main(capsys, ["validate", path, "--format", fmt])[1]
+        target = tmp_path / ("report.%s" % fmt)
+        code = main(["validate", path, "--format", fmt, "--out", str(target)])
+        assert code == 0
+        assert capsys.readouterr().out == ""
+        assert target.read_bytes() == printed.encode()
+    doc = json.loads((tmp_path / "report.json").read_text())
     assert doc["verdict"] == "valid"
+
+
+def test_unwritable_out_is_an_input_error(tmp_path, capsys):
+    # a verdict report and an error report alike: one line on stderr and
+    # exit 2, as a bad flag gives, not a traceback with the exit code of a
+    # negative verdict
+    group = write(tmp_path, "h1.json", H1_DOC)
+    broken = write(tmp_path, "broken.json", "{")
+    for target, reason in ((tmp_path / "missing" / "r.txt", "No such file or directory"),
+                           (tmp_path, "Is a directory")):
+        for path in (group, broken):
+            for fmt in ("text", "json"):
+                code = main(["validate", path, "--format", fmt, "--out", str(target)])
+                captured = capsys.readouterr()
+                assert code == 2 and captured.out == ""
+                assert captured.err == "error: cannot write %s: %s\n" % (target, reason)
+    assert not (tmp_path / "missing").exists()
+
+
+def test_each_polynomial_is_formatted_once(tmp_path, capsys, monkeypatch):
+    # the text lines are read off the JSON document: in either format, one
+    # Polynomial.__str__ call per polynomial string of the document
+    h1 = write(tmp_path, "h1.json", H1_DOC)
+    dilation = write(tmp_path, "dilation.json",
+                     {"source_dim": 3, "components": ["2*x1", "2*x2", "4*x3"]})
+    wrong = write(tmp_path, "wrong.json", {"lambda_sq": 5, "b": ["0", "0", "0"]})
+    calls = []
+    original = Polynomial.__str__
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Polynomial, "__str__", counted)
+    for argv, verdict, strings in (
+            (["sublaplacian", h1], "ok", lambda doc: 3 * 3 + 3 + 1),
+            (["analyze-map", h1, h1, dilation], "conformal", lambda doc: 1 + len(doc["b"])),
+            (["verify", h1, h1, dilation, wrong], "fails",
+             lambda doc: 2 * len(doc["failures"]))):
+        calls.clear()
+        code, doc = run_json(capsys, argv)
+        assert doc["verdict"] == verdict
+        assert len(calls) == strings(doc) > 0
+        calls.clear()
+        run_main(capsys, argv)
+        assert len(calls) == strings(doc)
 
 
 def test_flag_validation(tmp_path, capsys):
@@ -931,3 +981,28 @@ def test_dump_verdicts_prints_one_line_per_task(monkeypatch):
     assert all(len(line) == 5 for line in lines)
     assert {line[4] for line in lines if line[2] == "verify/holds"} == {"[]"}
     assert all(json.loads(line[4])["conformal"] for line in lines if line[2].startswith("analyze/"))
+
+
+def test_dump_verdicts_prints_every_cli_report(monkeypatch):
+    # a classify front-end call prints its verdict text and its full stdout;
+    # with --cli every map-analysis task also prints the group commands on
+    # its source group file, in text and in JSON
+    import subprocess
+    import sys
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "dump_verdicts.py"),
+                           "map-analysis", "classify", "--seeds", "1", "--cli", "2"],
+                          capture_output=True, text=True, check=True)
+    monkeypatch.syspath_prepend(str(root / "bench"))
+    import workloads
+    lines = [line.split("\t") for line in proc.stdout.splitlines()]
+    frontend = [line for line in lines if line[2].startswith("frontend/")]
+    assert len(frontend) == len([c for c in workloads.CLI_CALLS
+                                 if c[0][0] in workloads.FRONTEND_COMMANDS])
+    for line in frontend:
+        _, _, verdict, out = line[4].split(" ", 3)
+        fmt = line[3].split()[-1]
+        assert str(workloads._verdict(json.loads(out), fmt)) == verdict
+    labels = {line[4] for line in lines if line[0] == "map-analysis" and len(line) == 6}
+    assert {"cli %s source %s exit 0" % (command, fmt) for command in
+            ("sublaplacian", "stratify", "validate") for fmt in ("text", "json")} <= labels

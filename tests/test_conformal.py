@@ -465,6 +465,46 @@ def test_holding_identity_builds_no_coordinate_table(h1, r2, engel, monkeypatch)
         commutation_residuals(dilation(h1, 2), 5, (0, 0, 0), h1, h1, 3)
 
 
+def test_each_call_reads_the_map_once(h1, r2, engel, monkeypatch):
+    # analyze_commutation and commutation_residuals, holding or failing, on
+    # the integer and the polynomial stages alike: one shape check and one
+    # conversion of F's components, wherever the package binds them
+    calls = []
+
+    def counted(name, original, counts=lambda *args: True):
+        def wrapper(*args):
+            if counts(*args):
+                calls.append(name)
+            return original(*args)
+        return wrapper
+
+    for module in (sublap.calculus, sublap.conformal, sublap.operators):
+        if hasattr(module, "_check_map"):
+            monkeypatch.setattr(module, "_check_map",
+                                counted("check", sublap.calculus._check_map))
+        if hasattr(module, "_to_prows"):
+            monkeypatch.setattr(module, "_to_prows",
+                                counted("convert", _to_prows, lambda a: a == (F.components,)))
+    la = left_translation(engel, (Rat(1), Rat(-1), Rat(1, 2), Rat(2)))
+    radial = PolyMap.parse(["x1^2 + x2^2"], 2)
+    four = Polynomial.parse("4*x1^2 + 4*x2^2", 2)
+    for F, lam_sq, b, source, target in (
+            (dilation(h1, 2), 4, (0, 0, 0), h1, h1),
+            (dilation(h1, 2), 5, (0, 0, 0), h1, h1),
+            (la, 1, (0, 0, 0, 0), engel, engel),
+            (la, 2, (0, 0, 0, 0), engel, engel),
+            (radial, four, (Polynomial.constant(4, 2),), r2, abelian_group(1)),
+            (radial, four, (Polynomial.constant(5, 2),), r2, abelian_group(1)),
+            (PolyMap.parse(["x1", "2*x2"], 2), 1, (0, 0), r2, r2),
+            (PolyMap.parse(["x1^3", "x2"], 2), 1, (0, 0), r2, r2)):
+        calls.clear()
+        analyze_commutation(F, source, target)
+        assert calls == ["check", "convert"], F
+        calls.clear()
+        commutation_residuals(F, lam_sq, b, source, target, 3)
+        assert calls == ["check", "convert"], F
+
+
 # ---------------------------------------------------------------------------
 # the table decision against the direct probe oracle
 

@@ -346,7 +346,8 @@ def test_each_pair_is_reduced_once(monkeypatch):
     # and the normal-form basis, and no inverse or Gauss-Jordan elimination
     # at all.  The pairs are raw (omega, gram) tuples, as the CLI and the
     # benchmark hand them over, so the Metric is built, and its elimination
-    # counted, inside each call
+    # counted, inside each call; each raw matrix is coerced once, by the
+    # constructor that checks it
     pairs = [heisenberg_pair(2, rbar) for rbar in ((1, 2), (2, 4))]
     (o1, g1), (o2, g2) = [(omega.matrix, gram.gram) for omega, gram in pairs]
     assert not isinstance(g1, Metric) and not isinstance(o1, SymplecticForm)
@@ -362,6 +363,7 @@ def test_each_pair_is_reduced_once(monkeypatch):
         raise AssertionError("a Heisenberg pair is reduced without inverting")
 
     monkeypatch.setattr(linalg, "_bareiss_pd", counted("bareiss", linalg._bareiss_pd))
+    monkeypatch.setattr(linalg, "mat", counted("mat", linalg.mat))
     monkeypatch.setattr(linalg, "_inverse_rows", refused)
     monkeypatch.setattr(linalg, "_gauss_jordan", refused)
     for name in ("eig", "eigh", "eigvals", "eigvalsh"):
@@ -371,7 +373,7 @@ def test_each_pair_is_reduced_once(monkeypatch):
                         (lambda: build_isometry(o1, g1, o2, g2), 2)):
         calls.clear()
         call()
-        assert sorted(calls) == ["bareiss"] * pairs + ["eig"] * pairs
+        assert sorted(calls) == ["bareiss"] * pairs + ["eig"] * pairs + ["mat"] * (2 * pairs)
 
 
 # ---------------------------------------------------------------------------

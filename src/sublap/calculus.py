@@ -15,9 +15,9 @@ Lambda_H(q)^{-1} = (1 - e^{-ad_q}) / ad_q, both finite series in an ad
 matrix (_ad_series).  Both series run on polynomial's private (rows, den)
 form, integer term dicts over one common denominator: ad comes from the
 group's bracket table scaled to integers (_ad_rows), JF from the term dicts
-of the map's components, and lie_differential, horizontal_differential and
-left_translation_jacobian build one reduced Polynomial per entry of the
-result.  Every differential, DF or DF B_G, starts at _map_rows, which
+of the map's components by polynomial's one derivative kernel (_diff_num),
+and lie_differential, horizontal_differential and left_translation_jacobian
+build one reduced Polynomial per entry of the result.  Every differential, DF or DF B_G, starts at _map_rows, which
 checks the map against the two groups and then tests it once for a linear
 Lie homomorphism (_homomorphism_rows).  Such an M skips the inverse
 series: F(p * q) = F(p) * F(q) makes DF = M at every point, so the two
@@ -41,8 +41,8 @@ from math import comb, factorial
 from . import linalg
 from .algebra import (LieAlgebra, NotStratifiable, SubRiemannianGroup, _ad_apply, _ad_columns,
                       _one_kind)
-from .polynomial import Polynomial, PolyMap, PolyVectorField, _from_prows, _nonzero, \
-    _prows_combination, _prows_mul, _prows_rat_mul, _to_prows
+from .polynomial import Polynomial, PolyMap, PolyVectorField, _diff_num, _from_prows, \
+    _nonzero, _prows_combination, _prows_mul, _prows_rat_mul, _to_prows
 from .rational import Rat, rat
 
 
@@ -459,13 +459,6 @@ def _homomorphism_rows(comps: tuple, den: int, source: SubRiemannianGroup,
 
 def _jacobian_rows(comps: tuple, den: int, nvars: int) -> tuple:
     """JF in the (rows, den) form of polynomial, for a map in nvars
-    variables whose components are the integer term dicts comps over den."""
-    jacobian = []
-    for x in comps:
-        row = [{} for _ in range(nvars)]
-        for exps, c in x.items():
-            for j, e in enumerate(exps):
-                if e:
-                    row[j][exps[:j] + (e - 1,) + exps[j + 1:]] = c * e
-        jacobian.append(row)
-    return tuple(jacobian), den
+    variables whose components are the integer term dicts comps over den:
+    entry (i, j) is polynomial._diff_num of component i in variable j."""
+    return tuple(tuple(_diff_num(x, j) for j in range(nvars)) for x in comps), den

@@ -178,8 +178,8 @@ def _run_heis_isometry(config):
 
 def _load_map(config):
     """The source group, target group and map of analyze-map and verify,
-    with each group checked nilpotent, source first, and then the map's
-    shape checked against the two groups."""
+    with each group checked nilpotent, source first, and the map's declared
+    shape checked against them before any component is parsed."""
     source = specfiles.load_group(config.paths[0])
     target = specfiles.load_group(config.paths[1])
     for path, group in zip(config.paths, (source, target)):
@@ -187,13 +187,7 @@ def _load_map(config):
             require_step(group)
         except NotNilpotent as exc:
             raise specfiles.SpecFileError(str(exc), filename=path)
-    f = specfiles.load_polymap(config.paths[2])
-    if f.source_dim != source.dim or f.target_dim != target.dim:
-        raise specfiles.SpecFileError(
-            "map shape %d->%d does not match groups %d->%d"
-            % (f.source_dim, f.target_dim, source.dim, target.dim),
-            filename=config.paths[2])
-    return source, target, f
+    return source, target, specfiles.load_polymap(config.paths[2], (source.dim, target.dim))
 
 
 def _run_analyze_map(config):

@@ -308,20 +308,20 @@ def _frame_stages(reading: tuple, source: SubRiemannianGroup, target: SubRiemann
     differential DB = DF B_G of the reading (comps, den, matrix) of F by
     calculus._map_rows: (reason, witnesses) for the first stage that fails,
     else ("", (lambda_sq, b)), lambda_sq = 0 included and b the one-column
-    (rows, den) table of _pushforward_first.  DF is contact when DB takes
-    values in the target polarization, DF Q_G DF^T = DB G^{-1} DB^T splits
-    as lambda_sq Q_H, and b, the first-order table of the pushforward
-    assembly at DB, is built only once it has.  As the 2-jet of u at a
-    point is arbitrary, the identity holds exactly when the pullback of
-    Delta_G has the frame tables lambda_sq Q_H and b.  b needs no
-    horizontality check: b_c = sum_j w_j(DB_cj) with w_j = sum_k g^{jk}
-    v_k~, and after contact DB, hence every derivative of it, takes values
-    in the fixed subspace span B_H.
+    (rows, den) table of _pushforward_first (None on the constant path).
+    DF is contact when DB takes values in the target polarization,
+    DF Q_G DF^T = DB G^{-1} DB^T splits as lambda_sq Q_H, and b, the
+    first-order table of the pushforward assembly at DB, is built only once
+    it has.  As the 2-jet of u at a point is arbitrary, the identity holds
+    exactly when the pullback of Delta_G has the frame tables lambda_sq Q_H
+    and b.  b needs no horizontality check: b_c = sum_j w_j(DB_cj) with
+    w_j = sum_k g^{jk} v_k~, and after contact DB, hence every derivative
+    of it, takes values in the fixed subspace span B_H.
 
     A linear Lie homomorphism M has the constant DB = M B_G
     (calculus._constant_differential), so its stages run on integer
-    matrices (_constant_stages), with b the zero table; any other map's on
-    polynomial ones."""
+    matrices (_constant_stages), with b None for the zero drift; any other
+    map's on polynomial ones."""
     comps, den, matrix = reading
     if matrix is not None:
         return _constant_stages(_constant_differential(matrix, source, True), source, target)
@@ -346,7 +346,7 @@ def _constant_stages(db: tuple, source: SubRiemannianGroup, target: SubRiemannia
     Polynomial in the source variables: the contact pairings are one
     product DB^T Y with the target's annihilators Y (none for R^m), the
     split is _conformal_factor's rule on the integers of DB G^{-1} DB^T,
-    and b is the zero table, since the derivatives of a constant vanish."""
+    and b is None, since the derivatives of a constant vanish."""
     n = source.dim
     one = (0,) * n
 
@@ -369,7 +369,7 @@ def _constant_stages(db: tuple, source: SubRiemannianGroup, target: SubRiemannia
                        if x * q0 != c0 * w)
     if mismatches:
         return _NOT_CONFORMAL, mismatches
-    return "", (constant(c0 * qd * sign, den0), ((({},),) * target.dim, 1))
+    return "", (constant(c0 * qd * sign, den0), None)
 
 
 def commutation_residuals(F: PolyMap, lambda_sq, b, source: SubRiemannianGroup,
@@ -437,7 +437,8 @@ def commutation_residuals(F: PolyMap, lambda_sq, b, source: SubRiemannianGroup,
         lam, b_true = found
         second, first = [], []
         lambda_sq = lambda_sq - lam
-        drift = _prows_combination([(1, drift), (-1, b_true)])
+        if b_true is not None:
+            drift = _prows_combination([(1, drift), (-1, b_true)])
         if not lambda_sq and not any(map(any, drift[0])):
             return ()
     h2, h1 = target.tables.sublaplacian_tables
@@ -547,7 +548,8 @@ def analyze_commutation(F: PolyMap, source: SubRiemannianGroup,
     if not lam_sq:
         return CommutationReport(True, False, None, None, probe_degree,
                                  (lam_sq,), "conformal factor is not positive")
-    b = _from_prows(_prows_transpose(b), source.dim)[0]
+    b = (Polynomial.zero(source.dim),) * target.dim if b is None else \
+        _from_prows(_prows_transpose(b), source.dim)[0]
     return CommutationReport(True, True, lam_sq, b, probe_degree, (), "")
 
 

@@ -181,10 +181,8 @@ class DifferentialOperator:
             raise ValueError("second-order table must be %d x %d" % (n, n))
         if len(self.first_order) != n:
             raise ValueError("first-order table must have length %d" % n)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if c2[i][j] != c2[j][i]:
-                    raise ValueError("second-order table must be symmetric")
+        if any(c2[i][j] != c2[j][i] for i in range(n) for j in range(i + 1, n)):
+            raise ValueError("second-order table must be symmetric")
 
     def apply(self, u: Polynomial) -> Polynomial:
         if u.nvars != self.dim:

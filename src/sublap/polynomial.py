@@ -17,14 +17,14 @@ private form, ``(rows, den)`` as linalg names its integer matrices: rows of
 integer term dicts (no zero stored, {} for a zero entry) over one common
 positive denominator, the matrix being rows / den entrywise.  ``_to_prows``
 and ``_from_prows`` convert at the API boundary, one reduced Polynomial per
-entry; ``_prows_mul``, ``_prows_rat_mul`` (by an integer matrix in linalg's
-form), ``_prows_times`` (by one polynomial), ``_prows_congruence`` (A M A^T
-for a symmetric M, upper triangle mirrored) and ``_prows_combination``
-multiply and add without dividing, so a chain of them (the differential
-series of calculus, the pushforward tables of operators, the commutation
-tables of conformal) takes one gcd per entry, at the end.  MapPowers keeps
-the powers of a map's components on integer term dicts, for every
-composition with a map that runs in that form.
+entry dict, so a mirrored pair (one dict) stays one; ``_prows_mul``,
+``_prows_rat_mul`` (by an integer matrix in linalg's form), ``_prows_times``
+(by one polynomial), ``_prows_congruence`` (A M A^T for a symmetric M, upper
+triangle mirrored) and ``_prows_combination`` multiply and add without
+dividing, so a chain of them (the differential series of calculus, the
+pushforward tables of operators, the commutation tables of conformal) takes
+one gcd per entry, at the end.  MapPowers keeps the powers of a map's
+components on integer term dicts, for every composition in that form.
 """
 
 from __future__ import annotations
@@ -685,10 +685,13 @@ def _to_prows(a) -> tuple:
 
 def _from_prows(a: tuple, nvars: int) -> tuple:
     """The matrix of Polynomials in nvars variables that a (rows, den) form
-    stands for, one reduced Polynomial per entry."""
+    stands for, one reduced Polynomial per entry object, so the mirrored
+    entries of a symmetric table (_prows_congruence) become one."""
     rows, den = a
     zero = _raw(nvars, {}, 1)
-    return tuple(tuple(_reduced(nvars, x, den) if x else zero for x in row) for row in rows)
+    entries = {id(x): x for row in rows for x in row if x}
+    done = {key: _reduced(nvars, x, den) for key, x in entries.items()}
+    return tuple(tuple(done[id(x)] if x else zero for x in row) for row in rows)
 
 
 def _prows_transpose(a: tuple) -> tuple:

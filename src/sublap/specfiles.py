@@ -211,7 +211,9 @@ def group_to_dict(group: SubRiemannianGroup) -> dict:
 # polynomial maps
 
 
-def polymap_from_dict(doc, filename=None) -> PolyMap:
+def polymap_from_dict(doc, filename=None, shape=None) -> PolyMap:
+    """The map of a map file; shape, the (source, target) dims of the groups
+    it joins, is checked first, as each variable has source_dim exponents."""
     source_dim = _get(doc, "source_dim", int, "", filename)
     if source_dim < 1:
         raise SpecFileError("source_dim must be positive",
@@ -220,6 +222,9 @@ def polymap_from_dict(doc, filename=None) -> PolyMap:
     if not comps:
         raise SpecFileError("components must be non-empty",
                             filename=filename, field="components")
+    if shape is not None and (source_dim, len(comps)) != tuple(shape):
+        raise SpecFileError("map shape %d->%d does not match groups %d->%d"
+                            % (source_dim, len(comps), *shape), filename=filename)
     parsed = []
     for i, text in enumerate(comps):
         field = "components[%d]" % (i + 1)
@@ -230,8 +235,8 @@ def polymap_from_dict(doc, filename=None) -> PolyMap:
     return PolyMap(source_dim, tuple(parsed))
 
 
-def load_polymap(path) -> PolyMap:
-    return polymap_from_dict(_load_json(path), filename=path)
+def load_polymap(path, shape=None) -> PolyMap:
+    return polymap_from_dict(_load_json(path), filename=path, shape=shape)
 
 
 def polymap_to_dict(pmap: PolyMap) -> dict:
@@ -296,9 +301,13 @@ def load_identity(path, source_dim, target_dim):
 
 
 def operator_to_dict(op: DifferentialOperator) -> dict:
+    """The operator's tables as strings, each entry of the symmetric
+    second-order table on or above the diagonal formatted once, mirrored."""
+    upper = [[str(x) for x in row[i:]] for i, row in enumerate(op.second_order)]
     return {
         "dim": op.dim,
-        "second_order": [[str(e) for e in row] for row in op.second_order],
+        "second_order": [[upper[min(i, j)][abs(i - j)] for j in range(op.dim)]
+                         for i in range(op.dim)],
         "first_order": [str(e) for e in op.first_order],
         "zero_order": str(op.zero_order),
     }

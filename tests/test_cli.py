@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from conftest import gallery
+from sublap import specfiles
 from sublap.cli import COMMANDS, RunConfig, build_parser, main, run
 from sublap.polynomial import COEFF_BIT_BUDGET, TERM_BUDGET, Polynomial
 from sublap.specfiles import group_to_dict, polymap_to_dict
@@ -608,6 +609,26 @@ def test_verify_shape_mismatch(tmp_path, capsys):
     assert "map shape 3->3 does not match groups 3->2" in out
 
 
+def test_map_shape_is_checked_before_any_component_is_parsed(tmp_path, capsys,
+                                                             monkeypatch):
+    # each variable of a component is an exponent tuple of source_dim
+    # entries, so the declared shape is compared with the groups first: a
+    # mis-shaped map never reaches the polynomial parser
+    def refuse(*args):
+        raise AssertionError("map component parsed")
+
+    monkeypatch.setattr(specfiles, "_parse_poly_field", refuse)
+    src = write(tmp_path, "h1.json", H1_DOC)
+    tgt = write(tmp_path, "r2.json", R2_DOC)
+    fmap = write(tmp_path, "map.json", {"source_dim": 4, "components": ["x1", "x2"]})
+    ident = write(tmp_path, "ident.json", {"lambda_sq": 1, "b": ["0", "0"]})
+    for argv in (["analyze-map", src, tgt, fmap], ["verify", src, tgt, fmap, ident]):
+        code, out = run_main(capsys, argv)
+        assert code == 2
+        assert out == "verdict: error\nerror: %s: map shape 4->2 does not match groups 3->2\n" \
+            % fmap
+
+
 def test_analyze_map_gallery_reports(tmp_path, capsys):
     # the JSON reports of the twelve maps of scripts/commutation_gallery.py,
     # byte for byte
@@ -866,7 +887,8 @@ def test_unwritable_out_is_an_input_error(tmp_path, capsys):
 
 def test_each_polynomial_is_formatted_once(tmp_path, capsys, monkeypatch):
     # the text lines are read off the JSON document: in either format, one
-    # Polynomial.__str__ call per polynomial string of the document
+    # Polynomial.__str__ call per polynomial string of the document, the
+    # symmetric second-order table formatted on and above its diagonal only
     h1 = write(tmp_path, "h1.json", H1_DOC)
     dilation = write(tmp_path, "dilation.json",
                      {"source_dim": 3, "components": ["2*x1", "2*x2", "4*x3"]})
@@ -880,7 +902,7 @@ def test_each_polynomial_is_formatted_once(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(Polynomial, "__str__", counted)
     for argv, verdict, strings in (
-            (["sublaplacian", h1], "ok", lambda doc: 3 * 3 + 3 + 1),
+            (["sublaplacian", h1], "ok", lambda doc: 3 * 4 // 2 + 3 + 1),
             (["analyze-map", h1, h1, dilation], "conformal", lambda doc: 1 + len(doc["b"])),
             (["verify", h1, h1, dilation, wrong], "fails",
              lambda doc: 2 * len(doc["failures"]))):

@@ -776,11 +776,13 @@ def _seeded_homomorphism_cases():
 def test_homomorphisms_take_the_integer_stages(monkeypatch):
     # a linear Lie homomorphism has the constant DB = M B_G, so analyze-map
     # and verify decide its stages on integer matrices: none of the
-    # polynomial stage kernels runs, while any other map still reaches them
+    # polynomial stage kernels runs, and no drift table is built or reduced,
+    # while any other map still reaches them
     def refuse(*args):
         raise AssertionError("polynomial stage kernel")
 
-    for name in ("_prows_congruence", "_pushforward_first", "_polarization_residuals"):
+    for name in ("_prows_congruence", "_pushforward_first", "_polarization_residuals",
+                 "_from_prows"):
         monkeypatch.setattr(sublap.conformal, name, refuse)
     cases = _seeded_homomorphism_cases()
     verdicts = []

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import random_rational, random_vector
+from conftest import filiform_group, random_rational, random_vector
 from oracles import horizontal_inner, pivot_row_frame_components
 from sublap import linalg
 from sublap.algebra import LieAlgebra, subriemannian_group
@@ -156,6 +156,22 @@ def test_sublaplacian_matches_full_differential_assembly(h1, h2, engel):
     for group in groups:
         op = sublaplacian(group)
         assert (op.second_order, op.first_order) == _full_differential_tables(group), group
+
+
+def test_mirrored_entries_are_one_polynomial(h2):
+    # a symmetric table is summed on its upper triangle and each entry is
+    # reduced once, so a mirrored pair is one shared (immutable) Polynomial;
+    # the skewed filiform group has a non-diagonal cometric, so its pullback
+    # table has nonzero off-diagonal entries
+    skewed = _filiform5(((1, 0, 0, 0, 0), (1, 1, 0, 0, 0)), ((3, 1), (1, 2)))
+    a = (Rat(1), Rat(-2), Rat(1, 3), Rat(2), Rat(-1, 2))
+    tables = (sublaplacian(h2).second_order, sublaplacian(filiform_group(6)).second_order,
+              pullback_operator(left_translation(h2, a[:5]), h2, h2).second,
+              pullback_operator(left_translation(skewed, a), skewed, skewed).second)
+    for table in tables:
+        assert all(table[i][j] is table[j][i]
+                   for i in range(len(table)) for j in range(i + 1, len(table)))
+    assert any(table[0][1] for table in tables[2:])
 
 
 def _rebased(group, p):

@@ -7,13 +7,18 @@ rejected maps, the reason and one residual witness.
 """
 
 import argparse
+import sys
+from pathlib import Path
 
-from sublap.catalog import abelian_group, engel_group
-from sublap.calculus import dilation, left_translation
-from sublap.conformal import analyze_commutation
-from sublap.heisenberg import heisenberg_group
-from sublap.polynomial import PolyMap
-from sublap.rational import Rat
+# this checkout's package first, whatever PYTHONPATH holds
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from sublap.catalog import abelian_group, engel_group  # noqa: E402
+from sublap.calculus import dilation, left_translation  # noqa: E402
+from sublap.conformal import analyze_commutation  # noqa: E402
+from sublap.heisenberg import heisenberg_group  # noqa: E402
+from sublap.polynomial import PolyMap  # noqa: E402
+from sublap.rational import Rat  # noqa: E402
 
 
 def gallery():

@@ -11,14 +11,19 @@ isometry realizes it numerically.
 import argparse
 import math
 import random
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from sublap.heisenberg import (build_isometry, heisenberg_pair,
+# this checkout's package first, whatever PYTHONPATH holds
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from sublap.heisenberg import (build_isometry, heisenberg_pair,  # noqa: E402
                                isometry_decision, symplectic_spectrum)
-from sublap.linalg import mat_mul, mat_scale, rank, transpose
-from sublap.rational import Rat
+from sublap.linalg import mat_mul, mat_scale, rank, transpose  # noqa: E402
+from sublap.rational import Rat  # noqa: E402
 
 
 @dataclass

@@ -50,8 +50,7 @@ class SymplecticForm:
         rows, den = linalg._to_rows(m)
         if any(rows[i][j] + rows[j][i] for i in range(size) for j in range(i + 1)):
             raise ValueError("symplectic form must be antisymmetric")
-        basis = linalg.EchelonBasis()
-        if not all(map(basis.insert_row, rows)):
+        if len(linalg.EchelonBasis(rows)) < size:
             raise ValueError("symplectic form must be nondegenerate")
         object.__setattr__(self, "rows", (tuple(map(tuple, rows)), den))
 

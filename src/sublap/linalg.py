@@ -14,18 +14,18 @@ in it.  ``mat_mul``, ``mat_vec`` and ``inverse`` are wrappers of those
 kernels, and deciders that chain products, inverses and comparisons call
 the kernels directly, so each Rat of a chain is built once.
 
-Elimination is fraction-free and runs on Python ints.  Gauss-Jordan
-(``rref``, ``inverse``) divides every updated row by the gcd of its entries,
-and ``rref`` starts from the primitive rows of ``_to_rows``, which do not
-depend on the positive scale it chose; ``_bareiss_pd`` is Bareiss's
-elimination of a symmetric positive definite matrix, whose exact division
-by the previous pivot keeps the entries minors of the scaled matrix: it
-returns those integers and builds no Rat, and ``is_positive_definite`` and
-the Metric read their verdicts and factors off it; ``EchelonBasis`` keeps
-primitive integer rows keyed by pivot column, so ``rank`` is one forward
-pass, and ``_rows_span_equal`` compares two spans with one basis each.  The
-backend is touched only through ``.numerator``, ``.denominator`` and
-``Rat(n, d)``.
+Elimination is fraction-free, runs on Python ints, and has two kernels, one
+per kind of job.  ``EchelonBasis`` keeps primitive integer rows keyed by
+pivot column, dividing every updated row by the gcd of its entries: it
+serves every rank, span, reduced-echelon and inverse job, so ``rank`` is
+one forward pass, and ``rref`` (with the nullspaces) and ``_inverse_rows``
+read its ``reduced()`` rows.  ``_bareiss_pd`` is Bareiss's elimination of
+a symmetric positive definite matrix, with no row exchanges and on the
+lower triangle only, whose exact division by the previous pivot keeps the
+entries minors of the scaled matrix: it returns those integers and builds
+no Rat, and ``is_positive_definite`` and the Metric read their verdicts
+and factors off it.  The backend is touched only through ``.numerator``,
+``.denominator`` and ``Rat(n, d)``.
 """
 
 from __future__ import annotations
@@ -100,39 +100,9 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
     return tuple(_ratio(row[0], den) if row else ZERO for row in rows)
 
 
-def is_symmetric(a: Matrix) -> bool:
-    n, m = shape(a)
-    return n == m and all(a[i][j] == a[j][i] for i in range(n) for j in range(i))
-
-
 def _primitive(row: list) -> list:
     g = gcd(*row)
     return [x // g for x in row] if g > 1 else row
-
-
-def _gauss_jordan(rows: list, ncols: int):
-    """Fraction-free Gauss-Jordan on integer rows (updated in place): returns
-    the rows (pivot rows first, each zero in every other pivot column, then
-    zero rows) and the pivot columns."""
-    nrows = len(rows)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        prow = rows[r]
-        p = prow[c]
-        for i in range(nrows):
-            f = rows[i][c]
-            if f and i != r:
-                rows[i] = _primitive([p * x - f * y for x, y in zip(rows[i], prow)])
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
 
 
 def _divided(row: list, c: int) -> tuple:
@@ -144,25 +114,25 @@ def _divided(row: list, c: int) -> tuple:
 def rref(a: Matrix):
     """Reduced row echelon form.  Returns (rref_matrix, pivot_column_indices)."""
     ncols = len(a[0]) if a else 0
-    rows, pivots = _gauss_jordan([_primitive(row) for row in _to_rows(a)[0]], ncols)
-    red = [_divided(rows[r], c) for r, c in enumerate(pivots)]
-    red += [(ZERO,) * ncols] * (len(rows) - len(pivots))
-    return tuple(red), tuple(pivots)
+    red = EchelonBasis(_to_rows(a)[0]).reduced()
+    out = [_divided(row, c) for c, row in red.items()]
+    out += [(ZERO,) * ncols] * (len(a) - len(red))
+    return tuple(out), tuple(red)
 
 
 class EchelonBasis:
     """A growing list of vectors in echelon form: primitive integer rows
     keyed by pivot column (the first nonzero entry of each row, a column no
-    other row has as its pivot).  insert() reduces a vector against the rows
-    and keeps the remainder when it is nonzero; len() is the rank of
-    everything inserted so far."""
+    other row has as its pivot), built from integer rows at any scale.
+    insert() reduces a vector against the rows and keeps the remainder when
+    it is nonzero; len() is the rank of everything inserted so far."""
 
     __slots__ = ("_rows",)
 
-    def __init__(self, vectors=()):
+    def __init__(self, rows=()):
         self._rows = {}
-        for v in vectors:
-            self.insert(v)
+        for row in rows:
+            self.insert_row(row)
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -188,9 +158,27 @@ class EchelonBasis:
             row = _primitive([p * y - x * z for y, z in zip(row, prow)])
         return False
 
+    def reduced(self) -> dict:
+        """The rows by increasing pivot column, each cleared bottom-up in
+        every other pivot column and kept primitive; the basis's own rows
+        are not changed (a row that needs no clearing is returned as is)."""
+        rows = self._rows
+        pivots = sorted(rows)
+        red = {}
+        for c in reversed(pivots):
+            row = rows[c]
+            # the rows in red vanish left of their pivots, which lie right of c
+            for d, drow in red.items():
+                x = row[d]
+                if x:
+                    p = drow[d]
+                    row = _primitive([p * y - x * z for y, z in zip(row, drow)])
+            red[c] = row
+        return {c: red[c] for c in pivots}
+
 
 def rank(a: Matrix) -> int:
-    return len(EchelonBasis(a))
+    return len(EchelonBasis(_to_rows(a)[0]))
 
 
 def inverse(a: Matrix) -> Matrix:
@@ -241,13 +229,14 @@ def _rows_equal(a: tuple, b: tuple) -> bool:
 
 def _inverse_rows(a: tuple) -> tuple:
     """The inverse of a square nonsingular (rows, den), in the same form, by
-    one fraction-free elimination on [rows | 1]: pivot row r ends as
-    (p_r e_r | R_r), so rows^{-1} has row R_r / p_r and a^{-1} = den rows^{-1}."""
+    the reduced echelon form of [rows | 1]: pivot row r is (p_r e_r | R_r),
+    so rows^{-1} has row R_r / p_r and a^{-1} = den rows^{-1}."""
     rows, den = a
     n = len(rows)
-    work, pivots = _gauss_jordan([list(row) + [0] * i + [1] + [0] * (n - 1 - i)
-                                  for i, row in enumerate(rows)], 2 * n)
-    if pivots[:n] != list(range(n)):
+    work = EchelonBasis([list(row) + [0] * i + [1] + [0] * (n - 1 - i)
+                         for i, row in enumerate(rows)]).reduced()
+    # [rows | 1] has rank n, with its pivots on the left exactly when rows has
+    if list(work) != list(range(n)):
         raise ValueError("singular matrix")
     common = lcm(*(work[r][r] for r in range(n)))
     g = gcd(common, den)
@@ -278,17 +267,6 @@ def left_nullspace(a: Matrix):
     return nullspace(transpose(a))
 
 
-def _rows_span_equal(rows_a, rows_b) -> bool:
-    """Whether two lists of integer vectors, each at any scale, span one
-    space: one echelon basis each, and b's vectors then add nothing to a's."""
-    span_a, span_b = EchelonBasis(), EchelonBasis()
-    for row in rows_a:
-        span_a.insert_row(row)
-    for row in rows_b:
-        span_b.insert_row(row)
-    return len(span_a) == len(span_b) and not any(map(span_a.insert_row, rows_b))
-
-
 def _bareiss_pd(a: Matrix) -> tuple:
     """Bareiss elimination of a symmetric positive definite matrix: (s, tri)
     with s the lcm of the denominators of a and tri the integer lower
@@ -303,13 +281,13 @@ def _bareiss_pd(a: Matrix) -> tuple:
     M = L diag(s d) L^T with L_ik = f_ik / p_{k+1} and
     d_k = p_{k+1} / (p_k s).
     """
-    if not is_symmetric(a):
+    rows, s = _to_rows(a)
+    n = len(rows)
+    if any(len(row) != n for row in rows) or \
+            any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
         raise ValueError("matrix is not symmetric")
-    n = len(a)
-    s = lcm(*(int(x.denominator) for row in a for x in row))
     # the lower triangle is all that is read or written
-    tri = [[int(x.numerator) * (s // int(x.denominator)) for x in row[:i + 1]]
-           for i, row in enumerate(a)]
+    tri = [row[:i + 1] for i, row in enumerate(rows)]
     prev = 1
     for k in range(n):
         piv = tri[k][k]
@@ -318,8 +296,10 @@ def _bareiss_pd(a: Matrix) -> tuple:
         for i in range(k + 1, n):
             wi = tri[i]
             f = wi[k]
-            for j in range(k + 1, i + 1):
-                wi[j] = (piv * wi[j] - f * tri[j][k]) // prev
+            # with f = 0 and piv = prev the update leaves the row as it is
+            if f or piv != prev:
+                for j in range(k + 1, i + 1):
+                    wi[j] = (piv * wi[j] - f * tri[j][k]) // prev
         prev = piv
     return s, tuple(map(tuple, tri))
 

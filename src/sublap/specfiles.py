@@ -59,13 +59,18 @@ def _get(doc, key, kind, field, filename, optional=False, default=None):
             return default
         raise SpecFileError("missing required key '%s'" % key,
                             filename=filename, field=field)
-    value = doc[key]
+    return _typed(doc[key], kind, "%s.%s" % (field, key) if field else key, filename)
+
+
+def _typed(value, kind, field, filename):
+    """value, when it is an instance of kind (a type or a tuple of types)
+    and not a boolean; a SpecFileError on field otherwise."""
     # JSON true/false load as bool, a subclass of int: never a count or index
-    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
+    if not isinstance(value, kind) or isinstance(value, bool):
         names = kind.__name__ if not isinstance(kind, tuple) else \
             "/".join(k.__name__ for k in kind)
         raise SpecFileError("expected %s, got %s" % (names, type(value).__name__),
-                            filename=filename, field="%s.%s" % (field, key) if field else key)
+                            filename=filename, field=field)
     return value
 
 
@@ -286,8 +291,9 @@ def identity_from_dict(doc, source_dim, target_dim, filename=None):
     if len(b_texts) != target_dim:
         raise SpecFileError("b must have %d components" % target_dim,
                             filename=filename, field="b")
-    b = tuple(_parse_poly_field(text, source_dim, "b[%d]" % (i + 1), filename)
-              for i, text in enumerate(b_texts))
+    b = tuple(_parse_poly_field(_typed(text, (str, int), "b[%d]" % i, filename),
+                                source_dim, "b[%d]" % i, filename)
+              for i, text in enumerate(b_texts, start=1))
     return lam, b
 
 

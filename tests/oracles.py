@@ -683,7 +683,7 @@ def dense_stratify(algebra, v1_basis):
         raise NotStratifiable("polarization basis is linearly dependent")
     layers = [list(v1)]
     filtration = list(v1)
-    span = linalg.EchelonBasis(v1)
+    span = linalg.EchelonBasis(linalg._to_rows(tuple(v1))[0])
     while True:
         brackets = [algebra.bracket(v, w) for v in v1 for w in layers[-1]]
         new_layer = _grow_independent(span, filtration, brackets)

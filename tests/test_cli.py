@@ -290,15 +290,20 @@ def test_equiv_frames_negative(tmp_path, capsys):
     assert "witness" not in doc
 
 
-def test_equiv_frames_span_mismatch_is_input_error(tmp_path, capsys):
+def test_equiv_frames_on_different_spans_are_not_equivalent(tmp_path, capsys):
+    # frames of one size that span different lines are well-formed input:
+    # their cometrics differ (the range of X^T X is the row space of X)
     path = write(tmp_path, "frames.json", {
         "dim": 2,
         "frame_x": [[1, 0]],
         "frame_y": [[0, 1]],
     })
     code, out = run_main(capsys, ["equiv-frames", path])
-    assert code == 2
-    assert "span" in out
+    assert code == 1
+    assert out == "verdict: not-equivalent\n"
+    code, doc = run_json(capsys, ["equiv-frames", path])
+    assert code == 1
+    assert doc == {"verdict": "not-equivalent"}
 
 
 # ---------------------------------------------------------------------------
@@ -1028,3 +1033,20 @@ def test_dump_verdicts_prints_every_cli_report(monkeypatch):
     labels = {line[4] for line in lines if line[0] == "map-analysis" and len(line) == 6}
     assert {"cli %s source %s exit 0" % (command, fmt) for command in
             ("sublaplacian", "stratify", "validate") for fmt in ("text", "json")} <= labels
+
+
+@pytest.mark.parametrize("script", ["commutation_gallery.py", "spectrum_survey.py"])
+def test_scripts_run_from_a_fresh_checkout(script, tmp_path):
+    # with PYTHONPATH unset, from another directory and with no bytecode
+    # written, each script finds the package of its own checkout
+    import os
+    import subprocess
+    import sys
+    root = Path(__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    proc = subprocess.run([sys.executable, str(root / "scripts" / script)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
+    assert list(tmp_path.iterdir()) == []

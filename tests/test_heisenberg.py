@@ -343,8 +343,8 @@ def test_isometry_ratio_outside_the_float_range_is_an_error():
 def test_each_pair_is_reduced_once(monkeypatch):
     # one exact elimination of G and one eigendecomposition per pair, shared
     # by the Metric's positive-definiteness check, the spectrum, the ratio
-    # and the normal-form basis, and no inverse or Gauss-Jordan elimination
-    # at all.  The pairs are raw (omega, gram) tuples, as the CLI and the
+    # and the normal-form basis, and no inverse or reduced echelon form at
+    # all.  The pairs are raw (omega, gram) tuples, as the CLI and the
     # benchmark hand them over, so the Metric is built, and its elimination
     # counted, inside each call; each raw matrix is coerced once, by the
     # constructor that checks it
@@ -365,7 +365,7 @@ def test_each_pair_is_reduced_once(monkeypatch):
     monkeypatch.setattr(linalg, "_bareiss_pd", counted("bareiss", linalg._bareiss_pd))
     monkeypatch.setattr(linalg, "mat", counted("mat", linalg.mat))
     monkeypatch.setattr(linalg, "_inverse_rows", refused)
-    monkeypatch.setattr(linalg, "_gauss_jordan", refused)
+    monkeypatch.setattr(linalg.EchelonBasis, "reduced", refused)
     for name in ("eig", "eigh", "eigvals", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, counted("eig", getattr(np.linalg, name)))
     for call, pairs in ((lambda: symplectic_spectrum(o1, g1), 1),

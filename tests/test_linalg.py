@@ -152,23 +152,25 @@ def test_ldl_rejects_indefinite():
         linalg._bareiss_pd(linalg.mat(((0, 1), (1, 0))))
     with pytest.raises(ValueError, match="not symmetric"):
         linalg._bareiss_pd(linalg.mat(((1, 2), (3, 4))))
+    # a matrix that is not square is not symmetric either, whatever its entries
+    for a in (((1, 0),), ((1,), (0,)), ((1, 0, 0), (0, 1, 0))):
+        with pytest.raises(ValueError, match="not symmetric"):
+            linalg._bareiss_pd(linalg.mat(a))
+        assert not linalg.is_positive_definite(linalg.mat(a))
 
 
 def test_span_equal():
     a = ((1, 0, 0), (0, 1, 0))
     b = ((1, 1, 0), (1, -1, 0))
     c = ((1, 0, 0), (0, 0, 1))
-    # the integer test of the frames, at any scale, and the rank oracle
-    assert linalg._rows_span_equal(a, [[2, 2, 0], [3, -3, 0]])
-    assert not linalg._rows_span_equal(a, c)
-    assert not linalg._rows_span_equal(a, a[:1])
+    # the rank oracle
     assert span_equal(a, b)
     assert not span_equal(a, c)
 
 
 def test_echelon_basis_keeps_its_own_rows():
-    # the caller's row may change after it is inserted, as the frames' rows
-    # of the span test may: the basis must not see it
+    # the caller's row may change after it is inserted: the basis must not
+    # see it
     row = [1, 2, 3]
     basis = linalg.EchelonBasis()
     assert basis.insert_row(row)
@@ -309,3 +311,53 @@ def test_echelon_basis_rank_follows_rank(a):
         assert grew == (after > before)
         assert len(basis) == after
         before = after
+
+
+@st.composite
+def integer_rows(draw):
+    """Integer matrices up to 5 x 5 as lists of rows, products C B with B of
+    k rows (rank at most k, k = 0 gives the zero matrix); now and then one
+    row or one column is set to zero."""
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    k = draw(st.integers(0, min(nrows, ncols)))
+    entries = st.integers(-4, 4)
+    base = [[draw(entries) for _ in range(ncols)] for _ in range(k)]
+    comb = [[draw(entries) for _ in range(k)] for _ in range(nrows)]
+    rows = [[sum(comb[i][t] * base[t][j] for t in range(k)) for j in range(ncols)]
+            for i in range(nrows)]
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, nrows - 1))] = [0] * ncols
+    if draw(st.booleans()):
+        c = draw(st.integers(0, ncols - 1))
+        for row in rows:
+            row[c] = 0
+    return rows
+
+
+def divided(red):
+    """The rows of reduced(), each divided by its pivot, as Fractions."""
+    return [tuple(Fraction(x, row[c]) for x in row) for c, row in red.items()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(integer_rows())
+def test_echelon_basis_reduced_is_the_rref(rows):
+    # reduced() gives the primitive rows of the rref, each a multiple of
+    # its Fraction row, and leaves the basis as it was: re-inserting the
+    # rows adds nothing, and unit vectors grow it with the rank
+    ncols = len(rows[0])
+    basis = linalg.EchelonBasis(rows)
+    own = {c: list(row) for c, row in basis._rows.items()}
+    red = basis.reduced()
+    ref, pivots = fraction_rref(rows)
+    assert tuple(red) == pivots and len(basis) == len(pivots)
+    assert divided(red) == list(ref[:len(pivots)])
+    assert all(math.gcd(*row) == 1 for row in red.values())
+    assert basis._rows == own
+    assert not any(map(basis.insert_row, rows))
+    units = [[int(i == j) for i in range(ncols)] for j in range(ncols)]
+    for j, unit in enumerate(units):
+        before = len(basis)
+        assert basis.insert_row(unit) == (len(fraction_rref(rows + units[:j + 1])[1]) > before)
+    assert len(basis) == ncols
+    assert divided(basis.reduced()) == list(map(tuple, units))

@@ -225,6 +225,24 @@ def test_identity_from_dict():
         identity_from_dict({"lambda_sq": "x9", "b": ["0"]}, 3, 1)
 
 
+def test_identity_b_entries_are_typed_like_lambda_sq(monkeypatch):
+    # each entry of b is a polynomial string or a JSON integer, as lambda_sq
+    # is; anything else is named by its type before the tokenizer runs
+    lam, b = identity_from_dict({"lambda_sq": 1, "b": [0, "0", 0]}, 3, 3)
+    assert all(c.is_zero for c in b)
+    parsed = []
+    parse = Polynomial.parse
+    monkeypatch.setattr(Polynomial, "parse", lambda text, nvars: parsed.append(text) or
+                        parse(text, nvars))
+    for bad, kind in ((True, "bool"), (None, "NoneType"), ([1], "list"), ({"1": 1}, "dict"),
+                      (1.5, "float")):
+        parsed.clear()
+        with pytest.raises(SpecFileError) as err:
+            identity_from_dict({"lambda_sq": 1, "b": ["0", bad, "0"]}, 3, 3, filename="i.json")
+        assert str(err.value) == "i.json, field b[2]: expected str/int, got %s" % kind
+        assert parsed == ["1", "0"]
+
+
 # ---------------------------------------------------------------------------
 # front-end branches
 

@@ -235,7 +235,7 @@ def _inverse_rows(a: tuple) -> tuple:
     n = len(rows)
     work = EchelonBasis([list(row) + [0] * i + [1] + [0] * (n - 1 - i)
                          for i, row in enumerate(rows)]).reduced()
-    # [rows | 1] has rank n, with its pivots on the left exactly when rows has
+    # [rows | 1] has rank n; its pivots are 0..n-1 exactly when rows is nonsingular
     if list(work) != list(range(n)):
         raise ValueError("singular matrix")
     common = lcm(*(work[r][r] for r in range(n)))

@@ -82,26 +82,47 @@ def _coerce_gram(g, size: int, name: str):
     return g
 
 
+def _homothety_inputs(matrix, gram_v, gram_w) -> Optional[tuple]:
+    """L, G_V and G_W for the homothety deciders, each checked and then
+    converted once to linalg's (rows, den); None when L has rows but no
+    columns, as L = 0 is not surjective."""
+    l = linalg.mat(matrix)
+    m, n = linalg.shape(l)
+    if not m:
+        raise ValueError("matrix must have at least one row")
+    gv = _coerce_gram(gram_v, n, "gram_v")
+    gw = _coerce_gram(gram_w, m, "gram_w")
+    if not n:
+        return None
+    return linalg._to_rows(l), linalg._to_rows(gv), linalg._to_rows(gw)
+
+
+def _cometric_identity(cometric: tuple, gw: tuple) -> Optional[Rat]:
+    """The c > 0 with (L G_V^{-1} L^T) G_W = c 1, for the cometric image and
+    G_W as (rows, den); else None."""
+    return linalg._scalar_multiple(linalg._rows_mul(cometric, gw),
+                                   linalg._identity_rows(len(gw[0])))
+
+
 def is_homothetic_projection(matrix, gram_v, gram_w) -> Optional[Rat]:
     """Decide whether L: V -> W scales the cometric: L G_V^{-1} L^T = c G_W^{-1}.
 
     Returns the factor c = lambda^2 > 0 if so, else None.  Equivalently L is,
-    modulo its kernel, a surjective homothety of ratio lambda.
+    modulo its kernel, a surjective homothety of ratio lambda.  Raises
+    ValueError when L has no rows.
     """
-    l = linalg.mat(matrix)
-    m, n = linalg.shape(l)
-    gv = _coerce_gram(gram_v, n, "gram_v")
-    gw = _coerce_gram(gram_w, m, "gram_w")
-    lr = linalg._to_rows(l)
-    e, den = linalg._rows_mul(
-        linalg._rows_mul(linalg._rows_mul(lr, linalg._inverse_rows(linalg._to_rows(gv))),
-                         linalg._rows_transpose(lr)),
-        linalg._to_rows(gw))
-    factor = e[0][0]
-    if factor <= 0 or any(x != (factor if i == j else 0)
-                          for i, row in enumerate(e) for j, x in enumerate(row)):
+    inputs = _homothety_inputs(matrix, gram_v, gram_w)
+    if inputs is None:
         return None
-    return Rat(factor, den)
+    l, gv, gw = inputs
+    return _cometric_identity(
+        linalg._rows_mul(linalg._rows_mul(l, linalg._inverse_rows(gv)), linalg._rows_transpose(l)),
+        gw)
+
+
+# the keys of homothetic_characterizations, formulations (1) to (5)
+_FORMULATIONS = ("cometric_identity", "dual_cometric", "adjoint_embedding", "kernel_projection",
+                 "restricted_isometry")
 
 
 def homothetic_characterizations(matrix, gram_v, gram_w) -> dict:
@@ -111,62 +132,54 @@ def homothetic_characterizations(matrix, gram_v, gram_w) -> dict:
     input; the separate code paths exist so that agreement is checkable.
     Inputs are built once and shared, comparisons are not: L Gv^{-1} L^T by
     (1) and (2), the metric adjoint T = Gv^{-1} L^T Gw by (3) and (4), a
-    kernel basis by (4) and (5).
+    kernel basis K and K^T Gv by (4) and (5).  (1) is
+    is_homothetic_projection's test.  Every chain runs on linalg's
+    (rows, den) form.  Raises ValueError when L has no rows.
     """
-    l = linalg.mat(matrix)
-    m, n = linalg.shape(l)
-    gv = _coerce_gram(gram_v, n, "gram_v")
-    gw = _coerce_gram(gram_w, m, "gram_w")
-    gv_inv = linalg.inverse(gv)
-    lt = linalg.transpose(l)
-    cometric = linalg.mat_mul(linalg.mat_mul(l, gv_inv), lt)
-    adjoint = linalg.mat_mul(linalg.mat_mul(gv_inv, lt), gw)
-    kernel = linalg.nullspace(l)
-    out = {}
-
-    def scalar_multiple(a, b):
-        """c > 0 with a == c b, c read at the first nonzero entry of b; else None."""
-        c = next((x / y for ra, rb in zip(a, b) for x, y in zip(ra, rb) if y), None)
-        return c if c is not None and c > 0 and a == linalg.mat_scale(c, b) else None
+    inputs = _homothety_inputs(matrix, gram_v, gram_w)
+    if inputs is None:
+        return dict.fromkeys(_FORMULATIONS)
+    prod, tr, multiple = linalg._rows_mul, linalg._rows_transpose, linalg._scalar_multiple
+    l, gv, gw = inputs
+    m, n = len(l[0]), len(l[0][0])
+    gv_inv = linalg._inverse_rows(gv)
+    lt = tr(l)
+    cometric = prod(prod(l, gv_inv), lt)
+    adjoint = prod(prod(gv_inv, lt), gw)
+    kernel = linalg._nullspace_rows(l[0])
+    dim_ker = len(kernel[0])
+    kt_g = prod(kernel, gv)
+    out = dict.fromkeys(_FORMULATIONS)
 
     # (1) cometric image: L Gv^{-1} L^T Gw is a positive multiple of the identity
-    out["cometric_identity"] = scalar_multiple(linalg.mat_mul(cometric, gw), linalg.identity(m))
+    out["cometric_identity"] = _cometric_identity(cometric, gw)
 
     # (2) dual cometric: L Gv^{-1} L^T is the same multiple of Gw^{-1}
-    out["dual_cometric"] = scalar_multiple(cometric, linalg.inverse(gw))
+    out["dual_cometric"] = multiple(cometric, linalg._inverse_rows(gw))
 
     # (3) the metric adjoint T = Gv^{-1} L^T Gw is a homothetic embedding:
     #     T^T Gv T is a positive multiple of Gw
-    out["adjoint_embedding"] = scalar_multiple(
-        linalg.mat_mul(linalg.mat_mul(linalg.transpose(adjoint), gv), adjoint), gw)
+    out["adjoint_embedding"] = multiple(prod(prod(tr(adjoint), gv), adjoint), gw)
 
     # (4) surjectivity (rank n - dim ker = m) plus L^*L equal to a multiple of
     #     the Gv-orthogonal projection onto the orthocomplement of the kernel
-    if n - len(kernel) < m:
-        out["kernel_projection"] = None
-    else:
-        proj = linalg.identity(n)
-        if kernel:
-            # Gv-orthogonal projection onto the kernel, subtracted from 1
-            k = linalg.transpose(kernel)             # n x dim(ker), columns
-            kt_g = linalg.mat_mul(kernel, gv)
-            gramk = linalg.mat_mul(kt_g, k)
-            pk = linalg.mat_mul(linalg.mat_mul(k, linalg.inverse(gramk)), kt_g)
-            proj = linalg.mat_sub(proj, pk)
-        out["kernel_projection"] = scalar_multiple(linalg.mat_mul(adjoint, l), proj)
+    if n - dim_ker == m:
+        proj = linalg._identity_rows(n)
+        if dim_ker:
+            # 1 - K (K^T Gv K)^{-1} K^T Gv, with the kernel basis as columns of K
+            k = tr(kernel)
+            pk, den = prod(prod(k, linalg._inverse_rows(prod(kt_g, k))), kt_g)
+            proj = [[den * (i == j) - x for j, x in enumerate(row)]
+                    for i, row in enumerate(pk)], den
+        out["kernel_projection"] = multiple(prod(adjoint, l), proj)
 
     # (5) isometry-up-to-scale on a (nullspace, so independent) basis of the
     #     Gv-orthocomplement of the kernel: the w with k^T Gv w = 0 for kernel k
-    rows = tuple(linalg.mat_vec(gv, kv) for kv in kernel)
-    comp = linalg.nullspace(rows) if kernel else linalg.identity(n)
-    if len(comp) != m:
-        out["restricted_isometry"] = None
-    else:
-        p = linalg.transpose(comp)                    # n x m, columns span ker^perp
-        lp = linalg.mat_mul(l, p)
-        lhs = linalg.mat_mul(linalg.mat_mul(linalg.transpose(lp), gw), lp)
-        rhs = linalg.mat_mul(linalg.mat_mul(linalg.transpose(p), gv), p)
-        out["restricted_isometry"] = scalar_multiple(lhs, rhs)
+    comp = linalg._nullspace_rows(kt_g[0]) if dim_ker else linalg._identity_rows(n)
+    if len(comp[0]) == m:
+        p = tr(comp)                                  # n x m, columns span ker^perp
+        lp = prod(l, p)
+        out["restricted_isometry"] = multiple(prod(prod(tr(lp), gw), lp), prod(prod(comp, gv), p))
 
     return out
 
@@ -218,10 +231,9 @@ def _orthogonal_witness(fx: tuple, fy: tuple) -> tuple:
     the two columns, and it takes N to vv N - 2 v (v^T N) and D to D vv.
     """
     (x, dx), (y, dy) = fx, fy
-    n = len(x)
     # num is rebuilt by every reflection, never updated in place
-    one = [[int(i == j) for j in range(n)] for i in range(n)]
-    num, den = one, 1
+    one = linalg._identity_rows(len(x))
+    num, den = one
     for col_x, col_y in zip(zip(*x), zip(*y)):
         # A col_x / dx - col_y / dy, times D dx dy
         scale = den * dx
@@ -239,7 +251,7 @@ def _orthogonal_witness(fx: tuple, fy: tuple) -> tuple:
             den //= g
     a = (num, den)
     assert linalg._rows_equal(linalg._rows_mul(a, fx), fy)
-    assert linalg._rows_equal(linalg._rows_mul(linalg._rows_transpose(a), a), (one, 1))
+    assert linalg._rows_equal(linalg._rows_mul(linalg._rows_transpose(a), a), one)
     return linalg._from_rows(num, den)
 
 

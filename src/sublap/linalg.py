@@ -8,18 +8,20 @@ Everything runs in one private integer form, ``(rows, den)``: integer rows
 over one common positive denominator, the matrix being rows / den
 entrywise.  ``_to_rows``, the one scaling helper, takes a matrix to it with
 one lcm of its denominators; ``_from_rows`` builds each Rat once on the way
-back.  ``_rows_mul``, ``_rows_transpose`` and ``_inverse_rows`` multiply,
-transpose and invert in the form, and ``_rows_equal`` compares two matrices
-in it.  ``mat_mul``, ``mat_vec`` and ``inverse`` are wrappers of those
-kernels, and deciders that chain products, inverses and comparisons call
-the kernels directly, so each Rat of a chain is built once.
+back.  ``_rows_mul``, ``_rows_transpose``, ``_inverse_rows`` and
+``_nullspace_rows`` multiply, transpose, invert and take kernels in the
+form; ``_rows_equal`` compares two matrices in it and ``_scalar_multiple``
+finds the positive c with a == c b, cross-multiplied.  ``mat_mul``,
+``inverse`` and ``nullspace`` are wrappers of those kernels, and deciders
+that chain products, inverses and comparisons call the kernels directly,
+so a chain builds a Rat only for what it returns.
 
 Elimination is fraction-free, runs on Python ints, and has two kernels, one
 per kind of job.  ``EchelonBasis`` keeps primitive integer rows keyed by
 pivot column, dividing every updated row by the gcd of its entries: it
 serves every rank, span, reduced-echelon and inverse job, so ``rank`` is
-one forward pass, and ``rref`` (with the nullspaces) and ``_inverse_rows``
-read its ``reduced()`` rows.  ``_bareiss_pd`` is Bareiss's elimination of
+one forward pass, and ``_nullspace_rows`` and ``_inverse_rows`` read its
+``reduced()`` rows.  ``_bareiss_pd`` is Bareiss's elimination of
 a symmetric positive definite matrix, with no row exchanges and on the
 lower triangle only, whose exact division by the previous pivot keeps the
 entries minors of the scaled matrix: it returns those integers and builds
@@ -33,10 +35,9 @@ from __future__ import annotations
 from math import gcd, lcm
 from operator import mul
 
-from .rational import ONE, ZERO, Rat, rat
+from .rational import ZERO, Rat, rat
 
 Matrix = tuple
-Vector = tuple
 
 
 def mat(rows) -> Matrix:
@@ -47,22 +48,12 @@ def mat(rows) -> Matrix:
     return out
 
 
-def identity(n: int) -> Matrix:
-    return tuple(tuple(Rat(1) if i == j else Rat(0) for j in range(n)) for i in range(n))
-
-
 def shape(a: Matrix) -> tuple:
     return (len(a), len(a[0]) if a else 0)
 
 
 def transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a)) if a else ()
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    if shape(a) != shape(b):
-        raise ValueError("shape mismatch %sx%s - %sx%s" % (shape(a) + shape(b)))
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_scale(c, a: Matrix) -> Matrix:
@@ -87,37 +78,9 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return _from_rows(*_rows_mul(_to_rows(a), _to_rows(b)))
 
 
-def mat_vec(a: Matrix, v: Vector) -> Vector:
-    """a @ v, as the product with the one-column matrix of v; () when a
-    has no rows (see mat_mul)."""
-    if not a:
-        return ()
-    n, k = shape(a)
-    if k != len(v):
-        raise ValueError("shape mismatch %sx%s @ %s" % (n, k, len(v)))
-    rows, den = _rows_mul(_to_rows(a), _to_rows(tuple((x,) for x in v)))
-    # with k = 0 the one-column matrix has no rows, so the product no column
-    return tuple(_ratio(row[0], den) if row else ZERO for row in rows)
-
-
 def _primitive(row: list) -> list:
     g = gcd(*row)
     return [x // g for x in row] if g > 1 else row
-
-
-def _divided(row: list, c: int) -> tuple:
-    """row / row[c] as Rats (row[c] is the pivot)."""
-    p = row[c]
-    return tuple(ONE if j == c else _ratio(x, p) for j, x in enumerate(row))
-
-
-def rref(a: Matrix):
-    """Reduced row echelon form.  Returns (rref_matrix, pivot_column_indices)."""
-    ncols = len(a[0]) if a else 0
-    red = EchelonBasis(_to_rows(a)[0]).reduced()
-    out = [_divided(row, c) for c, row in red.items()]
-    out += [(ZERO,) * ncols] * (len(a) - len(red))
-    return tuple(out), tuple(red)
 
 
 class EchelonBasis:
@@ -227,6 +190,36 @@ def _rows_equal(a: tuple, b: tuple) -> bool:
     return all(x * db == y * da for row_a, row_b in zip(ra, rb) for x, y in zip(row_a, row_b))
 
 
+def _scalar_multiple(a: tuple, b: tuple):
+    """The c > 0 with a == c b, for two (rows, den) matrices of one shape, as
+    a Rat; None when there is none (or b is 0).  c is read at the first
+    nonzero entry b_0 of b, and a_ij b_0 == a_0 b_ij is tested on integers,
+    in one pass that stops at the first entry off the multiple."""
+    (ra, da), (rb, db) = a, b
+    a0 = b0 = 0
+    for row_a, row_b in zip(ra, rb):
+        for x, y in zip(row_a, row_b):
+            if b0:
+                if x * b0 != a0 * y:
+                    return None
+            elif y:
+                if x * y <= 0:
+                    return None
+                a0, b0 = x, y
+            elif x:
+                return None
+    if not b0:
+        return None
+    if b0 < 0:
+        a0, b0 = -a0, -b0
+    return Rat(a0 * db, da * b0)
+
+
+def _identity_rows(n: int) -> tuple:
+    """The n x n identity as (rows, den)."""
+    return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)], 1
+
+
 def _inverse_rows(a: tuple) -> tuple:
     """The inverse of a square nonsingular (rows, den), in the same form, by
     the reduced echelon form of [rows | 1]: pivot row r is (p_r e_r | R_r),
@@ -248,18 +241,29 @@ def _inverse_rows(a: tuple) -> tuple:
 
 
 def nullspace(a: Matrix):
-    """Basis (tuple of vectors) for the right nullspace of a."""
-    red, pivots = rref(a)
-    ncols = shape(a)[1]
-    free = [c for c in range(ncols) if c not in pivots]
+    """Basis (tuple of vectors) for the right nullspace of a: one vector per
+    free column f of the reduced echelon form, with 1 at f and 0 at every
+    other free column."""
+    return _from_rows(*_nullspace_rows(_to_rows(a)[0]))
+
+
+def _nullspace_rows(rows) -> tuple:
+    """The basis of nullspace() for the integer rows of a matrix, as
+    (basis rows, den): for each free column f of the reduced echelon form,
+    den e_f minus, at each pivot column c, den / p_c times the entry in
+    column f of the reduced row with pivot p_c at c."""
+    ncols = len(rows[0]) if rows else 0
+    red = EchelonBasis(rows).reduced()
+    den = lcm(*(row[c] for c, row in red.items()))
     basis = []
-    for f in free:
-        v = [Rat(0)] * ncols
-        v[f] = Rat(1)
-        for r, c in enumerate(pivots):
-            v[c] = -red[r][f]
-        basis.append(tuple(v))
-    return tuple(basis)
+    for f in range(ncols):
+        if f not in red:
+            v = [0] * ncols
+            v[f] = den
+            for c, row in red.items():
+                v[c] = -row[f] * (den // row[c])
+            basis.append(v)
+    return basis, den
 
 
 def left_nullspace(a: Matrix):

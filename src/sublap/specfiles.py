@@ -255,6 +255,8 @@ def polymap_to_dict(pmap: PolyMap) -> dict:
 
 def frames_from_dict(doc, filename=None):
     dim = _get(doc, "dim", int, "", filename)
+    if dim < 1:
+        raise SpecFileError("dim must be positive", filename=filename, field="dim")
     return (_parse_matrix(doc, "frame_x", filename, ncols=dim),
             _parse_matrix(doc, "frame_y", filename, ncols=dim))
 

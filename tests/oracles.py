@@ -43,7 +43,12 @@ Polynomial entries, one reduced Polynomial per entry of every intermediate
 matrix, where the package keeps integer term dicts over one common
 denominator until a table leaves it.  reference_str prints a polynomial
 from its Rat terms, where Polynomial.__str__ reads the integer numerators
-once.
+once.  The homothety oracles (rat_homothetic_characterizations,
+rat_is_homothetic_projection) run the five formulations and the cometric
+test as chains of public Rat calls, one Rat matrix per intermediate, where
+the package runs each chain on integer rows and compares cross-multiplied.
+identity, mat_sub, mat_vec and rref are Rat-matrix helpers that only the
+tests use.
 """
 
 import math
@@ -53,7 +58,7 @@ from fractions import Fraction
 from sublap import heisenberg, linalg
 from sublap.algebra import NotStratifiable
 from sublap.calculus import bch_product, bernoulli_numbers, dynkin_terms, group_product_map
-from sublap.conformal import CommutationReport
+from sublap.conformal import CommutationReport, _coerce_gram
 from sublap.operators import DifferentialOperator, cometric, frame_components, gradient, \
     sublaplacian
 from sublap.polynomial import Polynomial, linear_combination, monomials_up_to, sum_of_products
@@ -85,7 +90,7 @@ def mscale(c, a):
     return tuple(tuple(c * x for x in row) for row in a)
 
 
-def meye(n):
+def identity(n):
     return tuple(tuple(Rat(1) if i == j else Rat(0) for j in range(n)) for i in range(n))
 
 
@@ -96,8 +101,8 @@ def mzero(n):
 def nilpotent_exp(m):
     """exp of a nilpotent matrix by the (finite) series, exact rationals."""
     n = len(m)
-    out = meye(n)
-    term = meye(n)
+    out = identity(n)
+    term = identity(n)
     k = 1
     while True:
         term = mmul(term, m)
@@ -113,9 +118,9 @@ def nilpotent_exp(m):
 def nilpotent_log(u):
     """log of a unipotent matrix by the (finite) series, exact rationals."""
     n = len(u)
-    nmat = madd(u, mscale(Rat(-1), meye(n)))
+    nmat = madd(u, mscale(Rat(-1), identity(n)))
     out = mzero(n)
-    term = meye(n)
+    term = identity(n)
     k = 1
     while True:
         term = mmul(term, nmat)
@@ -580,6 +585,114 @@ def span_equal(basis_a, basis_b):
     return linalg.rank(a) == linalg.rank(b) == linalg.rank(a + b)
 
 
+def mat_sub(a, b):
+    if linalg.shape(a) != linalg.shape(b):
+        raise ValueError("shape mismatch %sx%s - %sx%s" % (linalg.shape(a) + linalg.shape(b)))
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def mat_vec(a, v):
+    """a @ v, as the product with the one-column matrix of v; () when a
+    has no rows (see linalg.mat_mul)."""
+    if not a:
+        return ()
+    n, k = linalg.shape(a)
+    if k != len(v):
+        raise ValueError("shape mismatch %sx%s @ %s" % (n, k, len(v)))
+    rows, den = linalg._rows_mul(linalg._to_rows(a), linalg._to_rows(tuple((x,) for x in v)))
+    # with k = 0 the one-column matrix has no rows, so the product no column
+    return tuple(Rat(row[0], den) if row else Rat(0) for row in rows)
+
+
+def rref(a):
+    """Reduced row echelon form read off linalg.EchelonBasis.reduced(), each
+    row divided by its pivot.  Returns (rref_matrix, pivot_column_indices)."""
+    ncols = len(a[0]) if a else 0
+    red = linalg.EchelonBasis(linalg._to_rows(a)[0]).reduced()
+    out = [tuple(Rat(x, row[c]) for x in row) for c, row in red.items()]
+    out += [(Rat(0),) * ncols] * (len(a) - len(red))
+    return tuple(out), tuple(red)
+
+
+def rat_homothetic_characterizations(matrix, gram_v, gram_w):
+    """The five homothety formulations of conformal.homothetic_characterizations
+    as chains of public Rat calls, one Rat matrix per intermediate (the
+    package runs each chain on integer rows)."""
+    l = linalg.mat(matrix)
+    m, n = linalg.shape(l)
+    gv = _coerce_gram(gram_v, n, "gram_v")
+    gw = _coerce_gram(gram_w, m, "gram_w")
+    gv_inv = linalg.inverse(gv)
+    lt = linalg.transpose(l)
+    cometric = linalg.mat_mul(linalg.mat_mul(l, gv_inv), lt)
+    adjoint = linalg.mat_mul(linalg.mat_mul(gv_inv, lt), gw)
+    kernel = linalg.nullspace(l)
+    out = {}
+
+    def scalar_multiple(a, b):
+        """c > 0 with a == c b, c read at the first nonzero entry of b; else None."""
+        c = next((x / y for ra, rb in zip(a, b) for x, y in zip(ra, rb) if y), None)
+        return c if c is not None and c > 0 and a == linalg.mat_scale(c, b) else None
+
+    # (1) cometric image: L Gv^{-1} L^T Gw is a positive multiple of the identity
+    out["cometric_identity"] = scalar_multiple(linalg.mat_mul(cometric, gw), identity(m))
+
+    # (2) dual cometric: L Gv^{-1} L^T is the same multiple of Gw^{-1}
+    out["dual_cometric"] = scalar_multiple(cometric, linalg.inverse(gw))
+
+    # (3) the metric adjoint T = Gv^{-1} L^T Gw is a homothetic embedding:
+    #     T^T Gv T is a positive multiple of Gw
+    out["adjoint_embedding"] = scalar_multiple(
+        linalg.mat_mul(linalg.mat_mul(linalg.transpose(adjoint), gv), adjoint), gw)
+
+    # (4) surjectivity (rank n - dim ker = m) plus L^*L equal to a multiple of
+    #     the Gv-orthogonal projection onto the orthocomplement of the kernel
+    if n - len(kernel) < m:
+        out["kernel_projection"] = None
+    else:
+        proj = identity(n)
+        if kernel:
+            # Gv-orthogonal projection onto the kernel, subtracted from 1
+            k = linalg.transpose(kernel)             # n x dim(ker), columns
+            kt_g = linalg.mat_mul(kernel, gv)
+            gramk = linalg.mat_mul(kt_g, k)
+            pk = linalg.mat_mul(linalg.mat_mul(k, linalg.inverse(gramk)), kt_g)
+            proj = mat_sub(proj, pk)
+        out["kernel_projection"] = scalar_multiple(linalg.mat_mul(adjoint, l), proj)
+
+    # (5) isometry-up-to-scale on a (nullspace, so independent) basis of the
+    #     Gv-orthocomplement of the kernel: the w with k^T Gv w = 0 for kernel k
+    rows = tuple(mat_vec(gv, kv) for kv in kernel)
+    comp = linalg.nullspace(rows) if kernel else identity(n)
+    if len(comp) != m:
+        out["restricted_isometry"] = None
+    else:
+        p = linalg.transpose(comp)                    # n x m, columns span ker^perp
+        lp = linalg.mat_mul(l, p)
+        lhs = linalg.mat_mul(linalg.mat_mul(linalg.transpose(lp), gw), lp)
+        rhs = linalg.mat_mul(linalg.mat_mul(linalg.transpose(p), gv), p)
+        out["restricted_isometry"] = scalar_multiple(lhs, rhs)
+
+    return out
+
+
+def rat_is_homothetic_projection(matrix, gram_v, gram_w):
+    """conformal.is_homothetic_projection as a Rat chain: E = L Gv^{-1} L^T Gw
+    through the public products and inverse, and its factor e_00 when it is
+    positive and E is e_00 times the identity, entry by entry."""
+    l = linalg.mat(matrix)
+    m, n = linalg.shape(l)
+    gv = _coerce_gram(gram_v, n, "gram_v")
+    gw = _coerce_gram(gram_w, m, "gram_w")
+    e = linalg.mat_mul(linalg.mat_mul(linalg.mat_mul(l, linalg.inverse(gv)),
+                                      linalg.transpose(l)), gw)
+    factor = e[0][0]
+    if factor <= 0 or any(x != (factor if i == j else 0)
+                          for i, row in enumerate(e) for j, x in enumerate(row)):
+        return None
+    return factor
+
+
 def bracket_jacobi(algebra):
     """Basis triples (i, j, k), i < j < k, on which
     [e_i, [e_j, e_k]] + [e_j, [e_k, e_i]] + [e_k, [e_i, e_j]] != 0, each
@@ -730,17 +843,17 @@ def scalar_orthogonal_witness(fx, fy):
     """Orthogonal A with A fx = fy by the same column-by-column reflections
     as conformal._orthogonal_witness, each applied as the rank-one update
     x - (2 / vv) v_i w_k on Rat scalars."""
-    a = linalg.identity(len(fx))
+    a = identity(len(fx))
     cols_x = linalg.transpose(fx)
     cols_y = linalg.transpose(fy)
     for j in range(len(fx[0])):
-        f = linalg.mat_vec(a, cols_x[j])
+        f = mat_vec(a, cols_x[j])
         h = cols_y[j]
         if f == h:
             continue
         v = tuple(fi - hi for fi, hi in zip(f, h))
         scale = rat(2) / sum(x * x for x in v)
-        w = linalg.mat_vec(linalg.transpose(a), v)
+        w = mat_vec(linalg.transpose(a), v)
         a = tuple(
             tuple(x - scale * vi * wk for x, wk in zip(row, w)) if vi else row
             for row, vi in zip(a, v)

@@ -14,7 +14,7 @@ from contextlib import contextmanager
 import numpy as np
 
 import conftest
-from oracles import trace_drift
+from oracles import identity, mat_sub, trace_drift
 from sublap.algebra import LieAlgebra, validate
 from sublap.calculus import bch_product, dilation, left_invariant_field, left_translation
 from sublap.catalog import abelian_group, engel_group, sl2_algebra
@@ -22,8 +22,7 @@ from sublap.conformal import (analyze_commutation, b_vector, frames_equivalent,
                               homothetic_characterizations, is_homothetic_projection)
 from sublap.heisenberg import (build_isometry, heisenberg_group, heisenberg_pair,
                                isometry_decision, symplectic_spectrum)
-from sublap.linalg import (identity, inverse, mat_mul, mat_scale, mat_sub, rank,
-                           transpose)
+from sublap.linalg import inverse, mat_mul, mat_scale, rank, transpose
 from sublap.operators import sublaplacian
 from sublap.polynomial import PolyMap, monomials_up_to
 from sublap.rational import Rat

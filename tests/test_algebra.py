@@ -5,14 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (bracket_jacobi, bracket_nilpotency_step, dense_bracket_generating,
-                     dense_group_structure, dense_nilpotency_step, dense_stratify)
+                     dense_group_structure, dense_nilpotency_step, dense_stratify, identity,
+                     mat_sub)
 
 from sublap.algebra import (InvalidAlgebra, LieAlgebra, Metric, NotStratifiable, Polarization,
                             bracket_generating, nilpotency_step, stratify,
                             subriemannian_group, validate)
 from sublap.catalog import abelian_group, engel_algebra, engel_group, sl2_algebra
 from sublap.heisenberg import heisenberg_algebra, heisenberg_group
-from sublap.linalg import identity, mat_mul, mat_sub, rank
+from sublap.linalg import mat_mul, rank
 from sublap.rational import Rat
 
 

@@ -306,6 +306,16 @@ def test_equiv_frames_on_different_spans_are_not_equivalent(tmp_path, capsys):
     assert doc == {"verdict": "not-equivalent"}
 
 
+@pytest.mark.parametrize("dim, frame", [(0, [[]]), (-1, [[1]])])
+def test_equiv_frames_dim_must_be_positive(tmp_path, capsys, dim, frame):
+    # as in a group file: dim 0 would admit empty frames, and -1 was
+    # reported against frame_x
+    path = write(tmp_path, "frames.json", {"dim": dim, "frame_x": frame, "frame_y": frame})
+    code, out = run_main(capsys, ["equiv-frames", path])
+    assert code == 2
+    assert "field dim: dim must be positive" in out
+
+
 # ---------------------------------------------------------------------------
 # heisenberg commands
 

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import analyzer_rejections, gallery_maps, random_rational, seeded_homomorphisms
-from oracles import (madd, poly_analyze_commutation, poly_gradient_fields,
+from oracles import (identity, is_rat, madd, poly_analyze_commutation, poly_gradient_fields,
                      poly_horizontal_differential, poly_lie_differential, poly_pushforward_first,
-                     poly_pushforward_second, probe_residuals, scalar_orthogonal_witness,
-                     span_equal, trace_drift)
+                     poly_pushforward_second, probe_residuals, rat_homothetic_characterizations,
+                     rat_is_homothetic_projection, scalar_orthogonal_witness, span_equal,
+                     trace_drift)
 from sublap import linalg
 from sublap.calculus import (NotNilpotent, dilation, horizontal_differential, left_translation,
                              lie_differential)
@@ -31,7 +32,7 @@ from sublap.polynomial import Polynomial, PolyMap, _from_prows, _to_prows, linea
     monomials_up_to
 from sublap.rational import Rat
 
-EYE = linalg.identity
+EYE = identity
 
 
 def rmat(rows):
@@ -124,6 +125,85 @@ def test_characterizations_agree_on_engineered_homotheties():
             assert is_homothetic_projection(l, gv, gw) == lam_sq
             chars = homothetic_characterizations(l, gv, gw)
             assert all(v == lam_sq for v in chars.values())
+
+
+def test_degenerate_shapes_get_one_answer():
+    # no rows is an error for both deciders; rows but no columns is L = 0,
+    # which is not surjective, so neither finds a factor
+    for decide in (is_homothetic_projection, homothetic_characterizations):
+        with pytest.raises(ValueError, match="at least one row"):
+            decide([], [], [])
+    assert is_homothetic_projection([[], []], [], EYE(2)) is None
+    assert homothetic_characterizations([[], []], [], EYE(2)) == \
+        dict.fromkeys(sublap.conformal._FORMULATIONS)
+
+
+# integers and rationals, zeros weighted up
+homothety_entries = st.one_of(
+    st.just(Rat(0)), st.integers(-3, 3).map(Rat),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4).map(
+        lambda f: Rat(f.numerator, f.denominator)))
+
+
+@st.composite
+def homothety_inputs(draw):
+    """(L, G_V, G_W) with L m x n, 1 <= m <= 3 and 1 <= n <= 4, its last row
+    now and then zero or twice the first; the Grams are P^T P + 1, or G_W
+    is criterion 8's constructed target (L G_V^{-1} L^T / lambda^2)^{-1}
+    when L has full row rank."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(homothety_entries, min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    kind = draw(st.sampled_from(("plain", "zero row", "repeated row")))
+    if kind == "zero row":
+        rows[-1] = [Rat(0)] * n
+    elif kind == "repeated row" and m > 1:
+        rows[-1] = [2 * x for x in rows[0]]
+    l = tuple(map(tuple, rows))
+
+    def gram(size):
+        p = draw(st.lists(st.lists(homothety_entries, min_size=size, max_size=size),
+                          min_size=size, max_size=size))
+        return madd(linalg.mat_mul(linalg.transpose(p), p), EYE(size))
+
+    gv = gram(n)
+    if draw(st.booleans()) and linalg.rank(l) == m:
+        lam_sq = Rat(draw(st.integers(1, 16)), draw(st.integers(1, 16)))
+        cometric = linalg.mat_mul(linalg.mat_mul(l, linalg.inverse(gv)), linalg.transpose(l))
+        return l, gv, linalg.inverse(linalg.mat_scale(1 / lam_sq, cometric))
+    return l, gv, gram(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(homothety_inputs())
+def test_homothety_deciders_equal_the_rat_chains(inputs):
+    chars = homothetic_characterizations(*inputs)
+    oracle = rat_homothetic_characterizations(*inputs)
+    assert chars == oracle and list(chars) == list(oracle)
+    assert all(v is None or is_rat(v) for v in chars.values())
+    assert is_homothetic_projection(*inputs) == oracle["cometric_identity"] == \
+        rat_is_homothetic_projection(*inputs)
+
+
+def test_homothety_deciders_call_no_public_linalg(monkeypatch):
+    l = rmat([[1, 1, 0], [0, 1, 2]])
+    gv = rmat([[2, 1, 0], [1, 3, 1], [0, 1, 2]])
+    cometric = linalg.mat_mul(linalg.mat_mul(l, linalg.inverse(gv)), linalg.transpose(l))
+    # a homothety with a kernel, a rank-deficient map and a plain negative
+    cases = [(l, gv, linalg.inverse(linalg.mat_scale(Rat(1, 4), cometric))),
+             (rmat([[1, 1], [1, 1]]), EYE(2), EYE(2)),
+             (rmat([[1, 0], [0, 2]]), EYE(2), EYE(2))]
+    expected = [(rat_is_homothetic_projection(*c), rat_homothetic_characterizations(*c))
+                for c in cases]
+    assert expected[0][0] == 4 and set(expected[0][1].values()) == {4}
+
+    def refuse(*args):
+        raise AssertionError("a public linalg function was called")
+
+    for name in ("mat_mul", "inverse", "nullspace", "transpose", "mat_scale"):
+        monkeypatch.setattr(linalg, name, refuse)
+    assert [(is_homothetic_projection(*c), homothetic_characterizations(*c))
+            for c in cases] == expected
 
 
 # ---------------------------------------------------------------------------

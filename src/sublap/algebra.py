@@ -378,7 +378,7 @@ class Metric:
     def __post_init__(self):
         object.__setattr__(self, "gram", linalg.mat(self.gram))
         try:
-            object.__setattr__(self, "bareiss", linalg._bareiss_pd(self.gram))
+            object.__setattr__(self, "bareiss", linalg._bareiss_pd(linalg._to_rows(self.gram)))
         except ValueError:
             raise ValueError("metric Gram matrix must be symmetric positive definite") from None
 

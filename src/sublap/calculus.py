@@ -17,18 +17,21 @@ form, integer term dicts over one common denominator: ad comes from the
 group's bracket table scaled to integers (_ad_rows), JF from the term dicts
 of the map's components by polynomial's one derivative kernel (_diff_num),
 and lie_differential, horizontal_differential and left_translation_jacobian
-build one reduced Polynomial per entry of the result.  Every differential, DF or DF B_G, starts at _map_rows, which
-checks the map against the two groups and then tests it once for a linear
-Lie homomorphism (_homomorphism_rows).  Such an M skips the inverse
-series: F(p * q) = F(p) * F(q) makes DF = M at every point, so the two
+build one reduced Polynomial per entry of the result.  Every differential,
+DF or DF B_G, starts at _map_rows, which checks the map against the two
+groups and then tests it once for a linear Lie homomorphism
+(_homomorphism_rows).  Such an M skips the inverse series:
+F(p * q) = F(p) * F(q) makes DF = M at every point, so the two
 differentials are the constants M and M B_G, read from the term dicts once
-an integer check of M [x, y]_G = [M x, M y]_H on both bracket tables has
-passed, and formed as linalg's integer matrices (_constant_differential);
-any other map takes the series (_series_differential).  _differential, the
-entry of the two public differentials and operators.PullbackOperator,
-returns either in the (rows, den) form of polynomial;
-conformal.analyze_commutation calls the branches itself, so that it decides
-a homomorphism's frame stages on the integer matrix.  Dynkin's form of the
+an integer check of M [x, y]_G = [M x, M y]_H on the sparse bracket tables
+of both groups has passed.  _constant_differential, their one builder,
+keeps them as sparse integer rows ({column: entry} over one denominator),
+with M B_G summed through the nonzero entries of M and B_G only; any other
+map takes the series (_series_differential).  _differential, the entry of
+the two public differentials and operators.PullbackOperator, returns
+either in the (rows, den) form of polynomial; conformal's frame stages call
+the branches themselves, so that they decide a homomorphism on the sparse
+rows.  Dynkin's form of the
 series, dynkin_terms, is the reference the tests check products against; no
 product reads it.
 """
@@ -354,7 +357,9 @@ def _differential(F: PolyMap, source: SubRiemannianGroup, target: SubRiemannianG
         return _series_differential(comps, den, source, target, horizontal)
     rows, den = _constant_differential(matrix, source, horizontal)
     one = (0,) * source.dim
-    return tuple(tuple({one: x} if x else {} for x in row) for row in rows), den
+    width = source.rank if horizontal else source.dim
+    return tuple(tuple({one: x} if (x := row.get(j)) else {} for j in range(width))
+                 for row in rows), den
 
 
 def _map_rows(F: PolyMap, source: SubRiemannianGroup, target: SubRiemannianGroup) -> tuple:
@@ -368,21 +373,24 @@ def _map_rows(F: PolyMap, source: SubRiemannianGroup, target: SubRiemannianGroup
 
 def _constant_differential(matrix: tuple, source: SubRiemannianGroup, horizontal: bool) -> tuple:
     """The differential M, or M B_G when horizontal, of a linear Lie
-    homomorphism given as _homomorphism_rows returns it, as linalg's integer
-    (rows, den); B_G is read from its sparse rows (polarization_rows)."""
+    homomorphism given as _homomorphism_rows returns it, as sparse integer
+    rows over one denominator: row r as {column: nonzero entry}.  M is the
+    matrix itself; M B_G is summed through the nonzero entries of both, B_G
+    read from its sparse rows (polarization_rows).  The one builder of a
+    homomorphism's differential: _differential and conformal's frame stages
+    both read it."""
     rows, den = matrix
     if not horizontal:
-        n = source.dim
-        return [[row.get(j, 0) for j in range(n)] for row in rows], den
+        return rows, den
     b, bden = source.tables.polarization_rows
-    r = source.rank
     product = []
     for row in rows:
-        acc = [0] * r
+        acc = {}
+        get = acc.get
         for k, c in row.items():
             for j, w in b[k]:
-                acc[j] += c * w
-        product.append(acc)
+                acc[j] = get(j, 0) + c * w
+        product.append(acc if all(acc.values()) else {j: x for j, x in acc.items() if x})
     return product, den * bden
 
 
@@ -410,10 +418,11 @@ def _homomorphism_rows(comps: tuple, den: int, source: SubRiemannianGroup,
     constant or a nonlinear term costs one scan up to that term); then F is
     the matrix M = rows / den, and M is a homomorphism when
     M [e_i, e_j]_G = [M e_i, M e_j]_H for every i < j.  Both sides are
-    taken on integers from the bracket tables (GroupTables.brackets), each
-    only where it can be nonzero: the left at the source's nonzero
+    taken on integers from the bracket tables (GroupTables.bracket_pairs),
+    each only where it can be nonzero: the left at the source's nonzero
     brackets, the right as sum_{a<b} (M_ai M_bj - M_bi M_aj) [e_a, e_b]_H
-    over the target's.  In exponential coordinates the group law is a
+    over the target's, summed into one dict per pair (i, j) from which the
+    left side is then subtracted.  In exponential coordinates the group law is a
     series of brackets, so such an M is also a group homomorphism."""
     n = source.dim
     rows = []  # row r of M as {column: entry}
@@ -427,31 +436,33 @@ def _homomorphism_rows(comps: tuple, den: int, source: SubRiemannianGroup,
             row[k] = c
             cols[k].append((r, c))
         rows.append(row)
-    (tg, dg), (th, dh) = source.tables.brackets, target.tables.brackets
-    image = {}  # (i, j) -> [M e_i, M e_j]_H times den^2 dh
-    for a, table in th.items():
-        if ra := rows[a]:
-            for b, out in table.items():
-                if b > a and (rb := rows[b]):
-                    for i, x in ra.items():
-                        for j, y in rb.items():
-                            if i != j:
-                                w, key = (x * y, (i, j)) if i < j else (-x * y, (j, i))
-                                acc = image.setdefault(key, {})
-                                for k, c in out.items():
-                                    acc[k] = acc.get(k, 0) + w * c
-    # M c / (den dg) against image / (den^2 dh), both times den^2 dg dh
-    left, right = den * dh, dg
-    for i, table in tg.items():
-        for j, out in table.items():
-            if j > i:
-                acc = {}
-                for k, c in out.items():
-                    for r, m in cols[k]:
-                        acc[r] = acc.get(r, 0) + c * m
-                if {r: v * left for r, v in acc.items() if v} != \
-                        {k: v * right for k, v in image.pop((i, j), {}).items() if v}:
-                    return None
+    (tg, dg), (th, dh) = source.tables.bracket_pairs, target.tables.bracket_pairs
+    # M c / (den dg) against image / (den^2 dh), both times den^2 dg dh:
+    # image[(i, j)] is [M e_i, M e_j]_H times den^2 dh dg
+    image = {}
+    for a, b, out in th:
+        if (ra := rows[a]) and (rb := rows[b]):
+            for i, x in ra.items():
+                for j, y in rb.items():
+                    if i != j:
+                        w, key = (x * y * dg, (i, j)) if i < j else (-x * y * dg, (j, i))
+                        acc = image.get(key)
+                        if acc is None:
+                            acc = image[key] = {}
+                        get = acc.get
+                        for k, c in out.items():
+                            acc[k] = get(k, 0) + w * c
+    left = den * dh
+    for i, j, out in tg:
+        # the image minus M [e_i, e_j]_G, in the image's own dict
+        acc = image.pop((i, j), None) or {}
+        get = acc.get
+        for k, c in out.items():
+            c *= left
+            for r, m in cols[k]:
+                acc[r] = get(r, 0) - c * m
+        if any(acc.values()):
+            return None
     if any(any(acc.values()) for acc in image.values()):
         return None
     return rows, den

@@ -12,8 +12,9 @@ Three related questions live here:
   tables of u -> Delta_G(u o F), not on any particular u, so the verdict is
   exact: it compares those tables and never samples test functions.
   Both deciders read them in the target's frame, on the horizontal
-  differential (_frame_stages), which for a linear Lie homomorphism is a
-  constant integer matrix (_constant_stages).  commutation_residuals then
+  differential (_frame_stages), which for a linear Lie homomorphism is
+  constant and is decided on its sparse integer rows, with no dense
+  product (_constant_stages).  commutation_residuals then
   lists the witnesses of a failing stated identity in target coordinates:
   probe monomials, all of them in one integer pass through the jet
   evaluator of operators over one polynomial.MapPowers, on the residual
@@ -73,19 +74,24 @@ class ProbeBudgetExceeded(ValueError):
 # homothetic projections of inner-product spaces
 
 
-def _coerce_gram(g, size: int, name: str):
+def _coerce_gram(g, size: int, name: str) -> tuple:
+    """The Gram matrix g as linalg's (rows, den), converted once and checked
+    size x size and positive definite on those integers."""
     g = linalg.mat(g)
     if linalg.shape(g) != (size, size):
         raise ValueError("%s must be %d x %d" % (name, size, size))
-    if not linalg.is_positive_definite(g):
-        raise ValueError("%s must be symmetric positive definite" % name)
+    g = linalg._to_rows(g)
+    try:
+        linalg._bareiss_pd(g)
+    except ValueError:
+        raise ValueError("%s must be symmetric positive definite" % name) from None
     return g
 
 
 def _homothety_inputs(matrix, gram_v, gram_w) -> Optional[tuple]:
-    """L, G_V and G_W for the homothety deciders, each checked and then
-    converted once to linalg's (rows, den); None when L has rows but no
-    columns, as L = 0 is not surjective."""
+    """L, G_V and G_W for the homothety deciders, each checked and converted
+    once to linalg's (rows, den); None when L has rows but no columns, as
+    L = 0 is not surjective."""
     l = linalg.mat(matrix)
     m, n = linalg.shape(l)
     if not m:
@@ -94,7 +100,7 @@ def _homothety_inputs(matrix, gram_v, gram_w) -> Optional[tuple]:
     gw = _coerce_gram(gram_w, m, "gram_w")
     if not n:
         return None
-    return linalg._to_rows(l), linalg._to_rows(gv), linalg._to_rows(gw)
+    return linalg._to_rows(l), gv, gw
 
 
 def _cometric_identity(cometric: tuple, gw: tuple) -> Optional[Rat]:
@@ -330,9 +336,9 @@ def _frame_stages(reading: tuple, source: SubRiemannianGroup, target: SubRiemann
     of it, takes values in the fixed subspace span B_H.
 
     A linear Lie homomorphism M has the constant DB = M B_G
-    (calculus._constant_differential), so its stages run on integer
-    matrices (_constant_stages), with b None for the zero drift; any other
-    map's on polynomial ones."""
+    (calculus._constant_differential), so its stages run on DB's sparse
+    integer rows (_constant_stages), with b None for the zero drift; any
+    other map's on polynomial matrices."""
     comps, den, matrix = reading
     if matrix is not None:
         return _constant_stages(_constant_differential(matrix, source, True), source, target)
@@ -352,34 +358,62 @@ def _frame_stages(reading: tuple, source: SubRiemannianGroup, target: SubRiemann
 
 
 def _constant_stages(db: tuple, source: SubRiemannianGroup, target: SubRiemannianGroup) -> tuple:
-    """_frame_stages for a constant DB given as linalg's integer (rows, den),
-    with the same stages, witnesses and order, each witness a constant
-    Polynomial in the source variables: the contact pairings are one
-    product DB^T Y with the target's annihilators Y (none for R^m), the
-    split is _conformal_factor's rule on the integers of DB G^{-1} DB^T,
-    and b is None, since the derivatives of a constant vanish."""
-    n = source.dim
+    """_frame_stages for a constant DB given as the sparse integer rows of
+    calculus._constant_differential, with the same stages, witnesses and
+    order, each witness a constant Polynomial in the source variables.  The
+    products run over nonzero entries only: the contact pairings y . DB_j
+    with the target's annihilators y (none for R^m) sum over the rows where
+    y is nonzero, and C = DB G^{-1} DB^T is formed on its upper triangle
+    through the nonzero entries of G^{-1} (GroupTables.gram_inverse_entries)
+    and split by _conformal_factor's rule on integers there, as C and Q_H
+    are symmetric; a failing split lists its witnesses over the full matrix,
+    row by row.  b is None, since the derivatives of a constant vanish."""
+    n, r = source.dim, source.rank
     one = (0,) * n
 
     def constant(x: int, den: int) -> Polynomial:
         return _reduced(n, {one: x} if x else {}, den)
 
-    pairs, den = linalg._rows_mul(linalg._rows_transpose(db), target.tables.annihilators)
-    contact_bad = tuple(constant(x, den) for col in zip(*pairs) for x in col if x)
+    rows, den = db
+    y, yd = target.tables.annihilator_entries
+    contact_bad = []
+    for col in y:
+        pairs = [0] * r
+        for i, w in col:
+            for j, x in rows[i].items():
+                pairs[j] += x * w
+        contact_bad += [constant(x, den * yd) for x in pairs if x]
     if contact_bad:
-        return _NOT_CONTACT, contact_bad
-    rows, den = linalg._rows_mul(linalg._rows_mul(db, source.tables.gram_inverse),
-                                 linalg._rows_transpose(db))
+        return _NOT_CONTACT, tuple(contact_bad)
+    ginv, gd = source.tables.gram_inverse_entries
+    m = len(rows)
+    cols = [[] for _ in range(r)]  # column k of DB as (row, entry) pairs
+    for b, row in enumerate(rows):
+        for k, x in row.items():
+            cols[k].append((b, x))
+    upper = [[0] * m for _ in range(m)]  # C on and above the diagonal
+    for a, row in enumerate(rows):
+        ca = upper[a]
+        for j, x in row.items():
+            for k, w in ginv[j]:
+                xw = x * w
+                for b, v in cols[k]:
+                    if b >= a:
+                        ca[b] += xw * v
+    den = den * den * gd
     q, qd = target.tables.cometric_rows
     i0, j0 = next((i, j) for i, row in enumerate(q) for j, x in enumerate(row) if x)
-    c0, q0 = rows[i0][j0], q[i0][j0]
+    # Q is symmetric, so its first nonzero entry lies on or above the diagonal
+    c0, q0 = upper[i0][j0], q[i0][j0]
     # as in _conformal_factor: c_ij q_0 = c_0 q_ij, and lambda_sq = c_0 / q_0
     sign, den0 = (1, den * q0) if q0 > 0 else (-1, -den * q0)
-    mismatches = tuple(constant((x * q0 - c0 * w) * sign, den0)
-                       for crow, qrow in zip(rows, q) for x, w in zip(crow, qrow)
-                       if x * q0 != c0 * w)
-    if mismatches:
-        return _NOT_CONFORMAL, mismatches
+    # C and Q are symmetric, so their upper triangles decide
+    if any(x * q0 != c0 * w for a, (crow, qrow) in enumerate(zip(upper, q))
+           for x, w in zip(crow[a:], qrow[a:])):
+        return _NOT_CONFORMAL, tuple(
+            constant((x * q0 - c0 * w) * sign, den0)
+            for a, qrow in enumerate(q) for b, w in enumerate(qrow)
+            if (x := upper[a][b] if a <= b else upper[b][a]) * q0 != c0 * w)
     return "", (constant(c0 * qd * sign, den0), None)
 
 

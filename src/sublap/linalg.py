@@ -24,10 +24,10 @@ one forward pass, and ``_nullspace_rows`` and ``_inverse_rows`` read its
 ``reduced()`` rows.  ``_bareiss_pd`` is Bareiss's elimination of
 a symmetric positive definite matrix, with no row exchanges and on the
 lower triangle only, whose exact division by the previous pivot keeps the
-entries minors of the scaled matrix: it returns those integers and builds
-no Rat, and ``is_positive_definite`` and the Metric read their verdicts
-and factors off it.  The backend is touched only through ``.numerator``,
-``.denominator`` and ``Rat(n, d)``.
+entries minors of the scaled matrix: it takes and returns integers and
+builds no Rat, and the Metric and the Gram check of the homothety deciders
+read their verdicts and factors off it.  The backend is touched only
+through ``.numerator``, ``.denominator`` and ``Rat(n, d)``.
 """
 
 from __future__ import annotations
@@ -271,11 +271,11 @@ def left_nullspace(a: Matrix):
     return nullspace(transpose(a))
 
 
-def _bareiss_pd(a: Matrix) -> tuple:
-    """Bareiss elimination of a symmetric positive definite matrix: (s, tri)
-    with s the lcm of the denominators of a and tri the integer lower
-    triangle of the elimination of M = s a.  Raises ValueError if a is not
-    symmetric positive definite.
+def _bareiss_pd(a: tuple) -> tuple:
+    """Bareiss elimination of a symmetric positive definite matrix a, given
+    as (rows, s): (s, tri) with tri the integer lower triangle of the
+    elimination of M = rows = s a.  Raises ValueError if a is not symmetric
+    positive definite.
 
     With indices from 0 and p_0 = 1, step k divides exactly by the previous
     pivot p_k, so the pivot tri[k][k] = p_{k+1} is the leading principal
@@ -285,7 +285,7 @@ def _bareiss_pd(a: Matrix) -> tuple:
     M = L diag(s d) L^T with L_ik = f_ik / p_{k+1} and
     d_k = p_{k+1} / (p_k s).
     """
-    rows, s = _to_rows(a)
+    rows, s = a
     n = len(rows)
     if any(len(row) != n for row in rows) or \
             any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
@@ -306,11 +306,3 @@ def _bareiss_pd(a: Matrix) -> tuple:
                     wi[j] = (piv * wi[j] - f * tri[j][k]) // prev
         prev = piv
     return s, tuple(map(tuple, tri))
-
-
-def is_positive_definite(a: Matrix) -> bool:
-    try:
-        _bareiss_pd(a)
-        return True
-    except ValueError:
-        return False

@@ -77,8 +77,11 @@ class GroupTables:
     Jacobian Lambda.  The tables the commutation pipeline reads (gram_inverse,
     cometric_rows, annihilators, polarization_rows, brackets, jacobian,
     horizontal_frame, gradient_fields, sublaplacian_tables) are kept in the
-    integer forms: linalg's (rows, den) for rational matrices (with sparse
-    rows for polarization_rows), polynomial's for polynomial ones.  The
+    integer forms: linalg's (rows, den) for rational matrices, polynomial's
+    for polynomial ones.  A linear Lie homomorphism is checked and decided
+    on sparse forms of four of them, their nonzero entries over the same
+    denominator: polarization_rows, gram_inverse_entries,
+    annihilator_entries and bracket_pairs.  The
     public cometric(group) builds its Rats from cometric_rows on each call.
     """
 
@@ -89,6 +92,14 @@ class GroupTables:
     def gram_inverse(self) -> tuple:
         """G^{-1} as linalg's integer (rows, den)."""
         return linalg._inverse_rows(linalg._to_rows(self.group.metric.gram))
+
+    @cached_property
+    def gram_inverse_entries(self) -> tuple:
+        """gram_inverse with row j as its nonzero (column, entry) pairs, over
+        its denominator: the sparse form in which conformal forms
+        DB G^{-1} DB^T for a constant DB."""
+        g, den = self.gram_inverse
+        return tuple(tuple((k, w) for k, w in enumerate(row) if w) for row in g), den
 
     @cached_property
     def cometric_rows(self) -> tuple:
@@ -103,6 +114,14 @@ class GroupTables:
         exactly when every y pairs with it to zero."""
         return linalg._rows_transpose(
             linalg._to_rows(linalg.left_nullspace(self.group.polarization.matrix())))
+
+    @cached_property
+    def annihilator_entries(self) -> tuple:
+        """The annihilators as their nonzero (row, entry) pairs, one tuple
+        per column of annihilators, over its denominator: the sparse form in
+        which conformal pairs them with a constant DB."""
+        y, den = self.annihilators
+        return tuple(tuple((i, w) for i, w in enumerate(col) if w) for col in zip(*y)), den
 
     @cached_property
     def left_inverse(self) -> tuple:
@@ -128,6 +147,15 @@ class GroupTables:
         return {i: {j: {k: int(c.numerator) * (den // int(c.denominator))
                         for k, c in comps.items()} for j, comps in row.items()}
                 for i, row in table.items()}, den
+
+    @cached_property
+    def bracket_pairs(self) -> tuple:
+        """The brackets [e_a, e_b] with a < b that the brackets table holds,
+        as (a, b, {k: c}) triples, over its denominator: the sparse form in
+        which calculus checks a linear map for a Lie homomorphism."""
+        table, den = self.brackets
+        return tuple((a, b, out) for a, row in table.items() for b, out in row.items()
+                     if b > a), den
 
     @cached_property
     def jacobian(self) -> tuple:

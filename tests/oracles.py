@@ -571,12 +571,21 @@ def ldl_pd(a):
     L_ik = tri[i][k] / tri[k][k], d with d_k = p_{k+1} / (p_k s), p_0 = 1
     and p_{k+1} = tri[k][k]), so a == L diag(d) L^T.  Raises ValueError as
     the kernel does."""
-    s, tri = linalg._bareiss_pd(a)
+    s, tri = linalg._bareiss_pd(linalg._to_rows(a))
     n = len(tri)
     p = [1] + [tri[k][k] for k in range(n)]
     lower = tuple(tuple(Rat(1) if i == j else Rat(tri[i][j], p[j + 1]) if j < i else Rat(0)
                         for j in range(n)) for i in range(n))
     return lower, tuple(Rat(p[k + 1], p[k] * s) for k in range(n))
+
+
+def is_positive_definite(a):
+    """Whether a is symmetric positive definite, by linalg._bareiss_pd."""
+    try:
+        linalg._bareiss_pd(linalg._to_rows(a))
+        return True
+    except ValueError:
+        return False
 
 
 def span_equal(basis_a, basis_b):
@@ -620,8 +629,8 @@ def rat_homothetic_characterizations(matrix, gram_v, gram_w):
     package runs each chain on integer rows)."""
     l = linalg.mat(matrix)
     m, n = linalg.shape(l)
-    gv = _coerce_gram(gram_v, n, "gram_v")
-    gw = _coerce_gram(gram_w, m, "gram_w")
+    gv = linalg._from_rows(*_coerce_gram(gram_v, n, "gram_v"))
+    gw = linalg._from_rows(*_coerce_gram(gram_w, m, "gram_w"))
     gv_inv = linalg.inverse(gv)
     lt = linalg.transpose(l)
     cometric = linalg.mat_mul(linalg.mat_mul(l, gv_inv), lt)
@@ -682,8 +691,8 @@ def rat_is_homothetic_projection(matrix, gram_v, gram_w):
     positive and E is e_00 times the identity, entry by entry."""
     l = linalg.mat(matrix)
     m, n = linalg.shape(l)
-    gv = _coerce_gram(gram_v, n, "gram_v")
-    gw = _coerce_gram(gram_w, m, "gram_w")
+    gv = linalg._from_rows(*_coerce_gram(gram_v, n, "gram_v"))
+    gw = linalg._from_rows(*_coerce_gram(gram_w, m, "gram_w"))
     e = linalg.mat_mul(linalg.mat_mul(linalg.mat_mul(l, linalg.inverse(gv)),
                                       linalg.transpose(l)), gw)
     factor = e[0][0]

@@ -1045,8 +1045,10 @@ def test_dump_verdicts_prints_every_cli_report(monkeypatch):
             ("sublaplacian", "stratify", "validate") for fmt in ("text", "json")} <= labels
 
 
-@pytest.mark.parametrize("script", ["commutation_gallery.py", "spectrum_survey.py"])
-def test_scripts_run_from_a_fresh_checkout(script, tmp_path):
+@pytest.mark.parametrize("script, args", [
+    ("commutation_gallery.py", ()), ("spectrum_survey.py", ()),
+    ("kind_times.py", ("--workload", "map-analysis", "--rounds", "1"))])
+def test_scripts_run_from_a_fresh_checkout(script, args, tmp_path):
     # with PYTHONPATH unset, from another directory and with no bytecode
     # written, each script finds the package of its own checkout
     import os
@@ -1055,7 +1057,7 @@ def test_scripts_run_from_a_fresh_checkout(script, tmp_path):
     root = Path(__file__).resolve().parents[1]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env["PYTHONDONTWRITEBYTECODE"] = "1"
-    proc = subprocess.run([sys.executable, str(root / "scripts" / script)], cwd=tmp_path,
+    proc = subprocess.run([sys.executable, str(root / "scripts" / script), *args], cwd=tmp_path,
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout

@@ -206,6 +206,32 @@ def test_homothety_deciders_call_no_public_linalg(monkeypatch):
             for c in cases] == expected
 
 
+def test_each_homothety_input_is_converted_once(monkeypatch):
+    # L, G_V and G_W each get one mat and one _to_rows per decider call: the
+    # Grams are checked positive definite on the integer rows the chains
+    # then read, and a Gram that fails the check is converted once too
+    l = rmat([[1, 1, 0], [0, 1, 2]])
+    gv = rmat([[2, 1, 0], [1, 3, 1], [0, 1, 2]])
+    calls = []
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ("mat", "_to_rows", "_bareiss_pd"):
+        monkeypatch.setattr(linalg, name, counted(name, getattr(linalg, name)))
+    for decide in (is_homothetic_projection, homothetic_characterizations):
+        calls.clear()
+        decide(l, gv, EYE(2))
+        assert sorted(calls) == ["_bareiss_pd"] * 2 + ["_to_rows"] * 3 + ["mat"] * 3
+        calls.clear()
+        with pytest.raises(ValueError, match="gram_w must be symmetric positive definite"):
+            decide(l, gv, rmat([[1, 2], [2, 1]]))
+        assert sorted(calls) == ["_bareiss_pd"] * 2 + ["_to_rows"] * 2 + ["mat"] * 3
+
+
 # ---------------------------------------------------------------------------
 # frame equivalence
 
@@ -853,27 +879,41 @@ def _seeded_homomorphism_cases():
 
 def test_homomorphisms_take_the_integer_stages(monkeypatch):
     # a linear Lie homomorphism has the constant DB = M B_G, so analyze-map
-    # and verify decide its stages on integer matrices: none of the
-    # polynomial stage kernels runs, and no drift table is built or reduced,
-    # while any other map still reaches them
+    # and verify decide its stages on DB's sparse integer rows: none of the
+    # polynomial stage kernels runs, no drift table is built or reduced, and
+    # no dense linalg product or transpose is taken once the groups' tables
+    # are built, while any other map still reaches the polynomial kernels
     def refuse(*args):
         raise AssertionError("polynomial stage kernel")
 
+    def dense(*args):
+        raise AssertionError("dense integer product")
+
+    cases = _seeded_homomorphism_cases()
+
+    def decide():
+        out = []
+        for F, source, target in cases:
+            report = analyze_commutation(F, source, target)
+            lam_sq = report.lambda_sq if report.conformal else Polynomial.constant(1, source.dim)
+            b = report.b if report.conformal else (0,) * target.dim
+            out.append((report, commutation_residuals(F, lam_sq, b, source, target, 2),
+                        commutation_residuals(F, lam_sq + 1, b, source, target, 2)))
+        return out
+
+    warm = decide()  # builds every table of the groups
     for name in ("_prows_congruence", "_pushforward_first", "_polarization_residuals",
                  "_from_prows"):
         monkeypatch.setattr(sublap.conformal, name, refuse)
-    cases = _seeded_homomorphism_cases()
-    verdicts = []
-    for F, source, target in cases:
-        report = analyze_commutation(F, source, target)
-        verdicts.append(report.conformal)
-        lam_sq = report.lambda_sq if report.conformal else Polynomial.constant(1, source.dim)
-        b = report.b if report.conformal else (0,) * target.dim
-        assert (commutation_residuals(F, lam_sq, b, source, target, 2) == ()) == \
-            report.conformal, F
-        assert commutation_residuals(F, lam_sq + 1, b, source, target, 2), F
+    for name in ("_rows_mul", "_rows_transpose"):
+        monkeypatch.setattr(linalg, name, dense)
+    found = decide()
+    assert found == warm
+    for (report, holds, fails), (F, _, _) in zip(found, cases):
+        assert (holds == ()) == report.conformal, F
+        assert fails, F
     # the dilations, similarities and quotients of each seed
-    assert len(cases) == 57 and verdicts.count(True) == 3 * 11
+    assert len(cases) == 57 and [r.conformal for r, _, _ in found].count(True) == 3 * 11
     h1 = heisenberg_group(1, (1,))
     with pytest.raises(AssertionError, match="polynomial stage kernel"):
         analyze_commutation(left_translation(h1, (Rat(1), Rat(2), Rat(3))), h1, h1)
@@ -980,6 +1020,58 @@ def test_pipeline_matches_polynomial_composition(case):
         poly_pushforward_second(db, linalg.inverse(source.metric.gram))
     assert tuple(row[0] for row in _from_prows(first, n)) == \
         poly_pushforward_first(db, poly_gradient_fields(source))
+    assert analyze_commutation(F, source, target) == poly_analyze_commutation(F, source, target)
+
+
+@lru_cache(maxsize=None)
+def _heisenberg_grams():
+    """h1 with the identity Gram and with a non-diagonal one, whose inverse
+    has off-diagonal entries."""
+    h1 = heisenberg_group(1, (1,))
+    return h1, subriemannian_group(h1.algebra, h1.polarization.basis, ((2, 1), (1, 3)))
+
+
+# scaled by s, (p, -q; q, p) is a similarity of the plane
+ROTATIONS = ((1, 0), (0, 1), (Rat(3, 5), Rat(4, 5)), (Rat(-5, 13), Rat(12, 13)))
+ENTRIES = st.one_of(st.just(Rat(0)), SMALL)
+
+
+@st.composite
+def linear_homomorphisms(draw):
+    """(F, source, target), F a linear Lie homomorphism M.  Either h1 -> h1
+    (either Gram on each side): M e_1 and M e_2 are arbitrary, possibly
+    zero, or a similarity of the plane, and M e_3 is their bracket, so a
+    vertical part of M e_1 or M e_2 breaks contact.  Or a group of
+    _pipeline_groups to R^k, k <= 3: M has zero columns on the derived
+    algebra, which is spanned by the coordinates from the rank on, and its
+    rows are now and then zero."""
+    if draw(st.booleans()):
+        source, target = draw(st.sampled_from(_heisenberg_grams())), \
+            draw(st.sampled_from(_heisenberg_grams()))
+        if draw(st.booleans()):
+            (p, q), s = draw(st.sampled_from(ROTATIONS)), draw(SMALL)
+            a, b, c, d = s * p, -s * q, s * q, s * p
+        else:
+            a, b, c, d = (draw(ENTRIES) for _ in range(4))
+        e, f = (draw(ENTRIES) for _ in range(2))
+        return PolyMap.linear(((a, b, 0), (c, d, 0), (e, f, a * d - b * c))), source, target
+    source = draw(st.sampled_from(_pipeline_groups()))
+    k, r = draw(st.integers(1, 3)), source.rank
+    m = tuple(tuple(draw(ENTRIES) if j < r else Rat(0) for j in range(source.dim))
+              for _ in range(k))
+    return PolyMap.linear(m), source, abelian_group(k)
+
+
+@settings(max_examples=80, deadline=None)
+@given(linear_homomorphisms())
+def test_random_homomorphisms_match_polynomial_analysis(case):
+    # the sparse integer stages against the Polynomial-level composition on
+    # contact failures, similarities and non-scalar cometric images
+    F, source, target = case
+    assert sublap.calculus._map_rows(F, source, target)[2] is not None
+    assert horizontal_differential(F, source, target) == \
+        poly_horizontal_differential(F, source, target)
+    assert lie_differential(F, source, target) == poly_lie_differential(F, source, target)
     assert analyze_commutation(F, source, target) == poly_analyze_commutation(F, source, target)
 
 

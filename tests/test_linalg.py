@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fraction_ldl, fraction_rref, identity, is_rat, ldl_pd, madd, mat_sub, \
-    mat_vec, pivot_rows, rref, span_equal
+from oracles import fraction_ldl, fraction_rref, identity, is_positive_definite, is_rat, \
+    ldl_pd, madd, mat_sub, mat_vec, pivot_rows, rref, span_equal
 from sublap import linalg
 from sublap.rational import Rat
 
@@ -143,21 +143,21 @@ def test_ldl_positive_definite(a):
     assert all(x > 0 for x in d)
     dm = tuple(tuple(d[i] if i == j else Rat(0) for j in range(3)) for i in range(3))
     assert linalg.mat_mul(linalg.mat_mul(l, dm), linalg.transpose(l)) == g
-    assert linalg.is_positive_definite(g)
+    assert is_positive_definite(g)
 
 
 def test_ldl_rejects_indefinite():
     with pytest.raises(ValueError, match="not positive definite"):
-        linalg._bareiss_pd(linalg.mat(((1, 0), (0, -1))))
+        linalg._bareiss_pd(linalg._to_rows(linalg.mat(((1, 0), (0, -1)))))
     with pytest.raises(ValueError, match="not positive definite"):
-        linalg._bareiss_pd(linalg.mat(((0, 1), (1, 0))))
+        linalg._bareiss_pd(linalg._to_rows(linalg.mat(((0, 1), (1, 0)))))
     with pytest.raises(ValueError, match="not symmetric"):
-        linalg._bareiss_pd(linalg.mat(((1, 2), (3, 4))))
+        linalg._bareiss_pd(linalg._to_rows(linalg.mat(((1, 2), (3, 4)))))
     # a matrix that is not square is not symmetric either, whatever its entries
     for a in (((1, 0),), ((1,), (0,)), ((1, 0, 0), (0, 1, 0))):
         with pytest.raises(ValueError, match="not symmetric"):
-            linalg._bareiss_pd(linalg.mat(a))
-        assert not linalg.is_positive_definite(linalg.mat(a))
+            linalg._bareiss_pd(linalg._to_rows(linalg.mat(a)))
+        assert not is_positive_definite(linalg.mat(a))
 
 
 def test_span_equal():
@@ -275,7 +275,7 @@ def symmetric(draw):
 def test_ldl_matches_fraction_oracle(a):
     got = outcome(ldl_pd, a)
     assert got == outcome(fraction_ldl, a)
-    kernel = outcome(linalg._bareiss_pd, a)
+    kernel = outcome(linalg._bareiss_pd, linalg._to_rows(a))
     assert kernel[0] == got[0]
     if kernel[0] == "value":
         # the kernel's integers against the oracle's Fractions: the scale s,
@@ -292,7 +292,7 @@ def test_ldl_matches_fraction_oracle(a):
                    for i in range(len(tri)) for k in range(i))
     else:
         assert kernel == got
-    assert linalg.is_positive_definite(a) == (got[0] == "value")
+    assert is_positive_definite(a) == (got[0] == "value")
     if got[0] == "value":
         assert all(is_rat(x) for row in got[1][0] for x in row)
         assert all(is_rat(x) for x in got[1][1])

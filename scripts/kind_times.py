@@ -13,6 +13,11 @@ numbers are a layer below the end-to-end benchmark:
 
     python scripts/kind_times.py --workload map-analysis --seed 1 --rounds 15
 
+With --tail N it also lists the N slowest tasks (rank, kind, best ms,
+description), marking with p50 the task(s) the median reads and with p90
+the two between which latency_p90_ms interpolates; a marked task below the
+N slowest is listed after them.  The JSON then holds that list as "tail".
+
 Each task's result is checked once, in the first round; the exit code is 1
 when a check fails.  The tasks come from bench/workloads.py, imported and
 never written to; the fixture files a workload needs go to a temporary
@@ -70,14 +75,40 @@ def summary(tasks, best) -> dict:
     }
 
 
+def tail(tasks, best, count: int) -> list:
+    """The count slowest tasks, slowest first, then any task the median or
+    latency_p90_ms reads that ranks below them: one dict per task with its
+    rank (1 the slowest), kind, best_ms, desc and marks."""
+    n = len(best)
+    ascending = sorted(range(n), key=best.__getitem__)
+    marks = defaultdict(list)
+    # statistics.median reads the middle one or two of the sorted times;
+    # quantiles(n=10, method='inclusive')[8] interpolates between sorted
+    # positions j and j + 1, j = 9 (n - 1) // 10
+    for j in sorted({(n - 1) // 2, n // 2}):
+        marks[ascending[j]].append("p50")
+    j = 9 * (n - 1) // 10
+    for j in sorted({j, min(j + 1, n - 1)}):
+        marks[ascending[j]].append("p90")
+    slowest = ascending[::-1]
+    ranks = [r for r, i in enumerate(slowest) if r < count or i in marks]
+    return [{"rank": r + 1, "kind": tasks[i].kind, "best_ms": best[i] * 1000.0,
+             "desc": tasks[i].desc, "marks": marks.get(i, [])}
+            for r, i in ((r, slowest[r]) for r in ranks)]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--rounds", type=int, default=15)
+    parser.add_argument("--tail", type=int, default=0, metavar="N",
+                        help="also list the N slowest tasks")
     args = parser.parse_args()
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
+    if args.tail < 0:
+        parser.error("--tail must not be negative")
     with tempfile.TemporaryDirectory() as tmp:
         tasks = workloads.WORKLOADS[args.workload](args.seed, Path(tmp))
         best, failed = best_times(tasks, args.rounds)
@@ -91,6 +122,16 @@ def main() -> int:
     print("  %-32s %5d %10.3f" % ("round", len(tasks), out["round_ms"]))
     for name in ("latency_p50_ms", "latency_p90_ms", "verdicts_per_s"):
         print("  %-32s %16.6g" % (name, out[name]))
+    if args.tail:
+        out["tail"] = tail(tasks, best, args.tail)
+        print("  slowest %d of %d tasks:" % (min(args.tail, len(tasks)), len(tasks)))
+        previous = 0
+        for row in out["tail"]:
+            if row["rank"] > previous + 1:
+                print("  ...")
+            previous = row["rank"]
+            print("  %4d %-32s %9.3f %-7s %s" % (row["rank"], row["kind"], row["best_ms"],
+                                                 " ".join(row["marks"]), row["desc"][:80]))
     for line in failed:
         print("  FAILED " + line)
     print(json.dumps(out))

@@ -20,11 +20,17 @@ and lie_differential, horizontal_differential and left_translation_jacobian
 build one reduced Polynomial per entry of the result.  Every differential,
 DF or DF B_G, starts at _map_rows, which checks the map against the two
 groups and then tests it once for a linear Lie homomorphism
-(_homomorphism_rows).  Such an M skips the inverse series:
-F(p * q) = F(p) * F(q) makes DF = M at every point, so the two
-differentials are the constants M and M B_G, read from the term dicts once
-an integer check of M [x, y]_G = [M x, M y]_H on the sparse bracket tables
-of both groups has passed.  _constant_differential, their one builder,
+(_homomorphism_rows) and, when it has a constant term, for a left translate
+F = L_a o M of one (_translated_homomorphism_rows): every left and right
+translation, and every dilation or other automorphism composed with one.
+Such a map skips the inverse series: F(p * q) = F(p) * M(q) makes DF = M at
+every point, so the two differentials are the constants M and M B_G.  For a
+linear map M is read from the term dicts; for L_a o M it is
+Lambda_H(a)^{-1} J, J the linear part of F, and F is compared on integers
+with the target's group law at a (GroupTables.product_rows) composed with M.
+Either way M is returned only once an integer check of
+M [x, y]_G = [M x, M y]_H on the sparse bracket tables of both groups has
+passed.  _constant_differential, their one builder,
 keeps them as sparse integer rows ({column: entry} over one denominator),
 with M B_G summed through the nonzero entries of M and B_G only; any other
 map takes the series (_series_differential).  _differential, the entry of
@@ -39,13 +45,13 @@ product reads it.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, gcd, prod
 
 from . import linalg
 from .algebra import (LieAlgebra, NotStratifiable, SubRiemannianGroup, _ad_apply, _ad_columns,
                       _one_kind)
 from .polynomial import Polynomial, PolyMap, PolyVectorField, _diff_num, _from_prows, \
-    _nonzero, _prows_combination, _prows_mul, _prows_rat_mul, _to_prows
+    _mul_into, _nonzero, _prows_combination, _prows_mul, _prows_rat_mul, _to_prows
 from .rational import Rat, rat
 
 
@@ -328,6 +334,9 @@ def lie_differential(F: PolyMap, source: SubRiemannianGroup, target: SubRiemanni
     of F.  When F is a linear Lie homomorphism M (every term of degree 1,
     M [x, y]_G = [M x, M y]_H), F(p * q) = F(p) * F(q) and DF = M at every
     point: the matrix is returned without the series (_homomorphism_rows).
+    So is the M of a left translate F = L_a o M, for which
+    F(p * q) = F(p) * M(q): every left translation (M = 1) and every right
+    translation (M = Ad_{a^-1}) among them (_translated_homomorphism_rows).
     """
     return _from_prows(_differential(F, source, target, False), source.dim)
 
@@ -339,7 +348,8 @@ def horizontal_differential(F: PolyMap, source: SubRiemannianGroup,
     vector of the source.  Taken as Lambda_H(F)^{-1} JF (Lambda_G B_G), the
     closed form of lie_differential on the source's horizontal frame
     (GroupTables.horizontal_frame), without building the full DF; for a
-    linear Lie homomorphism M it is the constant M B_G."""
+    linear Lie homomorphism M, or a left translate L_a o M of one (a left
+    or right translation among them), it is the constant M B_G."""
     return _from_prows(_differential(F, source, target, True), source.dim)
 
 
@@ -349,9 +359,9 @@ def _differential(F: PolyMap, source: SubRiemannianGroup, target: SubRiemannianG
     after _check_map: the entry of lie_differential, horizontal_differential
     and PullbackOperator.
 
-    A linear Lie homomorphism M gives the constant M (B_G) of
-    _constant_differential, each nonzero entry as a one-term dict; any other
-    map the series of _series_differential."""
+    A linear Lie homomorphism M, or a left translate L_a o M of one, gives
+    the constant M (B_G) of _constant_differential, each nonzero entry as a
+    one-term dict; any other map the series of _series_differential."""
     comps, den, matrix = _map_rows(F, source, target)
     if matrix is None:
         return _series_differential(comps, den, source, target, horizontal)
@@ -364,11 +374,139 @@ def _differential(F: PolyMap, source: SubRiemannianGroup, target: SubRiemannianG
 
 def _map_rows(F: PolyMap, source: SubRiemannianGroup, target: SubRiemannianGroup) -> tuple:
     """(comps, den, matrix) after _check_map: F's components as integer term
-    dicts comps over den, and matrix = _homomorphism_rows(comps, den, ...),
-    None unless F is a linear Lie homomorphism."""
+    dicts comps over den, and matrix the constant differential M in the form
+    _homomorphism_rows returns, None unless F is a linear Lie homomorphism M
+    (_homomorphism_rows) or, when F has a nonzero constant term, a left
+    translate L_a o M of one (_translated_homomorphism_rows): every left and
+    every right translation, R_a = L_a o Ad_{a^-1}, among them."""
     _check_map(F, source, target)
     (comps,), den = _to_prows((F.components,))
-    return comps, den, _homomorphism_rows(comps, den, source, target)
+    matrix = _homomorphism_rows(comps, den, source, target)
+    if matrix is None:
+        one = (0,) * source.dim
+        if any(one in x for x in comps):
+            matrix = _translated_homomorphism_rows(comps, den, source, target)
+    return comps, den, matrix
+
+
+def _translated_homomorphism_rows(comps: tuple, den: int, source: SubRiemannianGroup,
+                                  target: SubRiemannianGroup):
+    """M as _homomorphism_rows returns it when F = L_a o M for a = F(0) and
+    a linear Lie homomorphism M, else None, for a map whose components are
+    the integer term dicts comps over den.  F(p * q) = a * M(p) * M(q) =
+    F(p) * M(q), so DF = M at every point, as for M itself.
+
+    Four tests, cheapest first.  (1) a * y is a + y plus brackets of a with
+    y, so every term of F has degree <= max(1, s_H - 1).  (2) The degree-1
+    part of a * y is Lambda_H(a) y, so M = Lambda_H(a)^{-1} J for J the
+    linear part of F (_inverse_frame_at).  (3) M passes _homomorphism_rows.
+    (4) By (2), a * M(p) and F agree in degrees 0 and 1, and on a step-2
+    target a * y has no other terms; else the terms of a * y of degree >= 2
+    in y (GroupTables.product_rows of the target) at x = a and y = M p must
+    give F's terms of degree >= 2, compared on integers component by
+    component up to the first that differs."""
+    n, step = source.dim, target.step
+    top = max(1, step - 1)
+    one = (0,) * n
+    unit = tuple(one[:k] + (1,) + one[k + 1:] for k in range(n))
+    index = {e: k for k, e in enumerate(unit)}
+    const, jac, higher = [], [], []
+    for x in comps:
+        row, high = {}, {}
+        for e, c in x.items():
+            k = index.get(e)
+            if k is not None:
+                row[k] = c
+            elif e != one:
+                if sum(e) > top:
+                    return None
+                high[e] = c
+        const.append(x.get(one, 0))
+        jac.append(row)
+        higher.append(high)
+    rows, mden = _inverse_frame_at(target.tables.brackets, const, den, jac, step)
+    linear = tuple({unit[k]: w for k, w in row.items()} for row in rows)
+    matrix = _homomorphism_rows(linear, mden, source, target)
+    if matrix is None or step <= 2:
+        return matrix
+    powers = {}
+
+    def power(beta: tuple) -> dict:
+        # (M p)^beta times mden^|beta|, an integer term dict in the source variables
+        out = powers.get(beta)
+        if out is None:
+            j = next(i for i, b in enumerate(beta) if b)
+            rest = beta[:j] + (beta[j] - 1,) + beta[j + 1:]
+            out = powers[beta] = _nonzero(_mul_into({}, power(rest), linear[j])) \
+                if any(rest) else linear[j]
+        return out
+
+    # a term c x^alpha y^beta / pden of x * y at x = a = const / den and
+    # y = M p is c const^alpha (M p)^beta / (pden den^|alpha|); with
+    # |alpha|, |beta| <= step, both sides are taken times pden den^step mden^step
+    product, pden = target.tables.product_rows
+    dens = [den ** k for k in range(step + 1)]
+    mdens = [mden ** k for k in range(step + 1)]
+    scale = pden * dens[step - 1] * mdens[step]
+    values = {}  # const^alpha den^(step - |alpha|) by alpha
+    for terms, high in zip(product, higher):
+        acc = {e: -c * scale for e, c in high.items()}
+        get = acc.get
+        for beta, degree, alphas in terms:
+            if degree < 2:
+                break
+            v = 0
+            for alpha, size, c in alphas:
+                x = values.get(alpha)
+                if x is None:
+                    x = values[alpha] = prod(map(pow, const, alpha)) * dens[step - size]
+                v += c * x
+            if v:
+                v *= mdens[step - degree]
+                for e, w in power(beta).items():
+                    acc[e] = get(e, 0) + v * w
+        if any(acc.values()):
+            return None
+    return matrix
+
+
+def _inverse_frame_at(brackets: tuple, point: list, den: int, term: list, step: int) -> tuple:
+    """Lambda(q)^{-1} term = sum_{k < step} (-ad_q)^k term / (k+1)! for the
+    constant q = point / den (point a list of integers) and term a matrix
+    over den given as sparse integer rows {column: entry}, one per
+    coordinate; brackets is the group's integer table (GroupTables.brackets).
+    The constant case of _series_differential's series, by Horner's rule on
+    integers: with ad_q = A / e, e = den dc, the sum times
+    den e^(step-1) step! is X_0 for X_{step-1} = term and
+    X_k = c_k term - A X_{k+1}, c_k = e^(step-1-k) step! / (k+1)!.
+    Returned as sparse integer rows over one denominator, their gcd divided
+    out."""
+    table, dc = brackets
+    m = len(point)
+    ad = [{} for _ in range(m)]  # row k of A as {j: entry}
+    for i, x in enumerate(point):
+        if x and i in table:
+            for j, out in table[i].items():
+                for k, c in out.items():
+                    row = ad[k]
+                    row[j] = row.get(j, 0) + x * c
+    e, top = den * dc, factorial(step)
+    x = term
+    for k in range(step - 2, -1, -1):
+        c = e ** (step - 1 - k) * top // factorial(k + 1)
+        nxt = []
+        for arow, trow in zip(ad, term):
+            acc = {j: c * w for j, w in trow.items()}
+            get = acc.get
+            for j, a in arow.items():
+                if a:
+                    for col, w in x[j].items():
+                        acc[col] = get(col, 0) - a * w
+            nxt.append(acc)
+        x = nxt
+    total = den * e ** (step - 1) * top
+    g = gcd(total, *(w for row in x for w in row.values()))
+    return [{col: w // g for col, w in row.items() if w} for row in x], total // g
 
 
 def _constant_differential(matrix: tuple, source: SubRiemannianGroup, horizontal: bool) -> tuple:

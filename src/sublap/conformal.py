@@ -12,9 +12,9 @@ Three related questions live here:
   tables of u -> Delta_G(u o F), not on any particular u, so the verdict is
   exact: it compares those tables and never samples test functions.
   Both deciders read them in the target's frame, on the horizontal
-  differential (_frame_stages), which for a linear Lie homomorphism is
-  constant and is decided on its sparse integer rows, with no dense
-  product (_constant_stages).  commutation_residuals then
+  differential (_frame_stages), which for a linear Lie homomorphism, or a
+  left translate of one, is constant and is decided on its sparse integer
+  rows, with no dense product (_constant_stages).  commutation_residuals then
   lists the witnesses of a failing stated identity in target coordinates:
   probe monomials, all of them in one integer pass through the jet
   evaluator of operators over one polynomial.MapPowers, on the residual
@@ -274,9 +274,11 @@ class CommutationReport:
     Delta_G(u o F) = lambda_sq (Delta_H u) o F + <b, (grad u) o F> holds for
     every test function u; the verdict is exact.  lambda_sq and b
     (target-algebra valued, entries Polynomial over the source) are populated
-    only when conformal.  residuals holds nonzero witness polynomials for
-    whichever stage failed.  probe_degree is the validated request, echoed;
-    the verdict does not depend on it.
+    only when conformal.  residuals holds the witnesses of whichever stage
+    failed: nonzero polynomials for contact and for the split
+    DF Q_G DF^T = lambda_sq Q_H, and (lambda_sq,), which is zero, for
+    "conformal factor is not positive" (a constant map).  probe_degree is
+    the validated request, echoed; the verdict does not depend on it.
     """
 
     contact: bool
@@ -335,10 +337,10 @@ def _frame_stages(reading: tuple, source: SubRiemannianGroup, target: SubRiemann
     w_j = sum_k g^{jk} v_k~, and after contact DB, hence every derivative
     of it, takes values in the fixed subspace span B_H.
 
-    A linear Lie homomorphism M has the constant DB = M B_G
-    (calculus._constant_differential), so its stages run on DB's sparse
-    integer rows (_constant_stages), with b None for the zero drift; any
-    other map's on polynomial matrices."""
+    A linear Lie homomorphism M, or a left translate L_a o M of one, has
+    the constant DB = M B_G (calculus._constant_differential), so its
+    stages run on DB's sparse integer rows (_constant_stages), with b None
+    for the zero drift; any other map's on polynomial matrices."""
     comps, den, matrix = reading
     if matrix is not None:
         return _constant_stages(_constant_differential(matrix, source, True), source, target)

@@ -39,7 +39,7 @@ from operator import add
 from . import linalg
 from .algebra import SubRiemannianGroup
 from .calculus import _GROUP_CACHE_SIZE, _check_map, _differential, _jacobian_rows, \
-    _left_translation_rows, require_step
+    _left_translation_rows, group_product_map, require_step
 from .polynomial import MapPowers, Polynomial, PolyMap, _diff_num, _from_prows, _mul_into, \
     _nonzero, _prows_congruence, _prows_mul, _prows_rat_mul, _prows_transpose, _reduced, \
     _to_prows, linear_combination, sum_of_products
@@ -81,7 +81,8 @@ class GroupTables:
     for polynomial ones.  A linear Lie homomorphism is checked and decided
     on sparse forms of four of them, their nonzero entries over the same
     denominator: polarization_rows, gram_inverse_entries,
-    annihilator_entries and bracket_pairs.  The
+    annihilator_entries and bracket_pairs; a left translate of one is
+    compared with the group law kept as product_rows.  The
     public cometric(group) builds its Rats from cometric_rows on each call.
     """
 
@@ -156,6 +157,25 @@ class GroupTables:
         table, den = self.brackets
         return tuple((a, b, out) for a, row in table.items() for b, out in row.items()
                      if b > a), den
+
+    @cached_property
+    def product_rows(self) -> tuple:
+        """group_product_map in the (rows, den) form of polynomial, each
+        component's terms c x^alpha y^beta (x the first factor, y the
+        second) grouped by beta as (beta, |beta|, ((alpha, |alpha|, c), ...)),
+        by falling |beta|: the form in which calculus compares a map with a
+        left translate a * (M p) of a linear map."""
+        n = self.group.dim
+        (comps,), den = _to_prows((group_product_map(self.group).components,))
+        out = []
+        for x in comps:
+            split = {}
+            for e, c in x.items():
+                split.setdefault(e[n:], []).append((e[:n], sum(e[:n]), c))
+            out.append(tuple(sorted(((beta, sum(beta), tuple(alphas))
+                                     for beta, alphas in split.items()),
+                                    key=lambda group: -group[1])))
+        return tuple(out), den
 
     @cached_property
     def jacobian(self) -> tuple:

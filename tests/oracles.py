@@ -990,6 +990,29 @@ def poly_horizontal_differential(F, source, target):
     return poly_differential(F, target, poly_horizontal_frame(source))
 
 
+def translated_homomorphism(F, source, target):
+    """Whether F = L_a o M for a = F(0) and a linear Lie homomorphism M,
+    from the group law: (-a) * F(p) (bch_product on Polynomials) must have
+    terms of degree 1 only, and its matrix M must satisfy
+    M [e_i, e_j]_G = [M e_i, M e_j]_H (LieAlgebra.bracket on Rat vectors)."""
+    n = source.dim
+    zero = (0,) * n
+    a = tuple(-c.coefficient(zero) for c in F.components)
+    g = bch_product(a, F.components, target.algebra, target.step)
+    if any(sum(e) != 1 for c in g for e in c.terms):
+        return False
+    columns = [tuple(c.coefficient(zero[:j] + (1,) + zero[j + 1:]) for c in g) for j in range(n)]
+
+    def image(x):
+        return tuple(sum((w * col[r] for w, col in zip(x, columns)), Rat(0))
+                     for r in range(target.dim))
+
+    basis = source.algebra.basis()
+    return all(image(source.algebra.bracket(x, y)) ==
+               target.algebra.bracket(image(x), image(y))
+               for i, x in enumerate(basis) for y in basis[i + 1:])
+
+
 def poly_pushforward_second(db, gram_inverse):
     """DB G^{-1} DB^T on Polynomial entries."""
     return poly_matrix_product(dense_poly_rat_mat_mul(db, gram_inverse), tuple(zip(*db)))

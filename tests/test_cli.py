@@ -1047,7 +1047,7 @@ def test_dump_verdicts_prints_every_cli_report(monkeypatch):
 
 @pytest.mark.parametrize("script, args", [
     ("commutation_gallery.py", ()), ("spectrum_survey.py", ()),
-    ("kind_times.py", ("--workload", "map-analysis", "--rounds", "1"))],
+    ("kind_times.py", ("--workload", "map-analysis", "--rounds", "1", "--tail", "8"))],
     ids=["commutation_gallery.py", "spectrum_survey.py", "kind_times.py"])
 def test_scripts_run_from_a_fresh_checkout(script, args, tmp_path):
     # with PYTHONPATH unset, from another directory and with no bytecode

@@ -6,15 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import analyzer_rejections, gallery_maps, random_rational, seeded_homomorphisms
+from conftest import analyzer_rejections, filiform_group, gallery_maps, random_rational, \
+    seeded_homomorphisms
 from oracles import (identity, is_rat, madd, poly_analyze_commutation, poly_gradient_fields,
                      poly_horizontal_differential, poly_lie_differential, poly_pushforward_first,
                      poly_pushforward_second, probe_residuals, rat_homothetic_characterizations,
                      rat_is_homothetic_projection, scalar_orthogonal_witness, span_equal,
-                     trace_drift)
+                     trace_drift, translated_homomorphism)
 from sublap import linalg
-from sublap.calculus import (NotNilpotent, dilation, horizontal_differential, left_translation,
-                             lie_differential)
+from sublap.calculus import (NotNilpotent, bch_product, dilation, horizontal_differential,
+                             left_translation, lie_differential, right_translation)
 from sublap.catalog import abelian_group, engel_group, sl2_algebra
 from sublap.algebra import LieAlgebra, subriemannian_group
 from sublap.heisenberg import heisenberg_group
@@ -863,8 +864,9 @@ def test_homomorphism_shortcut_changes_no_report(monkeypatch):
                  horizontal_differential(F, source, target), lie_differential(F, source, target))
                 for F, source, target in cases]
     # 57 seeded homomorphisms, and 6 of the gallery and 6 of the shapes,
-    # each checked once per call above
-    assert len(cases) == 89 and sum(taken) == 3 * 69
+    # each checked once per call above, and the gallery's left translation,
+    # refused as F and then taken as its linear part M (L_a o M)
+    assert len(cases) == 89 and len(taken) == 3 * 90 and sum(taken) == 3 * 70
     monkeypatch.setattr(sublap.calculus, "_homomorphism_rows", lambda *args: None)
     series = [(analyze_commutation(F, source, target),
                horizontal_differential(F, source, target), lie_differential(F, source, target))
@@ -878,18 +880,21 @@ def _seeded_homomorphism_cases():
 
 
 def test_homomorphisms_take_the_integer_stages(monkeypatch):
-    # a linear Lie homomorphism has the constant DB = M B_G, so analyze-map
-    # and verify decide its stages on DB's sparse integer rows: none of the
-    # polynomial stage kernels runs, no drift table is built or reduced, and
-    # no dense linalg product or transpose is taken once the groups' tables
-    # are built, while any other map still reaches the polynomial kernels
+    # a linear Lie homomorphism M, and a left translate L_a o M of one, has
+    # the constant DB = M B_G, so analyze-map and verify decide its stages on
+    # DB's sparse integer rows: none of the polynomial stage kernels runs, no
+    # drift table is built or reduced, and no dense linalg product or
+    # transpose is taken once the groups' tables are built, while any other
+    # map still reaches the polynomial kernels
     def refuse(*args):
         raise AssertionError("polynomial stage kernel")
 
     def dense(*args):
         raise AssertionError("dense integer product")
 
-    cases = _seeded_homomorphism_cases()
+    h1 = heisenberg_group(1, (1,))
+    cases = _seeded_homomorphism_cases() + [
+        (left_translation(h1, (Rat(1), Rat(2), Rat(3))), h1, h1)]
 
     def decide():
         out = []
@@ -912,11 +917,10 @@ def test_homomorphisms_take_the_integer_stages(monkeypatch):
     for (report, holds, fails), (F, _, _) in zip(found, cases):
         assert (holds == ()) == report.conformal, F
         assert fails, F
-    # the dilations, similarities and quotients of each seed
-    assert len(cases) == 57 and [r.conformal for r, _, _ in found].count(True) == 3 * 11
-    h1 = heisenberg_group(1, (1,))
+    # the dilations, similarities and quotients of each seed, and the translation
+    assert len(cases) == 58 and [r.conformal for r, _, _ in found].count(True) == 3 * 11 + 1
     with pytest.raises(AssertionError, match="polynomial stage kernel"):
-        analyze_commutation(left_translation(h1, (Rat(1), Rat(2), Rat(3))), h1, h1)
+        analyze_commutation(PolyMap.parse(["x1", "x2", "x3 + x1^2"], 3), h1, h1)
 
 
 def test_integer_stages_match_polynomial_analysis():
@@ -1073,6 +1077,117 @@ def test_random_homomorphisms_match_polynomial_analysis(case):
         poly_horizontal_differential(F, source, target)
     assert lie_differential(F, source, target) == poly_lie_differential(F, source, target)
     assert analyze_commutation(F, source, target) == poly_analyze_commutation(F, source, target)
+
+
+@lru_cache(maxsize=None)
+def _right_translation_groups():
+    """h1 and h2 with non-diagonal Gram matrices, Engel, and the model
+    filiform-5 and -6 groups."""
+    h2 = heisenberg_group(2, (1, 1))
+    gram = ((2, 1, 0, 0), (1, 3, 1, 0), (0, 1, 2, 0), (0, 0, 0, 1))
+    return (_heisenberg_grams()[1], subriemannian_group(h2.algebra, h2.polarization.basis, gram),
+            engel_group(), filiform_group(5), filiform_group(6))
+
+
+@lru_cache(maxsize=None)
+def _seeded_homomorphism_list():
+    return tuple(_seeded_homomorphism_cases())
+
+
+POINTS = st.sampled_from((Rat(0), Rat(1), Rat(-1), Rat(1, 2), Rat(-2, 3), Rat(3, 2), Rat(-5, 4)))
+
+
+@st.composite
+def translated_maps(draw):
+    """(F, source, target, near): F = L_a o phi for a random rational a and
+    phi a seeded homomorphism (R^m targets and quotients among them), or a
+    right translation R_a = L_a o Ad_{a^-1} of one of
+    _right_translation_groups; near names the near miss made of it, if any:
+    one more term of the top degree max(1, s_H - 1) that test (1) of the
+    detection lets through, an affine map a + J p with J random, or the
+    constant map a."""
+    if draw(st.booleans()):
+        phi, source, target = draw(st.sampled_from(_seeded_homomorphism_list()))
+        a = tuple(draw(POINTS) for _ in range(target.dim))
+        F = PolyMap(source.dim, bch_product(a, phi, target.algebra, target.step))
+    else:
+        source = target = draw(st.sampled_from(_right_translation_groups()))
+        a = tuple(draw(POINTS) for _ in range(target.dim))
+        F = right_translation(target, a)
+    n, m = source.dim, target.dim
+    near = draw(st.sampled_from((None, None, "top-degree term", "affine", "constant")))
+    if near == "top-degree term":
+        k, i = draw(st.integers(0, m - 1)), draw(st.integers(0, n - 1))
+        term = Polynomial.variable(i, n) ** max(1, target.step - 1) * draw(SMALL)
+        F = PolyMap(n, tuple(c + term if r == k else c for r, c in enumerate(F.components)))
+    elif near == "affine":
+        J = [[draw(ENTRIES) for _ in range(n)] for _ in range(m)]
+        F = PolyMap(n, tuple(c + Polynomial.constant(x, n)
+                             for c, x in zip(PolyMap.linear(J).components, a)))
+    elif near == "constant":
+        F = PolyMap(n, tuple(Polynomial.constant(x, n) for x in a))
+    return F, source, target, near
+
+
+def _translation_outputs(F, source, target):
+    """analyze_commutation, both differentials and the witnesses of the
+    stated identity at the true (or a unit) factor and at a perturbed one."""
+    report = analyze_commutation(F, source, target)
+    lam_sq = report.lambda_sq if report.conformal else Polynomial.constant(1, source.dim)
+    b = report.b if report.conformal else (0,) * target.dim
+    return (report, lie_differential(F, source, target),
+            horizontal_differential(F, source, target),
+            commutation_residuals(F, lam_sq, b, source, target, 2),
+            commutation_residuals(F, lam_sq + Rat(1, 2), b, source, target, 2)), (lam_sq, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(translated_maps())
+def test_translated_homomorphisms_match_the_series(case):
+    # F = L_a o M takes the constant differential M exactly when the group
+    # law says it is one; either way every output equals the series path's
+    # (the detection switched off) and the Polynomial-level references
+    F, source, target, near = case
+    taken = sublap.calculus._map_rows(F, source, target)[2] is not None
+    assert taken == translated_homomorphism(F, source, target), (F, near)
+    if near == "top-degree term" and target.step > 2:
+        assert not taken  # the linear part is L_a o phi's, the higher terms differ
+    if near == "constant":
+        assert taken  # L_a o 0, whose differential is 0
+    found, (lam_sq, b) = _translation_outputs(F, source, target)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sublap.calculus, "_translated_homomorphism_rows", lambda *args: None)
+        if any(c.coefficient((0,) * source.dim) for c in F.components):
+            assert sublap.calculus._map_rows(F, source, target)[2] is None
+        assert _translation_outputs(F, source, target)[0] == found
+    report, lie, horizontal, holds, fails = found
+    assert report == poly_analyze_commutation(F, source, target)
+    assert lie == poly_lie_differential(F, source, target)
+    assert horizontal == poly_horizontal_differential(F, source, target)
+    assert holds == probe_residuals(F, lam_sq, b, source, target, 2)
+    assert fails == probe_residuals(F, lam_sq + Rat(1, 2), b, source, target, 2)
+
+
+def test_translation_near_misses_take_the_series_path():
+    # a higher term that L_a o M lacks, and an affine map whose linear part
+    # is no Lambda_H(a) M, are refused; a constant map is L_a o 0
+    h1, engel, fil5 = heisenberg_group(1, (1,)), engel_group(), filiform_group(5)
+    point = (Rat(1, 2), Rat(-2, 3), Rat(3, 2), Rat(-1, 3), Rat(2))
+    bent = []
+    for group, degree in ((engel, 2), (fil5, 3)):
+        F = left_translation(group, point[:group.dim])
+        x1 = Polynomial.variable(0, group.dim)
+        bent.append((PolyMap(group.dim, F.components[:-1] + (F.components[-1] + x1 ** degree,)),
+                     group))
+    affine = PolyMap.parse(["x1 + 1", "2*x2", "x3"], 3)
+    constant = PolyMap.parse(["1", "2", "3"], 3)
+    for F, group in bent + [(affine, h1), (constant, h1)]:
+        taken = sublap.calculus._map_rows(F, group, group)[2] is not None
+        assert taken == (F is constant) == translated_homomorphism(F, group, group), F
+        assert analyze_commutation(F, group, group) == poly_analyze_commutation(F, group, group)
+    report = analyze_commutation(constant, h1, h1)
+    assert report.reason == "conformal factor is not positive" and report.residuals == \
+        (Polynomial.zero(3),)
 
 
 # h1, Engel and the two filiform-5 groups

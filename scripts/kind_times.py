@@ -90,11 +90,9 @@ def tail(tasks, best, count: int) -> list:
     j = 9 * (n - 1) // 10
     for j in sorted({j, min(j + 1, n - 1)}):
         marks[ascending[j]].append("p90")
-    slowest = ascending[::-1]
-    ranks = [r for r, i in enumerate(slowest) if r < count or i in marks]
     return [{"rank": r + 1, "kind": tasks[i].kind, "best_ms": best[i] * 1000.0,
              "desc": tasks[i].desc, "marks": marks.get(i, [])}
-            for r, i in ((r, slowest[r]) for r in ranks)]
+            for r, i in enumerate(reversed(ascending)) if r < count or i in marks]
 
 
 def main() -> int:

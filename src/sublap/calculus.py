@@ -499,9 +499,8 @@ def _inverse_frame_at(brackets: tuple, point: list, den: int, term: list, step: 
             acc = {j: c * w for j, w in trow.items()}
             get = acc.get
             for j, a in arow.items():
-                if a:
-                    for col, w in x[j].items():
-                        acc[col] = get(col, 0) - a * w
+                for col, w in x[j].items():
+                    acc[col] = get(col, 0) - a * w
             nxt.append(acc)
         x = nxt
     total = den * e ** (step - 1) * top
